@@ -11,13 +11,13 @@ from .lspace import (FoliationWitness, IntervalKind, LSpaceVerdict, Reason,
                      ThirdSlotThreshold, decide, sufficient_conditions,
                      third_slot_threshold, witness_search)
 from .twist import (FamilyMember, FamilyReport, PointVerdict, SeiferterData,
-                    TailCertificate, TailStatus, classify_family,
+                    Segment, TailCertificate, TailStatus, classify_family,
                     evaluate_point, fiber_slope, h1_consistency, limit_space,
                     surgered_space, surgery_slope)
 from .families import (ALL_N, FamilySpec, Guarantee, GuaranteeKind,
                        PreconditionFailed, TorusKnotDegenerate,
                        TwistedTorusKind, berge_sporadic, berge_type_vii_viii,
-                       build_family, catalog, check_guarantee,
+                       build_family, catalog, check_guarantee, check_reports,
                        distinctness_bound, eudave_munoz_rp2_family,
                        family_kinds, find_family, linking_guarantee,
                        satellite_guarantee, torus_pq_candidates,

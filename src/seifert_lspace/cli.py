@@ -4,34 +4,24 @@ Verbs: decide, h1, normalize, threshold, twist-scan, family (list | run),
 reproduce.  All numeric output is exact; --float adds decimal approximations
 for human reading only.  Exit codes: decide uses 0 for an L-space, 1 for not
 an L-space, 2 for parse or range errors; reproduce exits 1 if any case fails.
-``SEIFERT_LSPACE_THREADS`` caps the worker threads used by window scans.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import corpus as corpus_mod
 from . import families as fam
-from .formats import (ParseError, classification_json, describe_tail, form_json,
-                      parse_form, point_json, report_json, threshold_json,
-                      verdict_json)
+from .formats import (ParseError, classification_json, describe_segment,
+                      describe_tail, form_json, parse_form, report_json,
+                      threshold_json, verdict_json)
 from .lspace import decide, third_slot_threshold
 from .rationals import format_rational, parse_rational
 from .seifert import UnsupportedFiberCount, classify
-from .twist import SeiferterData, classify_family, evaluate_point
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SEIFERT_LSPACE_THREADS", "1")))
-    except ValueError:
-        return 1
+from .twist import SeiferterData, classify_family
 
 
 def _emit(args, payload: dict, text_lines):
@@ -127,17 +117,18 @@ def cmd_threshold(args) -> int:
 
 
 def _scan_lines(report, float_mode=False):
-    lines = []
+    rows = []
     lo, hi = report.window
-    for n in sorted(report.points):
-        p = report.points[n]
-        mark = "" if lo <= n <= hi else " (gap fill)"
+    for n, p in report.points.items():
+        mark = "" if lo <= n <= hi else " (gap exception)"
         slope = "-" if p.slope is None else str(p.slope)
         verdict = "L-space" if p.verdict.is_lspace else "NOT L-space"
         wit = ""
         if p.verdict.witness is not None:
             wit = f"  witness (k={p.verdict.witness.k}, a={p.verdict.witness.a})"
-        lines.append(f"  n={n:>5}  m_n={slope:>8}  {p.form!r:<40} {verdict}{wit}{mark}")
+        rows.append((n, f"  n={n:>5}  m_n={slope:>8}  {p.form!r:<40} {verdict}{wit}{mark}"))
+    rows += [(s.from_n, f"  segment: {describe_segment(s)}") for s in report.segments]
+    lines = [line for _, line in sorted(rows, key=lambda row: row[0])]
     lines.append(f"tail n -> +inf: {describe_tail(report.tail_pos)}")
     lines.append(f"tail n -> -inf: {describe_tail(report.tail_neg)}")
     if report.limit is not None:
@@ -150,22 +141,13 @@ def _scan_lines(report, float_mode=False):
     return lines
 
 
-def _run_family_report(member, window):
-    threads = _threads()
-    if threads > 1:
-        lo, hi = window
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda n: evaluate_point(member, n), range(lo, hi + 1)))
-    return classify_family(member, window)
-
-
 def cmd_twist_scan(args) -> int:
     t0 = time.perf_counter()
     data = SeiferterData(b=args.b, r1=parse_rational(args.r1), r2=parse_rational(args.r2),
                          alpha=args.alpha, beta=args.beta,
                          alpha3=args.alpha3, beta3=args.beta3,
                          m=args.m, l=args.l, realizable=False)
-    report = _run_family_report(data, args.window)
+    report = classify_family(data, args.window)
     inputs = {"b": args.b, "r1": args.r1, "r2": args.r2,
               "alpha": args.alpha, "beta": args.beta,
               "alpha3": args.alpha3, "beta3": args.beta3,
@@ -208,8 +190,8 @@ def cmd_family(args) -> int:
     except TypeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    reports = [_run_family_report(m, args.window) for m in spec.members]
-    ok, problems = fam.check_guarantee(spec, args.window)
+    reports = [classify_family(m, args.window) for m in spec.members]
+    ok, problems = fam.check_reports(spec, reports)
     payload = {"name": spec.name, "guarantee": repr(spec.guarantee),
                "guarantee_confirmed": ok, "problems": problems,
                "reports": [report_json(r, args.float) for r in reports]}

@@ -433,39 +433,60 @@ def find_family(name: str) -> FamilySpec:
 def check_guarantee(spec: FamilySpec, window=(-50, 50)):
     """Confirm a family's claimed guarantee over a window, tails included.
 
-    Returns (ok, detail strings).  AllN requires every window member and
-    both certified tails to be L-spaces; one-sided guarantees check the
-    corresponding side; AllNExcept requires the window failures to be
-    exactly the listed exceptions.
+    Classifies every member over the window and returns
+    ``check_reports(spec, reports)``.
+    """
+    return check_reports(spec, [classify_family(m, window) for m in spec.members])
+
+
+def _failures(report) -> list[tuple[int, int]]:
+    """Sorted index ranges of the non-L-space members between the tails."""
+    out = [(n, n) for n, pv in report.points.items() if not pv.verdict.is_lspace]
+    out += [(s.from_n, s.to_n) for s in report.segments if not s.is_lspace]
+    return sorted(out)
+
+
+def _ranges_text(ranges) -> str:
+    return "[" + ", ".join(str(a) if a == b else f"{a}..{b}" for a, b in ranges) + "]"
+
+
+def check_reports(spec: FamilySpec, reports):
+    """Confirm a family's claimed guarantee from one report per member.
+
+    Returns (ok, detail strings).  AllN requires every member between the
+    tails and both certified tails to be L-spaces; one-sided guarantees
+    check the corresponding side; AllNExcept requires the failures between
+    the tails to be exactly the listed exceptions there.
     """
     problems = []
-    for member in spec.members:
-        report = classify_family(member, window)
-        failures = sorted(n for n, pv in report.points.items()
-                          if not pv.verdict.is_lspace)
-        g = spec.guarantee
+    g = spec.guarantee
+    for report in reports:
+        failures = _failures(report)
         tp, tn = report.tail_pos, report.tail_neg
         if g.kind is GuaranteeKind.ALL_N:
             if failures:
-                problems.append(f"{spec.name}: not an L-space at n={failures}")
-            if not (tp.certified and tp.is_lspace and tn.certified and tn.is_lspace):
+                problems.append(f"{spec.name}: not an L-space at n={_ranges_text(failures)}")
+            if not (tp.is_lspace and tn.is_lspace):
                 problems.append(f"{spec.name}: tails not certified L-space")
         elif g.kind is GuaranteeKind.N_GE:
-            bad = [n for n in failures if n >= g.bound]
+            bad = [(max(a, g.bound), b) for a, b in failures if b >= g.bound]
             if bad:
-                problems.append(f"{spec.name}: fails at n={bad} >= {g.bound}")
-            if not (tp.certified and tp.is_lspace):
+                problems.append(f"{spec.name}: fails at n={_ranges_text(bad)} >= {g.bound}")
+            if not tp.is_lspace:
                 problems.append(f"{spec.name}: positive tail not certified L-space")
         elif g.kind is GuaranteeKind.N_LE:
-            bad = [n for n in failures if n <= g.bound]
+            bad = [(a, min(b, g.bound)) for a, b in failures if a <= g.bound]
             if bad:
-                problems.append(f"{spec.name}: fails at n={bad} <= {g.bound}")
-            if not (tn.certified and tn.is_lspace):
+                problems.append(f"{spec.name}: fails at n={_ranges_text(bad)} <= {g.bound}")
+            if not tn.is_lspace:
                 problems.append(f"{spec.name}: negative tail not certified L-space")
         else:
-            expected = sorted(n for n in g.exceptions if n in report.points)
-            if failures != expected:
-                problems.append(f"{spec.name}: failures {failures} != expected {expected}")
-            if not (tp.certified and tp.is_lspace and tn.certified and tn.is_lspace):
+            expected = sorted({n for n in g.exceptions
+                               if not (tp.covers(n) or tn.covers(n))})
+            count = sum(b - a + 1 for a, b in failures)
+            if count != len(expected) or any(report.lspace_at(n) for n in expected):
+                problems.append(f"{spec.name}: failures {_ranges_text(failures)} "
+                                f"!= expected {expected}")
+            if not (tp.is_lspace and tn.is_lspace):
                 problems.append(f"{spec.name}: tails not certified L-space")
     return (not problems), problems

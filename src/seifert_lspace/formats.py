@@ -15,7 +15,7 @@ from fractions import Fraction
 from .rationals import INF, format_rational, is_finite
 from .seifert import Base, Classification, SeifertForm, normalize
 from .lspace import LSpaceVerdict, ThirdSlotThreshold
-from .twist import FamilyReport, PointVerdict, TailCertificate, TailStatus
+from .twist import FamilyReport, PointVerdict, Segment, TailCertificate
 
 
 class ParseError(ValueError):
@@ -205,6 +205,19 @@ def tail_json(t: TailCertificate, float_mode=False):
     return out
 
 
+def segment_json(s: Segment, float_mode=False):
+    out = {
+        "from_n": s.from_n,
+        "to_n": s.to_n,
+        "is_lspace": s.is_lspace,
+        "band_base": s.band_base,
+        "threshold": None if s.threshold is None else threshold_json(s.threshold, float_mode),
+    }
+    if s.mirrored:
+        out["mirrored"] = True
+    return out
+
+
 def point_json(p: PointVerdict, float_mode=False):
     return {
         "n": p.n,
@@ -219,6 +232,7 @@ def report_json(r: FamilyReport, float_mode=False):
     return {
         "window": list(r.window),
         "points": [point_json(r.points[n], float_mode) for n in sorted(r.points)],
+        "segments": [segment_json(s, float_mode) for s in r.segments],
         "tail_pos": tail_json(r.tail_pos, float_mode),
         "tail_neg": tail_json(r.tail_neg, float_mode),
         "limit": None if r.limit is None else form_json(r.limit, float_mode),
@@ -229,8 +243,6 @@ def report_json(r: FamilyReport, float_mode=False):
 
 def describe_tail(t: TailCertificate) -> str:
     side = "n >= " if t.side > 0 else "n <= "
-    if t.status is TailStatus.POINTWISE_ONLY:
-        return "decided pointwise only"
     what = "L-space" if t.is_lspace else "not an L-space"
     out = f"{what} for all {side}{t.from_n}"
     if t.threshold is not None and t.threshold.boundary is not None:
@@ -239,3 +251,14 @@ def describe_tail(t: TailCertificate) -> str:
                 f"boundary {format_rational(t.threshold.boundary)}"
                 + ("; computed on the mirror" if t.mirrored else "") + "]")
     return out
+
+
+def describe_segment(s: Segment) -> str:
+    what = "L-space" if s.is_lspace else "not an L-space"
+    out = f"{what} for all {s.from_n} <= n <= {s.to_n}"
+    if s.threshold is None:
+        return out + "  [lens spaces]"
+    boundary = ("" if s.threshold.boundary is None
+                else f", boundary {format_rational(s.threshold.boundary)}")
+    return (out + f"  [band base {s.band_base}{boundary}"
+            + ("; computed on the mirror" if s.mirrored else "") + "]")

@@ -9,7 +9,6 @@ degenerate fiber does not depend on that sign.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -67,21 +66,26 @@ def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     """The unique fraction of minimal denominator in the open interval (lo, hi).
 
     Stern-Brocot / continued-fraction descent.  Requires lo < hi and lo >= 0.
+    Each step writes the answer as f + 1/y with f = floor(lo) and y the
+    simplest fraction in (1/(hi - f), 1/(lo - f)); the steps are composed as
+    the matrix (h, h0; k, k0) acting on y, so the descent is a loop on integer
+    numerators and denominators and its depth is not bounded by recursion.
     """
     if lo >= hi:
         raise ValueError(f"empty interval ({lo}, {hi})")
     if lo < 0:
         raise ValueError("negative endpoints are not needed here")
-    n = math.floor(lo) + 1
-    if n < hi:
-        return Fraction(n)
-    f = math.floor(lo)
-    a = hi - f  # 0 < a <= 1
-    b = lo - f  # 0 <= b < a
-    if b == 0:
-        # interval is (f, f + a): take f + 1/y with the smallest integer y > 1/a
-        return f + Fraction(1, math.floor(1 / a) + 1)
-    return f + 1 / simplest_between(1 / a, 1 / b)
+    p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    h, h0, k, k0 = 1, 0, 0, 1
+    while True:
+        f = p // q
+        # is f + 1 inside (p/q, r/s)?  s = 0 stands for an infinite r/s,
+        # which is where an integer lo sends the next step
+        if (f + 1) * s < r:
+            break
+        h, h0, k, k0 = f * h + h0, h, f * k + k0, k
+        p, q, r, s = s, r - f * s, q, p - f * q
+    return Fraction(h * (f + 1) + h0, k * (f + 1) + k0)
 
 
 _RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")

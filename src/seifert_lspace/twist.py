@@ -15,10 +15,11 @@ Since the unimodularity relation gives f(x) = beta/alpha + 1/(alpha^2 (x -
 pole)), f is strictly decreasing on each side of its pole -alpha_3/alpha and
 converges to beta/alpha, the slope of the n -> +-infinity limit space (the
 result of (m, 0)-surgery on knot and seiferter together).  Combining this
-monotonicity with the exact third-slope thresholds classifies all but
-finitely many members of the family exactly: each tail is certified with the
-first index from which a single verdict holds, replacing epsilon-style
-"for n large enough" statements.
+monotonicity with the exact third-slope thresholds classifies every member
+of the family exactly: each tail is certified with the first index from
+which a single verdict holds, replacing epsilon-style "for n large enough"
+statements, and the members between a window and a tail form a few index
+segments, cut where f crosses an integer or a band's threshold boundary.
 
 The degenerate-fiber situation (the seiferter is an index-zero fiber of a
 connected sum of two lens spaces) is the special encoding (alpha_3, beta_3)
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .rationals import INF, is_finite
+from .rationals import INF
 from .seifert import Base, SeifertForm, Tag, classify, mirror, normalize
 from .lspace import (IntervalKind, LSpaceVerdict, ThirdSlotThreshold,
                      _decide_classified, decide, third_slot_threshold)
@@ -150,7 +151,6 @@ class FamilyMember:
 
 class TailStatus(Enum):
     CERTIFIED = "Certified"
-    POINTWISE_ONLY = "DecidedPointwiseOnly"
 
 
 @dataclass(frozen=True)
@@ -182,9 +182,28 @@ class TailCertificate:
         return "from_above" if (self.side > 0) != self.mirrored else "from_below"
 
     def covers(self, n: int) -> bool:
-        if not self.certified:
-            return False
         return n >= self.from_n if self.side > 0 else n <= self.from_n
+
+
+@dataclass(frozen=True)
+class Segment:
+    """Every n in [from_n, to_n] has the stated L-space verdict.
+
+    Each member of the range is S2(band_base; r1, r2, r) with r in (0,1) on
+    one side of ``threshold``'s boundary, so the threshold alone proves the
+    verdict.  ``band_base`` and ``threshold`` are None for the lens-space
+    ranges of a family whose fiber slope is always an integer (alpha = 0).
+    As for tails, ``mirrored`` means they refer to the data before mirroring.
+    """
+    from_n: int
+    to_n: int
+    is_lspace: bool
+    band_base: int | None = None
+    threshold: ThirdSlotThreshold | None = None
+    mirrored: bool = False
+
+    def covers(self, n: int) -> bool:
+        return self.from_n <= n <= self.to_n
 
 
 def _bound_above(desc: ThirdSlotThreshold, target: Fraction):
@@ -234,91 +253,106 @@ def _bound_below(desc: ThirdSlotThreshold, target: Fraction):
     raise AssertionError(desc.kind)
 
 
-def _tail_data(d: SeiferterData, side: int, first: int) -> TailCertificate:
+def _run_below(desc: ThirdSlotThreshold, r: Fraction):
+    """Verdict at the slope r in (0,1) and how far down it extends: it holds
+    on (c, r], or on [c, r] when inclusive, for the returned (is_lspace, c,
+    inclusive)."""
+    if desc.contains(r):
+        if desc.kind is IntervalKind.UP_CLOSED:
+            return True, desc.boundary, bool(desc.attained)
+        return True, Fraction(0), False
+    if desc.kind is IntervalKind.DOWN_CLOSED:
+        return False, desc.boundary, not desc.attained
+    return False, Fraction(0), False
+
+
+def _first_below(d: SeiferterData, c: Fraction, strict: bool) -> int:
+    """Least j with f(j) < c (strict) or f(j) <= c, among the indices on the
+    side of the pole where f takes the value c.
+
+    f is decreasing there, so this inverts f(x) = c (Moebius inversion) and
+    rounds; c must differ from the limit slope beta/alpha.
+    """
+    x = (d.beta3 - c * d.alpha3) / (c * d.alpha - d.beta)
+    return math.floor(x) + 1 if strict else math.ceil(x)
+
+
+def _tail_data(d: SeiferterData, side: int, first: int, threshold) -> TailCertificate:
     """Certificate for the data-indexed tail {j >= first} (side=+1) or
-    {j <= first} (side=-1)."""
+    {j <= first} (side=-1); ``threshold(base)`` gives the band thresholds."""
     if d.alpha == 0:
         # f(j) = -j + beta3 is an integer for every j: all members are lens
         # spaces, L-spaces except a single possible S2 x S1.
-        exceptional = d.b + d.beta3 + 1 if d.r1 + d.r2 == 1 else None
+        exceptional = _s2xs1_index(d)
         from_j = first
         if exceptional is not None:
             from_j = max(from_j, exceptional + 1) if side > 0 else min(from_j, exceptional - 1)
         return TailCertificate(side, TailStatus.CERTIFIED, True, from_j, limit=INF)
 
-    pole = Fraction(-d.alpha3, d.alpha)
     rc = Fraction(d.beta, d.alpha)
-    # the certified region must lie strictly on one side of the pole; anything
-    # between the window edge and it is filled in pointwise by the caller
-    if side > 0:
-        first = max(first, math.floor(pole) + 1)
-    else:
-        first = min(first, math.ceil(pole) - 1)
-
     p = math.floor(rc)
-    r0 = rc - p
+    # the certified region lies strictly on one side of the pole; whatever
+    # separates it from the window edge is covered by gap segments
     if side > 0:
+        # f decreases to rc from above as j -> +infinity
         band = p
-        desc = third_slot_threshold(d.b + band, d.r1, d.r2)
-        verdict, c_local, inclusive = _bound_above(desc, r0)
-        c = band + c_local
-
-        def ok(j):
-            f = fiber_slope(d, j)
-            return is_finite(f) and (f <= c if inclusive else f < c)
-
-        # f decreasing towards rc on this side: solve f(x) = c, then adjust
-        x = (Fraction(d.beta3) - c * d.alpha3) / (c * d.alpha - d.beta)
-        j0 = max(first, math.floor(x) + 1)
-        while not ok(j0):
-            j0 += 1
-        while j0 - 1 >= first and ok(j0 - 1):
-            j0 -= 1
-        return TailCertificate(side, TailStatus.CERTIFIED, verdict, j0,
-                               limit=rc, band_base=d.b + band, threshold=desc)
-
-    band = p if r0 > 0 else p - 1
-    target = r0 if r0 > 0 else Fraction(1)
-    desc = third_slot_threshold(d.b + band, d.r1, d.r2)
-    verdict, c_local, inclusive = _bound_below(desc, target)
-    c = band + c_local
-
-    def ok(j):
-        f = fiber_slope(d, j)
-        return is_finite(f) and f < rc and (f >= c if inclusive else f > c)
-
-    if c == rc:  # only when c_local = target = r0: cannot happen, bounds are strict
-        raise AssertionError
-    x = (Fraction(d.beta3) - c * d.alpha3) / (c * d.alpha - d.beta)
-    j0 = min(first, math.ceil(x) - 1)
-    while not ok(j0):
-        j0 -= 1
-    while j0 + 1 <= first and ok(j0 + 1):
-        j0 += 1
-    return TailCertificate(side, TailStatus.CERTIFIED, verdict, j0,
+        desc = threshold(d.b + band)
+        verdict, c_local, inclusive = _bound_above(desc, rc - band)
+        from_j = max(first, _first_below(d, band + c_local, not inclusive))
+    else:
+        # f increases to rc from below as j -> -infinity
+        band = p if rc > p else p - 1
+        desc = threshold(d.b + band)
+        verdict, c_local, inclusive = _bound_below(desc, rc - band)
+        from_j = min(first, _first_below(d, band + c_local, inclusive) - 1)
+    return TailCertificate(side, TailStatus.CERTIFIED, verdict, from_j,
                            limit=rc, band_base=d.b + band, threshold=desc)
 
 
-def _tail(member: FamilyMember, side: int, edge: int) -> TailCertificate:
-    """Certificate for the family tail beyond the window edge."""
-    if member.rp2:
-        return TailCertificate(side, TailStatus.CERTIFIED, True, edge + side)
-    if member.mirrored:
-        inner = _tail_data(member.data, -side, -(edge + side + member.offset))
-        if not inner.certified:
-            return TailCertificate(side, inner.status, limit=inner.limit,
-                                   mirrored=True)
-        return TailCertificate(side, inner.status, inner.is_lspace,
-                               -inner.from_n - member.offset,
-                               limit=inner.limit, band_base=inner.band_base,
-                               threshold=inner.threshold, mirrored=True)
-    inner = _tail_data(member.data, side, edge + side + member.offset)
-    if not inner.certified:
-        return TailCertificate(side, inner.status, limit=inner.limit)
-    return TailCertificate(side, inner.status, inner.is_lspace,
-                           inner.from_n - member.offset,
-                           limit=inner.limit, band_base=inner.band_base,
-                           threshold=inner.threshold)
+def _s2xs1_index(d: SeiferterData):
+    """For alpha = 0, the one index whose member can be S2 x S1, or None."""
+    return d.b + d.beta3 + 1 if d.r1 + d.r2 == 1 else None
+
+
+def _gap_data(d: SeiferterData, lo: int, hi: int, threshold):
+    """Cover the data indices lo..hi by segments (from_j, to_j, is_lspace,
+    band_base, threshold) and the list of indices to evaluate pointwise:
+    the pole, integer values of f, and the alpha = 0 S2 x S1 index."""
+    segments, singles = [], []
+    if d.alpha == 0:
+        j = _s2xs1_index(d)
+        if j is not None and lo <= j <= hi:
+            singles.append(j)
+            pieces = ((lo, j - 1), (j + 1, hi))
+        else:
+            pieces = ((lo, hi),)
+        return [(a, b, True, None, None) for a, b in pieces if a <= b], singles
+
+    pole = Fraction(-d.alpha3, d.alpha)
+    rc = Fraction(d.beta, d.alpha)
+    if pole.denominator == 1 and lo <= pole <= hi:
+        singles.append(int(pole))
+    # at integers |f(j) - rc| <= 1/|alpha|, so each side of the pole meets at
+    # most three bands, each split at most once by its threshold
+    for a, b, right in ((lo, min(hi, math.ceil(pole) - 1), False),
+                        (max(lo, math.floor(pole) + 1), hi, True)):
+        j = a
+        while j <= b:
+            v = fiber_slope(d, j)
+            p = math.floor(v)
+            if v == p:
+                singles.append(j)
+                j += 1
+                continue
+            desc = threshold(d.b + p)
+            verdict, c_local, inclusive = _run_below(desc, v - p)
+            c = p + c_local
+            # f > rc on the right of the pole, so a cut at or below rc is
+            # never reached there
+            nxt = b + 1 if right and c <= rc else min(b + 1, _first_below(d, c, inclusive))
+            segments.append((j, nxt - 1, verdict, d.b + p, desc))
+            j = nxt
+    return segments, singles
 
 
 @dataclass(frozen=True)
@@ -332,16 +366,17 @@ class PointVerdict:
 
 _EXCEPTIONAL_TAGS = (Tag.S2XS1, Tag.CONNECTED_SUM_LENS)
 
-_GAP_LIMIT = 100_000
-
 
 @dataclass(frozen=True)
 class FamilyReport:
-    """Pointwise verdicts on a window plus certified cofinite tails.
+    """An exact verdict for every integer n.
 
-    ``points`` also contains any indices between the window edge and a tail
-    certificate's starting index, so that window, gap fillers and tails
-    jointly cover every integer.
+    ``points`` holds the pointwise verdicts on the window, plus the few
+    indices between the window and a tail that no threshold covers: the
+    pole, members with an integer fiber slope, and the S2 x S1 member of
+    an alpha = 0 family.  ``segments`` covers the rest of those gaps by
+    index ranges whose verdict a band threshold proves, and the two tails
+    cover everything beyond; window, segments and tails partition Z.
     """
     window: tuple[int, int]
     points: dict[int, PointVerdict] = field(default_factory=dict)
@@ -350,14 +385,15 @@ class FamilyReport:
     limit: SeifertForm | None = None
     limit_verdict: LSpaceVerdict | None = None
     exceptional: tuple = ()
+    segments: tuple[Segment, ...] = ()
 
     def lspace_at(self, n: int) -> bool:
-        """Verdict at any integer, from the window, a gap filler, or a tail."""
+        """Verdict at any integer, from a point, a segment, or a tail."""
         if n in self.points:
             return self.points[n].verdict.is_lspace
-        for tail in (self.tail_pos, self.tail_neg):
-            if tail is not None and tail.covers(n):
-                return tail.is_lspace
+        for part in (*self.segments, self.tail_pos, self.tail_neg):
+            if part is not None and part.covers(n):
+                return part.is_lspace
         raise KeyError(f"n={n} is not covered by this report")
 
 
@@ -372,32 +408,64 @@ def evaluate_point(d, n: int) -> PointVerdict:
     return PointVerdict(n, slope, form, c.tag, _decide_classified(form, c))
 
 
+def _certify(member: FamilyMember, lo: int, hi: int):
+    """Tails beyond the window lo..hi and the segments and exception
+    indices between them and the window, as (tail_pos, tail_neg, segments,
+    singles)."""
+    if member.rp2:
+        return (TailCertificate(+1, TailStatus.CERTIFIED, True, hi + 1),
+                TailCertificate(-1, TailStatus.CERTIFIED, True, lo - 1), [], [])
+    d, off, mirrored = member.data, member.offset, member.mirrored
+    # data index j of the family's n-th member, and back
+    s = -1 if mirrored else 1
+
+    def to_j(n):
+        return s * (n + off)
+
+    def to_n(j):
+        return s * j - off
+
+    cache = {}
+
+    def threshold(base):
+        # each band's threshold is computed once, for tails and gaps alike
+        if base not in cache:
+            cache[base] = third_slot_threshold(base, d.r1, d.r2)
+        return cache[base]
+
+    tails = []
+    for side, edge in ((+1, hi), (-1, lo)):
+        t = _tail_data(d, s * side, to_j(edge + side), threshold)
+        tails.append(TailCertificate(side, t.status, t.is_lspace, to_n(t.from_n),
+                                     limit=t.limit, band_base=t.band_base,
+                                     threshold=t.threshold, mirrored=mirrored))
+    tail_pos, tail_neg = tails
+    segments, singles = [], []
+    for a, b in ((hi + 1, tail_pos.from_n - 1), (tail_neg.from_n + 1, lo - 1)):
+        if a > b:
+            continue
+        ja, jb = sorted((to_j(a), to_j(b)))
+        found, points = _gap_data(d, ja, jb, threshold)
+        for fj, tj, verdict, base, desc in found:
+            n1, n2 = sorted((to_n(fj), to_n(tj)))
+            segments.append(Segment(n1, n2, verdict, base, desc, mirrored))
+        singles += map(to_n, points)
+    segments.sort(key=lambda seg: seg.from_n)
+    return tail_pos, tail_neg, segments, singles
+
+
 def classify_family(d, window=(-50, 50)) -> FamilyReport:
-    """Decide every member in the window and certify both tails exactly."""
+    """Decide every member in the window and certify the rest of Z exactly."""
     member = _as_member(d)
     lo, hi = window
     if lo > hi:
         raise ValueError("empty window")
-    points = {n: evaluate_point(member, n) for n in range(lo, hi + 1)}
-    tail_pos = _tail(member, +1, hi)
-    tail_neg = _tail(member, -1, lo)
-    # fill any gap between window edge and certificate start pointwise
-    if tail_pos.certified and tail_pos.from_n > hi + 1:
-        if tail_pos.from_n - hi > _GAP_LIMIT:
-            tail_pos = TailCertificate(+1, TailStatus.POINTWISE_ONLY, limit=tail_pos.limit)
-        else:
-            for n in range(hi + 1, tail_pos.from_n):
-                points[n] = evaluate_point(member, n)
-    if tail_neg.certified and tail_neg.from_n < lo - 1:
-        if lo - tail_neg.from_n > _GAP_LIMIT:
-            tail_neg = TailCertificate(-1, TailStatus.POINTWISE_ONLY, limit=tail_neg.limit)
-        else:
-            for n in range(tail_neg.from_n + 1, lo):
-                points[n] = evaluate_point(member, n)
+    tail_pos, tail_neg, segments, singles = _certify(member, lo, hi)
+    points = {n: evaluate_point(member, n) for n in (*range(lo, hi + 1), *singles)}
     limit = member.limit()
     exceptional = tuple((n, pv.tag) for n, pv in sorted(points.items())
                         if pv.tag in _EXCEPTIONAL_TAGS)
     return FamilyReport(window=(lo, hi), points=points,
                         tail_pos=tail_pos, tail_neg=tail_neg,
                         limit=limit, limit_verdict=decide(limit),
-                        exceptional=exceptional)
+                        exceptional=exceptional, segments=tuple(segments))

@@ -242,6 +242,24 @@ class TestRegressionContract:
         ok, problems = check_guarantee(spec, (-50, 50))
         assert ok, problems
 
+    def test_failures_inside_gap_segments_are_checked(self):
+        # a window far right of the pole leaves the not-L-space run
+        # 335..1989 to a segment; the one-sided claims see it only there
+        from seifert_lspace import FamilyMember, FamilySpec, SeiferterData, check_reports
+        data = SeiferterData(b=-1, r1=F(1, 3), r2=F(1997, 3000),
+                             alpha=1, beta=0, alpha3=1, beta3=1)
+        member = FamilyMember(data=data)
+        reports = [classify_family(member, (1990, 2000))]
+
+        def check(guarantee):
+            return check_reports(FamilySpec("eps", "", (), guarantee, (member,)), reports)
+
+        assert check(Guarantee(GuaranteeKind.N_LE, 334)) == (True, [])
+        ok, problems = check(Guarantee(GuaranteeKind.N_LE, 400))
+        assert not ok and problems == ["eps: fails at n=[335..400] <= 400"]
+        ok, problems = check(ALL_N)
+        assert not ok and "335..1989" in problems[0]
+
     def test_find_family(self):
         assert find_family("tunnel2-A").name == "tunnel2-A"
         assert find_family("K(3,2;5,n)").name == "K(3,2;5,n)"

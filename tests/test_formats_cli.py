@@ -129,6 +129,23 @@ class TestCliOtherVerbs:
         assert rc == 0
         assert "S2xS1" in out
         assert "n >= 6" in out
+        # r2 = 2/3 - 1/1000: one L-space segment between the window and the
+        # not-L-space tail from n = 335
+        argv = ["twist-scan", "--b", "-1", "--r1", "1/3", "--r2", "1997/3000",
+                "--alpha", "1", "--beta", "0", "--alpha3", "1", "--beta3", "1",
+                "--window=-5..5"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "segment: L-space for all 6 <= n <= 334" in out
+        assert "not an L-space for all n >= 335" in out
+        assert main(argv + ["--json"]) == 0
+        report = json.loads(capsys.readouterr().out)["outputs"]["report"]
+        assert [p["n"] for p in report["points"]] == list(range(-5, 6))
+        assert report["segments"] == [{
+            "from_n": 6, "to_n": 334, "is_lspace": True, "band_base": -1,
+            "threshold": {"b": -1, "r1": {"num": 1, "den": 3},
+                          "r2": {"num": 1997, "den": 3000}, "kind": "UpClosed",
+                          "boundary": {"num": 1, "den": 335}, "attained": True}}]
 
     def test_twist_scan_rejects_bad_determinant(self, capsys):
         rc = main(["twist-scan", "--b", "-1", "--r1", "2/3", "--r2", "1/3",
@@ -146,10 +163,22 @@ class TestCliOtherVerbs:
         assert main(["family", "run", "does-not-exist"]) == 2
         capsys.readouterr()
 
-    def test_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SEIFERT_LSPACE_THREADS", "4")
+    def test_family_run_classifies_each_member_once(self, capsys, monkeypatch):
+        from seifert_lspace import classify_family, find_family, twist
+        spec = find_family("tunnel2-B")
+        gap_points = sum(len(classify_family(m, (-5, 5)).points) - 11
+                         for m in spec.members)
+        calls = []
+        evaluate_point = twist.evaluate_point
+
+        def counting(member, n):
+            calls.append(n)
+            return evaluate_point(member, n)
+
+        monkeypatch.setattr(twist, "evaluate_point", counting)
         assert main(["family", "run", "tunnel2-B", "--window=-5..5"]) == 0
         capsys.readouterr()
+        assert len(calls) == len(spec.members) * 11 + gap_points
 
     def test_family_run_with_params(self, capsys):
         assert main(["family", "run", "p+q", "--params", "p=7,q=3",

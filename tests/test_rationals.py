@@ -1,5 +1,6 @@
 """Exact arithmetic, triple order, and the minimal-denominator search."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,21 @@ def test_simplest_between_is_minimal(a, b):
     q = simplest_between(lo, hi)
     assert lo < q < hi
     assert _no_smaller_denominator(lo, hi, q.denominator)
+
+
+def test_simplest_between_deep_stern_brocot_neighbours():
+    # convergents h1/k1, h0/k0 of a long continued fraction are Stern-Brocot
+    # neighbours; the simplest fraction between them is their mediant.  At
+    # 4096 bits the descent takes thousands of steps.
+    rng = random.Random(4096)
+    h1, k1, h0, k0 = 0, 1, 1, 0
+    a = 2
+    while k1.bit_length() < 4096:
+        h1, k1, h0, k0 = a * h1 + h0, a * k1 + k0, h1, k1
+        a = rng.randint(1, 5)
+    lo, hi = sorted((Fraction(h1, k1), Fraction(h0, k0)))
+    assert hi.numerator * lo.denominator - lo.numerator * hi.denominator == 1
+    assert simplest_between(lo, hi) == Fraction(h1 + h0, k1 + k0)
 
 
 def test_simplest_between_known_values():

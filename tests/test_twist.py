@@ -213,11 +213,11 @@ class TestClassifyFamily:
 
     def test_gap_fill_covers_every_integer(self):
         # window far to the left of the pole: the right certificate starts
-        # beyond the pole and the gap is decided pointwise
+        # beyond the pole and the gap is covered by segments and points
         report = classify_family(TREFOIL, (-30, -20))
         assert report.tail_pos.certified
         for n in range(-19, report.tail_pos.from_n):
-            assert n in report.points
+            assert report.lspace_at(n) == decide(surgered_space(TREFOIL, n)).is_lspace, n
         assert report.lspace_at(0)
         assert report.lspace_at(10 ** 6)
         assert report.lspace_at(-10 ** 6)
@@ -280,9 +280,33 @@ class TestClassifyFamily:
                 for i in [*range(12), 25, 70, 311, 4096]:
                     n = tail.from_n + i * tail.side
                     assert decide(surgered_space(d, n)).is_lspace is tail.is_lspace, (d, n)
-            # window, gap fillers and tails cover everything consistently
+            # window, gap segments and tails cover everything consistently
             for n in range(-30, 31):
                 assert report.lspace_at(n) == decide(surgered_space(d, n)).is_lspace, (d, n)
+            # a window 10^3 indices to one side of the pole leaves a gap
+            # across the pole to the far tail
+            pole = -alpha3 // alpha if alpha else 0
+            side = 1 if built % 2 else -1
+            lo = pole + side * 1000 - 6
+            far = classify_family(d, (lo, lo + 12))
+            for n in range(min(lo, pole) - 40, max(lo + 12, pole) + 41):
+                assert far.lspace_at(n) == decide(surgered_space(d, n)).is_lspace, (d, lo, n)
+
+    def test_epsilon_seiferter_tail_starts_certified(self):
+        # r2 = 2/3 - 10^-e puts the positive tail start at 33...35 (e - 2
+        # threes); everything between the window and it is one L-space segment
+        for e, start in ((4, 3335), (5, 33335), (6, 333335)):
+            d = SeiferterData(b=-1, r1=F(1, 3), r2=F(2, 3) - F(1, 10 ** e),
+                              alpha=1, beta=0, alpha3=1, beta3=1)
+            report = classify_family(d, (-50, 50))
+            assert report.tail_pos.certified and report.tail_pos.from_n == start
+            assert report.tail_pos.is_lspace is False
+            assert report.tail_neg.certified and report.tail_neg.from_n == -51
+            assert [(s.from_n, s.to_n, s.is_lspace) for s in report.segments] == \
+                [(51, start - 1, True)]
+            assert sorted(report.points) == list(range(-50, 51))
+            for n, lspace in ((start - 1, True), (start, False)):
+                assert decide(surgered_space(d, n)).is_lspace is lspace
 
     def test_mirrored_member_tails(self):
         from seifert_lspace import berge_sporadic
