@@ -8,8 +8,8 @@ from .seifert import (Base, Classification, DegenerateEuler, SeifertForm, Tag,
                       UnsupportedFiberCount, classify, euler_number, h1_order,
                       mirror, normalize)
 from .lspace import (FoliationWitness, IntervalKind, LSpaceVerdict, Reason,
-                     ThirdSlotThreshold, decide, sufficient_conditions,
-                     third_slot_threshold, witness_search)
+                     ThirdSlotThreshold, decide, third_slot_threshold,
+                     witness_search)
 from .twist import (FamilyMember, FamilyReport, PointVerdict, SeiferterData,
                     Segment, TailCertificate, TailStatus, classify_family,
                     evaluate_point, fiber_slope, h1_consistency, limit_space,

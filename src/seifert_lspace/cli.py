@@ -169,6 +169,7 @@ def cmd_family(args) -> int:
         lines = [f"{s.name:<24} {repr(s.guarantee):<28} {s.description}" for s in specs]
         _emit(args, _report_envelope(args, {}, payload, t0), lines)
         return 0
+    inputs = {"name": args.name, "window": list(args.window)}
     try:
         if args.params:
             params = {}
@@ -179,8 +180,10 @@ def cmd_family(args) -> int:
                 params[key.strip()] = int(value)
             spec = fam.build_family(args.name, **params)
             if isinstance(spec, fam.TorusKnotDegenerate):
-                print(f"degenerate parameters: the twisted knot is a torus knot "
-                      f"(a={spec.a}, b={spec.b})")
+                payload = {"degenerate": True, "torus_knot": {"a": spec.a, "b": spec.b}}
+                _emit(args, _report_envelope(args, inputs, payload, t0),
+                      [f"degenerate parameters: the twisted knot is a torus knot "
+                       f"(a={spec.a}, b={spec.b})"])
                 return 0
         else:
             spec = fam.find_family(args.name)
@@ -201,8 +204,7 @@ def cmd_family(args) -> int:
         if member.label:
             lines.append(f"member {member.label}:")
         lines += _scan_lines(report, args.float)
-    _emit(args, _report_envelope(args, {"name": args.name,
-                                        "window": list(args.window)}, payload, t0), lines)
+    _emit(args, _report_envelope(args, inputs, payload, t0), lines)
     return 0 if ok else 1
 
 

@@ -16,9 +16,12 @@ L-spaces except for S2 x S1; a connected sum of two lens spaces (one
 degenerate fiber) is an L-space; rational homology spheres fibered over RP2
 are always L-spaces.
 
-The witness search is a finite enumeration: s1 < 1/k bounds k below 1/s1.
-``third_slot_threshold`` turns the existential statements about the third
-slope into an exact rational boundary.
+No enumeration is needed to find the smallest witness: a/k must lie in
+(s2, 1 - s3) for the sorted triple s1 <= s2 <= s3, so the fraction of least
+denominator there (one Stern-Brocot descent) gives the least k, and it is a
+witness exactly when s1 < 1/k.  ``third_slot_threshold`` turns the
+existential statements about the third slope into an exact rational
+boundary, from one more descent and one bounded-denominator Farey walk.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .rationals import INF, simplest_between, sorted_triple
-from .seifert import Base, Classification, SeifertForm, Tag, classify
+from .rationals import INF, farey_neighbours, simplest_pair, sorted_triple
+from .seifert import Classification, SeifertForm, Tag, classify
 
 
 @dataclass(frozen=True)
@@ -66,9 +69,8 @@ class LSpaceVerdict:
     ``witness`` is populated whenever the witness test applies and finds a
     pair -- including for euler-number-zero inputs, whose verdict is already
     forced to False by the infinite first homology (an L-space is a rational
-    homology sphere by definition).  ``search_bound`` is the largest k the
-    enumeration had to consider, for reproducibility of no-witness
-    certificates.
+    homology sphere by definition).  ``search_bound`` is the largest k a
+    witness could have, for reproducibility of no-witness certificates.
     """
     is_lspace: bool
     reason: Reason
@@ -85,27 +87,18 @@ class LSpaceVerdict:
 
 
 def _witness_from_pairs(p1, q1, p2, q2, p3, q3) -> FoliationWitness | None:
-    """Witness search on numerator/denominator pairs of a sorted triple."""
-    # a/k <= 1/2 can never strictly exceed s2 >= 1/2
-    if 2 * p2 >= q2:
-        return None
-    # a/k + (k-a)/k = 1 can never strictly exceed s2 + s3 >= 1
+    """Witness search on numerator/denominator pairs of a sorted triple.
+
+    a/k must lie in (s2, 1 - s3) and be at most 1/2, with k < 1/s1.  The
+    simplest fraction in (s2, 1 - s3) has the least k there, and it is at
+    most 1/2: as s2 <= s3, the interval either contains 1/2 or ends at or
+    below it.  So it is the witness if k < 1/s1, and nothing is otherwise.
+    """
+    # s2 + s3 >= 1 leaves no room for a/k
     if p2 * q3 + p3 * q2 >= q2 * q3:
         return None
-    k = 2
-    while k * p1 < q1:
-        lo = k * p2 // q2 + 1
-        hi = (k * (q3 - p3) - 1) // q3
-        half = k >> 1
-        if hi > half:
-            hi = half
-        a = lo
-        while a <= hi:
-            if gcd(a, k) == 1:
-                return FoliationWitness(k, a)
-            a += 1
-        k += 1
-    return None
+    a, k = simplest_pair(p2, q2, q3 - p3, q3)
+    return FoliationWitness(k, a) if k * p1 < q1 else None
 
 
 def witness_search(t) -> FoliationWitness | None:
@@ -123,10 +116,10 @@ def witness_search(t) -> FoliationWitness | None:
     return _witness_from_pairs(p1, q1, p2, q2, p3, q3)
 
 
-def search_bound(t) -> int:
-    """Largest k the witness enumeration for the sorted triple t can reach."""
-    s1 = t[0]
-    return (s1.denominator - 1) // s1.numerator
+def search_bound(p: int, q: int) -> int:
+    """Largest k with k * p/q < 1: no witness of a triple whose smallest
+    slope is p/q has a larger k."""
+    return (q - 1) // p
 
 
 def decide(f: SeifertForm) -> LSpaceVerdict:
@@ -158,7 +151,7 @@ def _decide_classified(f: SeifertForm, c: Classification) -> LSpaceVerdict:
         pairs = [(r.numerator, r.denominator) for r in f.slopes]
     (p1, q1), (p2, q2), (p3, q3) = pairs
     w = _witness_from_pairs(p1, q1, p2, q2, p3, q3)
-    bound = (q1 - 1) // p1
+    bound = search_bound(p1, q1)
     if c.h1 is INF:
         # not a rational homology sphere, hence not an L-space; the witness
         # (which exists exactly when a horizontal foliation does) is still
@@ -172,29 +165,7 @@ def _decide_classified(f: SeifertForm, c: Classification) -> LSpaceVerdict:
     return LSpaceVerdict(True, Reason.NO_WITNESS_EXHAUSTIVE, search_bound=bound)
 
 
-def sufficient_conditions(f: SeifertForm):
-    """Closed-form shortcut: True when a pairwise slope sum already decides.
-
-    For b = -1, any pair of slopes summing to >= 1 rules out every witness;
-    for b = -2, any pair summing to <= 1 does (by complementing).  For b
-    outside {-1, -2} the verdict is immediate anyway.  Returns True or None,
-    never False.
-    """
-    if f.base is not Base.S2 or f.degenerate or len(f.slopes) != 3:
-        raise ValueError("sufficient_conditions needs three finite slopes over S2")
-    if f.b not in (-1, -2):
-        return True
-    r1, r2, r3 = f.slopes
-    sums = (r1 + r2, r1 + r3, r2 + r3)
-    if f.b == -1 and any(s >= 1 for s in sums):
-        return True
-    if f.b == -2 and any(s <= 1 for s in sums):
-        return True
-    return None
-
-
 class IntervalKind(Enum):
-    EMPTY = "Empty"
     ALL = "All"
     UP_CLOSED = "UpClosed"
     DOWN_CLOSED = "DownClosed"
@@ -222,8 +193,6 @@ class ThirdSlotThreshold:
             raise ValueError("contains() is about the open unit interval")
         if self.kind is IntervalKind.ALL:
             return True
-        if self.kind is IntervalKind.EMPTY:
-            return False
         if self.kind is IntervalKind.UP_CLOSED:
             return r > self.boundary or (r == self.boundary and self.attained)
         return r < self.boundary or (r == self.boundary and self.attained)
@@ -234,49 +203,34 @@ def _not_lspace_sup(u: Fraction, v: Fraction) -> Fraction:
 
     The not-L-space set is the open initial segment (0, t): each witness
     (a, k) rules out a down-closed open interval of r, and the three ways r
-    can sit in the sorted triple give three families of interval endpoints:
+    can sit in the sorted triple give three families of interval endpoints
+    (with u <= v, and k <= N = search_bound(u) in the first two):
 
-      * (k-a)/k   when u < 1/k and v < a/k      (take the smallest such a),
-      * a/k       when u < 1/k and v < (k-a)/k  (take the largest such a),
-      * 1/k       when a/k lies in (u, 1-v) with a/k <= 1/2 (take the
-                  smallest such k: a minimal-denominator fraction search).
+      * (k-a)/k   when v < a/k <= 1/2,
+      * a/k       when a/k < 1-v and a/k <= 1/2,
+      * 1/k       when a/k lies in (u, 1-v) with a/k <= 1/2.
 
-    Only k < 1/u matters for the first two; the third is resolved by
-    Stern-Brocot descent, so the whole computation is finite and exact.
+    Let x be the smallest fraction above v with denominator at most N (a
+    Farey neighbour of v).  The best endpoint of the first kind is 1 - x
+    when x <= 1/2; by the symmetry of the Farey sequence, the best of the
+    second kind is the smaller of 1 - x and 1/2; together they give 1 - x.
+    The third is resolved by the simplest fraction in (u, min(1-v, 1/2)),
+    whose denominator is the least k; its a/k = 1/2 case is among the first
+    two.  So the computation is two Stern-Brocot walks, exact and
+    logarithmic in the denominators.
     """
     if u > v:
         u, v = v, u
-    best = Fraction(0)
     un, ud = u.numerator, u.denominator
     vn, vd = v.numerator, v.denominator
-    k = 2
-    while k * un < ud:
-        half = k >> 1
-        # smallest coprime a with v < a/k, a <= k/2  ->  endpoint (k-a)/k
-        a = k * vn // vd + 1
-        while a <= half and gcd(a, k) != 1:
-            a += 1
-        if a <= half:
-            cand = Fraction(k - a, k)
-            if cand > best:
-                best = cand
-        # largest coprime a with a < k(1-v), a <= k/2  ->  endpoint a/k
-        a = min(half, (k * (vd - vn) - 1) // vd)
-        while a >= 1 and gcd(a, k) != 1:
-            a -= 1
-        if a >= 1:
-            cand = Fraction(a, k)
-            if cand > best:
-                best = cand
-        k += 1
-    # smallest k admitting a coprime a with a/k in (u, 1-v) and a/k <= 1/2
-    if 2 * un < ud and 2 * vn < vd:
-        best = max(best, Fraction(1, 2))
-    hi = min(1 - v, Fraction(1, 2))
-    if u < hi:
-        q = simplest_between(u, hi)
-        best = max(best, Fraction(1, q.denominator))
-    return best
+    _, _, c, d = farey_neighbours(vn, vd, search_bound(un, ud))
+    num, den = d - c, d
+    hn, hd = (1, 2) if 2 * vn <= vd else (vd - vn, vd)  # min(1 - v, 1/2)
+    if un * hd < hn * ud:
+        k = simplest_pair(un, ud, hn, hd)[1]
+        if num * k < den:
+            num, den = 1, k
+    return Fraction(num, den)
 
 
 def third_slot_threshold(b: int, r1: Fraction, r2: Fraction) -> ThirdSlotThreshold:

@@ -62,30 +62,68 @@ def triple_le(x, y) -> bool:
     return x[0] <= y[0] and x[1] <= y[1] and x[2] <= y[2]
 
 
+def simplest_pair(p: int, q: int, r: int, s: int) -> tuple[int, int]:
+    """(a, k) with a/k the fraction of minimal denominator in (p/q, r/s).
+
+    Stern-Brocot / continued-fraction descent on integers: needs q > 0,
+    0 <= p/q < r/s, and s >= 0, where s = 0 stands for an infinite r/s.
+    Each step writes the answer as f + 1/y with f = floor(p/q) and y the
+    simplest fraction in (1/(r/s - f), 1/(p/q - f)); the steps are composed
+    as the matrix (h, h0; k, k0) acting on y, so the descent is a loop and
+    its depth is not bounded by recursion.
+    """
+    h, h0, k, k0 = 1, 0, 0, 1
+    while True:
+        f = p // q
+        # is f + 1 inside (p/q, r/s)?  an integer p/q sends the next step's
+        # r/s to infinity
+        if (f + 1) * s < r:
+            return h * (f + 1) + h0, k * (f + 1) + k0
+        h, h0, k, k0 = f * h + h0, h, f * k + k0, k
+        p, q, r, s = s, r - f * s, q, p - f * q
+
+
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     """The unique fraction of minimal denominator in the open interval (lo, hi).
 
-    Stern-Brocot / continued-fraction descent.  Requires lo < hi and lo >= 0.
-    Each step writes the answer as f + 1/y with f = floor(lo) and y the
-    simplest fraction in (1/(hi - f), 1/(lo - f)); the steps are composed as
-    the matrix (h, h0; k, k0) acting on y, so the descent is a loop on integer
-    numerators and denominators and its depth is not bounded by recursion.
+    Requires lo < hi and lo >= 0; see ``simplest_pair``.
     """
     if lo >= hi:
         raise ValueError(f"empty interval ({lo}, {hi})")
     if lo < 0:
         raise ValueError("negative endpoints are not needed here")
-    p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    h, h0, k, k0 = 1, 0, 0, 1
+    return Fraction(*simplest_pair(lo.numerator, lo.denominator,
+                                   hi.numerator, hi.denominator))
+
+
+def farey_neighbours(p: int, q: int, n: int) -> tuple[int, int, int, int]:
+    """(a, b, c, d) with a/b < p/q < c/d the closest fractions on either side
+    whose denominators are at most n; p/q > 0 and n >= 1.
+
+    Stern-Brocot walk from 0/1 and 1/0 towards p/q: a/b and c/d stay
+    neighbours (bc - ad = 1) with their mediant the next node, and each step
+    makes a whole run of moves to one side at once (a partial quotient of
+    p/q), so the number of steps grows with the bit length.  If the walk
+    meets p/q itself, its neighbours lie on the two chains (a + j(a+c)) /
+    (b + j(b+d)) and (c + j(a+c)) / (d + j(b+d)) converging to it.
+    """
+    a, b, c, d = 0, 1, 1, 0
     while True:
-        f = p // q
-        # is f + 1 inside (p/q, r/s)?  s = 0 stands for an infinite r/s,
-        # which is where an integer lo sends the next step
-        if (f + 1) * s < r:
-            break
-        h, h0, k, k0 = f * h + h0, h, f * k + k0, k
-        p, q, r, s = s, r - f * s, q, p - f * q
-    return Fraction(h * (f + 1) + h0, k * (f + 1) + k0)
+        m, e = a + c, b + d
+        if e > n:
+            return a, b, c, d
+        if m * q == p * e:
+            i, j = (n - b) // e, (n - d) // e
+            return a + i * m, b + i * e, c + j * m, d + j * e
+        if m * q < p * e:
+            # a/b moves up while it stays below p/q and within the bound
+            t = (p * b - a * q - 1) // (c * q - p * d)
+            if d:
+                t = min(t, (n - b) // d)
+            a, b = a + t * c, b + t * d
+        else:
+            t = min((c * q - p * d - 1) // (p * b - a * q), (n - d) // b)
+            c, d = c + t * a, d + t * b
 
 
 _RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")

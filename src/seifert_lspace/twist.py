@@ -206,64 +206,22 @@ class Segment:
         return self.from_n <= n <= self.to_n
 
 
-def _bound_above(desc: ThirdSlotThreshold, target: Fraction):
-    """Uniform verdict for slopes approaching ``target`` from above.
+def _piece(desc: ThirdSlotThreshold, r: Fraction, side: int = 0):
+    """The piece of (0,1) on which ``desc`` has one verdict and which holds
+    r (side=0), the slopes just above r (side=+1) or just below r (side=-1).
 
-    Returns (is_lspace, local upper bound c, inclusive): the verdict holds
-    for every slope in (target, c), or (target, c] when inclusive.
+    Returns (is_lspace, lo, lo_closed, hi, hi_closed): the verdict holds for
+    every slope between lo and hi, each end included when it is closed.
     """
-    if desc.kind is IntervalKind.ALL:
-        return True, Fraction(1), False
-    if desc.kind is IntervalKind.UP_CLOSED:
-        t = desc.boundary
-        if t == 0 and not desc.attained:
-            return True, Fraction(1), False
-        if target >= t:
-            return True, Fraction(1), False
-        return False, t, False
-    if desc.kind is IntervalKind.DOWN_CLOSED:
-        s = desc.boundary
-        if s == 1 and not desc.attained:
-            return True, Fraction(1), False
-        if target < s:
-            return True, s, bool(desc.attained)
-        return False, Fraction(1), False
-    raise AssertionError(desc.kind)
-
-
-def _bound_below(desc: ThirdSlotThreshold, target: Fraction):
-    """Uniform verdict for slopes approaching ``target`` from below; the
-    verdict holds on (c, target), or [c, target) when inclusive."""
-    if desc.kind is IntervalKind.ALL:
-        return True, Fraction(0), False
-    if desc.kind is IntervalKind.UP_CLOSED:
-        t = desc.boundary
-        if t == 0 and not desc.attained:
-            return True, Fraction(0), False
-        if target > t:
-            return True, t, bool(desc.attained)
-        return False, Fraction(0), False
-    if desc.kind is IntervalKind.DOWN_CLOSED:
-        s = desc.boundary
-        if s == 1 and not desc.attained:
-            return True, Fraction(0), False
-        if target <= s:
-            return True, Fraction(0), False
-        return False, s, False
-    raise AssertionError(desc.kind)
-
-
-def _run_below(desc: ThirdSlotThreshold, r: Fraction):
-    """Verdict at the slope r in (0,1) and how far down it extends: it holds
-    on (c, r], or on [c, r] when inclusive, for the returned (is_lspace, c,
-    inclusive)."""
-    if desc.contains(r):
-        if desc.kind is IntervalKind.UP_CLOSED:
-            return True, desc.boundary, bool(desc.attained)
-        return True, Fraction(0), False
-    if desc.kind is IntervalKind.DOWN_CLOSED:
-        return False, desc.boundary, not desc.attained
-    return False, Fraction(0), False
+    x = desc.boundary
+    if desc.kind is IntervalKind.ALL or not 0 < x < 1:
+        return True, Fraction(0), False, Fraction(1), False
+    up = desc.kind is IntervalKind.UP_CLOSED
+    # the boundary joins the L-space side exactly when it is attained
+    x_up = desc.attained == up
+    if r > x or (r == x and (side > 0 or (side == 0 and x_up))):
+        return up, x, x_up, Fraction(1), False
+    return not up, Fraction(0), False, x, not x_up
 
 
 def _first_below(d: SeiferterData, c: Fraction, strict: bool) -> int:
@@ -297,13 +255,13 @@ def _tail_data(d: SeiferterData, side: int, first: int, threshold) -> TailCertif
         # f decreases to rc from above as j -> +infinity
         band = p
         desc = threshold(d.b + band)
-        verdict, c_local, inclusive = _bound_above(desc, rc - band)
+        verdict, _, _, c_local, inclusive = _piece(desc, rc - band, +1)
         from_j = max(first, _first_below(d, band + c_local, not inclusive))
     else:
         # f increases to rc from below as j -> -infinity
         band = p if rc > p else p - 1
         desc = threshold(d.b + band)
-        verdict, c_local, inclusive = _bound_below(desc, rc - band)
+        verdict, c_local, inclusive, _, _ = _piece(desc, rc - band, -1)
         from_j = min(first, _first_below(d, band + c_local, inclusive) - 1)
     return TailCertificate(side, TailStatus.CERTIFIED, verdict, from_j,
                            limit=rc, band_base=d.b + band, threshold=desc)
@@ -345,7 +303,7 @@ def _gap_data(d: SeiferterData, lo: int, hi: int, threshold):
                 j += 1
                 continue
             desc = threshold(d.b + p)
-            verdict, c_local, inclusive = _run_below(desc, v - p)
+            verdict, c_local, inclusive, _, _ = _piece(desc, v - p)
             c = p + c_local
             # f > rc on the right of the pole, so a cut at or below rc is
             # never reached there

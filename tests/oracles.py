@@ -3,7 +3,10 @@
 Nothing here shares code with the package: the witness enumerator walks a
 precomputed table of every coprime pair up to a fixed k with no pruning, and
 the homology oracle evaluates an integer presentation-matrix determinant
-directly from raw (unnormalized) slope data.
+directly from raw (unnormalized) slope data.  ``loop_witness`` and
+``loop_not_lspace_sup`` are the package's former witness search and
+third-slot supremum, which walk every k below 1/s1 (linear in that
+denominator); they are the references for the Stern-Brocot versions.
 """
 
 from __future__ import annotations
@@ -68,6 +71,79 @@ def naive_is_lspace(b: int, triple, kmax=1000):
     if sum(triple) + b == 0:
         return False  # infinite first homology
     return naive_witness(t, kmax) is None
+
+
+def loop_witness(p1, q1, p2, q2, p3, q3):
+    """Smallest (k, a) dominating the sorted triple (p1/q1, p2/q2, p3/q3),
+    by walking every k with k * p1 < q1; None if there is none."""
+    # a/k <= 1/2 can never strictly exceed s2 >= 1/2
+    if 2 * p2 >= q2:
+        return None
+    # a/k + (k-a)/k = 1 can never strictly exceed s2 + s3 >= 1
+    if p2 * q3 + p3 * q2 >= q2 * q3:
+        return None
+    k = 2
+    while k * p1 < q1:
+        lo = k * p2 // q2 + 1
+        hi = (k * (q3 - p3) - 1) // q3
+        half = k >> 1
+        if hi > half:
+            hi = half
+        a = lo
+        while a <= hi:
+            if gcd(a, k) == 1:
+                return k, a
+            a += 1
+        k += 1
+    return None
+
+
+def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """Fraction of least denominator in (lo, hi), by trying every denominator."""
+    k = 1
+    while True:
+        a = lo.numerator * k // lo.denominator + 1
+        if a * hi.denominator < hi.numerator * k:
+            return Fraction(a, k)
+        k += 1
+
+
+def loop_not_lspace_sup(u: Fraction, v: Fraction) -> Fraction:
+    """sup { r in (0,1) : S2(-1; u, v, r) is not an L-space }, or 0, from the
+    witness endpoints (k-a)/k, a/k and 1/k, walking every k below 1/min(u, v)."""
+    if u > v:
+        u, v = v, u
+    best = Fraction(0)
+    un, ud = u.numerator, u.denominator
+    vn, vd = v.numerator, v.denominator
+    k = 2
+    while k * un < ud:
+        half = k >> 1
+        # smallest coprime a with v < a/k, a <= k/2  ->  endpoint (k-a)/k
+        a = k * vn // vd + 1
+        while a <= half and gcd(a, k) != 1:
+            a += 1
+        if a <= half:
+            cand = Fraction(k - a, k)
+            if cand > best:
+                best = cand
+        # largest coprime a with a < k(1-v), a <= k/2  ->  endpoint a/k
+        a = min(half, (k * (vd - vn) - 1) // vd)
+        while a >= 1 and gcd(a, k) != 1:
+            a -= 1
+        if a >= 1:
+            cand = Fraction(a, k)
+            if cand > best:
+                best = cand
+        k += 1
+    # smallest k admitting a coprime a with a/k in (u, 1-v) and a/k <= 1/2
+    if 2 * un < ud and 2 * vn < vd:
+        best = max(best, Fraction(1, 2))
+    hi = min(1 - v, Fraction(1, 2))
+    if u < hi:
+        q = _simplest_between(u, hi)
+        best = max(best, Fraction(1, q.denominator))
+    return best
 
 
 def det_int(rows):

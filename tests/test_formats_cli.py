@@ -189,6 +189,14 @@ class TestCliOtherVerbs:
         assert main(["family", "run", "berge-vii", "--params", "a=1,b=2"]) == 0
         assert "torus knot" in capsys.readouterr().out
 
+    def test_family_run_degenerate_params_json(self, capsys):
+        assert main(["family", "run", "berge-vii", "--params", "a=1,b=2", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload.pop("elapsed_ms")
+        assert payload == {"command": "family",
+                           "inputs": {"name": "berge-vii", "window": [-50, 50]},
+                           "outputs": {"degenerate": True, "torus_knot": {"a": 1, "b": 2}}}
+
 
 class TestGoldenJson:
     def test_decide_payload_schema(self, capsys):

@@ -1,4 +1,4 @@
-"""The decision procedure: witnesses, shortcuts, duality, exact thresholds."""
+"""The decision procedure: witnesses, duality, exact thresholds."""
 
 import random
 from fractions import Fraction
@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from seifert_lspace import (INF, FoliationWitness, IntervalKind, Reason,
                             SeifertForm, decide, mirror, normalize,
-                            sufficient_conditions, third_slot_threshold,
-                            witness_search)
-from seifert_lspace.lspace import search_bound
+                            third_slot_threshold, witness_search)
+from seifert_lspace.lspace import _not_lspace_sup, search_bound
 
-from oracles import naive_is_lspace, naive_witness, random_triple, random_unit_fraction
+from oracles import (loop_not_lspace_sup, loop_witness, naive_is_lspace,
+                     naive_witness, random_triple, random_unit_fraction)
 
 unit = st.fractions(min_value=Fraction(1, 60), max_value=Fraction(59, 60), max_denominator=60)
 
@@ -92,22 +92,7 @@ class TestDecide:
 
     def test_search_bound_recorded(self):
         v = decide(small_sfs(-1, (1, 7), (2, 5), (1, 2)))
-        assert v.search_bound == 6
-
-
-class TestSufficientConditions:
-    def test_examples(self):
-        assert sufficient_conditions(small_sfs(-1, (1, 2), (2, 3), (1, 5))) is True
-        assert sufficient_conditions(small_sfs(-2, (1, 3), (1, 2), (9, 10))) is True
-        assert sufficient_conditions(small_sfs(-1, (1, 3), (1, 3), (1, 3))) is None
-
-    @given(st.integers(-4, 2), unit, unit, unit)
-    def test_shortcut_never_contradicts_search(self, b, r1, r2, r3):
-        f = normalize(b, (r1, r2, r3))
-        if len(f.slopes) != 3:
-            return
-        if sufficient_conditions(f) is True and not decide(f).infinite_h1:
-            assert decide(f).is_lspace
+        assert v.search_bound == 6 == search_bound(1, 7)
 
 
 class TestDualityAndMonotonicity:
@@ -184,3 +169,101 @@ class TestThirdSlotThreshold:
         if t.boundary > 0:
             assert t.attained
             assert decide(normalize(-1, (r1, r2, t.boundary))).is_lspace
+
+
+def _pairs(t):
+    return [x for s in t for x in (s.numerator, s.denominator)]
+
+
+def _witness_pair(t):
+    w = witness_search(t)
+    return None if w is None else (w.k, w.a)
+
+
+class TestAgainstLoopOracles:
+    """The Stern-Brocot witness and supremum against the former linear loops."""
+
+    def test_witness_matches_loop(self):
+        rng = random.Random(30)
+        for _ in range(3000):
+            t = random_triple(rng, rng.choice((12, 2000)))
+            assert _witness_pair(t) == loop_witness(*_pairs(t)), t
+
+    def test_not_lspace_sup_matches_loop(self):
+        rng = random.Random(31)
+        for _ in range(3000):
+            u, v = (random_unit_fraction(rng, rng.choice((12, 2000))) for _ in range(2))
+            assert _not_lspace_sup(u, v) == loop_not_lspace_sup(u, v), (u, v)
+
+    def test_first_denominator_near_1e5(self):
+        # the loops walk up to 1/s1 here; half the triples put the simplest
+        # fraction of (s2, 1 - s3) near that bound
+        rng = random.Random(32)
+        for i in range(24):
+            q = rng.randint(9 * 10 ** 4, 11 * 10 ** 4)
+            s1 = Fraction(rng.randint(1, 3), q)
+            if i % 2:
+                m = q // 2 + rng.randint(-40, 40)
+                rest = (Fraction(m, 2 * m + 1), Fraction(1, 2))
+            else:
+                rest = tuple(random_unit_fraction(rng, q) for _ in range(2))
+            t = tuple(sorted((s1, *rest)))
+            assert _witness_pair(t) == loop_witness(*_pairs(t)), t
+            u = Fraction(rng.randint(5, 60), q)
+            v = random_unit_fraction(rng, q)
+            assert _not_lspace_sup(u, v) == loop_not_lspace_sup(u, v), (u, v)
+
+
+N18 = 10 ** 18
+
+
+class TestLargeDenominators:
+    """Known answers at sizes no linear search reaches."""
+
+    @pytest.mark.parametrize("n,m,witness", [
+        (N18, N18 // 2 - 2, (N18 - 1, N18 // 2 - 1)),
+        (N18, 12345, (24693, 12346)),
+        (N18 + 1, N18 // 2 - 1, None),   # 2m + 3 = n: k = n is out of range
+        (N18, N18, None),
+        (N18, 3 * N18 + 7, None),
+    ])
+    def test_late_witness_and_no_witness(self, n, m, witness):
+        # m/(2m+1) and 1/2 are Stern-Brocot neighbours, so the simplest
+        # fraction between them is (m+1)/(2m+3); s1 = 1/n needs 2m+3 < n
+        triple = (Fraction(1, n), Fraction(m, 2 * m + 1), Fraction(1, 2))
+        dual = tuple(sorted(1 - r for r in triple))
+        for b, slopes in ((-1, triple), (-2, dual)):
+            v = decide(SeifertForm(b=b, slopes=slopes))
+            assert v.search_bound == n - 1
+            assert v.is_lspace == (witness is None)
+            if witness is None:
+                assert v.reason is Reason.NO_WITNESS_EXHAUSTIVE and v.witness is None
+            else:
+                assert v.reason is (Reason.WITNESS if b == -1 else Reason.DUAL_WITNESS)
+                assert (v.witness.k, v.witness.a) == witness
+                assert v.witness_is_dual == (b == -2)
+
+    def test_threshold_at_1e18(self):
+        # N = 1 mod 3: the boundary is (2K-1)/(3K) for K = N - 2
+        n = N18 + 3
+        assert n % 3 == 1
+        k = n - 2
+        t = third_slot_threshold(-1, Fraction(1, n), Fraction(1, 3))
+        assert t.kind is IntervalKind.UP_CLOSED
+        assert (t.boundary, t.attained) == (Fraction(2 * k - 1, 3 * k), True)
+
+    def test_narrow_gap_2048_bits(self):
+        # convergents of [0; 2, a2, a3, ...] are Stern-Brocot neighbours in
+        # (1/3, 1/2); the boundary is 1/(den lo + den hi), their mediant's
+        rng = random.Random(2048)
+        h1, k1, h0, k0 = 0, 1, 1, 0
+        a, terms = 2, 1
+        while k1.bit_length() < 2048 or terms < 3:
+            h1, k1, h0, k0 = a * h1 + h0, a * k1 + k0, h1, k1
+            a = rng.randint(1, 5)
+            terms += 1
+        lo, hi = sorted((Fraction(h1, k1), Fraction(h0, k0)))
+        assert Fraction(1, 3) < lo < hi < Fraction(1, 2)
+        t = third_slot_threshold(-1, lo, 1 - hi)
+        assert t.kind is IntervalKind.UP_CLOSED
+        assert (t.boundary, t.attained) == (Fraction(1, lo.denominator + hi.denominator), True)

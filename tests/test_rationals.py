@@ -1,14 +1,15 @@
 """Exact arithmetic, triple order, and the minimal-denominator search."""
 
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seifert_lspace.rationals import (INF, format_rational, is_finite,
-                                      make_rational, parse_rational,
+from seifert_lspace.rationals import (INF, farey_neighbours, format_rational,
+                                      is_finite, make_rational, parse_rational,
                                       parse_slope, simplest_between,
                                       sorted_triple, triple_lt)
 
@@ -144,3 +145,28 @@ def test_simplest_between_known_values():
     assert simplest_between(Fraction(1, 3), Fraction(2, 3)) == Fraction(1, 2)
     with pytest.raises(ValueError):
         simplest_between(Fraction(1, 2), Fraction(1, 2))
+
+
+def test_farey_neighbours_match_brute_force():
+    rng = random.Random(1001)
+    top = Fraction(10 ** 9)  # stands in for 1/0, above every grid point
+    grids = {n: sorted({Fraction(i, k) for k in range(1, n + 1) for i in range(4 * k + 1)}
+                       | {top}) for n in range(1, 41)}
+    for _ in range(1500):
+        q = rng.randint(1, 300)
+        x = Fraction(rng.randint(1, 3 * q), q)
+        n = rng.randint(1, 40)
+        grid = grids[n]
+        below = grid[bisect_left(grid, x) - 1]
+        above = grid[bisect_right(grid, x)]
+        a, b, c, d = farey_neighbours(x.numerator, x.denominator, n)
+        assert Fraction(a, b) == below, (x, n)
+        assert (c, d) == ((1, 0) if above == top else (above.numerator, above.denominator))
+
+
+def test_farey_neighbours_at_1e18():
+    # the neighbours of 1/3 with denominators <= n are K'/(3K'+1) and
+    # K/(3K-1) for the largest K', K that fit; n = 1 mod 3
+    n = 10 ** 18
+    a, b, c, d = farey_neighbours(1, 3, n)
+    assert (b, d) == (n, n - 2) and (3 * a + 1, 3 * c - 1) == (b, d)
