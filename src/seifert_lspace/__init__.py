@@ -3,7 +3,7 @@ classification of the twist families of Dehn surgeries produced by seiferters.
 """
 
 from .rationals import (INF, is_finite, make_rational, simplest_between,
-                        sorted_triple, triple_le, triple_lt)
+                        sorted_triple, triple_lt)
 from .seifert import (Base, Classification, DegenerateEuler, SeifertForm, Tag,
                       UnsupportedFiberCount, classify, euler_number, h1_order,
                       mirror, normalize)

@@ -9,14 +9,13 @@ an L-space, 2 for parse or range errors; reproduce exits 1 if any case fails.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
 from . import corpus as corpus_mod
 from . import families as fam
 from .formats import (ParseError, classification_json, describe_segment,
-                      describe_tail, form_json, parse_form, report_json,
+                      describe_tail, dumps, form_json, parse_form, report_json,
                       threshold_json, verdict_json)
 from .lspace import decide, third_slot_threshold
 from .rationals import format_rational, parse_rational
@@ -25,10 +24,12 @@ from .twist import SeiferterData, classify_family
 
 
 def _emit(args, payload: dict, text_lines):
+    """Print the payload as indented JSON under --json, otherwise the lines
+    that ``text_lines()`` returns; --json never builds the text."""
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(dumps(payload))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -59,15 +60,19 @@ def cmd_decide(args) -> int:
     outputs = {"form": form_json(form, args.float),
                "classification": classification_json(c),
                "verdict": verdict_json(v)}
-    lines = [f"input:  {form!r}",
-             f"class:  {c.tag.value}" + ("" if c.h1 is None else
-                                         f", |H1| = {'infinite' if outputs['classification']['h1_infinite'] else c.h1}"),
-             f"result: {'L-space' if v.is_lspace else 'not an L-space'} ({v.reason.value})"]
-    if v.witness is not None:
-        lines.append(f"witness: k={v.witness.k}, a={v.witness.a}"
-                     + (" (on complemented slopes)" if v.witness_is_dual else ""))
-    if v.search_bound is not None:
-        lines.append(f"search bound: k <= {v.search_bound}")
+
+    def lines():
+        out = [f"input:  {form!r}",
+               f"class:  {c.tag.value}" + ("" if c.h1 is None else
+                                           f", |H1| = {'infinite' if outputs['classification']['h1_infinite'] else c.h1}"),
+               f"result: {'L-space' if v.is_lspace else 'not an L-space'} ({v.reason.value})"]
+        if v.witness is not None:
+            out.append(f"witness: k={v.witness.k}, a={v.witness.a}"
+                       + (" (on complemented slopes)" if v.witness_is_dual else ""))
+        if v.search_bound is not None:
+            out.append(f"search bound: k <= {v.search_bound}")
+        return out
+
     _emit(args, _report_envelope(args, {"form": args.form}, outputs, t0), lines)
     return 0 if v.is_lspace else 1
 
@@ -84,7 +89,7 @@ def cmd_h1(args) -> int:
     else:
         text = str(c.h1)
     _emit(args, _report_envelope(args, {"form": args.form}, payload, t0),
-          [f"input: {form!r}", f"|H1| = {text}"])
+          lambda: [f"input: {form!r}", f"|H1| = {text}"])
     return 0
 
 
@@ -93,7 +98,7 @@ def cmd_normalize(args) -> int:
     form = parse_form(args.form)
     _emit(args, _report_envelope(args, {"form": args.form},
                                  {"form": form_json(form, args.float)}, t0),
-          [repr(form)])
+          lambda: [repr(form)])
     return 0
 
 
@@ -112,7 +117,7 @@ def cmd_threshold(args) -> int:
         desc = f"L-space exactly for r {side} {format_rational(t.boundary)}"
     _emit(args, _report_envelope(args, {"b": args.b, "r1": args.r1, "r2": args.r2},
                                  payload, t0),
-          [f"S2({args.b}; {args.r1}, {args.r2}, r) for r in (0,1): {desc}"])
+          lambda: [f"S2({args.b}; {args.r1}, {args.r2}, r) for r in (0,1): {desc}"])
     return 0
 
 
@@ -154,7 +159,7 @@ def cmd_twist_scan(args) -> int:
               "m": args.m, "l": args.l, "window": list(args.window)}
     _emit(args, _report_envelope(args, inputs,
                                  {"report": report_json(report, args.float)}, t0),
-          _scan_lines(report, args.float))
+          lambda: _scan_lines(report, args.float))
     return 0
 
 
@@ -166,8 +171,9 @@ def cmd_family(args) -> int:
                                  "params": dict(s.params),
                                  "guarantee": repr(s.guarantee),
                                  "members": len(s.members)} for s in specs]}
-        lines = [f"{s.name:<24} {repr(s.guarantee):<28} {s.description}" for s in specs]
-        _emit(args, _report_envelope(args, {}, payload, t0), lines)
+        _emit(args, _report_envelope(args, {}, payload, t0),
+              lambda: [f"{s.name:<24} {repr(s.guarantee):<28} {s.description}"
+                       for s in specs])
         return 0
     inputs = {"name": args.name, "window": list(args.window)}
     try:
@@ -182,8 +188,8 @@ def cmd_family(args) -> int:
             if isinstance(spec, fam.TorusKnotDegenerate):
                 payload = {"degenerate": True, "torus_knot": {"a": spec.a, "b": spec.b}}
                 _emit(args, _report_envelope(args, inputs, payload, t0),
-                      [f"degenerate parameters: the twisted knot is a torus knot "
-                       f"(a={spec.a}, b={spec.b})"])
+                      lambda: [f"degenerate parameters: the twisted knot is a torus knot "
+                               f"(a={spec.a}, b={spec.b})"])
                 return 0
         else:
             spec = fam.find_family(args.name)
@@ -198,12 +204,16 @@ def cmd_family(args) -> int:
     payload = {"name": spec.name, "guarantee": repr(spec.guarantee),
                "guarantee_confirmed": ok, "problems": problems,
                "reports": [report_json(r, args.float) for r in reports]}
-    lines = [f"family {spec.name}: {spec.description}",
-             f"claimed: {spec.guarantee!r}  -> {'confirmed' if ok else 'NOT CONFIRMED'}"]
-    for member, report in zip(spec.members, reports):
-        if member.label:
-            lines.append(f"member {member.label}:")
-        lines += _scan_lines(report, args.float)
+
+    def lines():
+        out = [f"family {spec.name}: {spec.description}",
+               f"claimed: {spec.guarantee!r}  -> {'confirmed' if ok else 'NOT CONFIRMED'}"]
+        for member, report in zip(spec.members, reports):
+            if member.label:
+                out.append(f"member {member.label}:")
+            out += _scan_lines(report, args.float)
+        return out
+
     _emit(args, _report_envelope(args, inputs, payload, t0), lines)
     return 0 if ok else 1
 
@@ -216,15 +226,10 @@ def cmd_reproduce(args) -> int:
     except KeyError:
         print(f"error: no corpus case matching {args.only!r}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(_report_envelope(
-            args, {"only": args.only},
-            {"passed": passed, "failed": failed, "failed_cases": names,
-             "log": lines}, t0), indent=2))
-    else:
-        for line in lines:
-            print(line)
-        print(f"{passed} passed, {failed} failed")
+    _emit(args, _report_envelope(args, {"only": args.only},
+                                 {"passed": passed, "failed": failed,
+                                  "failed_cases": names, "log": lines}, t0),
+          lambda: lines + [f"{passed} passed, {failed} failed"])
     return 1 if failed else 0
 
 

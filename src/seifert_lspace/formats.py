@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .rationals import INF, format_rational, is_finite
 from .seifert import Base, Classification, SeifertForm, normalize
@@ -45,6 +47,13 @@ def _tokens(text: str):
     return out
 
 
+def _integer(digits: str, text: str, at: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError("integer too long", text, at) from None
+
+
 def parse_form(text: str) -> SeifertForm:
     """Parse the SFS grammar into a normalized form."""
     toks = _tokens(text)
@@ -76,7 +85,7 @@ def parse_form(text: str) -> SeifertForm:
     tok, at = toks[pos] if pos < len(toks) else (None, len(text))
     if tok is None or not re.fullmatch(r"-?\d+", tok):
         raise ParseError("expected integer section term", text, at)
-    b = int(tok)
+    b = _integer(tok, text, at)
     pos += 1
     slopes = []
     if peek() == ";":
@@ -87,13 +96,16 @@ def parse_form(text: str) -> SeifertForm:
                 raise ParseError("expected a slope", text, at)
             if tok == "inf":
                 slopes.append(INF)
-            elif re.fullmatch(r"-?\d+/0", tok):
-                if tok.startswith("0/") or tok == "-0/0":
-                    raise ParseError("0/0 is not a slope", text, at)
-                slopes.append(INF)
-            elif re.fullmatch(r"-?\d+(/\d+)?", tok):
+            elif tok[0] == "-" or tok[0].isdigit():
+                # a numeric token: -?d+ or -?d+/d+
                 n, _, d = tok.partition("/")
-                slopes.append(Fraction(int(n), int(d) if d else 1))
+                num, den = _integer(n, text, at), _integer(d, text, at) if d else 1
+                if den:
+                    slopes.append(Fraction(num, den))
+                elif num:
+                    slopes.append(INF)
+                else:
+                    raise ParseError("0/0 is not a slope", text, at)
             else:
                 raise ParseError("expected a slope", text, at)
             pos += 1
@@ -107,8 +119,47 @@ def parse_form(text: str) -> SeifertForm:
     return normalize(b, slopes)
 
 
-def format_form(f: SeifertForm) -> str:
-    return repr(f)
+@lru_cache(maxsize=256)
+def _key(k: str) -> str:
+    return encode_basestring_ascii(k) + ": "
+
+
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def dumps(o, _pad: str = "\n") -> str:
+    """The bytes of ``json.dumps(o, indent=2)`` for dicts with str keys,
+    lists, str, int, bool, None and float.
+
+    The stdlib takes a generator-based pure-Python path whenever ``indent``
+    is set; this one recursive function keeps the C string escaper and joins
+    whole child lists instead.
+    """
+    t = type(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = _pad + "  "
+        return ("{" + inner + ("," + inner).join([_key(k) + dumps(v, inner)
+                                                  for k, v in o.items()])
+                + _pad + "}")
+    if t is list:
+        if not o:
+            return "[]"
+        inner = _pad + "  "
+        return "[" + inner + ("," + inner).join([dumps(v, inner) for v in o]) + _pad + "]"
+    if o is None:
+        return "null"
+    if t is bool:
+        return "true" if o else "false"
+    if t is float:
+        r = float.__repr__(o)
+        return _NON_FINITE.get(r, r)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def rational_json(x, float_mode=False):
@@ -137,7 +188,7 @@ def form_json(f: SeifertForm, float_mode=False):
         "b": f.b,
         "slopes": [rational_json(r, float_mode) for r in f.slopes],
         "degenerate": f.degenerate,
-        "text": format_form(f),
+        "text": repr(f),
     }
 
 

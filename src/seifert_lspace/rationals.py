@@ -58,10 +58,6 @@ def triple_lt(x, y) -> bool:
     return x[0] < y[0] and x[1] < y[1] and x[2] < y[2]
 
 
-def triple_le(x, y) -> bool:
-    return x[0] <= y[0] and x[1] <= y[1] and x[2] <= y[2]
-
-
 def simplest_pair(p: int, q: int, r: int, s: int) -> tuple[int, int]:
     """(a, k) with a/k the fraction of minimal denominator in (p/q, r/s).
 
@@ -129,27 +125,32 @@ def farey_neighbours(p: int, q: int, n: int) -> tuple[int, int, int, int]:
 _RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
+def _parse_pair(text: str) -> tuple[int, int]:
+    """(num, den) of ``-?d+`` or ``-?d+/d+``; den may be zero."""
+    m = _RAT_RE.match(text.strip())
+    if not m:
+        raise ValueError(f"not a finite rational: {text!r}")
+    return int(m.group(1)), int(m.group(2) or 1)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``-?d+`` or ``-?d+/d+`` into a reduced fraction."""
-    m = _RAT_RE.match(text.strip())
-    if not m or m.group(2) == "0":
+    num, den = _parse_pair(text)
+    if den == 0:
         raise ValueError(f"not a finite rational: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
     return Fraction(num, den)
 
 
 def parse_slope(text: str) -> ExtRational:
     """Like parse_rational, but 'inf' and nonzero/0 both give INF."""
-    s = text.strip()
-    if s == "inf":
+    if text.strip() == "inf":
         return INF
-    m = _RAT_RE.match(s)
-    if m and m.group(2) == "0":
-        if int(m.group(1)) == 0:
-            raise ValueError("0/0 is not a slope")
-        return INF
-    return parse_rational(s)
+    num, den = _parse_pair(text)
+    if den:
+        return Fraction(num, den)
+    if num == 0:
+        raise ValueError("0/0 is not a slope")
+    return INF
 
 
 def format_rational(x) -> str:

@@ -4,11 +4,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seifert_lspace import INF, Base, SeifertForm, normalize
 from seifert_lspace.cli import main
 from seifert_lspace.corpus import CASES, Case, Check, run_corpus
-from seifert_lspace.formats import (ParseError, form_from_json, form_json,
+from seifert_lspace.formats import (ParseError, dumps, form_from_json, form_json,
                                     parse_form, rational_from_json,
                                     rational_json)
 
@@ -31,18 +33,49 @@ class TestGrammar:
         f = parse_form("SFS[S2; 3; 1/2, 2/3, inf]")
         assert f.degenerate == 1
         assert parse_form("SFS[S2; 3; 1/2, 1/0]") == parse_form("SFS[S2; 3; 1/2, -1/0]")
+        assert parse_form("SFS[S2; 3; 1/2, 1/00]") == parse_form("SFS[S2; 3; 1/2, -7/000]") \
+            == parse_form("SFS[S2; 3; 1/2, inf]")
 
     def test_whitespace_tolerated(self):
         assert parse_form("  SFS[ S2 ; -1 ; 1/2 , 2/3 ]  ") == \
             normalize(-1, (F(1, 2), F(2, 3)))
 
     def test_errors_carry_positions(self):
+        huge = "9" * 5000
         for text in ("SFS[S2; x]", "SFS(S2; 1)", "SFS[S2; 1; 1/2,]",
-                     "SFS[T2; 1]", "SFS[S2; 1; 0/0]", "SFS[S2; 1] junk"):
+                     "SFS[T2; 1]", "SFS[S2; 1; 0/0]", "SFS[S2; 1] junk",
+                     "SFS[S2; 1; 00/0]", "SFS[S2; 1; -00/0]", "SFS[S2; 1; 1/2, -0/000]",
+                     f"SFS[S2; {huge}; 1/2]", f"SFS[S2; 1; 1/{huge}]",
+                     f"SFS[S2; 1; 1/2, -{huge}]"):
             with pytest.raises(ParseError) as err:
                 parse_form(text)
             assert err.value.pos >= 0
             assert "^" in err.value.annotate()
+        with pytest.raises(ParseError, match="integer too long") as err:
+            parse_form(f"SFS[S2; 1; 1/2, -{huge}]")
+        assert err.value.pos == len("SFS[S2; 1; 1/2, ")
+
+    digits = st.text("0123456789", min_size=1, max_size=3)
+    integers = st.builds("{}{}".format, st.sampled_from(["", "-"]), digits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        # token soup: mostly rejected, at every position
+        st.lists(st.sampled_from(["SFS", "S2", "RP2", "inf", "-", "/", "[", "]", ";",
+                                  ",", " ", "x", "Q", "s2", "é"]
+                                 + list("0123456789")), max_size=24).map("".join),
+        # grammar-shaped: mostly accepted, with raw, zero and degenerate slopes
+        st.builds("SFS[S2; {}; {}]".format, integers,
+                  st.lists(st.builds("{}/{}".format, integers, digits) | integers
+                           | st.just("inf"), max_size=5).map(", ".join))))
+    def test_fuzz_gives_form_or_parse_error(self, text):
+        try:
+            f = parse_form(text)
+        except ParseError as err:
+            assert 0 <= err.pos <= len(text)
+            return
+        assert isinstance(f, SeifertForm)
+        assert parse_form(repr(f)) == f
 
     def test_round_trip_through_repr(self):
         for text in ("SFS[S2; -2; 2/3, 2/3, 2/3]", "SFS[RP2]", "SFS[S2; 4]",
@@ -70,6 +103,48 @@ class TestJson:
         without = rational_json(F(2, 3))
         assert without == {"num": 2, "den": 3}
         assert with_f["num"] == 2 and "approx" in with_f
+
+
+# any code point, with the ones JSON escapes specially drawn often; built from
+# integers so that no unicode table has to be computed on a cold cache
+json_chars = (st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001F600a')
+              | st.integers(0, 0x10FFFF).map(chr))
+json_texts = st.lists(json_chars, max_size=8).map("".join)
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.floats()
+    | st.integers() | st.integers(min_value=2 ** 64, max_value=2 ** 200).map(lambda n: -n)
+    | st.integers(min_value=2 ** 64, max_value=2 ** 200) | json_texts,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(json_texts, children, max_size=4)),
+    max_leaves=12)
+
+
+class TestDumps:
+    @settings(max_examples=100, deadline=None)
+    @given(json_trees)
+    def test_matches_stdlib_indent_2(self, tree):
+        assert dumps(tree) == json.dumps(tree, indent=2)
+
+    def test_rejects_types_outside_the_cli_payloads(self):
+        for bad in (F(1, 2), {1: 2}, {"k": {3}}, (1, 2)):
+            with pytest.raises(TypeError):
+                dumps(bad)
+
+    @pytest.mark.parametrize("argv", [
+        ["decide", "SFS[S2; -2; 2/3, 2/3, 2/3]", "--float", "--json"],
+        ["h1", "SFS[S2; 0; 2/3, -2/5]", "--json"],
+        ["normalize", "SFS[S2; 0; 5/3, 1/2]", "--json"],
+        ["threshold", "--float", "--json", "--", "-1", "1/3", "1997/3000"],
+        ["twist-scan", "--b", "-1", "--r1", "1/3", "--r2", "1997/3000", "--alpha", "1",
+         "--beta", "0", "--alpha3", "1", "--beta3", "1", "--window=-5..5", "--json"],
+        ["family", "list", "--json"],
+        ["family", "run", "tunnel2-B", "--window=-5..5", "--float", "--json"],
+        ["reproduce", "--only", "tunnel2", "--json"],
+    ])
+    def test_cli_json_is_stdlib_indent_2(self, argv, capsys):
+        main(argv)
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestCliDecide:
@@ -179,6 +254,28 @@ class TestCliOtherVerbs:
         assert main(["family", "run", "tunnel2-B", "--window=-5..5"]) == 0
         capsys.readouterr()
         assert len(calls) == len(spec.members) * 11 + gap_points
+
+    def test_json_builds_no_text_lines(self, capsys, monkeypatch):
+        from seifert_lspace import cli, find_family
+        spec = find_family("tunnel2-B")
+        reports = []
+        scan_lines = cli._scan_lines
+
+        def counting(report, float_mode=False):
+            reports.append(report)
+            return scan_lines(report, float_mode)
+
+        monkeypatch.setattr(cli, "_scan_lines", counting)
+        argv = ["family", "run", "tunnel2-B", "--window=-5..5"]
+        assert main(argv + ["--json"]) == 0
+        capsys.readouterr()
+        assert reports == []
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(reports) == len(spec.members)
+        member_lines = [line for line in out
+                        if not line.startswith(("family ", "claimed: ", "member "))]
+        assert member_lines == [line for r in reports for line in scan_lines(r)]
 
     def test_family_run_with_params(self, capsys):
         assert main(["family", "run", "p+q", "--params", "p=7,q=3",

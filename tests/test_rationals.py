@@ -36,6 +36,8 @@ def test_infinity_is_a_singleton():
     assert parse_slope("1/0") is INF
     assert parse_slope("-1/0") is INF
     assert parse_slope("inf") is INF
+    assert parse_slope("1/00") is INF
+    assert parse_slope("-7/000") is INF
     assert not is_finite(INF)
     assert repr(INF) == "inf"
 
@@ -43,11 +45,12 @@ def test_infinity_is_a_singleton():
 def test_parse_rational_grammar():
     assert parse_rational("-25/6") == Fraction(-25, 6)
     assert parse_rational("7") == Fraction(7)
-    for bad in ("1/0", "x", "1.5", "--1", "1/-2"):
-        with pytest.raises(ValueError):
+    for bad in ("1/0", "x", "1.5", "--1", "1/-2", "1/00", "-3/000", "0/0", "00/0"):
+        with pytest.raises(ValueError, match="not a finite rational"):
             parse_rational(bad)
-    with pytest.raises(ValueError):
-        parse_slope("0/0")
+    for bad in ("0/0", "00/0", "-00/000"):
+        with pytest.raises(ValueError, match="0/0"):
+            parse_slope(bad)
 
 
 def test_format_round_trip():
