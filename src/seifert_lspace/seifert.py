@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .rationals import INF, is_finite
+from .rationals import INF, int_text, is_finite
 
 
 class Base(Enum):
@@ -62,9 +62,13 @@ class SeifertForm:
     def __repr__(self):
         if self.base is Base.RP2:
             return "SFS[RP2]"
-        parts = [f"{r.numerator}/{r.denominator}" for r in self.slopes]
+        try:
+            parts = [f"{r.numerator}/{r.denominator}" for r in self.slopes]
+            inner = f"S2; {self.b}"
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            parts = [f"{int_text(r.numerator)}/{int_text(r.denominator)}" for r in self.slopes]
+            inner = f"S2; {int_text(self.b)}"
         parts += ["inf"] * self.degenerate
-        inner = f"S2; {self.b}"
         if parts:
             inner += "; " + ", ".join(parts)
         return f"SFS[{inner}]"

@@ -16,10 +16,13 @@ pole)), f is strictly decreasing on each side of its pole -alpha_3/alpha and
 converges to beta/alpha, the slope of the n -> +-infinity limit space (the
 result of (m, 0)-surgery on knot and seiferter together).  Combining this
 monotonicity with the exact third-slope thresholds classifies every member
-of the family exactly: each tail is certified with the first index from
-which a single verdict holds, replacing epsilon-style "for n large enough"
-statements, and the members between a window and a tail form a few index
-segments, cut where f crosses an integer or a band's threshold boundary.
+of the family exactly.  One walk over all of Z cuts the indices into a few
+runs of one verdict, cut where f crosses an integer or a band's threshold
+boundary, and the indices no threshold covers (the pole and integer values
+of f).  The two end runs are the tails: each is certified with the first
+index from which a single verdict holds, replacing epsilon-style "for n
+large enough" statements.  A report clips the runs to the complement of its
+window, where every member is evaluated pointwise.
 
 The degenerate-fiber situation (the seiferter is an index-zero fiber of a
 connected sum of two lens spaces) is the special encoding (alpha_3, beta_3)
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 
 from .rationals import INF
@@ -149,10 +151,6 @@ class FamilyMember:
         return mirror(f) if self.mirrored else f
 
 
-class TailStatus(Enum):
-    CERTIFIED = "Certified"
-
-
 @dataclass(frozen=True)
 class TailCertificate:
     """A one-sided cofinite verdict: for side=+1, every n >= from_n has the
@@ -163,17 +161,12 @@ class TailCertificate:
     data before mirroring (the verdict itself is mirror-invariant).
     """
     side: int
-    status: TailStatus
-    is_lspace: bool | None = None
-    from_n: int | None = None
+    is_lspace: bool
+    from_n: int
     limit: object = None  # Fraction or INF
     band_base: int | None = None
     threshold: ThirdSlotThreshold | None = None
     mirrored: bool = False
-
-    @property
-    def certified(self) -> bool:
-        return self.status is TailStatus.CERTIFIED
 
     @property
     def approach(self) -> str:
@@ -206,22 +199,22 @@ class Segment:
         return self.from_n <= n <= self.to_n
 
 
-def _piece(desc: ThirdSlotThreshold, r: Fraction, side: int = 0):
+def _piece(desc: ThirdSlotThreshold, r: Fraction, below: bool = False):
     """The piece of (0,1) on which ``desc`` has one verdict and which holds
-    r (side=0), the slopes just above r (side=+1) or just below r (side=-1).
+    r, or with ``below`` the slopes just below r.
 
-    Returns (is_lspace, lo, lo_closed, hi, hi_closed): the verdict holds for
-    every slope between lo and hi, each end included when it is closed.
+    Returns (is_lspace, lo, lo_closed): the verdict and the piece's lower
+    end, which belongs to the piece when it is closed.
     """
     x = desc.boundary
     if desc.kind is IntervalKind.ALL or not 0 < x < 1:
-        return True, Fraction(0), False, Fraction(1), False
+        return True, Fraction(0), False
     up = desc.kind is IntervalKind.UP_CLOSED
     # the boundary joins the L-space side exactly when it is attained
     x_up = desc.attained == up
-    if r > x or (r == x and (side > 0 or (side == 0 and x_up))):
-        return up, x, x_up, Fraction(1), False
-    return not up, Fraction(0), False, x, not x_up
+    if r > x or (r == x and x_up and not below):
+        return up, x, x_up
+    return not up, Fraction(0), False
 
 
 def _first_below(d: SeiferterData, c: Fraction, strict: bool) -> int:
@@ -235,82 +228,60 @@ def _first_below(d: SeiferterData, c: Fraction, strict: bool) -> int:
     return math.floor(x) + 1 if strict else math.ceil(x)
 
 
-def _tail_data(d: SeiferterData, side: int, first: int, threshold) -> TailCertificate:
-    """Certificate for the data-indexed tail {j >= first} (side=+1) or
-    {j <= first} (side=-1); ``threshold(base)`` gives the band thresholds."""
+def _runs(d: SeiferterData):
+    """Cut the data indices, all of Z, into maximal runs (from_j, to_j,
+    is_lspace, band_base, threshold) in increasing order, None marking an
+    infinite end, and the indices between them that no threshold covers:
+    the pole, integer values of f, and the alpha = 0 S2 x S1 index.
+
+    A run holds the indices whose f(j) lies in one piece of one band, where
+    the band's threshold has one verdict.  The walk starts at -infinity in
+    the piece just below beta/alpha and ends at the run right of the pole
+    whose lower cut is at or below beta/alpha: f stays above beta/alpha
+    there, so that run goes on to +infinity.
+    """
     if d.alpha == 0:
         # f(j) = -j + beta3 is an integer for every j: all members are lens
         # spaces, L-spaces except a single possible S2 x S1.
-        exceptional = _s2xs1_index(d)
-        from_j = first
-        if exceptional is not None:
-            from_j = max(from_j, exceptional + 1) if side > 0 else min(from_j, exceptional - 1)
-        return TailCertificate(side, TailStatus.CERTIFIED, True, from_j, limit=INF)
+        if d.r1 + d.r2 != 1:
+            return [(None, None, True, None, None)], []
+        j = d.b + d.beta3 + 1
+        return [(None, j - 1, True, None, None), (j + 1, None, True, None, None)], [j]
 
-    rc = Fraction(d.beta, d.alpha)
-    p = math.floor(rc)
-    # the certified region lies strictly on one side of the pole; whatever
-    # separates it from the window edge is covered by gap segments
-    if side > 0:
-        # f decreases to rc from above as j -> +infinity
-        band = p
-        desc = threshold(d.b + band)
-        verdict, _, _, c_local, inclusive = _piece(desc, rc - band, +1)
-        from_j = max(first, _first_below(d, band + c_local, not inclusive))
-    else:
-        # f increases to rc from below as j -> -infinity
-        band = p if rc > p else p - 1
-        desc = threshold(d.b + band)
-        verdict, c_local, inclusive, _, _ = _piece(desc, rc - band, -1)
-        from_j = min(first, _first_below(d, band + c_local, inclusive) - 1)
-    return TailCertificate(side, TailStatus.CERTIFIED, verdict, from_j,
-                           limit=rc, band_base=d.b + band, threshold=desc)
+    cache = {}
 
-
-def _s2xs1_index(d: SeiferterData):
-    """For alpha = 0, the one index whose member can be S2 x S1, or None."""
-    return d.b + d.beta3 + 1 if d.r1 + d.r2 == 1 else None
-
-
-def _gap_data(d: SeiferterData, lo: int, hi: int, threshold):
-    """Cover the data indices lo..hi by segments (from_j, to_j, is_lspace,
-    band_base, threshold) and the list of indices to evaluate pointwise:
-    the pole, integer values of f, and the alpha = 0 S2 x S1 index."""
-    segments, singles = [], []
-    if d.alpha == 0:
-        j = _s2xs1_index(d)
-        if j is not None and lo <= j <= hi:
-            singles.append(j)
-            pieces = ((lo, j - 1), (j + 1, hi))
-        else:
-            pieces = ((lo, hi),)
-        return [(a, b, True, None, None) for a, b in pieces if a <= b], singles
+    def piece(v, below=False):
+        # v's band (the lower one if v is an integer, which only the limit
+        # slope can be), its threshold, computed once per band, and the
+        # piece holding v or the slopes just below it
+        p = math.ceil(v) - 1
+        if p not in cache:
+            cache[p] = third_slot_threshold(d.b + p, d.r1, d.r2)
+        verdict, lo, lo_closed = _piece(cache[p], v - p, below)
+        return verdict, p + lo, lo_closed, d.b + p, cache[p]
 
     pole = Fraction(-d.alpha3, d.alpha)
     rc = Fraction(d.beta, d.alpha)
-    if pole.denominator == 1 and lo <= pole <= hi:
-        singles.append(int(pole))
+    # f increases to rc from below as j -> -infinity
+    verdict, c, closed, base, desc = piece(rc, below=True)
+    j = _first_below(d, c, closed)
+    runs, singles = [(None, j - 1, verdict, base, desc)], []
     # at integers |f(j) - rc| <= 1/|alpha|, so each side of the pole meets at
     # most three bands, each split at most once by its threshold
-    for a, b, right in ((lo, min(hi, math.ceil(pole) - 1), False),
-                        (max(lo, math.floor(pole) + 1), hi, True)):
-        j = a
-        while j <= b:
-            v = fiber_slope(d, j)
-            p = math.floor(v)
-            if v == p:
-                singles.append(j)
-                j += 1
-                continue
-            desc = threshold(d.b + p)
-            verdict, c_local, inclusive, _, _ = _piece(desc, v - p)
-            c = p + c_local
-            # f > rc on the right of the pole, so a cut at or below rc is
-            # never reached there
-            nxt = b + 1 if right and c <= rc else min(b + 1, _first_below(d, c, inclusive))
-            segments.append((j, nxt - 1, verdict, d.b + p, desc))
-            j = nxt
-    return segments, singles
+    while True:
+        v = fiber_slope(d, j)
+        if v is INF or v.denominator == 1:
+            singles.append(j)
+            j += 1
+            continue
+        verdict, c, closed, base, desc = piece(v)
+        if j > pole and c <= rc:
+            # f > rc right of the pole, so this cut is never reached
+            runs.append((j, None, verdict, base, desc))
+            return runs, singles
+        nxt = _first_below(d, c, closed)
+        runs.append((j, nxt - 1, verdict, base, desc))
+        j = nxt
 
 
 @dataclass(frozen=True)
@@ -332,9 +303,10 @@ class FamilyReport:
     ``points`` holds the pointwise verdicts on the window, plus the few
     indices between the window and a tail that no threshold covers: the
     pole, members with an integer fiber slope, and the S2 x S1 member of
-    an alpha = 0 family.  ``segments`` covers the rest of those gaps by
-    index ranges whose verdict a band threshold proves, and the two tails
-    cover everything beyond; window, segments and tails partition Z.
+    an alpha = 0 family.  ``segments`` and the two tails are the runs of
+    the walk over Z, clipped to the complement of the window: index ranges
+    whose verdict a band threshold proves.  Window, singles, segments and
+    tails partition Z.
     """
     window: tuple[int, int]
     points: dict[int, PointVerdict] = field(default_factory=dict)
@@ -369,47 +341,40 @@ def evaluate_point(d, n: int) -> PointVerdict:
 def _certify(member: FamilyMember, lo: int, hi: int):
     """Tails beyond the window lo..hi and the segments and exception
     indices between them and the window, as (tail_pos, tail_neg, segments,
-    singles)."""
+    singles): the runs of the member's data in family indices, clipped to
+    the complement of the window.  The two clipped parts with an infinite
+    end are the tails."""
     if member.rp2:
-        return (TailCertificate(+1, TailStatus.CERTIFIED, True, hi + 1),
-                TailCertificate(-1, TailStatus.CERTIFIED, True, lo - 1), [], [])
-    d, off, mirrored = member.data, member.offset, member.mirrored
-    # data index j of the family's n-th member, and back
+        runs, singles, limit = [(None, None, True, None, None)], [], None
+    else:
+        d = member.data
+        runs, singles = _runs(d)
+        limit = INF if d.alpha == 0 else Fraction(d.beta, d.alpha)
+    off, mirrored = member.offset, member.mirrored
+    # the family's n-th member is the data's (n + offset)-th, or the mirror
+    # of its -(n + offset)-th; mirroring reverses each run
     s = -1 if mirrored else 1
 
-    def to_j(n):
-        return s * (n + off)
-
     def to_n(j):
-        return s * j - off
+        return None if j is None else s * j - off
 
-    cache = {}
-
-    def threshold(base):
-        # each band's threshold is computed once, for tails and gaps alike
-        if base not in cache:
-            cache[base] = third_slot_threshold(base, d.r1, d.r2)
-        return cache[base]
-
-    tails = []
-    for side, edge in ((+1, hi), (-1, lo)):
-        t = _tail_data(d, s * side, to_j(edge + side), threshold)
-        tails.append(TailCertificate(side, t.status, t.is_lspace, to_n(t.from_n),
-                                     limit=t.limit, band_base=t.band_base,
-                                     threshold=t.threshold, mirrored=mirrored))
-    tail_pos, tail_neg = tails
-    segments, singles = [], []
-    for a, b in ((hi + 1, tail_pos.from_n - 1), (tail_neg.from_n + 1, lo - 1)):
-        if a > b:
-            continue
-        ja, jb = sorted((to_j(a), to_j(b)))
-        found, points = _gap_data(d, ja, jb, threshold)
-        for fj, tj, verdict, base, desc in found:
-            n1, n2 = sorted((to_n(fj), to_n(tj)))
-            segments.append(Segment(n1, n2, verdict, base, desc, mirrored))
-        singles += map(to_n, points)
+    segments = []
+    for a, b, verdict, base, desc in runs:
+        a, b = (to_n(b), to_n(a)) if mirrored else (to_n(a), to_n(b))
+        # the last index of the run left of the window, the first right of it
+        left = lo - 1 if b is None else min(b, lo - 1)
+        right = hi + 1 if a is None else max(a, hi + 1)
+        if a is None:
+            tail_neg = TailCertificate(-1, verdict, left, limit, base, desc, mirrored)
+        elif a <= left:
+            segments.append(Segment(a, left, verdict, base, desc, mirrored))
+        if b is None:
+            tail_pos = TailCertificate(+1, verdict, right, limit, base, desc, mirrored)
+        elif right <= b:
+            segments.append(Segment(right, b, verdict, base, desc, mirrored))
     segments.sort(key=lambda seg: seg.from_n)
-    return tail_pos, tail_neg, segments, singles
+    return tail_pos, tail_neg, segments, [n for n in map(to_n, singles)
+                                          if not lo <= n <= hi]
 
 
 def classify_family(d, window=(-50, 50)) -> FamilyReport:

@@ -1,6 +1,8 @@
 """Text grammar, JSON round-trips, CLI verbs and exit codes."""
 
 import json
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -293,6 +295,53 @@ class TestCliOtherVerbs:
         assert payload == {"command": "family",
                            "inputs": {"name": "berge-vii", "window": [-50, 50]},
                            "outputs": {"degenerate": True, "torus_knot": {"a": 1, "b": 2}}}
+
+
+@contextmanager
+def _unlimited_int_digits():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestHugeIntegers:
+    """Answers whose integers exceed Python's 4300-digit string-conversion
+    limit are printed in full; the CLI runs under the default limit and the
+    check reads its output with the limit lifted."""
+
+    def test_decide_and_h1_print_the_exact_order(self, capsys):
+        d1, d3, d7 = (int("1" + "0" * 1500 + k) for k in "137")
+        form = f"SFS[S2; -1; 1/{d1}, 1/{d3}, 1/{d7}]"
+        h1 = abs(d1 * d3 * d7 - d3 * d7 - d1 * d7 - d1 * d3)
+        rc = main(["decide", form, "--json"])
+        out = capsys.readouterr().out
+        assert rc in (0, 1)
+        assert main(["decide", form]) == rc
+        text = capsys.readouterr().out
+        assert main(["h1", form]) == 0
+        h1_text = capsys.readouterr().out
+        with _unlimited_int_digits():
+            assert len(str(h1)) > 4300
+            assert json.loads(out)["outputs"]["classification"]["h1"] == h1
+            assert f", |H1| = {h1}\n" in text
+            assert h1_text.endswith(f"|H1| = {h1}\n")
+
+    def test_normalize_prints_the_exact_section_term(self, capsys):
+        nines = "9" * 4300
+        form = f"SFS[S2; {nines}; {nines}]"
+        # b = 2 * (10^4300 - 1), one digit past the limit
+        b_text = "1" + "9" * 4299 + "8"
+        assert main(["normalize", form]) == 0
+        assert capsys.readouterr().out == f"SFS[S2; {b_text}]\n"
+        assert main(["normalize", form, "--json"]) == 0
+        out = capsys.readouterr().out
+        with _unlimited_int_digits():
+            got = json.loads(out)["outputs"]["form"]
+        assert got["b"] == 2 * (10 ** 4300 - 1)
+        assert got["text"] == f"SFS[S2; {b_text}]"
 
 
 class TestGoldenJson:

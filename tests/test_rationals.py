@@ -1,6 +1,7 @@
-"""Exact arithmetic, triple order, and the minimal-denominator search."""
+"""Exact arithmetic, sorted triples, and the minimal-denominator search."""
 
 import random
+import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -9,27 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seifert_lspace.rationals import (INF, farey_neighbours, format_rational,
-                                      is_finite, make_rational, parse_rational,
-                                      parse_slope, simplest_between,
-                                      sorted_triple, triple_lt)
+                                      int_text, is_finite, parse_rational,
+                                      parse_slope, simplest_between, sorted_triple)
 
 fractions_1e6 = st.fractions(min_value=Fraction(-10 ** 6), max_value=Fraction(10 ** 6),
                              max_denominator=10 ** 6)
 unit_fractions = st.fractions(min_value=Fraction(1, 10 ** 4), max_value=Fraction(1),
                               max_denominator=10 ** 4)
-
-
-def test_make_rational_normalizes():
-    assert make_rational(25, -6) == Fraction(-25, 6)
-    assert make_rational(4, 2) == Fraction(2, 1)
-    assert make_rational(0, 7) == Fraction(0, 1)
-    q = make_rational(25, -6)
-    assert q.denominator == 6 and q.numerator == -25
-
-
-def test_make_rational_rejects_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        make_rational(1, 0)
 
 
 def test_infinity_is_a_singleton():
@@ -60,6 +47,22 @@ def test_format_round_trip():
     assert format_rational(INF) == "inf"
 
 
+def test_int_text_past_the_conversion_limit():
+    rng = random.Random(4300)
+    limit = sys.get_int_max_str_digits()
+    values = [0, 7, -7, 10 ** 4299, 10 ** 4300, 10 ** 4300 - 1, -(10 ** 9000) + 1,
+              10 ** 20000 + 1, *(rng.getrandbits(rng.randint(1, 70000)) * rng.choice((1, -1))
+                                 for _ in range(40))]
+    texts = [int_text(n) for n in values]
+    sys.set_int_max_str_digits(0)
+    try:
+        assert texts == [str(n) for n in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert int_text(10 ** 5000) == "1" + "0" * 5000
+    assert format_rational(Fraction(-(10 ** 5000), 3)) == "-1" + "0" * 5000 + "/3"
+
+
 def test_sorted_triple_examples():
     a, b, c = Fraction(2, 3), Fraction(1, 3), Fraction(1, 2)
     assert sorted_triple(a, b, c) == (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
@@ -67,15 +70,6 @@ def test_sorted_triple_examples():
     assert sorted_triple(*t) == t
     assert sorted_triple(Fraction(1, 7), Fraction(1, 2), Fraction(1, 3)) == \
         (Fraction(1, 7), Fraction(1, 3), Fraction(1, 2))
-
-
-def test_triple_lt_examples():
-    third = (Fraction(1, 3),) * 3
-    half = (Fraction(1, 2),) * 3
-    assert triple_lt(third, half)
-    assert not triple_lt(third, (Fraction(1, 3), Fraction(1, 2), Fraction(1, 2)))
-    assert not triple_lt((Fraction(2, 5), Fraction(1, 2), Fraction(2, 3)),
-                         (Fraction(1, 2), Fraction(1, 2), Fraction(3, 4)))
 
 
 @given(fractions_1e6, fractions_1e6)
@@ -96,15 +90,6 @@ def test_sorted_triple_idempotent(t):
     s = sorted_triple(*t)
     assert sorted_triple(*s) == s
     assert s[0] <= s[1] <= s[2]
-
-
-@given(st.tuples(unit_fractions, unit_fractions, unit_fractions),
-       st.tuples(unit_fractions, unit_fractions, unit_fractions),
-       st.tuples(unit_fractions, unit_fractions, unit_fractions))
-def test_triple_lt_transitive(a, b, c):
-    x, y, z = sorted_triple(*a), sorted_triple(*b), sorted_triple(*c)
-    if triple_lt(x, y) and triple_lt(y, z):
-        assert triple_lt(x, z)
 
 
 def _no_smaller_denominator(lo, hi, den):

@@ -2,14 +2,16 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from seifert_lspace import (INF, SeiferterData, Tag,
+from seifert_lspace import (INF, FamilyMember, SeiferterData, Tag,
                             catalog, classify, classify_family, decide,
                             fiber_slope, h1_consistency, limit_space,
                             normalize, surgered_space, surgery_slope,
                             tunnel2_family, unknot_seiferter_data)
+from seifert_lspace.twist import _runs
 
 
 def F(n, d=1):
@@ -151,8 +153,8 @@ class TestClassifyFamily:
         report = classify_family(TREFOIL, (-50, 50))
         assert all(pv.verdict.is_lspace for pv in report.points.values())
         assert report.exceptional == ((0, Tag.CONNECTED_SUM_LENS),)
-        assert report.tail_pos.certified and report.tail_pos.is_lspace
-        assert report.tail_neg.certified and report.tail_neg.is_lspace
+        assert report.tail_pos.is_lspace
+        assert report.tail_neg.is_lspace
 
     def test_unknot_family_exception_at_zero(self):
         d = unknot_seiferter_data(0, 3)
@@ -165,15 +167,15 @@ class TestClassifyFamily:
         report = classify_family(CASE1, (-10, 10))
         fails = [n for n, pv in report.points.items() if not pv.verdict.is_lspace]
         assert fails == [0]  # b + beta3 + 1 = 0 here and r1 + r2 = 1
-        assert report.tail_pos.certified and report.tail_pos.is_lspace
-        assert report.tail_neg.certified and report.tail_neg.is_lspace
+        assert report.tail_pos.is_lspace
+        assert report.tail_neg.is_lspace
 
     def test_tails_with_not_lspace_limit(self):
         d = unknot_seiferter_data(3, 3)
         report = classify_family(d, (-8, 8))
         assert not report.limit_verdict.is_lspace
-        assert report.tail_pos.certified and report.tail_pos.is_lspace is False
-        assert report.tail_neg.certified and report.tail_neg.is_lspace is False
+        assert report.tail_pos.is_lspace is False
+        assert report.tail_neg.is_lspace is False
         # innermost values right beyond the certificates agree pointwise
         for tail in (report.tail_pos, report.tail_neg):
             for i in range(10):
@@ -186,8 +188,6 @@ class TestClassifyFamily:
             for member in spec.members:
                 report = classify_family(member, (-20, 20))
                 for tail in (report.tail_pos, report.tail_neg):
-                    if not tail.certified:
-                        continue
                     # the ten innermost certified values, then random far ones
                     offsets = list(range(10)) + [rng.randint(10, 10 ** 4)
                                                  for _ in range(20)]
@@ -207,15 +207,13 @@ class TestClassifyFamily:
             if len(lim.slopes) != 3:
                 continue
             report = classify_family(d, (-30, 30))
-            has_l_tail = ((report.tail_pos.certified and report.tail_pos.is_lspace)
-                          or (report.tail_neg.certified and report.tail_neg.is_lspace))
+            has_l_tail = report.tail_pos.is_lspace or report.tail_neg.is_lspace
             assert has_l_tail == decide(lim).is_lspace, d
 
     def test_gap_fill_covers_every_integer(self):
         # window far to the left of the pole: the right certificate starts
         # beyond the pole and the gap is covered by segments and points
         report = classify_family(TREFOIL, (-30, -20))
-        assert report.tail_pos.certified
         for n in range(-19, report.tail_pos.from_n):
             assert report.lspace_at(n) == decide(surgered_space(TREFOIL, n)).is_lspace, n
         assert report.lspace_at(0)
@@ -232,8 +230,8 @@ class TestClassifyFamily:
         assert fiber_slope(d, 10 ** 9) > F(1, 7) > fiber_slope(d, -10 ** 9)
         report = classify_family(d, (-10, 10))
         assert decide(report.limit).is_lspace
-        assert report.tail_pos.certified and report.tail_pos.is_lspace is True
-        assert report.tail_neg.certified and report.tail_neg.is_lspace is False
+        assert report.tail_pos.is_lspace is True
+        assert report.tail_neg.is_lspace is False
         for tail in (report.tail_pos, report.tail_neg):
             for i in range(8):
                 n = tail.from_n + i * tail.side
@@ -276,7 +274,6 @@ class TestClassifyFamily:
             built += 1
             report = classify_family(d, (-6, 6))
             for tail in (report.tail_pos, report.tail_neg):
-                assert tail.certified, d
                 for i in [*range(12), 25, 70, 311, 4096]:
                     n = tail.from_n + i * tail.side
                     assert decide(surgered_space(d, n)).is_lspace is tail.is_lspace, (d, n)
@@ -299,9 +296,9 @@ class TestClassifyFamily:
             d = SeiferterData(b=-1, r1=F(1, 3), r2=F(2, 3) - F(1, 10 ** e),
                               alpha=1, beta=0, alpha3=1, beta3=1)
             report = classify_family(d, (-50, 50))
-            assert report.tail_pos.certified and report.tail_pos.from_n == start
+            assert report.tail_pos.from_n == start
             assert report.tail_pos.is_lspace is False
-            assert report.tail_neg.certified and report.tail_neg.from_n == -51
+            assert report.tail_neg.from_n == -51
             assert [(s.from_n, s.to_n, s.is_lspace) for s in report.segments] == \
                 [(51, start - 1, True)]
             assert sorted(report.points) == list(range(-50, 51))
@@ -314,7 +311,96 @@ class TestClassifyFamily:
         member = spec.members[0]
         assert member.mirrored
         report = classify_family(member, (-5, 5))
-        assert report.tail_pos.certified and report.tail_pos.is_lspace
-        assert report.tail_neg.certified and report.tail_neg.is_lspace
+        assert report.tail_pos.is_lspace
+        assert report.tail_neg.is_lspace
         slope_m1, _ = member.point(-1)
         assert slope_m1 == -(22 + 31 + 11)
+
+
+def _random_seiferter(rng):
+    """Valid data with small entries: alpha = 0 in about a tenth of the
+    draws, the degenerate encoding (alpha3, beta3) = (0, 1) in another
+    tenth, and r1 + r2 = 1 in about a fifth."""
+    while True:
+        kind = rng.random()
+        if kind < 0.1:
+            alpha, beta, alpha3, beta3 = 1, rng.randint(-6, 6), 0, 1
+        else:
+            alpha3 = rng.choice([1, 1, 2, 3, 5, rng.randint(1, 30)])
+            alpha = 0 if kind < 0.2 else rng.randint(-9, 9)
+            if gcd(alpha, alpha3) != 1:
+                continue
+            # alpha * beta3 = 1 mod alpha3 makes the determinant one
+            beta3 = (pow(alpha, -1, alpha3) if alpha3 > 1 else 0) + alpha3 * rng.randint(-4, 4)
+            beta = (alpha * beta3 - 1) // alpha3
+        d1 = rng.randint(2, 12)
+        r1 = F(rng.randint(1, d1 - 1), d1)
+        r2 = 1 - r1 if rng.random() < 0.2 else F(rng.randint(1, 10), 11)
+        return SeiferterData(b=rng.randint(-5, 4), r1=r1, r2=r2, alpha=alpha, beta=beta,
+                             alpha3=alpha3, beta3=beta3)
+
+
+class TestRuns:
+    """One walk cuts all of Z into runs and singles; the report's segments
+    and tails are these runs clipped to the complement of the window."""
+
+    def test_runs_tile_z_with_pointwise_verdicts(self):
+        rng = random.Random(2718)
+        kinds = set()
+        for _ in range(300):
+            d = _random_seiferter(rng)
+            runs, singles = _runs(d)
+            pole = F(-d.alpha3, d.alpha) if d.alpha else None
+            kinds.add("alpha0-s2xs1" if d.alpha == 0 and singles else "alpha0" if d.alpha == 0
+                      else "integer pole" if pole.denominator == 1 else "pole")
+            spans = [(a, b) for a, b, *_ in runs]
+            parts = sorted(spans + [(j, j) for j in singles],
+                           key=lambda ab: (ab[0] is not None, ab[0]))
+            # the walk yields runs and singles in increasing order
+            assert [ab for ab in parts if ab[0] is None or ab[0] not in singles] == spans, d
+            assert singles == sorted(singles), d
+            assert parts[0][0] is None and parts[-1][1] is None, d
+            for (_, b), (a, _) in zip(parts, parts[1:]):
+                assert b is not None and a == b + 1, (d, parts)
+            if pole is not None:
+                left = [r for r in runs if r[1] is not None and r[1] < pole]
+                assert len(left) + sum(r[0] is not None and r[0] > pole for r in runs) \
+                    == len(runs), d
+                assert len(left) <= 6 and len(runs) - len(left) <= 6, (d, runs)
+            for j in singles:
+                v = fiber_slope(d, j)
+                assert v is INF or v.denominator == 1, (d, j)
+            for a, b, is_lspace, base, desc in runs:
+                if a is None and b is None:
+                    points = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(4)]
+                elif a is None:
+                    points = [b - i for i in (0, 1, 2, 7, 100, 10 ** 6)]
+                elif b is None:
+                    points = [a + i for i in (0, 1, 2, 7, 100, 10 ** 6)]
+                else:
+                    points = {a, b, *(rng.randint(a, b) for _ in range(3))}
+                for j in points:
+                    assert decide(surgered_space(d, j)).is_lspace is is_lspace, (d, j)
+                    if base is not None:
+                        v = fiber_slope(d, j)
+                        assert d.b + (v.numerator // v.denominator) == base, (d, j)
+                        assert desc.b == base
+        assert kinds == {"alpha0", "alpha0-s2xs1", "integer pole", "pole"}
+
+    def test_reports_do_not_depend_on_the_window(self):
+        rng = random.Random(3141)
+        for _ in range(120):
+            d = _random_seiferter(rng)
+            for mirrored in (False, True):
+                member = FamilyMember(data=d, mirrored=mirrored, offset=rng.randint(-9, 9))
+                # the pole, or for alpha = 0 the one possible S2 x S1 index,
+                # as a family index
+                pole = -d.alpha3 // d.alpha if d.alpha else d.b + d.beta3 + 1
+                pole = -pole - member.offset if mirrored else pole - member.offset
+                windows = [(lo, lo + rng.randint(0, 9))
+                           for lo in (rng.randint(-12, 3), pole + rng.randint(-150, 150))]
+                a, b = (classify_family(member, w) for w in windows)
+                lo = min(pole, *windows[0], *windows[1]) - 20
+                hi = max(pole, *windows[0], *windows[1]) + 20
+                for n in range(lo, hi + 1):
+                    assert a.lspace_at(n) is b.lspace_at(n), (d, mirrored, windows, n)
