@@ -2,7 +2,7 @@
 classification of the twist families of Dehn surgeries produced by seiferters.
 """
 
-from .rationals import INF, is_finite, simplest_between, sorted_triple
+from .rationals import INF, is_finite, simplest_between
 from .seifert import (Base, Classification, DegenerateEuler, SeifertForm, Tag,
                       UnsupportedFiberCount, classify, euler_number, h1_order,
                       mirror, normalize)

@@ -42,6 +42,9 @@ def _report_envelope(args, inputs, outputs, t0):
     }
 
 
+MAX_WINDOW = 10 ** 6  # indices a window may hold; each one is evaluated
+
+
 def _window(text: str):
     lo, sep, hi = text.partition("..")
     if not sep:
@@ -49,6 +52,8 @@ def _window(text: str):
     lo, hi = int(lo), int(hi)
     if lo > hi:
         raise ValueError("empty window")
+    if hi - lo >= MAX_WINDOW:
+        raise argparse.ArgumentTypeError(f"a window holds at most {MAX_WINDOW} indices")
     return lo, hi
 
 
@@ -151,7 +156,7 @@ def cmd_twist_scan(args) -> int:
     data = SeiferterData(b=args.b, r1=parse_rational(args.r1), r2=parse_rational(args.r2),
                          alpha=args.alpha, beta=args.beta,
                          alpha3=args.alpha3, beta3=args.beta3,
-                         m=args.m, l=args.l, realizable=False)
+                         m=args.m, l=args.l)
     report = classify_family(data, args.window)
     inputs = {"b": args.b, "r1": args.r1, "r2": args.r2,
               "alpha": args.alpha, "beta": args.beta,

@@ -103,7 +103,7 @@ def _degenerate_member(B: int, r1: Fraction, r2: Fraction, m: int, l: int,
     """Member whose seiferter is a degenerate fiber: slope 1/n, pole at n=0."""
     data = SeiferterData(b=B, r1=min(r1, r2), r2=max(r1, r2),
                          alpha=1, beta=0, alpha3=0, beta3=1,
-                         m=m, l=l, realizable=True)
+                         m=m, l=l)
     return FamilyMember(data=data, mirrored=mirrored, offset=offset, label=label)
 
 
@@ -186,7 +186,7 @@ def unknot_seiferter_data(m: int, p: int) -> SeiferterData:
     r1, r2 = form.slopes
     return SeiferterData(b=form.b, r1=r1, r2=r2,
                          alpha=m, beta=-1, alpha3=1, beta3=0,
-                         m=m, l=abs(p - m), realizable=True)
+                         m=m, l=abs(p - m))
 
 
 def unknot_seiferter_family(m: int, p: int) -> FamilySpec:
@@ -217,11 +217,11 @@ def tunnel2_family(which: str) -> FamilySpec:
     if which == "A":
         data = SeiferterData(b=-1, r1=Fraction(1, 2), r2=Fraction(5, 7),
                              alpha=14, beta=11, alpha3=5, beta3=4,
-                             m=71, l=14, realizable=True)
+                             m=71, l=14)
     elif which == "B":
         data = SeiferterData(b=0, r1=Fraction(1, 2), r2=Fraction(4, 5),
                              alpha=10, beta=-3, alpha3=7, beta3=-2,
-                             m=71, l=10, realizable=True)
+                             m=71, l=10)
     else:
         raise PreconditionFailed("which must be 'A' or 'B'")
     return FamilySpec(name=f"tunnel2-{which}",

@@ -1,21 +1,22 @@
 """Text grammar and JSON encoding.
 
 Text forms are ``SFS[S2; b; r1, r2, ...]`` (slopes may be raw: any rational,
-``inf``, or ``n/0`` for a degenerate fiber) and ``SFS[RP2]``.  All JSON
-numbers are exact integer pairs {"num": ..., "den": ...}; a decimal
-approximation is attached only when explicitly requested and never feeds back
-into any computation.
+``inf``, or ``n/0`` for a degenerate fiber) and ``SFS[RP2]``.  The parser
+takes the tokens from one regex scan and hands the slopes to the normal-form
+core in ``seifert`` as (num, den) integer pairs; token positions are worked
+out only for a ``ParseError``.  All JSON numbers are exact integer pairs
+{"num": ..., "den": ...}; a decimal approximation is attached only when
+explicitly requested and never feeds back into any computation.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from .rationals import INF, format_rational, int_text, is_finite
-from .seifert import Base, Classification, SeifertForm, normalize
+from .seifert import Base, Classification, SeifertForm, _normal_form
 from .lspace import LSpaceVerdict, ThirdSlotThreshold
 from .twist import FamilyReport, PointVerdict, Segment, TailCertificate
 
@@ -34,89 +35,99 @@ class ParseError(ValueError):
 _TOKEN = re.compile(r"\s*(-?\d+/\d+|-?\d+|inf|[A-Za-z]\w*|[\[\];,])")
 
 
-def _tokens(text: str):
-    out, i = [], 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if not m:
-            if text[i:].strip():
-                raise ParseError("unexpected character", text, i)
+def _tokens(text: str) -> list[str]:
+    """The token strings of text, from one scan.
+
+    Whitespace separates tokens and occurs in none, so the scan skipped a
+    character exactly when the tokens do not spell out the text's
+    non-whitespace characters.  Only then is the text walked token by token,
+    to find where the first character that starts no token is.
+    """
+    toks = _TOKEN.findall(text)
+    if "".join(toks) != "".join(text.split()):
+        i = 0
+        while m := _TOKEN.match(text, i):
+            i = m.end()
+        raise ParseError("unexpected character", text, i)
+    return toks
+
+
+def _error(message: str, text: str, k: int) -> ParseError:
+    """ParseError at the start of token k, or at the end of text past the last."""
+    at = len(text)
+    for j, m in enumerate(_TOKEN.finditer(text)):
+        if j == k:
+            at = m.start(1)
             break
-        out.append((m.group(1), m.start(1)))
-        i = m.end()
-    return out
+    return ParseError(message, text, at)
 
 
-def _integer(digits: str, text: str, at: int) -> int:
-    try:
-        return int(digits)
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
-        raise ParseError("integer too long", text, at) from None
+_OPEN = ["SFS", "["]
 
 
 def parse_form(text: str) -> SeifertForm:
-    """Parse the SFS grammar into a normalized form."""
+    """Parse the SFS grammar into a normalized form.
+
+    Slopes go to the normalization core as (num, den) pairs and degenerate
+    fibers as a count; no ``Fraction`` is built on the way.
+    """
     toks = _tokens(text)
-    pos = 0
-
-    def expect(value):
-        nonlocal pos
-        if pos >= len(toks) or toks[pos][0] != value:
-            at = toks[pos][1] if pos < len(toks) else len(text)
-            raise ParseError(f"expected {value!r}", text, at)
-        pos += 1
-
-    def peek():
-        return toks[pos][0] if pos < len(toks) else None
-
-    expect("SFS")
-    expect("[")
-    base = peek()
-    if base not in ("S2", "RP2"):
-        at = toks[pos][1] if pos < len(toks) else len(text)
-        raise ParseError("expected base 'S2' or 'RP2'", text, at)
-    pos += 1
+    end = len(toks)
+    if toks[:2] != _OPEN:
+        k = 1 if toks[:1] == _OPEN[:1] else 0
+        raise _error(f"expected {_OPEN[k]!r}", text, k)
+    base = toks[2] if end > 2 else None
     if base == "RP2":
-        expect("]")
-        if pos != len(toks):
-            raise ParseError("trailing input", text, toks[pos][1])
+        if toks[3:4] != ["]"]:
+            raise _error("expected ']'", text, 3)
+        if end != 4:
+            raise _error("trailing input", text, 4)
         return SeifertForm(base=Base.RP2)
-    expect(";")
-    tok, at = toks[pos] if pos < len(toks) else (None, len(text))
-    if tok is None or not re.fullmatch(r"-?\d+", tok):
-        raise ParseError("expected integer section term", text, at)
-    b = _integer(tok, text, at)
-    pos += 1
+    if base != "S2":
+        raise _error("expected base 'S2' or 'RP2'", text, 2)
+    if toks[3:4] != [";"]:
+        raise _error("expected ';'", text, 3)
+    tok = toks[4] if end > 4 else ""
+    # a token that starts with - or a digit is -?d+ or -?d+/d+
+    if not (tok[:1] == "-" or tok[:1].isdigit()) or "/" in tok:
+        raise _error("expected integer section term", text, 4)
+    try:
+        b = int(tok)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise _error("integer too long", text, 4) from None
     slopes = []
-    if peek() == ";":
-        pos += 1
+    degenerate = 0
+    k = 5
+    if k < end and toks[k] == ";":
         while True:
-            tok, at = toks[pos] if pos < len(toks) else (None, len(text))
-            if tok is None:
-                raise ParseError("expected a slope", text, at)
+            k += 1
+            if k >= end:
+                raise _error("expected a slope", text, k)
+            tok = toks[k]
             if tok == "inf":
-                slopes.append(INF)
+                degenerate += 1
             elif tok[0] == "-" or tok[0].isdigit():
-                # a numeric token: -?d+ or -?d+/d+
-                n, _, d = tok.partition("/")
-                num, den = _integer(n, text, at), _integer(d, text, at) if d else 1
+                num, _, den = tok.partition("/")
+                try:
+                    num, den = int(num), int(den) if den else 1
+                except ValueError:  # more digits than sys.get_int_max_str_digits()
+                    raise _error("integer too long", text, k) from None
                 if den:
-                    slopes.append(Fraction(num, den))
+                    slopes.append((num, den, None))
                 elif num:
-                    slopes.append(INF)
+                    degenerate += 1
                 else:
-                    raise ParseError("0/0 is not a slope", text, at)
+                    raise _error("0/0 is not a slope", text, k)
             else:
-                raise ParseError("expected a slope", text, at)
-            pos += 1
-            if peek() == ",":
-                pos += 1
-                continue
-            break
-    expect("]")
-    if pos != len(toks):
-        raise ParseError("trailing input", text, toks[pos][1])
-    return normalize(b, slopes)
+                raise _error("expected a slope", text, k)
+            k += 1
+            if k >= end or toks[k] != ",":
+                break
+    if k >= end or toks[k] != "]":
+        raise _error("expected ']'", text, k)
+    if k + 1 != end:
+        raise _error("trailing input", text, k + 1)
+    return _normal_form(b, slopes, degenerate)
 
 
 @lru_cache(maxsize=256)
@@ -177,14 +188,6 @@ def rational_json(x, float_mode=False):
     return out
 
 
-def rational_from_json(obj):
-    if obj is None:
-        return None
-    if obj["den"] == 0:
-        return INF
-    return Fraction(obj["num"], obj["den"])
-
-
 def form_json(f: SeifertForm, float_mode=False):
     return {
         "base": f.base.value,
@@ -193,14 +196,6 @@ def form_json(f: SeifertForm, float_mode=False):
         "degenerate": f.degenerate,
         "text": repr(f),
     }
-
-
-def form_from_json(obj) -> SeifertForm:
-    if obj["base"] == "RP2":
-        return SeifertForm(base=Base.RP2)
-    return SeifertForm(base=Base.S2, b=obj["b"],
-                       slopes=tuple(rational_from_json(r) for r in obj["slopes"]),
-                       degenerate=obj["degenerate"])
 
 
 def classification_json(c: Classification):

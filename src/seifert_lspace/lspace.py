@@ -31,8 +31,8 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .rationals import INF, farey_neighbours, simplest_pair, sorted_triple
-from .seifert import Classification, SeifertForm, Tag, classify
+from .rationals import INF, farey_neighbours, simplest_pair
+from .seifert import Classification, SeifertForm, Tag, classify, normalize
 
 
 @dataclass(frozen=True)
@@ -142,14 +142,14 @@ def _decide_classified(f: SeifertForm, c: Classification) -> LSpaceVerdict:
     b = f.b
     if b >= 0 or b <= -3:
         return LSpaceVerdict(True, Reason.B_LARGE)
+    r1, r2, r3 = f.slopes
+    p1, q1 = r1.numerator, r1.denominator
+    p2, q2 = r2.numerator, r2.denominator
+    p3, q3 = r3.numerator, r3.denominator
     dual = b == -2
     if dual:
-        # complemented slopes in sorted order, without building new fractions
-        pairs = [(r.denominator - r.numerator, r.denominator)
-                 for r in reversed(f.slopes)]
-    else:
-        pairs = [(r.numerator, r.denominator) for r in f.slopes]
-    (p1, q1), (p2, q2), (p3, q3) = pairs
+        # complemented slopes in sorted order: 1 - r3 <= 1 - r2 <= 1 - r1
+        p1, q1, p2, p3, q3 = q3 - p3, q3, q2 - p2, q1 - p1, q1
     w = _witness_from_pairs(p1, q1, p2, q2, p3, q3)
     bound = search_bound(p1, q1)
     if c.h1 is INF:
@@ -244,12 +244,12 @@ def third_slot_threshold(b: int, r1: Fraction, r2: Fraction) -> ThirdSlotThresho
         if t == 0:
             return ThirdSlotThreshold(b, r1, r2, IntervalKind.UP_CLOSED,
                                       Fraction(0), False)
-        attained = decide(SeifertForm(b=-1, slopes=sorted_triple(r1, r2, t))).is_lspace
+        attained = decide(normalize(-1, (r1, r2, t))).is_lspace
         return ThirdSlotThreshold(b, r1, r2, IntervalKind.UP_CLOSED, t, attained)
     t = _not_lspace_sup(1 - r1, 1 - r2)
     if t == 0:
         return ThirdSlotThreshold(b, r1, r2, IntervalKind.DOWN_CLOSED,
                                   Fraction(1), False)
     boundary = 1 - t
-    attained = decide(SeifertForm(b=-2, slopes=sorted_triple(r1, r2, boundary))).is_lspace
+    attained = decide(normalize(-2, (r1, r2, boundary))).is_lspace
     return ThirdSlotThreshold(b, r1, r2, IntervalKind.DOWN_CLOSED, boundary, attained)

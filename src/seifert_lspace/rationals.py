@@ -1,4 +1,4 @@
-"""Exact slope arithmetic: rationals, a single point at infinity, sorted triples.
+"""Exact slope arithmetic: rationals and a single point at infinity.
 
 Every number in this package is an exact ``fractions.Fraction``; nothing is
 ever rounded and integers are arbitrary precision.  The slope of a degenerate
@@ -35,11 +35,6 @@ ExtRational = Fraction | _Infinity
 
 def is_finite(x) -> bool:
     return not isinstance(x, _Infinity)
-
-
-def sorted_triple(a, b, c) -> tuple:
-    """The three values in nondecreasing order."""
-    return tuple(sorted((a, b, c)))
 
 
 def simplest_pair(p: int, q: int, r: int, s: int) -> tuple[int, int]:

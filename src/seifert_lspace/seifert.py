@@ -8,6 +8,13 @@ single infinite value.  Spaces fibered over the projective plane are carried
 as a bare marker, because the only fact used about them downstream is that
 they are L-spaces whenever they are rational homology spheres.
 
+Normalization is one integer core, ``_normal_form``: it folds the integer
+parts of (num, den) pairs into b, sorts the remainders by cross-multiplication
+and builds the form without re-validating it.  The text parser hands it pairs
+straight from the tokens; ``normalize`` is its adapter for ``Fraction`` and
+``INF`` slopes, and ``mirror`` builds its already-normal result directly.
+``SeifertForm(...)`` itself still validates, for every other caller.
+
 The first homology order of S2(b; r_1, ..., r_k) is |alpha_1 ... alpha_k *
 (b + r_1 + ... + r_k)|; order zero means positive first Betti number and is
 reported as INF.
@@ -20,7 +27,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .rationals import INF, int_text, is_finite
+from .rationals import INF, int_text
+
+_new_object = object.__new__
 
 
 class Base(Enum):
@@ -74,6 +83,40 @@ class SeifertForm:
         return f"SFS[{inner}]"
 
 
+def _trusted_form(b: int, slopes: tuple, degenerate: int) -> SeifertForm:
+    """A sphere-base form from data already in normal form, skipping the
+    checks of ``__post_init__``."""
+    f = _new_object(SeifertForm)
+    f.__dict__.update(base=Base.S2, b=b, slopes=slopes, degenerate=degenerate)
+    return f
+
+
+def _normal_form(b: int, slopes, degenerate: int) -> SeifertForm:
+    """The normal form of S2(b; slopes, inf * degenerate).
+
+    ``slopes`` holds (p, q, r): any rational p/q with q > 0, not necessarily
+    reduced, and r the same value as a ``Fraction`` when the caller has one
+    (kept as it is if it lies in (0,1)), else None.  Integer parts fold into
+    b, integral slopes vanish, and the rest are sorted by cross-multiplication;
+    only the slopes without a kept ``Fraction`` build one.
+    """
+    out = []
+    for p, q, r in slopes:
+        if not 0 < p < q:
+            whole = p // q
+            b += whole
+            p -= whole * q
+            if not p:
+                continue
+            r = None
+        i = len(out)
+        while i and p * out[i - 1][1] < out[i - 1][0] * q:
+            i -= 1
+        out.insert(i, (p, q, r))
+    return _trusted_form(b, tuple([Fraction(p, q) if r is None else r for p, q, r in out]),
+                         degenerate)
+
+
 def normalize(b: int, raw, base: Base = Base.S2) -> SeifertForm:
     """Fold integer parts of the raw slopes into b and sort what remains.
 
@@ -82,30 +125,14 @@ def normalize(b: int, raw, base: Base = Base.S2) -> SeifertForm:
     """
     if base is Base.RP2:
         return SeifertForm(base=Base.RP2)
-    b = int(b)
     slopes = []
     degenerate = 0
     for r in raw:
-        if not is_finite(r):
+        if r is INF:
             degenerate += 1
-            continue
-        p, q = r.numerator, r.denominator
-        if 0 < p < q:
-            slopes.append(r)
-            continue
-        whole = p // q
-        b += whole
-        p -= whole * q
-        if p:
-            slopes.append(Fraction(p, q))  # still reduced: gcd(p - wq, q) = gcd(p, q)
-    out = []
-    for r in slopes:  # insertion sort by integer cross-multiplication
-        p, q = r.numerator, r.denominator
-        i = len(out)
-        while i > 0 and p * out[i - 1].denominator < out[i - 1].numerator * q:
-            i -= 1
-        out.insert(i, r)
-    return SeifertForm(base=base, b=b, slopes=tuple(out), degenerate=degenerate)
+        else:
+            slopes.append((r.numerator, r.denominator, r))
+    return _normal_form(int(b), slopes, degenerate)
 
 
 def euler_number(f: SeifertForm) -> Fraction:
@@ -120,12 +147,11 @@ def h1_order(f: SeifertForm):
     if f.base is not Base.S2 or f.degenerate:
         raise DegenerateEuler("h1_order needs a nondegenerate form over S2; "
                               "classify() covers the degenerate cases")
-    prod = 1
+    # n/d runs through b + r_1 + ... with d the product of the denominators
+    n, d = f.b, 1
     for r in f.slopes:
-        prod *= r.denominator
-    n = prod * f.b
-    for r in f.slopes:
-        n += r.numerator * (prod // r.denominator)
+        q = r.denominator
+        n, d = n * q + r.numerator * d, d * q
     return INF if n == 0 else abs(n)
 
 
@@ -177,9 +203,12 @@ def classify(f: SeifertForm) -> Classification:
 
 
 def mirror(f: SeifertForm) -> SeifertForm:
-    """Orientation reversal: S2(b; r_i) -> S2(-b-k; 1-r_i), degenerate count kept."""
+    """Orientation reversal: S2(b; r_1, ..., r_k) -> S2(-b-k; 1-r_k, ..., 1-r_1),
+    degenerate count kept; the complements are already in (0,1) and in order."""
     if f.base is not Base.S2:
         raise ValueError("mirror is only defined over S2 here")
-    form = normalize(-f.b, [-r for r in f.slopes])
-    return SeifertForm(base=Base.S2, b=form.b, slopes=form.slopes,
-                       degenerate=f.degenerate)
+    slopes = f.slopes
+    return _trusted_form(-f.b - len(slopes),
+                         tuple([Fraction(r.denominator - r.numerator, r.denominator)
+                                for r in reversed(slopes)]),
+                         f.degenerate)

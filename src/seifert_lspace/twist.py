@@ -49,9 +49,7 @@ class SeiferterData:
     ``b, r1, r2`` describe the fixed part of the fibration (both slopes in
     (0,1)); ``alpha, beta, alpha3, beta3`` the meridian/longitude data of the
     seiferter; ``m`` the surgery slope before twisting and ``l`` the linking
-    number with the knot.  ``realizable`` marks catalog data known to come
-    from an actual knot-seiferter pair (synthetic data may violate the
-    homology relation |H1| = |m_n|).
+    number with the knot.
     """
     b: int
     r1: Fraction
@@ -62,7 +60,6 @@ class SeiferterData:
     beta3: int
     m: int = 0
     l: int = 0
-    realizable: bool = False
 
     def __post_init__(self):
         if not (0 < self.r1 < 1 and 0 < self.r2 < 1):

@@ -1,21 +1,35 @@
 """Independent oracles the test suite checks the library against.
 
-Nothing here shares code with the package: the witness enumerator walks a
-precomputed table of every coprime pair up to a fixed k with no pruning, and
-the homology oracle evaluates an integer presentation-matrix determinant
-directly from raw (unnormalized) slope data.  ``loop_witness`` and
+The witness enumerator walks a precomputed table of every coprime pair up
+to a fixed k with no pruning, and the homology oracle evaluates an integer
+presentation-matrix determinant directly from raw (unnormalized) slope data;
+neither shares code with the package.  ``loop_witness`` and
 ``loop_not_lspace_sup`` are the package's former witness search and
 third-slot supremum, which walk every k below 1/s1 (linear in that
-denominator); they are the references for the Stern-Brocot versions.
+denominator); they are the references for the Stern-Brocot versions.  The
+``fraction_*`` functions are the package's former text parser,
+``normalize``, ``classify`` and ``decide``, which build a ``Fraction`` per
+slope and a form through the validating ``SeifertForm`` constructor; they are
+the references for the integer-pair path.  They share only the package's
+data classes, ``ParseError`` and the witness core ``_witness_from_pairs``.
 """
 
 from __future__ import annotations
 
+import math
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
+
+from seifert_lspace.formats import ParseError
+from seifert_lspace.lspace import (LSpaceVerdict, Reason, _witness_from_pairs,
+                                   search_bound)
+from seifert_lspace.rationals import INF, is_finite
+from seifert_lspace.seifert import (Base, Classification, DegenerateEuler,
+                                    SeifertForm, Tag, UnsupportedFiberCount)
 
 _TABLES = {}
 
@@ -182,3 +196,215 @@ def random_unit_fraction(rng: random.Random, max_den: int) -> Fraction:
 
 def random_triple(rng: random.Random, max_den: int):
     return tuple(sorted(random_unit_fraction(rng, max_den) for _ in range(3)))
+
+
+# ---- the Fraction-based text-to-verdict path, kept verbatim as a reference
+
+_FRACTION_TOKEN = re.compile(r"\s*(-?\d+/\d+|-?\d+|inf|[A-Za-z]\w*|[\[\];,])")
+
+
+def fraction_tokens(text: str):
+    out, i = [], 0
+    while i < len(text):
+        m = _FRACTION_TOKEN.match(text, i)
+        if not m:
+            if text[i:].strip():
+                raise ParseError("unexpected character", text, i)
+            break
+        out.append((m.group(1), m.start(1)))
+        i = m.end()
+    return out
+
+
+def _integer(digits: str, text: str, at: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError("integer too long", text, at) from None
+
+
+def fraction_parse_form(text: str) -> SeifertForm:
+    """Parse the SFS grammar into a normalized form."""
+    toks = fraction_tokens(text)
+    pos = 0
+
+    def expect(value):
+        nonlocal pos
+        if pos >= len(toks) or toks[pos][0] != value:
+            at = toks[pos][1] if pos < len(toks) else len(text)
+            raise ParseError(f"expected {value!r}", text, at)
+        pos += 1
+
+    def peek():
+        return toks[pos][0] if pos < len(toks) else None
+
+    expect("SFS")
+    expect("[")
+    base = peek()
+    if base not in ("S2", "RP2"):
+        at = toks[pos][1] if pos < len(toks) else len(text)
+        raise ParseError("expected base 'S2' or 'RP2'", text, at)
+    pos += 1
+    if base == "RP2":
+        expect("]")
+        if pos != len(toks):
+            raise ParseError("trailing input", text, toks[pos][1])
+        return SeifertForm(base=Base.RP2)
+    expect(";")
+    tok, at = toks[pos] if pos < len(toks) else (None, len(text))
+    if tok is None or not re.fullmatch(r"-?\d+", tok):
+        raise ParseError("expected integer section term", text, at)
+    b = _integer(tok, text, at)
+    pos += 1
+    slopes = []
+    if peek() == ";":
+        pos += 1
+        while True:
+            tok, at = toks[pos] if pos < len(toks) else (None, len(text))
+            if tok is None:
+                raise ParseError("expected a slope", text, at)
+            if tok == "inf":
+                slopes.append(INF)
+            elif tok[0] == "-" or tok[0].isdigit():
+                # a numeric token: -?d+ or -?d+/d+
+                n, _, d = tok.partition("/")
+                num, den = _integer(n, text, at), _integer(d, text, at) if d else 1
+                if den:
+                    slopes.append(Fraction(num, den))
+                elif num:
+                    slopes.append(INF)
+                else:
+                    raise ParseError("0/0 is not a slope", text, at)
+            else:
+                raise ParseError("expected a slope", text, at)
+            pos += 1
+            if peek() == ",":
+                pos += 1
+                continue
+            break
+    expect("]")
+    if pos != len(toks):
+        raise ParseError("trailing input", text, toks[pos][1])
+    return fraction_normalize(b, slopes)
+
+
+def fraction_normalize(b: int, raw, base: Base = Base.S2) -> SeifertForm:
+    """Fold integer parts of the raw slopes into b and sort what remains.
+
+    Integral slopes (in particular zeros) disappear into the section term;
+    infinite entries are counted as degenerate fibers.
+    """
+    if base is Base.RP2:
+        return SeifertForm(base=Base.RP2)
+    b = int(b)
+    slopes = []
+    degenerate = 0
+    for r in raw:
+        if not is_finite(r):
+            degenerate += 1
+            continue
+        p, q = r.numerator, r.denominator
+        if 0 < p < q:
+            slopes.append(r)
+            continue
+        whole = p // q
+        b += whole
+        p -= whole * q
+        if p:
+            slopes.append(Fraction(p, q))  # still reduced: gcd(p - wq, q) = gcd(p, q)
+    out = []
+    for r in slopes:  # insertion sort by integer cross-multiplication
+        p, q = r.numerator, r.denominator
+        i = len(out)
+        while i > 0 and p * out[i - 1].denominator < out[i - 1].numerator * q:
+            i -= 1
+        out.insert(i, r)
+    return SeifertForm(base=base, b=b, slopes=tuple(out), degenerate=degenerate)
+
+
+def fraction_h1_order(f: SeifertForm):
+    """|H_1| of a nondegenerate sphere-base form: an integer, or INF if infinite."""
+    if f.base is not Base.S2 or f.degenerate:
+        raise DegenerateEuler("h1_order needs a nondegenerate form over S2; "
+                              "classify() covers the degenerate cases")
+    prod = 1
+    for r in f.slopes:
+        prod *= r.denominator
+    n = prod * f.b
+    for r in f.slopes:
+        n += r.numerator * (prod // r.denominator)
+    return INF if n == 0 else abs(n)
+
+
+def fraction_classify(f: SeifertForm) -> Classification:
+    """Coarse homeomorphism type of a normalized form.
+
+    At most three finite exceptional fibers are supported, and at most one
+    degenerate fiber alongside finite ones.  Two or more degenerate fibers
+    with nothing else is the product case S2 x S1.
+    """
+    if f.base is Base.RP2:
+        return Classification(Tag.RP2_BASE)
+    k = len(f.slopes)
+    if f.degenerate == 0:
+        if k > 3:
+            raise UnsupportedFiberCount(f"{k} exceptional fibers")
+        h = fraction_h1_order(f)
+        if k == 3:
+            return Classification(Tag.SMALL_SFS, h)
+        if h is INF:
+            return Classification(Tag.S2XS1, h)
+        return Classification(Tag.S3 if h == 1 else Tag.LENS, h)
+    if f.degenerate == 1 and k <= 2:
+        orders = tuple(r.denominator for r in f.slopes)
+        h = math.prod(orders)
+        if k == 2:
+            return Classification(Tag.CONNECTED_SUM_LENS, h, orders)
+        return Classification(Tag.S3 if h == 1 else Tag.LENS, h)
+    if f.degenerate >= 2 and k == 0:
+        return Classification(Tag.S2XS1, INF)
+    raise UnsupportedFiberCount(
+        f"{k} finite + {f.degenerate} degenerate fibers is outside the supported range")
+
+
+def fraction_decide(f: SeifertForm) -> LSpaceVerdict:
+    """Is the (normalized) Seifert form an L-space?"""
+    c = fraction_classify(f)
+    return _fraction_decide_classified(f, c)
+
+
+def _fraction_decide_classified(f: SeifertForm, c: Classification) -> LSpaceVerdict:
+    if c.tag is Tag.RP2_BASE:
+        return LSpaceVerdict(True, Reason.RP2_BASE)
+    if c.tag is Tag.CONNECTED_SUM_LENS:
+        # both summand orders are >= 2, so neither summand is S3 or S2 x S1
+        return LSpaceVerdict(True, Reason.CONNECTED_SUM_OF_LSPACES)
+    if c.tag is Tag.S2XS1:
+        return LSpaceVerdict(False, Reason.INFINITE_H1, infinite_h1=True)
+    if c.tag in (Tag.S3, Tag.LENS):
+        return LSpaceVerdict(True, Reason.LENS_NOT_S2XS1)
+
+    b = f.b
+    if b >= 0 or b <= -3:
+        return LSpaceVerdict(True, Reason.B_LARGE)
+    dual = b == -2
+    if dual:
+        # complemented slopes in sorted order, without building new fractions
+        pairs = [(r.denominator - r.numerator, r.denominator)
+                 for r in reversed(f.slopes)]
+    else:
+        pairs = [(r.numerator, r.denominator) for r in f.slopes]
+    (p1, q1), (p2, q2), (p3, q3) = pairs
+    w = _witness_from_pairs(p1, q1, p2, q2, p3, q3)
+    bound = search_bound(p1, q1)
+    if c.h1 is INF:
+        # not a rational homology sphere, hence not an L-space; the witness
+        # (which exists exactly when a horizontal foliation does) is still
+        # reported alongside.
+        return LSpaceVerdict(False, Reason.INFINITE_H1, witness=w,
+                             witness_is_dual=dual and w is not None,
+                             search_bound=bound, infinite_h1=True)
+    if w is not None:
+        return LSpaceVerdict(False, Reason.DUAL_WITNESS if dual else Reason.WITNESS,
+                             witness=w, witness_is_dual=dual, search_bound=bound)
+    return LSpaceVerdict(True, Reason.NO_WITNESS_EXHAUSTIVE, search_bound=bound)

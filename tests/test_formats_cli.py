@@ -1,7 +1,10 @@
 """Text grammar, JSON round-trips, CLI verbs and exit codes."""
 
+import argparse
 import json
+import random
 import sys
+import time
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -10,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seifert_lspace import INF, Base, SeifertForm, normalize
-from seifert_lspace.cli import main
+from seifert_lspace.cli import MAX_WINDOW, _window, main
 from seifert_lspace.corpus import CASES, Case, Check, run_corpus
-from seifert_lspace.formats import (ParseError, dumps, form_from_json, form_json,
-                                    parse_form, rational_from_json,
+from seifert_lspace.formats import (ParseError, dumps, form_json, parse_form,
                                     rational_json)
+
+from oracles import fraction_parse_form
 
 
 def F(n, d=1):
@@ -64,13 +68,16 @@ class TestGrammar:
     @given(st.one_of(
         # token soup: mostly rejected, at every position
         st.lists(st.sampled_from(["SFS", "S2", "RP2", "inf", "-", "/", "[", "]", ";",
-                                  ",", " ", "x", "Q", "s2", "é"]
+                                  ",", " ", "x", "Q", "s2", "é", "\t", "\u00a0", "\u0663"]
                                  + list("0123456789")), max_size=24).map("".join),
         # grammar-shaped: mostly accepted, with raw, zero and degenerate slopes
         st.builds("SFS[S2; {}; {}]".format, integers,
                   st.lists(st.builds("{}/{}".format, integers, digits) | integers
                            | st.just("inf"), max_size=5).map(", ".join))))
     def test_fuzz_gives_form_or_parse_error(self, text):
+        # the same form, or the same error at the same place, as the
+        # Fraction-based parser
+        _assert_parses_like_fraction_parser(text)
         try:
             f = parse_form(text)
         except ParseError as err:
@@ -79,6 +86,35 @@ class TestGrammar:
         assert isinstance(f, SeifertForm)
         assert parse_form(repr(f)) == f
 
+    def test_matches_fraction_parser_on_seeded_forms(self):
+        # raw slopes with integer parts and numerators up to 10^20,
+        # unreduced, integral, degenerate and 0/0 slopes, odd spacing, and a
+        # corrupted character in some texts
+        rng = random.Random(6)
+        space = ("", " ", "  ", "\t", "\n", "\u2003")
+
+        def num():
+            return str(rng.randint(-10 ** rng.choice((1, 3, 20)), 10 ** rng.choice((1, 3, 20))))
+
+        def slope():
+            u = rng.random()
+            if u < 0.05:
+                return rng.choice(("inf", "1/0", "-3/00", "0/0", "0"))
+            return num() if u < 0.15 else f"{num()}/{rng.randint(0, 10 ** rng.choice((1, 3, 20)))}"
+
+        for _ in range(5000):
+            parts = ["SFS", "[", "S2", ";", num(), ";"]
+            for i in range(rng.randint(0, 4)):
+                parts += ([","] if i else []) + [slope()]
+            parts.append("]")
+            if rng.random() < 0.03:
+                parts[2:] = ["RP2", "]"]
+            text = "".join(rng.choice(space) + p for p in parts) + rng.choice(space)
+            if rng.random() < 0.1:
+                i = rng.randrange(len(text) + 1)
+                text = text[:i] + rng.choice("x,;/-[]é7 ") + text[i:]
+            _assert_parses_like_fraction_parser(text)
+
     def test_round_trip_through_repr(self):
         for text in ("SFS[S2; -2; 2/3, 2/3, 2/3]", "SFS[RP2]", "SFS[S2; 4]",
                      "SFS[S2; 3; 1/2, 2/3, inf]"):
@@ -86,19 +122,33 @@ class TestGrammar:
             assert parse_form(repr(f)) == f
 
 
+def _assert_parses_like_fraction_parser(text):
+    try:
+        want = fraction_parse_form(text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            parse_form(text)
+        assert (got.value.message, got.value.pos) == (err.message, err.pos), text
+        return
+    f = parse_form(text)
+    assert f == want and repr(f) == repr(want), text
+
+
 class TestJson:
     def test_rational_round_trip(self):
-        for x in (F(2, 3), F(-25, 6), F(10 ** 40 + 1, 10 ** 30 + 3), INF):
-            assert rational_from_json(rational_json(x)) == x or x is INF
+        for x in (F(2, 3), F(-25, 6), F(10 ** 40 + 1, 10 ** 30 + 3)):
+            assert rational_json(x) == {"num": x.numerator, "den": x.denominator}
 
     def test_infinite_encoding(self):
         assert rational_json(INF) == {"num": 1, "den": 0}
-        assert rational_from_json({"num": 1, "den": 0}) is INF
 
     def test_form_round_trip_bit_exact(self):
         big = F(10 ** 30 + 1, 2 * 10 ** 30 + 1)
         f = normalize(-7, (big, F(1, 2), INF))
-        assert form_from_json(json.loads(json.dumps(form_json(f)))) == f
+        obj = json.loads(json.dumps(form_json(f)))
+        assert SeifertForm(base=Base(obj["base"]), b=obj["b"],
+                           slopes=tuple(F(r["num"], r["den"]) for r in obj["slopes"]),
+                           degenerate=obj["degenerate"]) == f
 
     def test_float_mode_only_adds_approx(self):
         with_f = rational_json(F(2, 3), float_mode=True)
@@ -229,6 +279,24 @@ class TestCliOtherVerbs:
                    "--alpha", "2", "--beta", "1", "--alpha3", "1", "--beta3", "2"])
         capsys.readouterr()
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["family", "run", "K(3,2;5,n)"],
+        ["twist-scan", "--b", "-1", "--r1", "1/3", "--r2", "1997/3000", "--alpha", "1",
+         "--beta", "0", "--alpha3", "1", "--beta3", "1"]])
+    def test_window_past_the_limit_exits_2_at_once(self, argv, capsys):
+        t0 = time.perf_counter()
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--window=-1000000000000..1000000000000"])
+        assert err.value.code == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert f"at most {MAX_WINDOW} indices" in capsys.readouterr().err
+
+    def test_window_limit_is_inclusive(self):
+        assert MAX_WINDOW == 10 ** 6
+        assert _window("-500000..499999") == (-500000, 499999)
+        with pytest.raises(argparse.ArgumentTypeError):
+            _window("-500000..500000")
 
     def test_family_list_and_run(self, capsys):
         assert main(["family", "list"]) == 0

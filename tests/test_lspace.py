@@ -8,11 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seifert_lspace import (INF, FoliationWitness, IntervalKind, Reason,
-                            SeifertForm, decide, mirror, normalize,
+                            SeifertForm, classify, decide, mirror, normalize,
                             third_slot_threshold, witness_search)
 from seifert_lspace.lspace import _not_lspace_sup, search_bound
 
-from oracles import (loop_not_lspace_sup, loop_witness, naive_is_lspace,
+from oracles import (fraction_classify, fraction_decide, fraction_normalize,
+                     loop_not_lspace_sup, loop_witness, naive_is_lspace,
                      naive_witness, random_triple, random_unit_fraction)
 
 unit = st.fractions(min_value=Fraction(1, 60), max_value=Fraction(59, 60), max_denominator=60)
@@ -212,6 +213,41 @@ class TestAgainstLoopOracles:
             u = Fraction(rng.randint(5, 60), q)
             v = random_unit_fraction(rng, q)
             assert _not_lspace_sup(u, v) == loop_not_lspace_sup(u, v), (u, v)
+
+
+class TestAgainstFractionOracles:
+    """normalize, classify and decide against the former Fraction path."""
+
+    def test_random_raw_triples(self):
+        # slopes p/q in (0,1) with q up to 10^18, shifted out of (0,1) by
+        # random integer parts w that the section term absorbs; some are
+        # integral or infinite, and some triples have euler number 0
+        rng = random.Random(600)
+        rand = rng.randrange
+        zero_euler = 0
+        for i in range(100_000):
+            den = rng.choice((60, 10 ** 6, 10 ** 18))
+            b = rng.choice((-1, -1, -2, -2, -3, 0))
+            raw = []
+            for _ in range(3):
+                q = rand(2, den + 1)
+                w = rand(-3, 4)
+                b -= w
+                raw.append(Fraction(rand(1, q) + w * q, q))
+            if i % 50 == 0:
+                # replace the last slope by the one that makes b + sum zero
+                last = -b - raw[0] - raw[1]
+                if last.denominator > 1:
+                    raw[2] = last
+            elif i % 97 == 0:
+                raw[rand(3)] = rng.choice((INF, Fraction(rand(-3, 4))))
+            f, want = normalize(b, raw), fraction_normalize(b, raw)
+            assert f == want, (b, raw)
+            c = classify(f)
+            assert c == fraction_classify(want), (b, raw)
+            assert decide(f) == fraction_decide(want), (b, raw)
+            zero_euler += c.h1 is INF
+        assert zero_euler > 1500
 
 
 N18 = 10 ** 18

@@ -1,4 +1,4 @@
-"""Exact arithmetic, sorted triples, and the minimal-denominator search."""
+"""Exact arithmetic and the minimal-denominator search."""
 
 import random
 import sys
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from seifert_lspace.rationals import (INF, farey_neighbours, format_rational,
                                       int_text, is_finite, parse_rational,
-                                      parse_slope, simplest_between, sorted_triple)
+                                      parse_slope, simplest_between)
 
 fractions_1e6 = st.fractions(min_value=Fraction(-10 ** 6), max_value=Fraction(10 ** 6),
                              max_denominator=10 ** 6)
@@ -63,15 +63,6 @@ def test_int_text_past_the_conversion_limit():
     assert format_rational(Fraction(-(10 ** 5000), 3)) == "-1" + "0" * 5000 + "/3"
 
 
-def test_sorted_triple_examples():
-    a, b, c = Fraction(2, 3), Fraction(1, 3), Fraction(1, 2)
-    assert sorted_triple(a, b, c) == (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
-    t = (Fraction(1, 3),) * 3
-    assert sorted_triple(*t) == t
-    assert sorted_triple(Fraction(1, 7), Fraction(1, 2), Fraction(1, 3)) == \
-        (Fraction(1, 7), Fraction(1, 3), Fraction(1, 2))
-
-
 @given(fractions_1e6, fractions_1e6)
 def test_arithmetic_round_trips(x, y):
     assert (x + y) - y == x
@@ -83,13 +74,6 @@ def test_order_total_and_transitive(x, y, z):
     assert (x < y) or (y < x) or (x == y)
     if x < y and y < z:
         assert x < z
-
-
-@given(st.tuples(fractions_1e6, fractions_1e6, fractions_1e6))
-def test_sorted_triple_idempotent(t):
-    s = sorted_triple(*t)
-    assert sorted_triple(*s) == s
-    assert s[0] <= s[1] <= s[2]
 
 
 def _no_smaller_denominator(lo, hi, den):

@@ -1,5 +1,6 @@
 """Normal form bookkeeping: normalization, euler number, homology, mirror."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from seifert_lspace import (INF, Base, DegenerateEuler, SeifertForm, Tag,
                             UnsupportedFiberCount, classify, euler_number,
                             h1_order, mirror, normalize)
 
-from oracles import presentation_h1
+from oracles import fraction_normalize, presentation_h1
 
 slope = st.fractions(min_value=Fraction(-20), max_value=Fraction(20), max_denominator=50)
 unit = st.fractions(min_value=Fraction(1, 50), max_value=Fraction(49, 50), max_denominator=50)
@@ -50,6 +51,16 @@ class TestNormalize:
             SeifertForm(b=0, slopes=(F(5, 3),))
         with pytest.raises(ValueError):
             SeifertForm(b=0, slopes=(F(2, 3), F(1, 2)))
+        # out of (0,1), or unsorted anywhere in the tuple
+        for slopes in ((F(0),), (F(1),), (F(-1, 2),), (F(1, 2), F(1)), (F(1, 3), F(7, 5)),
+                       (F(1, 3), F(2, 3), F(1, 2)), (F(2, 3), F(1, 3), F(1, 2)),
+                       (F(1, 10 ** 18), F(1, 10 ** 18 + 1))):
+            with pytest.raises(ValueError):
+                SeifertForm(b=0, slopes=slopes)
+        with pytest.raises(ValueError):
+            SeifertForm(b=0, degenerate=-1)
+        with pytest.raises(ValueError):
+            SeifertForm(base=Base.RP2, b=1)
 
 
 class TestEulerNumber:
@@ -145,3 +156,19 @@ class TestMirror:
     def test_degenerate_count_preserved(self):
         f = normalize(2, (F(1, 2), INF))
         assert mirror(f).degenerate == 1
+
+    def test_matches_normalize_of_negated_slopes(self):
+        # mirror builds S2(-b-k; 1-r_k, ..., 1-r_1) directly; it must be the
+        # normal form of S2(-b; -r_1, ..., -r_k), degenerate fibers kept
+        rng = random.Random(66)
+        for _ in range(3000):
+            den = rng.choice((7, 60, 10 ** 18))
+            raw = [F(rng.randint(-3 * den, 3 * den), rng.randint(1, den))
+                   for _ in range(rng.randint(0, 4))]
+            f = normalize(rng.randint(-9, 9), raw + [INF] * rng.choice((0, 0, 1, 2)))
+            want = fraction_normalize(-f.b, [-r for r in f.slopes] + [INF] * f.degenerate)
+            got = mirror(f)
+            assert got == want and repr(got) == repr(want), f
+            # and it passes the checks of the validating constructor
+            assert SeifertForm(base=got.base, b=got.b, slopes=got.slopes,
+                               degenerate=got.degenerate) == got

@@ -19,9 +19,9 @@ def F(n, d=1):
 
 
 TREFOIL = SeiferterData(b=3, r1=F(1, 2), r2=F(2, 3), alpha=1, beta=0,
-                        alpha3=0, beta3=1, m=6, l=5, realizable=True)
+                        alpha3=0, beta3=1, m=6, l=5)
 CASE1 = SeiferterData(b=-1, r1=F(1, 3), r2=F(2, 3), alpha=0, beta=-1,
-                      alpha3=1, beta3=0, m=0, l=3, realizable=True)
+                      alpha3=1, beta3=0, m=0, l=3)
 
 
 class TestSeiferterData:
