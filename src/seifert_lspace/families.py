@@ -5,8 +5,9 @@ in closed Seifert form.  For surgeries on torus knots and their cables whose
 result is a connected sum of two lens spaces, the Seifert data is pinned down
 by the homology identity |H1| = |pq + n l^2|: ``torus_pq_candidates``
 enumerates the (at most one) base form S2(B; b1/p, b2/q) compatible with it.
-The guarantee attached to a family is a claim to be checked by the twist
-engine over a window, not a rederived proof.
+The guarantee attached to a family is a claim about every integer n, not a
+rederived proof; the twist engine checks it over all of Z from the runs and
+singles of each member.
 """
 
 from __future__ import annotations
@@ -430,13 +431,13 @@ def find_family(name: str) -> FamilySpec:
     raise KeyError(name)
 
 
-def check_guarantee(spec: FamilySpec, window=(-50, 50)):
-    """Confirm a family's claimed guarantee over a window, tails included.
+def check_guarantee(spec: FamilySpec):
+    """Confirm a family's claimed guarantee for every integer n.
 
-    Classifies every member over the window and returns
-    ``check_reports(spec, reports)``.
+    Classifies every member with no window, so the cost is that of its runs
+    and singles, and returns ``check_reports(spec, reports)``.
     """
-    return check_reports(spec, [classify_family(m, window) for m in spec.members])
+    return check_reports(spec, [classify_family(m) for m in spec.members])
 
 
 def _failures(report) -> list[tuple[int, int]]:
@@ -454,9 +455,10 @@ def check_reports(spec: FamilySpec, reports):
     """Confirm a family's claimed guarantee from one report per member.
 
     Returns (ok, detail strings).  AllN requires every member between the
-    tails and both certified tails to be L-spaces; one-sided guarantees
-    check the corresponding side; AllNExcept requires the failures between
-    the tails to be exactly the listed exceptions there.
+    tails and both certified tails to be L-spaces; a one-sided guarantee
+    requires its own tail to be L-space and no failure on its side of the
+    bound, the opposite tail included; AllNExcept requires both tails to be
+    L-space and the failures to be exactly the listed exceptions.
     """
     problems = []
     g = spec.guarantee
@@ -470,19 +472,22 @@ def check_reports(spec: FamilySpec, reports):
                 problems.append(f"{spec.name}: tails not certified L-space")
         elif g.kind is GuaranteeKind.N_GE:
             bad = [(max(a, g.bound), b) for a, b in failures if b >= g.bound]
+            if not tn.is_lspace and tn.from_n >= g.bound:
+                bad.insert(0, (g.bound, tn.from_n))
             if bad:
                 problems.append(f"{spec.name}: fails at n={_ranges_text(bad)} >= {g.bound}")
             if not tp.is_lspace:
                 problems.append(f"{spec.name}: positive tail not certified L-space")
         elif g.kind is GuaranteeKind.N_LE:
             bad = [(a, min(b, g.bound)) for a, b in failures if a <= g.bound]
+            if not tp.is_lspace and tp.from_n <= g.bound:
+                bad.append((tp.from_n, g.bound))
             if bad:
                 problems.append(f"{spec.name}: fails at n={_ranges_text(bad)} <= {g.bound}")
             if not tn.is_lspace:
                 problems.append(f"{spec.name}: negative tail not certified L-space")
         else:
-            expected = sorted({n for n in g.exceptions
-                               if not (tp.covers(n) or tn.covers(n))})
+            expected = sorted(set(g.exceptions))
             count = sum(b - a + 1 for a, b in failures)
             if count != len(expected) or any(report.lspace_at(n) for n in expected):
                 problems.append(f"{spec.name}: failures {_ranges_text(failures)} "

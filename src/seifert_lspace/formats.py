@@ -278,7 +278,7 @@ def point_json(p: PointVerdict, float_mode=False):
 
 def report_json(r: FamilyReport, float_mode=False):
     return {
-        "window": list(r.window),
+        "window": None if r.window is None else list(r.window),
         "points": [point_json(r.points[n], float_mode) for n in sorted(r.points)],
         "segments": [segment_json(s, float_mode) for s in r.segments],
         "tail_pos": tail_json(r.tail_pos, float_mode),

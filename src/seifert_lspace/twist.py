@@ -21,8 +21,9 @@ runs of one verdict, cut where f crosses an integer or a band's threshold
 boundary, and the indices no threshold covers (the pole and integer values
 of f).  The two end runs are the tails: each is certified with the first
 index from which a single verdict holds, replacing epsilon-style "for n
-large enough" statements.  A report clips the runs to the complement of its
-window, where every member is evaluated pointwise.
+large enough" statements.  A report without a window is the runs and the
+singles alone, so its cost does not depend on any range of indices; a
+window adds its members pointwise and clips the runs to its complement.
 
 The degenerate-fiber situation (the seiferter is an index-zero fiber of a
 connected sum of two lens spaces) is the special encoding (alpha_3, beta_3)
@@ -297,15 +298,15 @@ _EXCEPTIONAL_TAGS = (Tag.S2XS1, Tag.CONNECTED_SUM_LENS)
 class FamilyReport:
     """An exact verdict for every integer n.
 
-    ``points`` holds the pointwise verdicts on the window, plus the few
-    indices between the window and a tail that no threshold covers: the
-    pole, members with an integer fiber slope, and the S2 x S1 member of
-    an alpha = 0 family.  ``segments`` and the two tails are the runs of
-    the walk over Z, clipped to the complement of the window: index ranges
-    whose verdict a band threshold proves.  Window, singles, segments and
-    tails partition Z.
+    ``points`` holds the pointwise verdicts on the window, if there is one,
+    plus the indices outside it that no threshold covers: the pole, members
+    with an integer fiber slope, and the S2 x S1 member of an alpha = 0
+    family.  ``segments`` and the two tails are the runs of the walk over
+    Z, clipped to the complement of the window: index ranges whose verdict
+    a band threshold proves.  Window, singles, segments and tails partition
+    Z.  ``window`` is None when the report has none.
     """
-    window: tuple[int, int]
+    window: tuple[int, int] | None
     points: dict[int, PointVerdict] = field(default_factory=dict)
     tail_pos: TailCertificate | None = None
     tail_neg: TailCertificate | None = None
@@ -335,12 +336,11 @@ def evaluate_point(d, n: int) -> PointVerdict:
     return PointVerdict(n, slope, form, c.tag, _decide_classified(form, c))
 
 
-def _certify(member: FamilyMember, lo: int, hi: int):
-    """Tails beyond the window lo..hi and the segments and exception
-    indices between them and the window, as (tail_pos, tail_neg, segments,
-    singles): the runs of the member's data in family indices, clipped to
-    the complement of the window.  The two clipped parts with an infinite
-    end are the tails."""
+def _certify(member: FamilyMember, window):
+    """The member's runs in family indices, as (tail_pos, tail_neg,
+    segments, singles).  The two runs with an infinite end are the tails;
+    a run over all of Z is split at 0 into n <= -1 and n >= 0.  With a
+    window lo..hi, the runs are clipped to its complement."""
     if member.rp2:
         runs, singles, limit = [(None, None, True, None, None)], [], None
     else:
@@ -358,34 +358,48 @@ def _certify(member: FamilyMember, lo: int, hi: int):
     segments = []
     for a, b, verdict, base, desc in runs:
         a, b = (to_n(b), to_n(a)) if mirrored else (to_n(a), to_n(b))
-        # the last index of the run left of the window, the first right of it
-        left = lo - 1 if b is None else min(b, lo - 1)
-        right = hi + 1 if a is None else max(a, hi + 1)
+        if window is None:
+            # the tails start where the run does; one over all of Z is cut
+            left, right = (-1, 0) if a is None and b is None else (b, a)
+            if a is not None and b is not None:
+                segments.append(Segment(a, b, verdict, base, desc, mirrored))
+        else:
+            # the last index of the run left of the window, the first right of it
+            lo, hi = window
+            left = lo - 1 if b is None else min(b, lo - 1)
+            right = hi + 1 if a is None else max(a, hi + 1)
+            if a is not None and a <= left:
+                segments.append(Segment(a, left, verdict, base, desc, mirrored))
+            if b is not None and right <= b:
+                segments.append(Segment(right, b, verdict, base, desc, mirrored))
         if a is None:
             tail_neg = TailCertificate(-1, verdict, left, limit, base, desc, mirrored)
-        elif a <= left:
-            segments.append(Segment(a, left, verdict, base, desc, mirrored))
         if b is None:
             tail_pos = TailCertificate(+1, verdict, right, limit, base, desc, mirrored)
-        elif right <= b:
-            segments.append(Segment(right, b, verdict, base, desc, mirrored))
     segments.sort(key=lambda seg: seg.from_n)
-    return tail_pos, tail_neg, segments, [n for n in map(to_n, singles)
-                                          if not lo <= n <= hi]
+    return tail_pos, tail_neg, segments, [to_n(j) for j in singles]
 
 
-def classify_family(d, window=(-50, 50)) -> FamilyReport:
-    """Decide every member in the window and certify the rest of Z exactly."""
+def classify_family(d, window=None) -> FamilyReport:
+    """Exact verdicts for every member, over all of Z.
+
+    With no window the report's points are only the singles, every finite
+    run is one segment and the two infinite runs are the tails; the cost
+    does not grow with any range of indices.  A window lo..hi adds every
+    member in it pointwise, for display, and clips the runs to its
+    complement.
+    """
     member = _as_member(d)
-    lo, hi = window
-    if lo > hi:
+    if window is not None and window[0] > window[1]:
         raise ValueError("empty window")
-    tail_pos, tail_neg, segments, singles = _certify(member, lo, hi)
-    points = {n: evaluate_point(member, n) for n in (*range(lo, hi + 1), *singles)}
+    tail_pos, tail_neg, segments, singles = _certify(member, window)
+    shown = () if window is None else range(window[0], window[1] + 1)
+    points = {n: evaluate_point(member, n)
+              for n in (*shown, *(n for n in singles if n not in shown))}
     limit = member.limit()
     exceptional = tuple((n, pv.tag) for n, pv in sorted(points.items())
                         if pv.tag in _EXCEPTIONAL_TAGS)
-    return FamilyReport(window=(lo, hi), points=points,
+    return FamilyReport(window=window, points=points,
                         tail_pos=tail_pos, tail_neg=tail_neg,
                         limit=limit, limit_verdict=decide(limit),
                         exceptional=exceptional, segments=tuple(segments))

@@ -239,7 +239,7 @@ class TestEudaveMunoz:
 class TestRegressionContract:
     @pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.name)
     def test_catalog_guarantees_confirmed(self, spec):
-        ok, problems = check_guarantee(spec, (-50, 50))
+        ok, problems = check_guarantee(spec)
         assert ok, problems
 
     def test_failures_inside_gap_segments_are_checked(self):
@@ -259,6 +259,64 @@ class TestRegressionContract:
         assert not ok and problems == ["eps: fails at n=[335..400] <= 400"]
         ok, problems = check(ALL_N)
         assert not ok and "335..1989" in problems[0]
+
+    @pytest.mark.parametrize("window", [None, (-50, 50)], ids=["no-window", "window"])
+    def test_one_sided_guarantees_see_the_opposite_tail(self, window):
+        # every n >= 335 fails, and only the positive tail says so; a
+        # guarantee for n <= 400 must report it, and for the mirror n >= -400
+        from seifert_lspace import FamilyMember, FamilySpec, SeiferterData, check_reports
+        data = SeiferterData(b=-1, r1=F(1, 3), r2=F(1997, 3000),
+                             alpha=1, beta=0, alpha3=1, beta3=1)
+        for mirrored, kind, bound, text in ((False, GuaranteeKind.N_LE, 400, "[335..400] <= 400"),
+                                            (True, GuaranteeKind.N_GE, -400,
+                                             "[-400..-335] >= -400")):
+            member = FamilyMember(data=data, mirrored=mirrored)
+            reports = [classify_family(member, window)]
+
+            def check(bound):
+                spec = FamilySpec("eps", "", (), Guarantee(kind, bound), (member,))
+                return check_reports(spec, reports)
+
+            assert check(bound) == (False, [f"eps: fails at n={text}"])
+            assert check(-334 if mirrored else 334) == (True, [])
+
+    def test_exceptions_in_a_tail_are_checked(self):
+        # n = 5 lies in the positive tail of the windowless report, but it is
+        # an L-space, so it is no exception, whatever the window
+        from seifert_lspace import FamilySpec, check_reports
+        members = unknot_seiferter_family(-1, 3).members
+        spec = FamilySpec("x", "", (), Guarantee(GuaranteeKind.ALL_N_EXCEPT, exceptions=(5,)),
+                          members)
+        assert classify_family(members[0]).tail_pos.covers(5)
+        want = (False, ["x: failures [] != expected [5]"])
+        assert check_guarantee(spec) == want
+        assert check_reports(spec, [classify_family(members[0], (-50, 50))]) == want
+
+    def test_windowless_reports_match_pointwise_verdicts(self):
+        from seifert_lspace import FamilyMember, SeiferterData
+        alpha0 = [SeiferterData(b=b, r1=F(1, 3), r2=r2, alpha=0, beta=-1, alpha3=1, beta3=0)
+                  for b in (-2, -1, 0) for r2 in (F(1, 2), F(2, 3))]
+        members = [m for spec in catalog() for m in spec.members]
+        members += [FamilyMember(data=d, mirrored=mirrored, offset=7)
+                    for d in alpha0 for mirrored in (False, True)]
+        kinds = set()
+        for member in members:
+            report = classify_family(member)
+            assert report.window is None
+            if member.rp2:
+                kinds.add("rp2")
+            elif member.data.alpha == 0:
+                kinds.add("alpha0-s2xs1" if report.points else "alpha0")
+            for n in range(-200, 201):
+                want = decide(member.point(n)[1]).is_lspace
+                assert report.lspace_at(n) is want, (member, n)
+        assert kinds == {"rp2", "alpha0", "alpha0-s2xs1"}
+
+    @pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.name)
+    def test_windowless_check_agrees_with_windowed_reports(self, spec):
+        from seifert_lspace import check_reports
+        reports = [classify_family(m, (-50, 50)) for m in spec.members]
+        assert check_guarantee(spec) == check_reports(spec, reports)
 
     def test_find_family(self):
         assert find_family("tunnel2-A").name == "tunnel2-A"
@@ -284,5 +342,5 @@ class TestBuildFamily:
         for kind, params in (("p+q", {"p": 7, "q": 3}), ("spor-b", {"p": 2}),
                              ("unknot", {"m": -2, "p": 5}), ("em-rp2", {"l": -3})):
             spec = build_family(kind, **params)
-            ok, problems = check_guarantee(spec, (-20, 20))
+            ok, problems = check_guarantee(spec)
             assert ok, problems

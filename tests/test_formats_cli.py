@@ -156,6 +156,15 @@ class TestJson:
         assert without == {"num": 2, "den": 3}
         assert with_f["num"] == 2 and "approx" in with_f
 
+    def test_windowless_report(self):
+        from seifert_lspace import classify_family, find_family
+        from seifert_lspace.formats import report_json
+        obj = report_json(classify_family(find_family("K(3,2;5,n)").members[0]))
+        # f(n) = 1/n: the points are the pole and the integer slopes -1 and 1
+        assert obj["window"] is None and [p["n"] for p in obj["points"]] == [-1, 0, 1]
+        assert (obj["tail_neg"]["from_n"], obj["tail_pos"]["from_n"]) == (-2, 2)
+        assert json.loads(dumps(obj)) == obj
+
 
 # any code point, with the ones JSON escapes specially drawn often; built from
 # integers so that no unicode table has to be computed on a cold cache

@@ -400,7 +400,11 @@ class TestRuns:
                 windows = [(lo, lo + rng.randint(0, 9))
                            for lo in (rng.randint(-12, 3), pole + rng.randint(-150, 150))]
                 a, b = (classify_family(member, w) for w in windows)
+                # with no window, the points are exactly the singles
+                whole = classify_family(member)
+                assert len(whole.points) == len(_runs(d)[1]), (d, mirrored)
                 lo = min(pole, *windows[0], *windows[1]) - 20
                 hi = max(pole, *windows[0], *windows[1]) + 20
                 for n in range(lo, hi + 1):
-                    assert a.lspace_at(n) is b.lspace_at(n), (d, mirrored, windows, n)
+                    assert a.lspace_at(n) is b.lspace_at(n) is whole.lspace_at(n), \
+                        (d, mirrored, windows, n)
