@@ -7,8 +7,7 @@ from .seifert import (Base, Classification, DegenerateEuler, SeifertForm, Tag,
                       UnsupportedFiberCount, classify, euler_number, h1_order,
                       mirror, normalize)
 from .lspace import (FoliationWitness, IntervalKind, LSpaceVerdict, Reason,
-                     ThirdSlotThreshold, decide, third_slot_threshold,
-                     witness_search)
+                     ThirdSlotThreshold, decide, third_slot_threshold)
 from .twist import (FamilyMember, FamilyReport, PointVerdict, SeiferterData,
                     Segment, TailCertificate, classify_family, evaluate_point,
                     fiber_slope, h1_consistency, limit_space, surgered_space,

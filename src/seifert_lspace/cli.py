@@ -9,6 +9,7 @@ an L-space, 2 for parse or range errors; reproduce exits 1 if any case fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -116,9 +117,7 @@ def cmd_threshold(args) -> int:
     if t.boundary is None:
         desc = "every r in (0,1) gives an L-space"
     else:
-        side = ">=" if t.kind.value == "UpClosed" else "<="
-        if not t.attained:
-            side = ">" if t.kind.value == "UpClosed" else "<"
+        side = (">" if t.b == -1 else "<") + ("=" if t.attained else "")
         desc = f"L-space exactly for r {side} {format_rational(t.boundary)}"
     _emit(args, _report_envelope(args, {"b": args.b, "r1": args.r1, "r2": args.r2},
                                  payload, t0),
@@ -126,7 +125,7 @@ def cmd_threshold(args) -> int:
     return 0
 
 
-def _scan_lines(report, float_mode=False):
+def _scan_lines(report):
     rows = []
     lo, hi = report.window
     for n, p in report.points.items():
@@ -164,7 +163,7 @@ def cmd_twist_scan(args) -> int:
               "m": args.m, "l": args.l, "window": list(args.window)}
     _emit(args, _report_envelope(args, inputs,
                                  {"report": report_json(report, args.float)}, t0),
-          lambda: _scan_lines(report, args.float))
+          lambda: _scan_lines(report))
     return 0
 
 
@@ -216,7 +215,7 @@ def cmd_family(args) -> int:
         for member, report in zip(spec.members, reports):
             if member.label:
                 out.append(f"member {member.label}:")
-            out += _scan_lines(report, args.float)
+            out += _scan_lines(report)
         return out
 
     _emit(args, _report_envelope(args, inputs, payload, t0), lines)
@@ -238,7 +237,10 @@ def cmd_reproduce(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    parsing leaves it unchanged, so every ``main`` call can reuse it."""
     ap = argparse.ArgumentParser(
         prog="seifert-lspace",
         description="Exact L-space decisions for small Seifert fibered spaces "

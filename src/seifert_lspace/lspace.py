@@ -21,7 +21,9 @@ No enumeration is needed to find the smallest witness: a/k must lie in
 denominator there (one Stern-Brocot descent) gives the least k, and it is a
 witness exactly when s1 < 1/k.  ``third_slot_threshold`` turns the
 existential statements about the third slope into an exact rational
-boundary, from one more descent and one bounded-denominator Farey walk.
+boundary, from one more descent and one bounded-denominator Farey walk.  The
+boundary alone fixes the set, its own membership included, so no decision
+runs at the boundary.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from fractions import Fraction
 from math import gcd
 
 from .rationals import INF, farey_neighbours, simplest_pair
-from .seifert import Classification, SeifertForm, Tag, classify, normalize
+from .seifert import Classification, SeifertForm, Tag, classify
 
 
 @dataclass(frozen=True)
@@ -71,19 +73,22 @@ class LSpaceVerdict:
     forced to False by the infinite first homology (an L-space is a rational
     homology sphere by definition).  ``search_bound`` is the largest k a
     witness could have, for reproducibility of no-witness certificates.
+
+    The reason fixes the verdict, so ``is_lspace`` and ``infinite_h1`` are
+    read from it rather than stored beside it, and cannot disagree with it.
     """
-    is_lspace: bool
     reason: Reason
     witness: FoliationWitness | None = None
     witness_is_dual: bool = False
     search_bound: int | None = None
-    infinite_h1: bool = False
 
-    def __post_init__(self):
-        if self.reason in _TRUE_REASONS:
-            assert self.is_lspace
-        else:
-            assert not self.is_lspace
+    @property
+    def is_lspace(self) -> bool:
+        return self.reason in _TRUE_REASONS
+
+    @property
+    def infinite_h1(self) -> bool:
+        return self.reason is Reason.INFINITE_H1
 
 
 def _witness_from_pairs(p1, q1, p2, q2, p3, q3) -> FoliationWitness | None:
@@ -101,21 +106,6 @@ def _witness_from_pairs(p1, q1, p2, q2, p3, q3) -> FoliationWitness | None:
     return FoliationWitness(k, a) if k * p1 < q1 else None
 
 
-def witness_search(t) -> FoliationWitness | None:
-    """Smallest witness (minimal k, then minimal a) for a sorted slope triple.
-
-    All entries must lie in (0,1).  Returns None when no coprime pair
-    (a, k) with 0 < a <= k/2 dominates the triple; only k < 1/t[0] can work.
-    """
-    s1, s2, s3 = t
-    p1, q1 = s1.numerator, s1.denominator
-    p2, q2 = s2.numerator, s2.denominator
-    p3, q3 = s3.numerator, s3.denominator
-    if not (0 < p1 and p3 < q3 and p1 * q2 <= p2 * q1 and p2 * q3 <= p3 * q2):
-        raise ValueError("witness_search needs a sorted triple inside (0,1)")
-    return _witness_from_pairs(p1, q1, p2, q2, p3, q3)
-
-
 def search_bound(p: int, q: int) -> int:
     """Largest k with k * p/q < 1: no witness of a triple whose smallest
     slope is p/q has a larger k."""
@@ -130,18 +120,18 @@ def decide(f: SeifertForm) -> LSpaceVerdict:
 
 def _decide_classified(f: SeifertForm, c: Classification) -> LSpaceVerdict:
     if c.tag is Tag.RP2_BASE:
-        return LSpaceVerdict(True, Reason.RP2_BASE)
+        return LSpaceVerdict(Reason.RP2_BASE)
     if c.tag is Tag.CONNECTED_SUM_LENS:
         # both summand orders are >= 2, so neither summand is S3 or S2 x S1
-        return LSpaceVerdict(True, Reason.CONNECTED_SUM_OF_LSPACES)
+        return LSpaceVerdict(Reason.CONNECTED_SUM_OF_LSPACES)
     if c.tag is Tag.S2XS1:
-        return LSpaceVerdict(False, Reason.INFINITE_H1, infinite_h1=True)
+        return LSpaceVerdict(Reason.INFINITE_H1)
     if c.tag in (Tag.S3, Tag.LENS):
-        return LSpaceVerdict(True, Reason.LENS_NOT_S2XS1)
+        return LSpaceVerdict(Reason.LENS_NOT_S2XS1)
 
     b = f.b
     if b >= 0 or b <= -3:
-        return LSpaceVerdict(True, Reason.B_LARGE)
+        return LSpaceVerdict(Reason.B_LARGE)
     r1, r2, r3 = f.slopes
     p1, q1 = r1.numerator, r1.denominator
     p2, q2 = r2.numerator, r2.denominator
@@ -156,13 +146,12 @@ def _decide_classified(f: SeifertForm, c: Classification) -> LSpaceVerdict:
         # not a rational homology sphere, hence not an L-space; the witness
         # (which exists exactly when a horizontal foliation does) is still
         # reported alongside.
-        return LSpaceVerdict(False, Reason.INFINITE_H1, witness=w,
-                             witness_is_dual=dual and w is not None,
-                             search_bound=bound, infinite_h1=True)
+        return LSpaceVerdict(Reason.INFINITE_H1, witness=w,
+                             witness_is_dual=dual and w is not None, search_bound=bound)
     if w is not None:
-        return LSpaceVerdict(False, Reason.DUAL_WITNESS if dual else Reason.WITNESS,
+        return LSpaceVerdict(Reason.DUAL_WITNESS if dual else Reason.WITNESS,
                              witness=w, witness_is_dual=dual, search_bound=bound)
-    return LSpaceVerdict(True, Reason.NO_WITNESS_EXHAUSTIVE, search_bound=bound)
+    return LSpaceVerdict(Reason.NO_WITNESS_EXHAUSTIVE, search_bound=bound)
 
 
 class IntervalKind(Enum):
@@ -171,31 +160,43 @@ class IntervalKind(Enum):
     DOWN_CLOSED = "DownClosed"
 
 
+_KINDS = {-1: IntervalKind.UP_CLOSED, -2: IntervalKind.DOWN_CLOSED}
+
+
 @dataclass(frozen=True)
 class ThirdSlotThreshold:
     """Exact description of { r in (0,1) : S2(b; r1, r2, r) is an L-space }.
 
     For b = -1 the set is up-closed [t, 1) (or all of (0,1), encoded as
-    boundary 0, not attained); for b = -2 it is down-closed; otherwise it is
-    all of (0,1).  ``attained`` records whether the boundary itself is an
-    L-space -- it always is, since every witness inequality is strict.
+    boundary 0, not attained); for b = -2 it is down-closed (0, t] (or all
+    of (0,1), encoded as boundary 1, not attained); otherwise it is all of
+    (0,1), with no boundary.  ``kind`` is read from b, and ``attained``
+    (is the boundary itself an L-space?) from the boundary: a boundary in
+    (0,1) always is.  The not-L-space set is a union of the open intervals
+    that witnesses rule out, and an euler-number-zero slope, the one
+    non-L-space that needs no witness, has one anyway (Eisenbud-Hirsch-
+    Neumann; Jankins-Neumann, Naimi), so it lies inside that union.
     """
     b: int
     r1: Fraction
     r2: Fraction
-    kind: IntervalKind
     boundary: Fraction | None = None
-    attained: bool | None = None
+
+    @property
+    def kind(self) -> IntervalKind:
+        return _KINDS.get(self.b, IntervalKind.ALL)
+
+    @property
+    def attained(self) -> bool | None:
+        return None if self.boundary is None else 0 < self.boundary < 1
 
     def contains(self, r: Fraction) -> bool:
         """Membership of r in the L-space set; r must lie in (0,1)."""
         if not (0 < r < 1):
             raise ValueError("contains() is about the open unit interval")
-        if self.kind is IntervalKind.ALL:
+        if self.boundary is None:
             return True
-        if self.kind is IntervalKind.UP_CLOSED:
-            return r > self.boundary or (r == self.boundary and self.attained)
-        return r < self.boundary or (r == self.boundary and self.attained)
+        return r >= self.boundary if self.b == -1 else r <= self.boundary
 
 
 def _not_lspace_sup(u: Fraction, v: Fraction) -> Fraction:
@@ -237,19 +238,9 @@ def third_slot_threshold(b: int, r1: Fraction, r2: Fraction) -> ThirdSlotThresho
     """Exact L-space region in the third slope slot of S2(b; r1, r2, r)."""
     if not (0 < r1 < 1 and 0 < r2 < 1):
         raise ValueError("fixed slopes must lie in (0,1)")
-    if b not in (-1, -2):
-        return ThirdSlotThreshold(b, r1, r2, IntervalKind.ALL)
     if b == -1:
-        t = _not_lspace_sup(r1, r2)
-        if t == 0:
-            return ThirdSlotThreshold(b, r1, r2, IntervalKind.UP_CLOSED,
-                                      Fraction(0), False)
-        attained = decide(normalize(-1, (r1, r2, t))).is_lspace
-        return ThirdSlotThreshold(b, r1, r2, IntervalKind.UP_CLOSED, t, attained)
-    t = _not_lspace_sup(1 - r1, 1 - r2)
-    if t == 0:
-        return ThirdSlotThreshold(b, r1, r2, IntervalKind.DOWN_CLOSED,
-                                  Fraction(1), False)
-    boundary = 1 - t
-    attained = decide(normalize(-2, (r1, r2, boundary))).is_lspace
-    return ThirdSlotThreshold(b, r1, r2, IntervalKind.DOWN_CLOSED, boundary, attained)
+        return ThirdSlotThreshold(b, r1, r2, _not_lspace_sup(r1, r2))
+    if b == -2:
+        # the mirror image S2(-1; 1 - r1, 1 - r2, 1 - r)
+        return ThirdSlotThreshold(b, r1, r2, 1 - _not_lspace_sup(1 - r1, 1 - r2))
+    return ThirdSlotThreshold(b, r1, r2)

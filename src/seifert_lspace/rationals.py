@@ -30,8 +30,6 @@ class _Infinity:
 
 INF = _Infinity()
 
-ExtRational = Fraction | _Infinity
-
 
 def is_finite(x) -> bool:
     return not isinstance(x, _Infinity)
@@ -104,32 +102,14 @@ def farey_neighbours(p: int, q: int, n: int) -> tuple[int, int, int, int]:
 _RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
-    """(num, den) of ``-?d+`` or ``-?d+/d+``; den may be zero."""
-    m = _RAT_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"not a finite rational: {text!r}")
-    return int(m.group(1)), int(m.group(2) or 1)
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse ``-?d+`` or ``-?d+/d+`` into a reduced fraction."""
-    num, den = _parse_pair(text)
-    if den == 0:
+    m = _RAT_RE.match(text.strip())
+    if m:
+        num, den = int(m.group(1)), int(m.group(2) or 1)
+    if not m or not den:
         raise ValueError(f"not a finite rational: {text!r}")
     return Fraction(num, den)
-
-
-def parse_slope(text: str) -> ExtRational:
-    """Like parse_rational, but 'inf' and nonzero/0 both give INF."""
-    if text.strip() == "inf":
-        return INF
-    num, den = _parse_pair(text)
-    if den:
-        return Fraction(num, den)
-    if num == 0:
-        raise ValueError("0/0 is not a slope")
-    return INF
 
 
 def int_text(n: int) -> str:

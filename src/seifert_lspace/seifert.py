@@ -117,14 +117,12 @@ def _normal_form(b: int, slopes, degenerate: int) -> SeifertForm:
                          degenerate)
 
 
-def normalize(b: int, raw, base: Base = Base.S2) -> SeifertForm:
+def normalize(b: int, raw) -> SeifertForm:
     """Fold integer parts of the raw slopes into b and sort what remains.
 
     Integral slopes (in particular zeros) disappear into the section term;
     infinite entries are counted as degenerate fibers.
     """
-    if base is Base.RP2:
-        return SeifertForm(base=Base.RP2)
     slopes = []
     degenerate = 0
     for r in raw:

@@ -39,8 +39,8 @@ from fractions import Fraction
 
 from .rationals import INF
 from .seifert import Base, SeifertForm, Tag, classify, mirror, normalize
-from .lspace import (IntervalKind, LSpaceVerdict, ThirdSlotThreshold,
-                     _decide_classified, decide, third_slot_threshold)
+from .lspace import (LSpaceVerdict, ThirdSlotThreshold, _decide_classified, decide,
+                     third_slot_threshold)
 
 
 @dataclass(frozen=True)
@@ -205,13 +205,13 @@ def _piece(desc: ThirdSlotThreshold, r: Fraction, below: bool = False):
     end, which belongs to the piece when it is closed.
     """
     x = desc.boundary
-    if desc.kind is IntervalKind.ALL or not 0 < x < 1:
+    if x is None or not 0 < x < 1:
         return True, Fraction(0), False
-    up = desc.kind is IntervalKind.UP_CLOSED
-    # the boundary joins the L-space side exactly when it is attained
-    x_up = desc.attained == up
-    if r > x or (r == x and x_up and not below):
-        return up, x, x_up
+    # the L-space piece lies above x for b = -1 and below it for b = -2; x
+    # itself is an L-space, so it closes the upper piece only for b = -1
+    up = desc.b == -1
+    if r > x or (r == x and up and not below):
+        return up, x, up
     return not up, Fraction(0), False
 
 

@@ -375,18 +375,18 @@ def fraction_decide(f: SeifertForm) -> LSpaceVerdict:
 
 def _fraction_decide_classified(f: SeifertForm, c: Classification) -> LSpaceVerdict:
     if c.tag is Tag.RP2_BASE:
-        return LSpaceVerdict(True, Reason.RP2_BASE)
+        return LSpaceVerdict(Reason.RP2_BASE)
     if c.tag is Tag.CONNECTED_SUM_LENS:
         # both summand orders are >= 2, so neither summand is S3 or S2 x S1
-        return LSpaceVerdict(True, Reason.CONNECTED_SUM_OF_LSPACES)
+        return LSpaceVerdict(Reason.CONNECTED_SUM_OF_LSPACES)
     if c.tag is Tag.S2XS1:
-        return LSpaceVerdict(False, Reason.INFINITE_H1, infinite_h1=True)
+        return LSpaceVerdict(Reason.INFINITE_H1)
     if c.tag in (Tag.S3, Tag.LENS):
-        return LSpaceVerdict(True, Reason.LENS_NOT_S2XS1)
+        return LSpaceVerdict(Reason.LENS_NOT_S2XS1)
 
     b = f.b
     if b >= 0 or b <= -3:
-        return LSpaceVerdict(True, Reason.B_LARGE)
+        return LSpaceVerdict(Reason.B_LARGE)
     dual = b == -2
     if dual:
         # complemented slopes in sorted order, without building new fractions
@@ -401,10 +401,9 @@ def _fraction_decide_classified(f: SeifertForm, c: Classification) -> LSpaceVerd
         # not a rational homology sphere, hence not an L-space; the witness
         # (which exists exactly when a horizontal foliation does) is still
         # reported alongside.
-        return LSpaceVerdict(False, Reason.INFINITE_H1, witness=w,
-                             witness_is_dual=dual and w is not None,
-                             search_bound=bound, infinite_h1=True)
+        return LSpaceVerdict(Reason.INFINITE_H1, witness=w,
+                             witness_is_dual=dual and w is not None, search_bound=bound)
     if w is not None:
-        return LSpaceVerdict(False, Reason.DUAL_WITNESS if dual else Reason.WITNESS,
+        return LSpaceVerdict(Reason.DUAL_WITNESS if dual else Reason.WITNESS,
                              witness=w, witness_is_dual=dual, search_bound=bound)
-    return LSpaceVerdict(True, Reason.NO_WITNESS_EXHAUSTIVE, search_bound=bound)
+    return LSpaceVerdict(Reason.NO_WITNESS_EXHAUSTIVE, search_bound=bound)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seifert_lspace import INF, Base, SeifertForm, normalize
-from seifert_lspace.cli import MAX_WINDOW, _window, main
+from seifert_lspace.cli import MAX_WINDOW, _window, build_parser, main
 from seifert_lspace.corpus import CASES, Case, Check, run_corpus
 from seifert_lspace.formats import (ParseError, dumps, form_json, parse_form,
                                     rational_json)
@@ -340,9 +340,9 @@ class TestCliOtherVerbs:
         reports = []
         scan_lines = cli._scan_lines
 
-        def counting(report, float_mode=False):
+        def counting(report):
             reports.append(report)
-            return scan_lines(report, float_mode)
+            return scan_lines(report)
 
         monkeypatch.setattr(cli, "_scan_lines", counting)
         argv = ["family", "run", "tunnel2-B", "--window=-5..5"]
@@ -355,6 +355,25 @@ class TestCliOtherVerbs:
         member_lines = [line for line in out
                         if not line.startswith(("family ", "claimed: ", "member "))]
         assert member_lines == [line for r in reports for line in scan_lines(r)]
+
+    def test_verbs_back_to_back_in_one_process(self, capsys):
+        # main reuses one parser; each call of a verb prints and returns what
+        # its first call did, also after a call that argparse rejected
+        runs = [["decide", "SFS[S2; -1; 1/7, 1/3, 1/2]"],
+                ["threshold", "--", "-1", "2/5", "1/2"],
+                ["family", "run", "tunnel2-B", "--window=-5..5"],
+                ["reproduce", "--only", "tunnel2"],
+                ["family", "run", "K(3,2;5,n)", "--window=-1000000000000..1000000000000"]]
+        first = {}
+        for argv in runs * 3:
+            try:
+                rc = main(argv)
+            except SystemExit as err:
+                rc = err.code
+            got = rc, capsys.readouterr()
+            assert first.setdefault(tuple(argv), got) == got, argv
+        assert [first[tuple(argv)][0] for argv in runs] == [1, 0, 0, 0, 2]
+        assert build_parser() is build_parser()
 
     def test_family_run_with_params(self, capsys):
         assert main(["family", "run", "p+q", "--params", "p=7,q=3",

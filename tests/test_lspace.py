@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from seifert_lspace import (INF, FoliationWitness, IntervalKind, Reason,
                             SeifertForm, classify, decide, mirror, normalize,
-                            third_slot_threshold, witness_search)
-from seifert_lspace.lspace import _not_lspace_sup, search_bound
+                            third_slot_threshold)
+from seifert_lspace.lspace import _not_lspace_sup, _witness_from_pairs, search_bound
 
 from oracles import (fraction_classify, fraction_decide, fraction_normalize,
                      loop_not_lspace_sup, loop_witness, naive_is_lspace,
@@ -25,6 +25,15 @@ def F(n, d=1):
 
 def small_sfs(b, *slopes):
     return normalize(b, [F(*s) if isinstance(s, tuple) else s for s in slopes])
+
+
+def _pairs(t):
+    return [x for s in t for x in (s.numerator, s.denominator)]
+
+
+def witness_search(t):
+    """Smallest witness of a sorted triple in (0,1), or None."""
+    return _witness_from_pairs(*_pairs(t))
 
 
 class TestWitnessSearch:
@@ -163,17 +172,42 @@ class TestThirdSlotThreshold:
             want = decide(normalize(b, (r1, r2, r))).is_lspace
             assert t.contains(r) == want, (b, r1, r2, r)
 
-    @given(unit, unit)
-    def test_boundary_consistency(self, r1, r2):
-        t = third_slot_threshold(-1, r1, r2)
-        assert t.kind is IntervalKind.UP_CLOSED
-        if t.boundary > 0:
+    @given(st.sampled_from((-1, -2)), unit, unit)
+    def test_boundary_consistency(self, b, r1, r2):
+        t = third_slot_threshold(b, r1, r2)
+        up = b == -1
+        assert t.kind is (IntervalKind.UP_CLOSED if up else IntervalKind.DOWN_CLOSED)
+        if 0 < t.boundary < 1:
+            # the boundary is an L-space and the slopes just past it on the
+            # other side are not
             assert t.attained
-            assert decide(normalize(-1, (r1, r2, t.boundary))).is_lspace
+            assert decide(normalize(b, (r1, r2, t.boundary))).is_lspace
+            outside = t.boundary * (1 - F(1, 10 ** 30) if up else 1 + F(1, 10 ** 30))
+            assert not decide(normalize(b, (r1, r2, outside))).is_lspace
+        else:
+            # every slope is an L-space
+            assert (t.boundary, t.attained) == ((F(0), False) if up else (F(1), False))
 
-
-def _pairs(t):
-    return [x for s in t for x in (s.numerator, s.denominator)]
+    def test_euler_zero_slope_is_strictly_inside_the_not_lspace_side(self):
+        # S2(b; r1, r2, e) with e = -b - r1 - r2 has infinite H1, and it has
+        # a witness, so e lies in the open not-L-space set: never on the
+        # boundary, which is why the boundary is always attained
+        rng = random.Random(2014)
+        seen = 0
+        for i in range(20_000):
+            b = (-1, -2)[i % 2]
+            den = rng.choice((60, 10 ** 6, 10 ** 18))
+            r1, r2 = (random_unit_fraction(rng, den) for _ in range(2))
+            e = -b - r1 - r2
+            if not 0 < e < 1:
+                continue
+            seen += 1
+            t = third_slot_threshold(b, r1, r2)
+            assert (e < t.boundary) if b == -1 else (e > t.boundary), (b, r1, r2)
+            assert not t.contains(e)
+            v = decide(normalize(b, (r1, r2, e)))
+            assert v.reason is Reason.INFINITE_H1 and v.witness is not None, (b, r1, r2)
+        assert seen > 9_000
 
 
 def _witness_pair(t):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from seifert_lspace.rationals import (INF, farey_neighbours, format_rational,
                                       int_text, is_finite, parse_rational,
-                                      parse_slope, simplest_between)
+                                      simplest_between)
 
 fractions_1e6 = st.fractions(min_value=Fraction(-10 ** 6), max_value=Fraction(10 ** 6),
                              max_denominator=10 ** 6)
@@ -20,11 +20,7 @@ unit_fractions = st.fractions(min_value=Fraction(1, 10 ** 4), max_value=Fraction
 
 
 def test_infinity_is_a_singleton():
-    assert parse_slope("1/0") is INF
-    assert parse_slope("-1/0") is INF
-    assert parse_slope("inf") is INF
-    assert parse_slope("1/00") is INF
-    assert parse_slope("-7/000") is INF
+    assert type(INF)() is INF
     assert not is_finite(INF)
     assert repr(INF) == "inf"
 
@@ -35,9 +31,6 @@ def test_parse_rational_grammar():
     for bad in ("1/0", "x", "1.5", "--1", "1/-2", "1/00", "-3/000", "0/0", "00/0"):
         with pytest.raises(ValueError, match="not a finite rational"):
             parse_rational(bad)
-    for bad in ("0/0", "00/0", "-00/000"):
-        with pytest.raises(ValueError, match="0/0"):
-            parse_slope(bad)
 
 
 def test_format_round_trip():
