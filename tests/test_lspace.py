@@ -186,7 +186,7 @@ class TestThirdSlotThreshold:
             assert not decide(normalize(b, (r1, r2, outside))).is_lspace
         else:
             # every slope is an L-space
-            assert (t.boundary, t.attained) == ((F(0), False) if up else (F(1), False))
+            assert (t.boundary, t.attained) == (F(0) if up else F(1), False)
 
     def test_euler_zero_slope_is_strictly_inside_the_not_lspace_side(self):
         # S2(b; r1, r2, e) with e = -b - r1 - r2 has infinite H1, and it has
