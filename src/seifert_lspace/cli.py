@@ -138,12 +138,10 @@ def _scan_lines(report):
         rows.append((n, f"  n={n:>5}  m_n={slope:>8}  {p.form!r:<40} {verdict}{wit}{mark}"))
     rows += [(s.from_n, f"  segment: {describe_segment(s)}") for s in report.segments]
     lines = [line for _, line in sorted(rows, key=lambda row: row[0])]
-    lines.append(f"tail n -> +inf: {describe_tail(report.tail_pos)}")
-    lines.append(f"tail n -> -inf: {describe_tail(report.tail_neg)}")
-    if report.limit is not None:
-        lv = report.limit_verdict
-        lines.append(f"limit space: {report.limit!r} "
-                     f"({'L-space' if lv.is_lspace else 'not an L-space'})")
+    lines.append(f"tail n -> +inf: {describe_tail(report.tail_pos, report.limit_slope)}")
+    lines.append(f"tail n -> -inf: {describe_tail(report.tail_neg, report.limit_slope)}")
+    lines.append(f"limit space: {report.limit!r} "
+                 f"({'L-space' if report.limit_verdict.is_lspace else 'not an L-space'})")
     if report.exceptional:
         lines.append("exceptional n: "
                      + ", ".join(f"{n} ({tag.value})" for n, tag in report.exceptional))

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rationals import INF
-from .seifert import classify, h1_order, normalize
-from .lspace import (FoliationWitness, IntervalKind, _decide_classified, decide,
-                     third_slot_threshold)
+from .seifert import h1_order, normalize
+from .lspace import FoliationWitness, IntervalKind, decide, third_slot_threshold
 from .twist import classify_family, h1_consistency, limit_space, surgered_space
 from . import families as fam
 
@@ -113,12 +112,9 @@ def _case_tunnel2():
     checks = []
     for which, poly in (("A", lambda n: 196 * n + 71), ("B", lambda n: 100 * n + 71)):
         d = fam.tunnel2_family(which).members[0].data
-        bad = []
-        for n in range(-100, 101):
-            f = surgered_space(d, n)
-            c = classify(f)
-            if not _decide_classified(f, c).is_lspace or c.h1 != abs(poly(n)):
-                bad.append(n)
+        report = classify_family(d)
+        bad = [n for n in range(-100, 101) if not report.lspace_at(n)
+               or h1_order(surgered_space(d, n)) != abs(poly(n))]
         checks.append(_eq(f"family {which}: L-space and |H1| = |{poly(1) - poly(0)}n+71|",
                           bad, []))
     return checks

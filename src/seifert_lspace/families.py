@@ -84,19 +84,12 @@ def torus_pq_candidates(p: int, q: int, l: int):
         raise PreconditionFailed("p and q must be coprime")
     if p < 2 or q < 2 or l < 1:
         raise PreconditionFailed("need p, q >= 2 and l >= 1")
-    out = []
+    # B*pq = l^2 - q*b1 - p*b2 holds mod p and mod q exactly for these residues
     ll = l * l
-    for b1 in range(1, p):
-        if gcd(b1, p) != 1:
-            continue
-        for b2 in range(1, q):
-            if gcd(b2, q) != 1:
-                continue
-            num = ll - q * b1 - p * b2
-            if num % (p * q):
-                continue
-            out.append((num // (p * q), Fraction(b1, p), Fraction(b2, q)))
-    return out
+    b1, b2 = ll * pow(q, -1, p) % p, ll * pow(p, -1, q) % q
+    if gcd(b1, p) != 1 or gcd(b2, q) != 1:
+        return []
+    return [((ll - q * b1 - p * b2) // (p * q), Fraction(b1, p), Fraction(b2, q))]
 
 
 def _degenerate_member(B: int, r1: Fraction, r2: Fraction, m: int, l: int,
@@ -472,8 +465,8 @@ def check_reports(spec: FamilySpec, reports):
                 problems.append(f"{spec.name}: tails not certified L-space")
         elif g.kind is GuaranteeKind.N_GE:
             bad = [(max(a, g.bound), b) for a, b in failures if b >= g.bound]
-            if not tn.is_lspace and tn.from_n >= g.bound:
-                bad.insert(0, (g.bound, tn.from_n))
+            if not tn.is_lspace and tn.to_n >= g.bound:
+                bad.insert(0, (g.bound, tn.to_n))
             if bad:
                 problems.append(f"{spec.name}: fails at n={_ranges_text(bad)} >= {g.bound}")
             if not tp.is_lspace:

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 from .rationals import INF, format_rational, int_text, is_finite
 from .seifert import Base, Classification, SeifertForm, _normal_form
 from .lspace import LSpaceVerdict, ThirdSlotThreshold
-from .twist import FamilyReport, PointVerdict, Segment, TailCertificate
+from .twist import FamilyReport, PointVerdict, Run
 
 
 class ParseError(ValueError):
@@ -236,24 +236,27 @@ def threshold_json(t: ThirdSlotThreshold, float_mode=False):
     }
 
 
-def tail_json(t: TailCertificate, float_mode=False):
+def tail_json(t: Run, limit_slope, float_mode=False):
+    pos = t.to_n is None
     out = {
-        "side": "pos" if t.side > 0 else "neg",
+        "side": "pos" if pos else "neg",
         "status": "Certified",
         "is_lspace": t.is_lspace,
-        "from_n": t.from_n,
-        "limit_slope": rational_json(t.limit, float_mode),
+        "from_n": t.from_n if pos else t.to_n,
+        "limit_slope": rational_json(limit_slope, float_mode),
         "band_base": t.band_base,
     }
     if t.threshold is not None:
         out["threshold"] = threshold_json(t.threshold, float_mode)
-        out["direction"] = t.approach
+        # the side the slopes approach the limit from, in the threshold's
+        # coordinates
+        out["direction"] = "from_above" if pos != t.mirrored else "from_below"
         if t.mirrored:
             out["mirrored"] = True
     return out
 
 
-def segment_json(s: Segment, float_mode=False):
+def segment_json(s: Run, float_mode=False):
     out = {
         "from_n": s.from_n,
         "to_n": s.to_n,
@@ -281,27 +284,27 @@ def report_json(r: FamilyReport, float_mode=False):
         "window": None if r.window is None else list(r.window),
         "points": [point_json(r.points[n], float_mode) for n in sorted(r.points)],
         "segments": [segment_json(s, float_mode) for s in r.segments],
-        "tail_pos": tail_json(r.tail_pos, float_mode),
-        "tail_neg": tail_json(r.tail_neg, float_mode),
-        "limit": None if r.limit is None else form_json(r.limit, float_mode),
-        "limit_verdict": None if r.limit_verdict is None else verdict_json(r.limit_verdict),
+        "tail_pos": tail_json(r.tail_pos, r.limit_slope, float_mode),
+        "tail_neg": tail_json(r.tail_neg, r.limit_slope, float_mode),
+        "limit": form_json(r.limit, float_mode),
+        "limit_verdict": verdict_json(r.limit_verdict),
         "exceptional": [{"n": n, "tag": tag.value} for n, tag in r.exceptional],
     }
 
 
-def describe_tail(t: TailCertificate) -> str:
-    side = "n >= " if t.side > 0 else "n <= "
+def describe_tail(t: Run, limit_slope) -> str:
+    pos = t.to_n is None
     what = "L-space" if t.is_lspace else "not an L-space"
-    out = f"{what} for all {side}{t.from_n}"
+    out = f"{what} for all n {'>=' if pos else '<='} {t.from_n if pos else t.to_n}"
     if t.threshold is not None and t.threshold.boundary is not None:
-        out += (f"  [limit slope {format_rational(t.limit)} approached "
-                f"{t.approach.replace('_', ' ')}; band base {t.band_base}, "
+        out += (f"  [limit slope {format_rational(limit_slope)} approached "
+                f"from {'above' if pos != t.mirrored else 'below'}; band base {t.band_base}, "
                 f"boundary {format_rational(t.threshold.boundary)}"
                 + ("; computed on the mirror" if t.mirrored else "") + "]")
     return out
 
 
-def describe_segment(s: Segment) -> str:
+def describe_segment(s: Run) -> str:
     what = "L-space" if s.is_lspace else "not an L-space"
     out = f"{what} for all {s.from_n} <= n <= {s.to_n}"
     if s.threshold is None:

@@ -59,9 +59,12 @@ class Reason(Enum):
     DUAL_WITNESS = "DualWitness"
 
 
-_TRUE_REASONS = {Reason.B_LARGE, Reason.LENS_NOT_S2XS1,
-                 Reason.CONNECTED_SUM_OF_LSPACES, Reason.RP2_BASE,
-                 Reason.NO_WITNESS_EXHAUSTIVE}
+# each reason proves one verdict, stored on the member once: an attribute
+# read costs no Python-level Enum.__hash__, as a set lookup does
+for _reason in Reason:
+    _reason.is_lspace = _reason in (Reason.B_LARGE, Reason.LENS_NOT_S2XS1,
+                                    Reason.CONNECTED_SUM_OF_LSPACES, Reason.RP2_BASE,
+                                    Reason.NO_WITNESS_EXHAUSTIVE)
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,7 @@ class LSpaceVerdict:
 
     @property
     def is_lspace(self) -> bool:
-        return self.reason in _TRUE_REASONS
+        return self.reason.is_lspace
 
     @property
     def infinite_h1(self) -> bool:

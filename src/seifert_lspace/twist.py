@@ -34,7 +34,7 @@ sum, and every other member is S2(b + beta; r1, r2, 1/n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .rationals import INF
@@ -150,51 +150,27 @@ class FamilyMember:
 
 
 @dataclass(frozen=True)
-class TailCertificate:
-    """A one-sided cofinite verdict: for side=+1, every n >= from_n has the
-    stated L-space verdict; for side=-1, every n <= from_n does.
+class Run:
+    """Every n from from_n to to_n has the stated L-space verdict; None
+    marks an infinite end.
 
-    ``limit``, ``band_base`` and ``threshold`` describe the slope analysis
-    behind the verdict; when ``mirrored`` is set they refer to the underlying
-    data before mirroring (the verdict itself is mirror-invariant).
-    """
-    side: int
-    is_lspace: bool
-    from_n: int
-    limit: object = None  # Fraction or INF
-    band_base: int | None = None
-    threshold: ThirdSlotThreshold | None = None
-    mirrored: bool = False
-
-    @property
-    def approach(self) -> str:
-        """Which side the varying slope approaches its limit from, in the
-        coordinates of ``threshold``."""
-        return "from_above" if (self.side > 0) != self.mirrored else "from_below"
-
-    def covers(self, n: int) -> bool:
-        return n >= self.from_n if self.side > 0 else n <= self.from_n
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Every n in [from_n, to_n] has the stated L-space verdict.
-
-    Each member of the range is S2(band_base; r1, r2, r) with r in (0,1) on
+    Each member of the run is S2(band_base; r1, r2, r) with r in (0,1) on
     one side of ``threshold``'s boundary, so the threshold alone proves the
     verdict.  ``band_base`` and ``threshold`` are None for the lens-space
-    ranges of a family whose fiber slope is always an integer (alpha = 0).
-    As for tails, ``mirrored`` means they refer to the data before mirroring.
+    runs of a family whose fiber slope is always an integer (alpha = 0) and
+    for projective-base families.  When ``mirrored`` is set they refer to
+    the underlying data before mirroring (the verdict is mirror-invariant).
     """
-    from_n: int
-    to_n: int
+    from_n: int | None
+    to_n: int | None
     is_lspace: bool
     band_base: int | None = None
     threshold: ThirdSlotThreshold | None = None
     mirrored: bool = False
 
     def covers(self, n: int) -> bool:
-        return self.from_n <= n <= self.to_n
+        return ((self.from_n is None or self.from_n <= n)
+                and (self.to_n is None or n <= self.to_n))
 
 
 def _piece(desc: ThirdSlotThreshold, r: Fraction, below: bool = False):
@@ -301,27 +277,45 @@ class FamilyReport:
     ``points`` holds the pointwise verdicts on the window, if there is one,
     plus the indices outside it that no threshold covers: the pole, members
     with an integer fiber slope, and the S2 x S1 member of an alpha = 0
-    family.  ``segments`` and the two tails are the runs of the walk over
-    Z, clipped to the complement of the window: index ranges whose verdict
-    a band threshold proves.  Window, singles, segments and tails partition
-    Z.  ``window`` is None when the report has none.
+    family.  ``runs`` are the runs of the walk over Z, clipped to the
+    complement of the window, in increasing order: index ranges whose
+    verdict a band threshold proves.  The first run is the tail to -infinity
+    and the last the tail to +infinity.  Window, points and runs partition
+    Z.  ``window`` is None when the report has none; ``limit_slope`` is the
+    slope beta/alpha of the limit space, before any mirroring, and None for
+    a projective-base family.
     """
     window: tuple[int, int] | None
-    points: dict[int, PointVerdict] = field(default_factory=dict)
-    tail_pos: TailCertificate | None = None
-    tail_neg: TailCertificate | None = None
-    limit: SeifertForm | None = None
-    limit_verdict: LSpaceVerdict | None = None
-    exceptional: tuple = ()
-    segments: tuple[Segment, ...] = ()
+    points: dict[int, PointVerdict]
+    runs: tuple[Run, ...]
+    limit_slope: object  # Fraction, INF or None
+    limit: SeifertForm
+    limit_verdict: LSpaceVerdict
+
+    @property
+    def tail_neg(self) -> Run:
+        return self.runs[0]
+
+    @property
+    def tail_pos(self) -> Run:
+        return self.runs[-1]
+
+    @property
+    def segments(self) -> tuple[Run, ...]:
+        return self.runs[1:-1]
+
+    @property
+    def exceptional(self) -> tuple:
+        return tuple((n, pv.tag) for n, pv in sorted(self.points.items())
+                     if pv.tag in _EXCEPTIONAL_TAGS)
 
     def lspace_at(self, n: int) -> bool:
-        """Verdict at any integer, from a point, a segment, or a tail."""
+        """Verdict at any integer, from a point or a run."""
         if n in self.points:
             return self.points[n].verdict.is_lspace
-        for part in (*self.segments, self.tail_pos, self.tail_neg):
-            if part is not None and part.covers(n):
-                return part.is_lspace
+        for run in self.runs:
+            if run.covers(n):
+                return run.is_lspace
         raise KeyError(f"n={n} is not covered by this report")
 
 
@@ -337,69 +331,55 @@ def evaluate_point(d, n: int) -> PointVerdict:
 
 
 def _certify(member: FamilyMember, window):
-    """The member's runs in family indices, as (tail_pos, tail_neg,
-    segments, singles).  The two runs with an infinite end are the tails;
-    a run over all of Z is split at 0 into n <= -1 and n >= 0.  With a
-    window lo..hi, the runs are clipped to its complement."""
+    """The member's runs in family indices, in increasing order, and its
+    singles.  With a window lo..hi each run keeps its non-empty parts left
+    and right of it; with none, only a run over all of Z is cut, at 0, so
+    the first and the last run are always the two tails."""
     if member.rp2:
-        runs, singles, limit = [(None, None, True, None, None)], [], None
+        runs, singles = [(None, None, True, None, None)], []
     else:
-        d = member.data
-        runs, singles = _runs(d)
-        limit = INF if d.alpha == 0 else Fraction(d.beta, d.alpha)
+        runs, singles = _runs(member.data)
     off, mirrored = member.offset, member.mirrored
     # the family's n-th member is the data's (n + offset)-th, or the mirror
-    # of its -(n + offset)-th; mirroring reverses each run
+    # of its -(n + offset)-th; mirroring reverses the runs and each run
     s = -1 if mirrored else 1
 
     def to_n(j):
         return None if j is None else s * j - off
 
-    segments = []
-    for a, b, verdict, base, desc in runs:
+    lo, hi = (0, -1) if window is None else window
+    left, right = [], []
+    for a, b, verdict, base, desc in (runs[::-1] if mirrored else runs):
         a, b = (to_n(b), to_n(a)) if mirrored else (to_n(a), to_n(b))
-        if window is None:
-            # the tails start where the run does; one over all of Z is cut
-            left, right = (-1, 0) if a is None and b is None else (b, a)
-            if a is not None and b is not None:
-                segments.append(Segment(a, b, verdict, base, desc, mirrored))
-        else:
-            # the last index of the run left of the window, the first right of it
-            lo, hi = window
-            left = lo - 1 if b is None else min(b, lo - 1)
-            right = hi + 1 if a is None else max(a, hi + 1)
-            if a is not None and a <= left:
-                segments.append(Segment(a, left, verdict, base, desc, mirrored))
-            if b is not None and right <= b:
-                segments.append(Segment(right, b, verdict, base, desc, mirrored))
-        if a is None:
-            tail_neg = TailCertificate(-1, verdict, left, limit, base, desc, mirrored)
-        if b is None:
-            tail_pos = TailCertificate(+1, verdict, right, limit, base, desc, mirrored)
-    segments.sort(key=lambda seg: seg.from_n)
-    return tail_pos, tail_neg, segments, [to_n(j) for j in singles]
+        if window is None and (a is not None or b is not None):
+            left.append(Run(a, b, verdict, base, desc, mirrored))
+            continue
+        # the last index of the run left of the window, the first right of it
+        end = lo - 1 if b is None else min(b, lo - 1)
+        start = hi + 1 if a is None else max(a, hi + 1)
+        if a is None or a <= end:
+            left.append(Run(a, end, verdict, base, desc, mirrored))
+        if b is None or start <= b:
+            right.append(Run(start, b, verdict, base, desc, mirrored))
+    return tuple(left + right), [to_n(j) for j in singles]
 
 
 def classify_family(d, window=None) -> FamilyReport:
     """Exact verdicts for every member, over all of Z.
 
-    With no window the report's points are only the singles, every finite
-    run is one segment and the two infinite runs are the tails; the cost
-    does not grow with any range of indices.  A window lo..hi adds every
-    member in it pointwise, for display, and clips the runs to its
-    complement.
+    With no window the report's points are only the singles and its runs
+    are the walk's; the cost does not grow with any range of indices.  A
+    window lo..hi adds every member in it pointwise, for display, and clips
+    the runs to its complement.
     """
     member = _as_member(d)
     if window is not None and window[0] > window[1]:
         raise ValueError("empty window")
-    tail_pos, tail_neg, segments, singles = _certify(member, window)
+    runs, singles = _certify(member, window)
     shown = () if window is None else range(window[0], window[1] + 1)
     points = {n: evaluate_point(member, n)
               for n in (*shown, *(n for n in singles if n not in shown))}
+    d = member.data
+    slope = None if member.rp2 else INF if d.alpha == 0 else Fraction(d.beta, d.alpha)
     limit = member.limit()
-    exceptional = tuple((n, pv.tag) for n, pv in sorted(points.items())
-                        if pv.tag in _EXCEPTIONAL_TAGS)
-    return FamilyReport(window=window, points=points,
-                        tail_pos=tail_pos, tail_neg=tail_neg,
-                        limit=limit, limit_verdict=decide(limit),
-                        exceptional=exceptional, segments=tuple(segments))
+    return FamilyReport(window, points, runs, slope, limit, decide(limit))

@@ -6,7 +6,9 @@ presentation-matrix determinant directly from raw (unnormalized) slope data;
 neither shares code with the package.  ``loop_witness`` and
 ``loop_not_lspace_sup`` are the package's former witness search and
 third-slot supremum, which walk every k below 1/s1 (linear in that
-denominator); they are the references for the Stern-Brocot versions.  The
+denominator); they are the references for the Stern-Brocot versions.
+``loop_torus_pq_candidates`` is the former base-form search over every
+(b1, b2), the reference for its closed form.  The
 ``fraction_*`` functions are the package's former text parser,
 ``normalize``, ``classify`` and ``decide``, which build a ``Fraction`` per
 slope and a form through the validating ``SeifertForm`` constructor; they are
@@ -158,6 +160,15 @@ def loop_not_lspace_sup(u: Fraction, v: Fraction) -> Fraction:
         q = _simplest_between(u, hi)
         best = max(best, Fraction(1, q.denominator))
     return best
+
+
+def loop_torus_pq_candidates(p: int, q: int, l: int):
+    """The package's former ``torus_pq_candidates``: every b1 < p and b2 < q
+    coprime to them, kept when pq divides l^2 - q*b1 - p*b2."""
+    pq, ll = p * q, l * l
+    return [((ll - q * b1 - p * b2) // pq, Fraction(b1, p), Fraction(b2, q))
+            for b1 in range(1, p) if gcd(b1, p) == 1
+            for b2 in range(1, q) if gcd(b2, q) == 1 and (ll - q * b1 - p * b2) % pq == 0]
 
 
 def det_int(rows):

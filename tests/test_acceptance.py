@@ -183,7 +183,8 @@ def test_10_tail_soundness_and_performance():
             report = classify_family(member, (-20, 20))
             for tail in (report.tail_pos, report.tail_neg):
                 for _ in range(20):
-                    n = tail.from_n + tail.side * rng.randint(0, 10 ** 4)
+                    off = rng.randint(0, 10 ** 4)
+                    n = tail.from_n + off if tail.to_n is None else tail.to_n - off
                     _, form = member.point(n)
                     if decide(form).is_lspace is not tail.is_lspace:
                         bad.append((spec.name, n))

@@ -1,6 +1,7 @@
 """Catalog families and their arithmetic guarantee checkers."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -14,6 +15,8 @@ from seifert_lspace import (ALL_N, Guarantee, GuaranteeKind, PreconditionFailed,
                             torus_pq_candidates, tunnel2_family,
                             twisted_torus_family, unknot_seiferter_data,
                             unknot_seiferter_family)
+
+from oracles import loop_torus_pq_candidates
 
 
 def F(n, d=1):
@@ -44,6 +47,14 @@ class TestTorusPqCandidates:
 
     def test_no_integral_section(self):
         assert torus_pq_candidates(3, 2, 6) == []  # gcd(l, pq) > 1
+
+    def test_closed_form_matches_the_loop(self):
+        for p in range(2, 40):
+            for q in range(2, 40):
+                if gcd(p, q) == 1:
+                    for l in range(1, 60):
+                        assert torus_pq_candidates(p, q, l) == \
+                            loop_torus_pq_candidates(p, q, l), (p, q, l)
 
     def test_requires_coprime_pq(self):
         with pytest.raises(PreconditionFailed):
@@ -279,6 +290,9 @@ class TestRegressionContract:
 
             assert check(bound) == (False, [f"eps: fails at n={text}"])
             assert check(-334 if mirrored else 334) == (True, [])
+            # a bound at the tail's finite end meets it in one index
+            end, op = (-335, ">=") if mirrored else (335, "<=")
+            assert check(end) == (False, [f"eps: fails at n=[{end}] {op} {end}"])
 
     def test_exceptions_in_a_tail_are_checked(self):
         # n = 5 lies in the positive tail of the windowless report, but it is

@@ -1,8 +1,10 @@
 """Text grammar, JSON round-trips, CLI verbs and exit codes."""
 
 import argparse
+import hashlib
 import json
 import random
+import re
 import sys
 import time
 from contextlib import contextmanager
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from seifert_lspace import INF, Base, SeifertForm, normalize
 from seifert_lspace.cli import MAX_WINDOW, _window, build_parser, main
 from seifert_lspace.corpus import CASES, Case, Check, run_corpus
+from seifert_lspace.families import catalog
 from seifert_lspace.formats import (ParseError, dumps, form_json, parse_form,
                                     rational_json)
 
@@ -384,6 +387,12 @@ class TestCliOtherVerbs:
         assert main(["family", "run", "berge-vii", "--params", "a=1,b=2"]) == 0
         assert "torus knot" in capsys.readouterr().out
 
+    def test_family_run_with_30_digit_params(self, capsys):
+        # the base form is solved for, not searched for among p*q pairs
+        p = 10 ** 29
+        assert main(["family", "run", "p+q", "--params", f"p={p},q={p + 1}", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["outputs"]["guarantee_confirmed"]
+
     def test_family_run_degenerate_params_json(self, capsys):
         assert main(["family", "run", "berge-vii", "--params", "a=1,b=2", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -501,3 +510,45 @@ class TestReproduce:
         passed, failed, names = run_corpus(cases=CASES[:2] + (bad,), emit=lines.append)
         assert failed == 1 and names == ["broken-case"]
         assert any("FAIL broken-case" in ln for ln in lines)
+
+
+def _pinned_argvs():
+    """Every catalog ``family run`` on a window around 0 and one far out,
+    the epsilon = 10^-3..10^-6 twist scans on -50..50 and on a window at the
+    start of their not-L-space tail (near 10^e/3), and ``reproduce`` and
+    ``family list``."""
+    out = []
+    for spec in catalog():
+        for window in ("-3..3", "200..260"):
+            for mode in ((), ("--json",)):
+                out.append(["family", "run", spec.name, f"--window={window}", *mode])
+    for e in range(3, 7):
+        r2 = Fraction(2, 3) - Fraction(1, 10 ** e)
+        k3 = 10 ** e // 3
+        for window in ("-50..50", f"{k3 - 3}..{k3 + 3}"):
+            for mode in ((), ("--json", "--float")):
+                out.append(["twist-scan", "--b", "-1", "--r1", "1/3",
+                            "--r2", f"{r2.numerator}/{r2.denominator}",
+                            "--alpha", "1", "--beta", "0", "--alpha3", "1",
+                            "--beta3", "1", f"--window={window}", *mode])
+    for argv in (["reproduce"], ["family", "list"]):
+        out += [argv, argv + ["--json"]]
+    return out
+
+
+# sha256 of the pinned invocations' exit codes and stdout, elapsed_ms
+# blanked; a change that alters CLI output on purpose updates it
+PINNED_OUTPUT_SHA256 = "21a135b0b593e0b433494e29c4de4abad167f3fd59566f875def8d96ac67e41e"
+
+
+class TestPinnedOutput:
+    def test_cli_bytes_are_unchanged(self, capsys):
+        h = hashlib.sha256()
+        argvs = _pinned_argvs()
+        assert len(argvs) == 96
+        for argv in argvs:
+            rc = main(argv)
+            out = re.sub(r'"elapsed_ms": [^,\n]*', '"elapsed_ms": 0',
+                         capsys.readouterr().out)
+            h.update(f"{' '.join(argv)}\n{rc}\n{out}".encode())
+        assert h.hexdigest() == PINNED_OUTPUT_SHA256

@@ -179,7 +179,7 @@ class TestClassifyFamily:
         # innermost values right beyond the certificates agree pointwise
         for tail in (report.tail_pos, report.tail_neg):
             for i in range(10):
-                n = tail.from_n + i * tail.side
+                n = tail.from_n + i if tail.to_n is None else tail.to_n - i
                 assert decide(surgered_space(d, n)).is_lspace is tail.is_lspace
 
     def test_tails_agree_with_pointwise_far_out(self):
@@ -192,7 +192,7 @@ class TestClassifyFamily:
                     offsets = list(range(10)) + [rng.randint(10, 10 ** 4)
                                                  for _ in range(20)]
                     for off in offsets:
-                        n = tail.from_n + tail.side * off
+                        n = tail.from_n + off if tail.to_n is None else tail.to_n - off
                         _, form = member.point(n)
                         assert decide(form).is_lspace is tail.is_lspace, (spec.name, n)
 
@@ -234,7 +234,7 @@ class TestClassifyFamily:
         assert report.tail_neg.is_lspace is False
         for tail in (report.tail_pos, report.tail_neg):
             for i in range(8):
-                n = tail.from_n + i * tail.side
+                n = tail.from_n + i if tail.to_n is None else tail.to_n - i
                 assert decide(surgered_space(d, n)).is_lspace is tail.is_lspace
 
     def test_random_synthetic_data_tails_match_brute_force(self):
@@ -275,7 +275,7 @@ class TestClassifyFamily:
             report = classify_family(d, (-6, 6))
             for tail in (report.tail_pos, report.tail_neg):
                 for i in [*range(12), 25, 70, 311, 4096]:
-                    n = tail.from_n + i * tail.side
+                    n = tail.from_n + i if tail.to_n is None else tail.to_n - i
                     assert decide(surgered_space(d, n)).is_lspace is tail.is_lspace, (d, n)
             # window, gap segments and tails cover everything consistently
             for n in range(-30, 31):
@@ -298,7 +298,7 @@ class TestClassifyFamily:
             report = classify_family(d, (-50, 50))
             assert report.tail_pos.from_n == start
             assert report.tail_pos.is_lspace is False
-            assert report.tail_neg.from_n == -51
+            assert report.tail_neg.to_n == -51
             assert [(s.from_n, s.to_n, s.is_lspace) for s in report.segments] == \
                 [(51, start - 1, True)]
             assert sorted(report.points) == list(range(-50, 51))
@@ -408,3 +408,30 @@ class TestRuns:
                 for n in range(lo, hi + 1):
                     assert a.lspace_at(n) is b.lspace_at(n) is whole.lspace_at(n), \
                         (d, mirrored, windows, n)
+
+    def test_reports_partition_z(self):
+        rng = random.Random(1618)
+        members = [FamilyMember(rp2=True)]
+        for _ in range(150):
+            d = _random_seiferter(rng)
+            members += [FamilyMember(data=d, mirrored=mirrored, offset=rng.randint(-9, 9))
+                        for mirrored in (False, True)]
+        for member in members:
+            lo = rng.randint(-40, 30)
+            for window in (None, (lo, lo + rng.randint(0, 12))):
+                report = classify_family(member, window)
+                runs = report.runs
+                # only the first run starts at -inf and only the last ends at +inf
+                assert [r.from_n is None for r in runs] == [True] + [False] * (len(runs) - 1)
+                assert [r.to_n is None for r in runs] == [False] * (len(runs) - 1) + [True]
+                # increasing, non-empty and disjoint
+                for r in runs[1:-1]:
+                    assert r.from_n <= r.to_n, (member, window, runs)
+                for r, s in zip(runs, runs[1:]):
+                    assert r.to_n < s.from_n, (member, window, runs)
+                for n in report.points:
+                    assert not any(r.covers(n) for r in runs), (member, window, n)
+                ends = [e for r in runs for e in (r.from_n, r.to_n) if e is not None]
+                for n in range(min(ends) - 5, max(ends) + 6):
+                    assert sum(r.covers(n) for r in runs) + (n in report.points) == 1, \
+                        (member, window, n)
