@@ -433,11 +433,22 @@ def check_guarantee(spec: FamilySpec):
     return check_reports(spec, [classify_family(m) for m in spec.members])
 
 
+def _merged(ranges) -> list[tuple[int, int]]:
+    """The ranges sorted, with adjacent and overlapping ones joined."""
+    out = []
+    for a, b in sorted(ranges):
+        if out and a <= out[-1][1] + 1:
+            out[-1] = (out[-1][0], max(b, out[-1][1]))
+        else:
+            out.append((a, b))
+    return out
+
+
 def _failures(report) -> list[tuple[int, int]]:
-    """Sorted index ranges of the non-L-space members between the tails."""
-    out = [(n, n) for n, pv in report.points.items() if not pv.verdict.is_lspace]
-    out += [(s.from_n, s.to_n) for s in report.segments if not s.is_lspace]
-    return sorted(out)
+    """Sorted, disjoint index ranges of the non-L-space members between the
+    tails, points and segments alike."""
+    return _merged([(n, n) for n, pv in report.points.items() if not pv.verdict.is_lspace]
+                   + [(s.from_n, s.to_n) for s in report.segments if not s.is_lspace])
 
 
 def _ranges_text(ranges) -> str:
@@ -468,7 +479,8 @@ def check_reports(spec: FamilySpec, reports):
             if not tn.is_lspace and tn.to_n >= g.bound:
                 bad.insert(0, (g.bound, tn.to_n))
             if bad:
-                problems.append(f"{spec.name}: fails at n={_ranges_text(bad)} >= {g.bound}")
+                problems.append(f"{spec.name}: fails at n={_ranges_text(_merged(bad))} "
+                                f">= {g.bound}")
             if not tp.is_lspace:
                 problems.append(f"{spec.name}: positive tail not certified L-space")
         elif g.kind is GuaranteeKind.N_LE:
@@ -476,7 +488,8 @@ def check_reports(spec: FamilySpec, reports):
             if not tp.is_lspace and tp.from_n <= g.bound:
                 bad.append((tp.from_n, g.bound))
             if bad:
-                problems.append(f"{spec.name}: fails at n={_ranges_text(bad)} <= {g.bound}")
+                problems.append(f"{spec.name}: fails at n={_ranges_text(_merged(bad))} "
+                                f"<= {g.bound}")
             if not tn.is_lspace:
                 problems.append(f"{spec.name}: negative tail not certified L-space")
         else:

@@ -130,12 +130,20 @@ def parse_form(text: str) -> SeifertForm:
     return _normal_form(b, slopes, degenerate)
 
 
-@lru_cache(maxsize=256)
-def _key(k: str) -> str:
-    return encode_basestring_ascii(k) + ": "
-
-
 _NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+# ints below 640 digits have a decimal text under every
+# sys.set_int_max_str_digits() limit
+_SHORT_INT = 10 ** 639
+
+
+@lru_cache(maxsize=256)
+def _object_heads(keys: tuple, pad: str) -> tuple:
+    """The texts around the values of a dict with these keys, in this
+    order, at this indent: the brace and first key, each separator and key
+    after it, and the closing brace."""
+    inner = pad + "  "
+    heads = [inner + encode_basestring_ascii(k) + ": " for k in keys]
+    return ("{" + heads[0], *["," + h for h in heads[1:]], pad + "}")
 
 
 def dumps(o, _pad: str = "\n") -> str:
@@ -143,29 +151,43 @@ def dumps(o, _pad: str = "\n") -> str:
     lists, str, int, bool, None and float.
 
     The stdlib takes a generator-based pure-Python path whenever ``indent``
-    is set; this one recursive function keeps the C string escaper and joins
-    whole child lists instead.
+    is set.  This one keeps the C string escaper, writes the scalar members
+    of a container in its own loop and recurses only into containers and
+    floats.  One join writes each container from its members' texts and
+    the texts between them (a dict's come cached per shape), so the text of
+    a subtree is copied once, and at most two copies of it are alive.
     """
     t = type(o)
+    if t is dict or t is list:
+        if not o:
+            return "{}" if t is dict else "[]"
+        inner = _pad + "  "
+        parts = []
+        for v in (o.values() if t is dict else o):
+            tv = type(v)
+            if tv is str:
+                v = encode_basestring_ascii(v)
+            elif tv is int:
+                v = int.__repr__(v) if -_SHORT_INT < v < _SHORT_INT else int_text(v)
+            elif tv is bool:
+                v = "true" if v else "false"
+            elif v is None:
+                v = "null"
+            else:
+                v = dumps(v, inner)
+            parts.append(v)
+        # members at the odd places, the texts between them at the even ones
+        pieces = ["," + inner] * (2 * len(parts) + 1)
+        pieces[1::2] = parts
+        if t is dict:
+            pieces[::2] = _object_heads(tuple(o), _pad)
+        else:
+            pieces[0], pieces[-1] = "[" + inner, _pad + "]"
+        return "".join(pieces)
     if t is str:
         return encode_basestring_ascii(o)
     if t is int:
-        try:
-            return int.__repr__(o)
-        except ValueError:  # more digits than sys.get_int_max_str_digits()
-            return int_text(o)
-    if t is dict:
-        if not o:
-            return "{}"
-        inner = _pad + "  "
-        return ("{" + inner + ("," + inner).join([_key(k) + dumps(v, inner)
-                                                  for k, v in o.items()])
-                + _pad + "}")
-    if t is list:
-        if not o:
-            return "[]"
-        inner = _pad + "  "
-        return "[" + inner + ("," + inner).join([dumps(v, inner) for v in o]) + _pad + "]"
+        return int_text(o)
     if o is None:
         return "null"
     if t is bool:

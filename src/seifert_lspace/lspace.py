@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .rationals import INF, farey_neighbours, simplest_pair
 from .seifert import Classification, SeifertForm, Tag, classify
@@ -67,8 +68,7 @@ for _reason in Reason:
                                     Reason.NO_WITNESS_EXHAUSTIVE)
 
 
-@dataclass(frozen=True)
-class LSpaceVerdict:
+class LSpaceVerdict(NamedTuple):
     """Decision plus certificate.
 
     ``witness`` is populated whenever the witness test applies and finds a

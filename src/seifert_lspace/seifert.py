@@ -11,9 +11,11 @@ they are L-spaces whenever they are rational homology spheres.
 Normalization is one integer core, ``_normal_form``: it folds the integer
 parts of (num, den) pairs into b, sorts the remainders by cross-multiplication
 and builds the form without re-validating it.  The text parser hands it pairs
-straight from the tokens; ``normalize`` is its adapter for ``Fraction`` and
-``INF`` slopes, and ``mirror`` builds its already-normal result directly.
-``SeifertForm(...)`` itself still validates, for every other caller.
+straight from the tokens, and ``twist.evaluate_point`` a family member's
+fixed slopes beside the pair of its fiber slope; ``normalize`` is its adapter
+for ``Fraction`` and ``INF`` slopes, and ``mirror`` builds its already-normal
+result directly.  ``SeifertForm(...)`` itself still validates, for every
+other caller.
 
 The first homology order of S2(b; r_1, ..., r_k) is |alpha_1 ... alpha_k *
 (b + r_1 + ... + r_k)|; order zero means positive first Betti number and is
@@ -26,6 +28,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .rationals import INF, int_text
 
@@ -162,8 +165,7 @@ class Tag(Enum):
     RP2_BASE = "RP2Base"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     tag: Tag
     h1: object = None  # int, INF, or None when not computed (projective base)
     summands: tuple[int, ...] | None = None  # lens-summand orders of a connected sum

@@ -36,9 +36,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from .rationals import INF
-from .seifert import Base, SeifertForm, Tag, classify, mirror, normalize
+from .seifert import Base, SeifertForm, Tag, _normal_form, classify, mirror, normalize
 from .lspace import (LSpaceVerdict, ThirdSlotThreshold, _decide_classified, decide,
                      third_slot_threshold)
 
@@ -73,6 +75,12 @@ class SeiferterData:
         if self.l < 0:
             raise ValueError("linking number is recorded as a nonnegative integer")
 
+    @property
+    def limit_slope(self):
+        """beta/alpha, the fiber slope of the |n| -> infinity limit; INF
+        when alpha = 0."""
+        return INF if self.alpha == 0 else Fraction(self.beta, self.alpha)
+
 
 def fiber_slope(d: SeiferterData, n: int):
     """Slope of the twisted seiferter after n twists; INF at the pole."""
@@ -95,8 +103,7 @@ def surgery_slope(d: SeiferterData, n: int) -> int:
 
 def limit_space(d: SeiferterData) -> SeifertForm:
     """The |n| -> infinity limit: slope beta/alpha, infinite when alpha = 0."""
-    rc = INF if d.alpha == 0 else Fraction(d.beta, d.alpha)
-    return normalize(d.b, (d.r1, d.r2, rc))
+    return normalize(d.b, (d.r1, d.r2, d.limit_slope))
 
 
 def h1_consistency(d: SeiferterData, n: int) -> bool:
@@ -147,6 +154,22 @@ class FamilyMember:
             return SeifertForm(base=Base.RP2)
         f = limit_space(self.data)
         return mirror(f) if self.mirrored else f
+
+    @cached_property
+    def frame(self):
+        """(base, fixed slopes as (p, q, Fraction)), worked out once: the n-th
+        member is S2(base; fixed, f(j)) before normalization, or with
+        mirroring S2(base; fixed, -f(j)).
+
+        Mirroring negates every raw slope of S2(b; r1, r2, f(j)); folding
+        -r = -1 + (1 - r) for the fixed slopes gives the base -b - 2 and the
+        fixed slopes 1 - r1 and 1 - r2, and leaves -f(j) as it is.
+        """
+        d = self.data
+        if self.mirrored:
+            return -d.b - 2, tuple((r.denominator - r.numerator, r.denominator, 1 - r)
+                                   for r in (d.r1, d.r2))
+        return d.b, tuple((r.numerator, r.denominator, r) for r in (d.r1, d.r2))
 
 
 @dataclass(frozen=True)
@@ -235,7 +258,7 @@ def _runs(d: SeiferterData):
         return verdict, p + lo, lo_closed, d.b + p, cache[p]
 
     pole = Fraction(-d.alpha3, d.alpha)
-    rc = Fraction(d.beta, d.alpha)
+    rc = d.limit_slope
     # f increases to rc from below as j -> -infinity
     verdict, c, closed, base, desc = piece(rc, below=True)
     j = _first_below(d, c, closed)
@@ -258,8 +281,7 @@ def _runs(d: SeiferterData):
         j = nxt
 
 
-@dataclass(frozen=True)
-class PointVerdict:
+class PointVerdict(NamedTuple):
     n: int
     slope: int | None
     form: SeifertForm
@@ -324,8 +346,27 @@ def _as_member(d) -> FamilyMember:
 
 
 def evaluate_point(d, n: int) -> PointVerdict:
+    """The verdict on the n-th member, in one pass over integer pairs.
+
+    f(j) is the pair (j * beta + beta3, j * alpha + alpha3), negated for a
+    mirrored member, and goes to ``_normal_form`` beside the member's
+    ``frame``; no ``Fraction`` is built but the fiber slope's.  Its oracle is
+    the ``Fraction`` path, ``FamilyMember.point`` through ``classify`` and
+    ``_decide_classified`` (``fraction_point`` in ``tests/oracles.py``).
+    """
     member = _as_member(d)
-    slope, form = member.point(n)
+    if member.rp2:
+        slope, form = member.point(n)
+    else:
+        d, (b, fixed) = member.data, member.frame
+        s = -1 if member.mirrored else 1
+        j = s * (n + member.offset)
+        slope = s * surgery_slope(d, j)
+        num, den = s * (j * d.beta + d.beta3), j * d.alpha + d.alpha3
+        if den < 0:
+            num, den = -num, -den
+        form = (_normal_form(b, (*fixed, (num, den, None)), 0) if den
+                else _normal_form(b, fixed, 1))
     c = classify(form)
     return PointVerdict(n, slope, form, c.tag, _decide_classified(form, c))
 
@@ -379,7 +420,6 @@ def classify_family(d, window=None) -> FamilyReport:
     shown = () if window is None else range(window[0], window[1] + 1)
     points = {n: evaluate_point(member, n)
               for n in (*shown, *(n for n in singles if n not in shown))}
-    d = member.data
-    slope = None if member.rp2 else INF if d.alpha == 0 else Fraction(d.beta, d.alpha)
+    slope = None if member.rp2 else member.data.limit_slope
     limit = member.limit()
     return FamilyReport(window, points, runs, slope, limit, decide(limit))

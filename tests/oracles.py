@@ -14,6 +14,11 @@ denominator); they are the references for the Stern-Brocot versions.
 slope and a form through the validating ``SeifertForm`` constructor; they are
 the references for the integer-pair path.  They share only the package's
 data classes, ``ParseError`` and the witness core ``_witness_from_pairs``.
+``fraction_point`` is the package's former ``evaluate_point``: the member's
+form through ``FamilyMember.point`` (``surgered_space`` with a ``Fraction``
+fiber slope, then ``mirror``), then the package's ``classify`` and
+``_decide_classified``; it is the reference for the integer pairs that
+``evaluate_point`` hands to ``_normal_form``.
 """
 
 from __future__ import annotations
@@ -27,11 +32,12 @@ from math import gcd
 import numpy as np
 
 from seifert_lspace.formats import ParseError
-from seifert_lspace.lspace import (LSpaceVerdict, Reason, _witness_from_pairs,
-                                   search_bound)
+from seifert_lspace.lspace import (LSpaceVerdict, Reason, _decide_classified,
+                                   _witness_from_pairs, search_bound)
 from seifert_lspace.rationals import INF, is_finite
 from seifert_lspace.seifert import (Base, Classification, DegenerateEuler,
-                                    SeifertForm, Tag, UnsupportedFiberCount)
+                                    SeifertForm, Tag, UnsupportedFiberCount, classify)
+from seifert_lspace.twist import FamilyMember, PointVerdict
 
 _TABLES = {}
 
@@ -418,3 +424,10 @@ def _fraction_decide_classified(f: SeifertForm, c: Classification) -> LSpaceVerd
         return LSpaceVerdict(Reason.DUAL_WITNESS if dual else Reason.WITNESS,
                              witness=w, witness_is_dual=dual, search_bound=bound)
     return LSpaceVerdict(Reason.NO_WITNESS_EXHAUSTIVE, search_bound=bound)
+
+
+def fraction_point(member: FamilyMember, n: int) -> PointVerdict:
+    """The n-th member's verdict from its ``Fraction`` form."""
+    slope, form = member.point(n)
+    c = classify(form)
+    return PointVerdict(n, slope, form, c.tag, _decide_classified(form, c))

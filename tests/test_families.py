@@ -15,6 +15,7 @@ from seifert_lspace import (ALL_N, Guarantee, GuaranteeKind, PreconditionFailed,
                             torus_pq_candidates, tunnel2_family,
                             twisted_torus_family, unknot_seiferter_data,
                             unknot_seiferter_family)
+from seifert_lspace.families import _merged
 
 from oracles import loop_torus_pq_candidates
 
@@ -269,7 +270,8 @@ class TestRegressionContract:
         ok, problems = check(Guarantee(GuaranteeKind.N_LE, 400))
         assert not ok and problems == ["eps: fails at n=[335..400] <= 400"]
         ok, problems = check(ALL_N)
-        assert not ok and "335..1989" in problems[0]
+        # the segment 335..1989 and the failing window 1990..2000 join
+        assert not ok and problems[0] == "eps: not an L-space at n=[335..2000]"
 
     @pytest.mark.parametrize("window", [None, (-50, 50)], ids=["no-window", "window"])
     def test_one_sided_guarantees_see_the_opposite_tail(self, window):
@@ -293,6 +295,32 @@ class TestRegressionContract:
             # a bound at the tail's finite end meets it in one index
             end, op = (-335, ">=") if mirrored else (335, "<=")
             assert check(end) == (False, [f"eps: fails at n=[{end}] {op} {end}"])
+
+    def test_failing_window_indices_merge_into_ranges(self):
+        # n >= 335 fails: the window's failing points and the positive tail
+        # read as ranges, not one index at a time
+        from seifert_lspace import FamilyMember, FamilySpec, SeiferterData, check_reports
+        data = SeiferterData(b=-1, r1=F(1, 3), r2=F(1997, 3000),
+                             alpha=1, beta=0, alpha3=1, beta3=1)
+        member = FamilyMember(data=data)
+        spec = FamilySpec("eps", "", (), Guarantee(GuaranteeKind.N_GE, 0), (member,))
+        report = classify_family(member, (300, 340))
+        assert check_reports(spec, [report]) == (False, [
+            "eps: fails at n=[335..340] >= 0", "eps: positive tail not certified L-space"])
+        # overlapping and adjacent ranges of points and segments join
+        assert _merged([(7, 7), (1, 3), (4, 4), (2, 5), (9, 12), (10, 10), (13, 13)]) \
+            == [(1, 5), (7, 7), (9, 13)]
+        mirror = FamilyMember(data=data, mirrored=True)
+        spec = FamilySpec("eps", "", (), Guarantee(GuaranteeKind.N_LE, 0), (mirror,))
+        assert check_reports(spec, [classify_family(mirror, (-340, -300))])[1][0] \
+            == "eps: fails at n=[-340..-335] <= 0"
+        # the failing tail joins the failing points next to it
+        for member, kind, bound, window, text in (
+                (member, GuaranteeKind.N_LE, 400, (300, 340), "[335..400] <= 400"),
+                (mirror, GuaranteeKind.N_GE, -400, (-340, -300), "[-400..-335] >= -400")):
+            spec = FamilySpec("eps", "", (), Guarantee(kind, bound), (member,))
+            assert check_reports(spec, [classify_family(member, window)]) == \
+                (False, [f"eps: fails at n={text}"])
 
     def test_exceptions_in_a_tail_are_checked(self):
         # n = 5 lies in the positive tail of the windowless report, but it is

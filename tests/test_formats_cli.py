@@ -20,6 +20,7 @@ from seifert_lspace.corpus import CASES, Case, Check, run_corpus
 from seifert_lspace.families import catalog
 from seifert_lspace.formats import (ParseError, dumps, form_json, parse_form,
                                     rational_json)
+from seifert_lspace.rationals import int_text
 
 from oracles import fraction_parse_form
 
@@ -190,9 +191,37 @@ class TestDumps:
         assert dumps(tree) == json.dumps(tree, indent=2)
 
     def test_rejects_types_outside_the_cli_payloads(self):
-        for bad in (F(1, 2), {1: 2}, {"k": {3}}, (1, 2)):
+        for bad in (F(1, 2), {1: 2}, {"k": {3}}, (1, 2), {"a": [{"b": {1: "x"}}]},
+                    {"a": {"b": {None: 1}}}, [1, (2,)]):
             with pytest.raises(TypeError):
                 dumps(bad)
+
+    def test_scalar_members(self):
+        # ints past 4300 digits, which json.dumps cannot write, as a dict
+        # value and as list items
+        big = 7 * 10 ** 5000 + 1
+        text = int_text(big)
+        assert dumps({"a": big, "b": [-big, 1]}) == \
+            '{\n  "a": ' + text + ',\n  "b": [\n    -' + text + ',\n    1\n  ]\n}'
+        assert dumps([big]) == "[\n  " + text + "\n]"
+        # the smallest limit Python allows still writes every int of the
+        # fast path; the longer ones take int_text
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            edge = [10 ** 639 - 1, -(10 ** 639 - 1), 10 ** 639, 10 ** 640, -10 ** 700]
+            assert dumps({"x": edge}) == \
+                '{\n  "x": [\n' + ",\n".join("    " + int_text(v) for v in edge) + "\n  ]\n}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        for tree in (
+                {"t": True, "i": 1, "f": 1.0, "l": [True, 1, 1.0, False, 0, 0.0, None, "1"]},
+                [True, 1, 1.0, {"t": True, "i": 1, "f": 1.0}],
+                {"p": float("inf"), "m": float("-inf"), "n": float("nan"), "z": -0.0,
+                 "l": [float("inf"), float("nan")]},
+                # keys with format characters, and empty containers
+                {"%s": 1, "a%%b": [{"%": "%s", "%(x)s": None}], "": {}, "e": []}):
+            assert dumps(tree) == json.dumps(tree, indent=2)
 
     @pytest.mark.parametrize("argv", [
         ["decide", "SFS[S2; -2; 2/3, 2/3, 2/3]", "--float", "--json"],

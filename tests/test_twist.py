@@ -11,7 +11,9 @@ from seifert_lspace import (INF, FamilyMember, SeiferterData, Tag,
                             fiber_slope, h1_consistency, limit_space,
                             normalize, surgered_space, surgery_slope,
                             tunnel2_family, unknot_seiferter_data)
-from seifert_lspace.twist import _runs
+from seifert_lspace.twist import _certify, _runs, evaluate_point
+
+from oracles import fraction_point
 
 
 def F(n, d=1):
@@ -338,6 +340,55 @@ def _random_seiferter(rng):
         r2 = 1 - r1 if rng.random() < 0.2 else F(rng.randint(1, 10), 11)
         return SeiferterData(b=rng.randint(-5, 4), r1=r1, r2=r2, alpha=alpha, beta=beta,
                              alpha3=alpha3, beta3=beta3)
+
+
+def _huge_seiferter(rng):
+    """Valid data whose slopes, matrix entries and base reach 10^18."""
+    big = 10 ** 18
+    while True:
+        alpha3 = rng.choice([1, rng.randint(1, big)])
+        alpha = rng.randint(-big, big)
+        if gcd(alpha, alpha3) == 1:
+            break
+    beta3 = (pow(alpha, -1, alpha3) if alpha3 > 1 else 0) + alpha3 * rng.randint(-4, 4)
+    beta = (alpha * beta3 - 1) // alpha3
+    q1, q2 = rng.randint(2, big), rng.randint(2, big)
+    return SeiferterData(b=rng.choice([rng.randint(-5, 4), rng.randint(-big, big)]),
+                         r1=F(rng.randint(1, q1 - 1), q1), r2=F(rng.randint(1, q2 - 1), q2),
+                         alpha=alpha, beta=beta, alpha3=alpha3, beta3=beta3,
+                         m=rng.randint(-big, big), l=rng.randint(0, big))
+
+
+class TestEvaluatePoint:
+    def test_integer_pairs_match_the_fraction_path(self):
+        """evaluate_point against the Fraction path, on mirrored and
+        unmirrored members at random offsets: at the singles (the pole and
+        integer f(n)), next to them and at random indices near and far."""
+        rng = random.Random(5772)
+        kinds = set()
+        for k in range(400):
+            d = _random_seiferter(rng) if k % 2 else _huge_seiferter(rng)
+            offset = rng.choice([rng.randint(-9, 9), rng.randint(-10 ** 18, 10 ** 18)])
+            member = FamilyMember(data=d, mirrored=rng.random() < 0.5, offset=offset)
+            singles = _certify(member, None)[1]
+            ns = {rng.randint(-50, 50), rng.randint(-10 ** 20, 10 ** 20), -offset,
+                  *(n + i for n in singles for i in (-2, -1, 0, 1, 2))}
+            for n in ns:
+                pv = evaluate_point(member, n)
+                assert pv == fraction_point(member, n), (member, n)
+                kinds.add("mirrored" if member.mirrored else "unmirrored")
+                if n in singles and d.alpha:
+                    kinds.add("pole" if pv.form.degenerate else "integer f(n)")
+            kinds.add("alpha = 0" if d.alpha == 0 else
+                      "(alpha3, beta3) = (0, 1)" if d.alpha3 == 0 else
+                      "10^18" if abs(d.alpha) > 10 ** 12 else "small")
+        assert kinds == {"mirrored", "unmirrored", "pole", "integer f(n)", "alpha = 0",
+                         "(alpha3, beta3) = (0, 1)", "10^18", "small"}
+
+    def test_rp2_member(self):
+        member = FamilyMember(rp2=True)
+        for n in (-3, 0, 10 ** 20):
+            assert evaluate_point(member, n) == fraction_point(member, n)
 
 
 class TestRuns:
