@@ -3,10 +3,10 @@
 Text forms are ``SFS[S2; b; r1, r2, ...]`` (slopes may be raw: any rational,
 ``inf``, or ``n/0`` for a degenerate fiber) and ``SFS[RP2]``.  The parser
 takes the tokens from one regex scan and hands the slopes to the normal-form
-core in ``seifert`` as (num, den) integer pairs; token positions are worked
-out only for a ``ParseError``.  All JSON numbers are exact integer pairs
-{"num": ..., "den": ...}; a decimal approximation is attached only when
-explicitly requested and never feeds back into any computation.
+core in ``seifert`` as reduced (num, den) integer pairs; token positions are
+worked out only for a ``ParseError``.  All JSON numbers are exact integer
+pairs {"num": ..., "den": ...}; a decimal approximation is attached only when
+requested and a float holds the value, and never feeds back into anything.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from .rationals import INF, format_rational, int_text, is_finite
 from .seifert import Base, Classification, SeifertForm, _normal_form
@@ -68,8 +69,8 @@ _OPEN = ["SFS", "["]
 def parse_form(text: str) -> SeifertForm:
     """Parse the SFS grammar into a normalized form.
 
-    Slopes go to the normalization core as (num, den) pairs and degenerate
-    fibers as a count; no ``Fraction`` is built on the way.
+    Slopes go to the normalization core as (num, den) pairs reduced by one
+    gcd, and degenerate fibers as a count; no ``Fraction`` is built.
     """
     toks = _tokens(text)
     end = len(toks)
@@ -95,7 +96,7 @@ def parse_form(text: str) -> SeifertForm:
         b = int(tok)
     except ValueError:  # more digits than sys.get_int_max_str_digits()
         raise _error("integer too long", text, 4) from None
-    slopes = []
+    pairs = []
     degenerate = 0
     k = 5
     if k < end and toks[k] == ";":
@@ -113,7 +114,8 @@ def parse_form(text: str) -> SeifertForm:
                 except ValueError:  # more digits than sys.get_int_max_str_digits()
                     raise _error("integer too long", text, k) from None
                 if den:
-                    slopes.append((num, den, None))
+                    g = gcd(num, den)
+                    pairs.append((num // g, den // g))
                 elif num:
                     degenerate += 1
                 else:
@@ -127,7 +129,7 @@ def parse_form(text: str) -> SeifertForm:
         raise _error("expected ']'", text, k)
     if k + 1 != end:
         raise _error("trailing input", text, k + 1)
-    return _normal_form(b, slopes, degenerate)
+    return _normal_form(b, pairs, degenerate)
 
 
 _NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
@@ -198,23 +200,30 @@ def dumps(o, _pad: str = "\n") -> str:
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
+def _pair_json(num: int, den: int, float_mode: bool):
+    """{"num", "den"}, and in float mode "approx" if a float holds num/den."""
+    out = {"num": num, "den": den}
+    if float_mode and den:
+        try:
+            out["approx"] = num / den
+        except OverflowError:  # |num/den| is beyond the largest float
+            pass
+    return out
+
+
 def rational_json(x, float_mode=False):
     if x is None:
         return None
     if not is_finite(x):
-        out = {"num": 1, "den": 0}
-    else:
-        out = {"num": x.numerator, "den": x.denominator}
-    if float_mode and out["den"]:
-        out["approx"] = out["num"] / out["den"]
-    return out
+        return _pair_json(1, 0, float_mode)
+    return _pair_json(x.numerator, x.denominator, float_mode)
 
 
 def form_json(f: SeifertForm, float_mode=False):
     return {
         "base": f.base.value,
         "b": f.b,
-        "slopes": [rational_json(r, float_mode) for r in f.slopes],
+        "slopes": [_pair_json(p, q, float_mode) for p, q in f.pairs],
         "degenerate": f.degenerate,
         "text": repr(f),
     }

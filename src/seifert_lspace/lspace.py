@@ -135,10 +135,7 @@ def _decide_classified(f: SeifertForm, c: Classification) -> LSpaceVerdict:
     b = f.b
     if b >= 0 or b <= -3:
         return LSpaceVerdict(Reason.B_LARGE)
-    r1, r2, r3 = f.slopes
-    p1, q1 = r1.numerator, r1.denominator
-    p2, q2 = r2.numerator, r2.denominator
-    p3, q3 = r3.numerator, r3.denominator
+    (p1, q1), (p2, q2), (p3, q3) = f.pairs
     dual = b == -2
     if dual:
         # complemented slopes in sorted order: 1 - r3 <= 1 - r2 <= 1 - r1
@@ -223,10 +220,10 @@ def _not_lspace_sup(u: Fraction, v: Fraction) -> Fraction:
     two.  So the computation is two Stern-Brocot walks, exact and
     logarithmic in the denominators.
     """
-    if u > v:
-        u, v = v, u
     un, ud = u.numerator, u.denominator
     vn, vd = v.numerator, v.denominator
+    if un * vd > vn * ud:
+        un, ud, vn, vd = vn, vd, un, ud
     _, _, c, d = farey_neighbours(vn, vd, search_bound(un, ud))
     num, den = d - c, d
     hn, hd = (1, 2) if 2 * vn <= vd else (vd - vn, vd)  # min(1 - v, 1/2)
@@ -239,7 +236,7 @@ def _not_lspace_sup(u: Fraction, v: Fraction) -> Fraction:
 
 def third_slot_threshold(b: int, r1: Fraction, r2: Fraction) -> ThirdSlotThreshold:
     """Exact L-space region in the third slope slot of S2(b; r1, r2, r)."""
-    if not (0 < r1 < 1 and 0 < r2 < 1):
+    if not (0 < r1.numerator < r1.denominator and 0 < r2.numerator < r2.denominator):
         raise ValueError("fixed slopes must lie in (0,1)")
     if b == -1:
         return ThirdSlotThreshold(b, r1, r2, _not_lspace_sup(r1, r2))

@@ -1,10 +1,11 @@
 """Exact slope arithmetic: rationals and a single point at infinity.
 
-Every number in this package is an exact ``fractions.Fraction``; nothing is
-ever rounded and integers are arbitrary precision.  The slope of a degenerate
-fiber is the single value ``INF`` -- the inputs 1/0 and -1/0 deliberately
-collapse to the same point, since the classification of a space containing a
-degenerate fiber does not depend on that sign.
+Every number in this package is exact: a form's slopes are reduced integer
+pairs, all other slopes ``fractions.Fraction``s; nothing is ever rounded and
+integers are arbitrary precision.  The slope of a degenerate fiber is the
+single value ``INF`` -- the inputs 1/0 and -1/0 deliberately collapse to the
+same point, since the classification of a space containing a degenerate
+fiber does not depend on that sign.
 """
 
 from __future__ import annotations

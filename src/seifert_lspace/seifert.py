@@ -2,20 +2,22 @@
 
 A space is recorded as ``S2(b; r_1, ..., r_k)``: an integer section
 obstruction b together with exceptional-fiber slopes r_i = beta_i/alpha_i,
-normalized so that every finite slope lies in the open interval (0, 1).
-Degenerate (index-zero) fibers are counted separately; their slope is the
-single infinite value.  Spaces fibered over the projective plane are carried
-as a bare marker, because the only fact used about them downstream is that
-they are L-spaces whenever they are rational homology spheres.
+normalized so that every finite slope lies in the open interval (0, 1) and
+stored as the reduced pair (beta_i, alpha_i), in increasing order
+(``SeifertForm.slopes`` is their ``Fraction`` view).  Degenerate (index-zero)
+fibers are counted separately; their slope is the single infinite value.
+Spaces fibered over the projective plane are carried as a bare marker,
+because the only fact used about them downstream is that they are L-spaces
+whenever they are rational homology spheres.
 
 Normalization is one integer core, ``_normal_form``: it folds the integer
-parts of (num, den) pairs into b, sorts the remainders by cross-multiplication
-and builds the form without re-validating it.  The text parser hands it pairs
-straight from the tokens, and ``twist.evaluate_point`` a family member's
-fixed slopes beside the pair of its fiber slope; ``normalize`` is its adapter
-for ``Fraction`` and ``INF`` slopes, and ``mirror`` builds its already-normal
-result directly.  ``SeifertForm(...)`` itself still validates, for every
-other caller.
+parts of reduced (num, den) pairs into b, sorts the remainders by
+cross-multiplication and builds the form without re-validating it.  The text
+parser hands it pairs straight from the tokens, and ``twist.evaluate_point``
+a family member's fixed pairs beside the pair of its fiber slope;
+``normalize`` is its adapter for ``Fraction`` and ``INF`` slopes, and
+``mirror`` builds its already-normal result directly.  ``SeifertForm(...)``
+itself still validates, for every other caller.
 
 The first homology order of S2(b; r_1, ..., r_k) is |alpha_1 ... alpha_k *
 (b + r_1 + ... + r_k)|; order zero means positive first Betti number and is
@@ -28,6 +30,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .rationals import INF, int_text
@@ -52,33 +55,37 @@ class DegenerateEuler(ValueError):
 class SeifertForm:
     base: Base = Base.S2
     b: int = 0
-    slopes: tuple[Fraction, ...] = ()
+    pairs: tuple[tuple[int, int], ...] = ()
     degenerate: int = 0
 
     def __post_init__(self):
         if self.base is Base.RP2:
-            if self.slopes or self.degenerate or self.b:
+            if self.pairs or self.degenerate or self.b:
                 raise ValueError("projective-base forms carry no slope data")
             return
         pp, pq = 0, 1
-        for r in self.slopes:
-            p, q = r.numerator, r.denominator
-            if p <= 0 or p >= q:
-                raise ValueError(f"slope {r} is not in (0,1); use normalize()")
+        for p, q in self.pairs:
+            if p <= 0 or p >= q or math.gcd(p, q) != 1:
+                raise ValueError(f"slope {p}/{q} is not reduced in (0,1); use normalize()")
             if p * pq < pp * q:
                 raise ValueError("slopes must be sorted; use normalize()")
             pp, pq = p, q
         if self.degenerate < 0:
             raise ValueError("negative degenerate fiber count")
 
+    @cached_property
+    def slopes(self) -> tuple[Fraction, ...]:
+        """The slopes as ``Fraction``s, in the order of ``pairs``."""
+        return tuple([Fraction(p, q) for p, q in self.pairs])
+
     def __repr__(self):
         if self.base is Base.RP2:
             return "SFS[RP2]"
         try:
-            parts = [f"{r.numerator}/{r.denominator}" for r in self.slopes]
+            parts = [f"{p}/{q}" for p, q in self.pairs]
             inner = f"S2; {self.b}"
         except ValueError:  # more digits than sys.get_int_max_str_digits()
-            parts = [f"{int_text(r.numerator)}/{int_text(r.denominator)}" for r in self.slopes]
+            parts = [f"{int_text(p)}/{int_text(q)}" for p, q in self.pairs]
             inner = f"S2; {int_text(self.b)}"
         parts += ["inf"] * self.degenerate
         if parts:
@@ -86,38 +93,35 @@ class SeifertForm:
         return f"SFS[{inner}]"
 
 
-def _trusted_form(b: int, slopes: tuple, degenerate: int) -> SeifertForm:
+def _trusted_form(b: int, pairs: tuple, degenerate: int) -> SeifertForm:
     """A sphere-base form from data already in normal form, skipping the
     checks of ``__post_init__``."""
     f = _new_object(SeifertForm)
-    f.__dict__.update(base=Base.S2, b=b, slopes=slopes, degenerate=degenerate)
+    f.__dict__.update(base=Base.S2, b=b, pairs=pairs, degenerate=degenerate)
     return f
 
 
-def _normal_form(b: int, slopes, degenerate: int) -> SeifertForm:
-    """The normal form of S2(b; slopes, inf * degenerate).
+def _normal_form(b: int, pairs, degenerate: int) -> SeifertForm:
+    """The normal form of S2(b; pairs, inf * degenerate).
 
-    ``slopes`` holds (p, q, r): any rational p/q with q > 0, not necessarily
-    reduced, and r the same value as a ``Fraction`` when the caller has one
-    (kept as it is if it lies in (0,1)), else None.  Integer parts fold into
-    b, integral slopes vanish, and the rest are sorted by cross-multiplication;
-    only the slopes without a kept ``Fraction`` build one.
+    ``pairs`` holds (p, q): a reduced fraction p/q with q > 0.  Integer
+    parts fold into b, which keeps each remainder reduced (gcd(p - wq, q) =
+    gcd(p, q)); integral slopes vanish, and the rest are sorted by
+    cross-multiplication.
     """
     out = []
-    for p, q, r in slopes:
+    for p, q in pairs:
         if not 0 < p < q:
             whole = p // q
             b += whole
             p -= whole * q
             if not p:
                 continue
-            r = None
         i = len(out)
         while i and p * out[i - 1][1] < out[i - 1][0] * q:
             i -= 1
-        out.insert(i, (p, q, r))
-    return _trusted_form(b, tuple([Fraction(p, q) if r is None else r for p, q, r in out]),
-                         degenerate)
+        out.insert(i, (p, q))
+    return _trusted_form(b, tuple(out), degenerate)
 
 
 def normalize(b: int, raw) -> SeifertForm:
@@ -126,14 +130,14 @@ def normalize(b: int, raw) -> SeifertForm:
     Integral slopes (in particular zeros) disappear into the section term;
     infinite entries are counted as degenerate fibers.
     """
-    slopes = []
+    pairs = []
     degenerate = 0
     for r in raw:
         if r is INF:
             degenerate += 1
         else:
-            slopes.append((r.numerator, r.denominator, r))
-    return _normal_form(int(b), slopes, degenerate)
+            pairs.append((r.numerator, r.denominator))
+    return _normal_form(int(b), pairs, degenerate)
 
 
 def euler_number(f: SeifertForm) -> Fraction:
@@ -150,9 +154,8 @@ def h1_order(f: SeifertForm):
                               "classify() covers the degenerate cases")
     # n/d runs through b + r_1 + ... with d the product of the denominators
     n, d = f.b, 1
-    for r in f.slopes:
-        q = r.denominator
-        n, d = n * q + r.numerator * d, d * q
+    for p, q in f.pairs:
+        n, d = n * q + p * d, d * q
     return INF if n == 0 else abs(n)
 
 
@@ -180,7 +183,7 @@ def classify(f: SeifertForm) -> Classification:
     """
     if f.base is Base.RP2:
         return Classification(Tag.RP2_BASE)
-    k = len(f.slopes)
+    k = len(f.pairs)
     if f.degenerate == 0:
         if k > 3:
             raise UnsupportedFiberCount(f"{k} exceptional fibers")
@@ -191,7 +194,7 @@ def classify(f: SeifertForm) -> Classification:
             return Classification(Tag.S2XS1, h)
         return Classification(Tag.S3 if h == 1 else Tag.LENS, h)
     if f.degenerate == 1 and k <= 2:
-        orders = tuple(r.denominator for r in f.slopes)
+        orders = tuple([q for _, q in f.pairs])
         h = math.prod(orders)
         if k == 2:
             return Classification(Tag.CONNECTED_SUM_LENS, h, orders)
@@ -207,8 +210,6 @@ def mirror(f: SeifertForm) -> SeifertForm:
     degenerate count kept; the complements are already in (0,1) and in order."""
     if f.base is not Base.S2:
         raise ValueError("mirror is only defined over S2 here")
-    slopes = f.slopes
-    return _trusted_form(-f.b - len(slopes),
-                         tuple([Fraction(r.denominator - r.numerator, r.denominator)
-                                for r in reversed(slopes)]),
+    pairs = f.pairs
+    return _trusted_form(-f.b - len(pairs), tuple([(q - p, q) for p, q in reversed(pairs)]),
                          f.degenerate)

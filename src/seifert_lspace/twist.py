@@ -139,16 +139,6 @@ class FamilyMember:
         if not self.rp2 and self.data is None:
             raise ValueError("a member needs seiferter data unless it is rp2")
 
-    def point(self, n: int):
-        """(surgery slope or None, normalized form) of the n-th member."""
-        if self.rp2:
-            return None, SeifertForm(base=Base.RP2)
-        if self.mirrored:
-            j = -(n + self.offset)
-            return -surgery_slope(self.data, j), mirror(surgered_space(self.data, j))
-        j = n + self.offset
-        return surgery_slope(self.data, j), surgered_space(self.data, j)
-
     def limit(self) -> SeifertForm:
         if self.rp2:
             return SeifertForm(base=Base.RP2)
@@ -157,19 +147,18 @@ class FamilyMember:
 
     @cached_property
     def frame(self):
-        """(base, fixed slopes as (p, q, Fraction)), worked out once: the n-th
-        member is S2(base; fixed, f(j)) before normalization, or with
-        mirroring S2(base; fixed, -f(j)).
+        """(base, fixed pairs), the form S2(b; r1, r2) or its mirror, worked
+        out once: the n-th member is S2(base; fixed, f(j)) before
+        normalization, or with mirroring S2(base; fixed, -f(j)).
 
-        Mirroring negates every raw slope of S2(b; r1, r2, f(j)); folding
-        -r = -1 + (1 - r) for the fixed slopes gives the base -b - 2 and the
-        fixed slopes 1 - r1 and 1 - r2, and leaves -f(j) as it is.
+        Mirroring negates every raw slope of S2(b; r1, r2, f(j)), which takes
+        the fixed part to its mirror S2(-b - 2; 1 - r2, 1 - r1) and leaves
+        -f(j) as it is.
         """
-        d = self.data
+        f = normalize(self.data.b, (self.data.r1, self.data.r2))
         if self.mirrored:
-            return -d.b - 2, tuple((r.denominator - r.numerator, r.denominator, 1 - r)
-                                   for r in (d.r1, d.r2))
-        return d.b, tuple((r.numerator, r.denominator, r) for r in (d.r1, d.r2))
+            f = mirror(f)
+        return f.b, f.pairs
 
 
 @dataclass(frozen=True)
@@ -350,13 +339,15 @@ def evaluate_point(d, n: int) -> PointVerdict:
 
     f(j) is the pair (j * beta + beta3, j * alpha + alpha3), negated for a
     mirrored member, and goes to ``_normal_form`` beside the member's
-    ``frame``; no ``Fraction`` is built but the fiber slope's.  Its oracle is
-    the ``Fraction`` path, ``FamilyMember.point`` through ``classify`` and
-    ``_decide_classified`` (``fraction_point`` in ``tests/oracles.py``).
+    ``frame``; no ``Fraction`` is built.  The pair is already reduced: the
+    seiferter matrix is unimodular, so it maps the primitive vector (j, 1) to
+    a primitive one.  Its oracle is the ``Fraction`` path, ``surgered_space``
+    and ``mirror`` through ``classify`` and ``_decide_classified``
+    (``fraction_point`` in ``tests/oracles.py``).
     """
     member = _as_member(d)
     if member.rp2:
-        slope, form = member.point(n)
+        slope, form = None, SeifertForm(base=Base.RP2)
     else:
         d, (b, fixed) = member.data, member.frame
         s = -1 if member.mirrored else 1
@@ -365,7 +356,7 @@ def evaluate_point(d, n: int) -> PointVerdict:
         num, den = s * (j * d.beta + d.beta3), j * d.alpha + d.alpha3
         if den < 0:
             num, den = -num, -den
-        form = (_normal_form(b, (*fixed, (num, den, None)), 0) if den
+        form = (_normal_form(b, (*fixed, (num, den)), 0) if den
                 else _normal_form(b, fixed, 1))
     c = classify(form)
     return PointVerdict(n, slope, form, c.tag, _decide_classified(form, c))

@@ -14,11 +14,14 @@ denominator); they are the references for the Stern-Brocot versions.
 slope and a form through the validating ``SeifertForm`` constructor; they are
 the references for the integer-pair path.  They share only the package's
 data classes, ``ParseError`` and the witness core ``_witness_from_pairs``.
-``fraction_point`` is the package's former ``evaluate_point``: the member's
-form through ``FamilyMember.point`` (``surgered_space`` with a ``Fraction``
-fiber slope, then ``mirror``), then the package's ``classify`` and
-``_decide_classified``; it is the reference for the integer pairs that
-``evaluate_point`` hands to ``_normal_form``.
+``fraction_member_point`` is the package's former ``FamilyMember.point``:
+the member's surgery slope and form through ``surgered_space`` with a
+``Fraction`` fiber slope, then ``mirror``.  ``fraction_point``, the
+package's former ``evaluate_point``, takes that form through the package's
+``classify`` and ``_decide_classified``; it is the reference for the
+integer pairs that ``evaluate_point`` hands to ``_normal_form``.  The
+``fraction_*`` oracles read a form's slopes through its ``Fraction`` view,
+``SeifertForm.slopes``.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ from seifert_lspace.lspace import (LSpaceVerdict, Reason, _decide_classified,
                                    _witness_from_pairs, search_bound)
 from seifert_lspace.rationals import INF, is_finite
 from seifert_lspace.seifert import (Base, Classification, DegenerateEuler,
-                                    SeifertForm, Tag, UnsupportedFiberCount, classify)
-from seifert_lspace.twist import FamilyMember, PointVerdict
+                                    SeifertForm, Tag, UnsupportedFiberCount, classify,
+                                    mirror)
+from seifert_lspace.twist import FamilyMember, PointVerdict, surgered_space, surgery_slope
 
 _TABLES = {}
 
@@ -336,7 +340,8 @@ def fraction_normalize(b: int, raw, base: Base = Base.S2) -> SeifertForm:
         while i > 0 and p * out[i - 1].denominator < out[i - 1].numerator * q:
             i -= 1
         out.insert(i, r)
-    return SeifertForm(base=base, b=b, slopes=tuple(out), degenerate=degenerate)
+    return SeifertForm(base=base, b=b, pairs=tuple((r.numerator, r.denominator) for r in out),
+                       degenerate=degenerate)
 
 
 def fraction_h1_order(f: SeifertForm):
@@ -426,8 +431,19 @@ def _fraction_decide_classified(f: SeifertForm, c: Classification) -> LSpaceVerd
     return LSpaceVerdict(Reason.NO_WITNESS_EXHAUSTIVE, search_bound=bound)
 
 
+def fraction_member_point(member: FamilyMember, n: int):
+    """(surgery slope or None, normalized form) of the n-th member."""
+    if member.rp2:
+        return None, SeifertForm(base=Base.RP2)
+    if member.mirrored:
+        j = -(n + member.offset)
+        return -surgery_slope(member.data, j), mirror(surgered_space(member.data, j))
+    j = n + member.offset
+    return surgery_slope(member.data, j), surgered_space(member.data, j)
+
+
 def fraction_point(member: FamilyMember, n: int) -> PointVerdict:
     """The n-th member's verdict from its ``Fraction`` form."""
-    slope, form = member.point(n)
+    slope, form = fraction_member_point(member, n)
     c = classify(form)
     return PointVerdict(n, slope, form, c.tag, _decide_classified(form, c))

@@ -14,7 +14,7 @@ from seifert_lspace import (INF, FoliationWitness, classify, classify_family,
                             torus_pq_candidates, tunnel2_family,
                             unknot_seiferter_data, ALL_N)
 
-from oracles import naive_witness, random_triple, random_unit_fraction
+from oracles import fraction_member_point, naive_witness, random_triple, random_unit_fraction
 
 
 def F(n, d=1):
@@ -185,7 +185,7 @@ def test_10_tail_soundness_and_performance():
                 for _ in range(20):
                     off = rng.randint(0, 10 ** 4)
                     n = tail.from_n + off if tail.to_n is None else tail.to_n - off
-                    _, form = member.point(n)
+                    _, form = fraction_member_point(member, n)
                     if decide(form).is_lspace is not tail.is_lspace:
                         bad.append((spec.name, n))
     ok = not bad

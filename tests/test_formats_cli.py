@@ -151,7 +151,7 @@ class TestJson:
         f = normalize(-7, (big, F(1, 2), INF))
         obj = json.loads(json.dumps(form_json(f)))
         assert SeifertForm(base=Base(obj["base"]), b=obj["b"],
-                           slopes=tuple(F(r["num"], r["den"]) for r in obj["slopes"]),
+                           pairs=tuple((r["num"], r["den"]) for r in obj["slopes"]),
                            degenerate=obj["degenerate"]) == f
 
     def test_float_mode_only_adds_approx(self):
@@ -314,6 +314,24 @@ class TestCliOtherVerbs:
             "threshold": {"b": -1, "r1": {"num": 1, "den": 3},
                           "r2": {"num": 1997, "den": 3000}, "kind": "UpClosed",
                           "boundary": {"num": 1, "den": 335}, "attained": True}}]
+
+    def test_float_mode_leaves_out_approx_past_the_float_range(self, capsys):
+        # the limit slope 10^400 is beyond the largest float: it keeps its
+        # exact num/den and has no approx, while a form's slopes keep theirs
+        N = 10 ** 400
+        rc = main(["twist-scan", "--b", "-1", "--r1", "1/3", "--r2", "1/2",
+                   "--alpha", "1", "--beta", str(N), "--alpha3", "1", "--beta3", str(N + 1),
+                   "--window=0..1", "--json", "--float"])
+
+        def strict(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=strict)["outputs"]["report"]
+        assert rc == 0
+        for tail in (report["tail_pos"], report["tail_neg"]):
+            assert tail["limit_slope"] == {"num": N, "den": 1}
+        assert report["points"][0]["seifert_form"]["slopes"][0] == {
+            "num": 1, "den": 3, "approx": 1 / 3}
 
     def test_twist_scan_rejects_bad_determinant(self, capsys):
         rc = main(["twist-scan", "--b", "-1", "--r1", "2/3", "--r2", "1/3",

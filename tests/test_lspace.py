@@ -137,6 +137,14 @@ class TestAgainstNaiveOracle:
 
 
 class TestThirdSlotThreshold:
+    def test_rejects_fixed_slopes_outside_the_unit_interval(self):
+        for r in (F(0), F(1), F(-1, 2), F(3, 2), F(10 ** 18 + 1, 10 ** 18)):
+            for b in (-3, -2, -1, 0):
+                with pytest.raises(ValueError):
+                    third_slot_threshold(b, r, F(1, 2))
+                with pytest.raises(ValueError):
+                    third_slot_threshold(b, F(1, 2), r)
+
     def test_down_closed_example(self):
         t = third_slot_threshold(-2, F(2, 3), F(2, 3))
         assert t.kind is IntervalKind.DOWN_CLOSED
@@ -303,7 +311,8 @@ class TestLargeDenominators:
         triple = (Fraction(1, n), Fraction(m, 2 * m + 1), Fraction(1, 2))
         dual = tuple(sorted(1 - r for r in triple))
         for b, slopes in ((-1, triple), (-2, dual)):
-            v = decide(SeifertForm(b=b, slopes=slopes))
+            v = decide(SeifertForm(b=b, pairs=tuple((r.numerator, r.denominator)
+                                                    for r in slopes)))
             assert v.search_bound == n - 1
             assert v.is_lspace == (witness is None)
             if witness is None:

@@ -1,5 +1,6 @@
 """Normal form bookkeeping: normalization, euler number, homology, mirror."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -38,25 +39,44 @@ class TestNormalize:
     def test_zero_slope_dropped(self):
         assert normalize(2, (F(0), F(1, 2))) == normalize(2, (F(1, 2),))
 
+    def test_slopes_are_the_fraction_view_of_the_pairs(self):
+        N = 10 ** 18
+        f = normalize(-1, (F(N + 1, N), F(1, 3), F(-4, 6)))
+        assert (f.b, f.pairs) == (-1, ((1, N), (1, 3), (1, 3)))
+        assert f.slopes == (F(1, N), F(1, 3), F(1, 3))
+        rng = random.Random(12)
+        for _ in range(2000):
+            den = rng.choice((7, 60, N))
+            raw = [F(rng.randint(-3 * den, 3 * den), rng.randint(1, den))
+                   for _ in range(rng.randint(0, 4))]
+            f = normalize(rng.randint(-9, 9), raw)
+            assert tuple((r.numerator, r.denominator) for r in f.slopes) == f.pairs
+            assert f.slopes == tuple(sorted(r - math.floor(r) for r in raw if r.denominator > 1))
+
     @given(st.integers(-5, 5), st.lists(slope, max_size=4))
     def test_idempotent(self, b, raw):
         f = normalize(b, raw)
         again = normalize(f.b, f.slopes)
-        assert SeifertForm(base=f.base, b=again.b, slopes=again.slopes,
+        assert SeifertForm(base=f.base, b=again.b, pairs=again.pairs,
                            degenerate=f.degenerate) == f
         assert all(0 < r < 1 for r in f.slopes)
 
     def test_direct_construction_rejects_raw_slopes(self):
         with pytest.raises(ValueError):
-            SeifertForm(b=0, slopes=(F(5, 3),))
+            SeifertForm(b=0, pairs=((5, 3),))
         with pytest.raises(ValueError):
-            SeifertForm(b=0, slopes=(F(2, 3), F(1, 2)))
+            SeifertForm(b=0, pairs=((2, 3), (1, 2)))
         # out of (0,1), or unsorted anywhere in the tuple
         for slopes in ((F(0),), (F(1),), (F(-1, 2),), (F(1, 2), F(1)), (F(1, 3), F(7, 5)),
                        (F(1, 3), F(2, 3), F(1, 2)), (F(2, 3), F(1, 3), F(1, 2)),
                        (F(1, 10 ** 18), F(1, 10 ** 18 + 1))):
             with pytest.raises(ValueError):
-                SeifertForm(b=0, slopes=slopes)
+                SeifertForm(b=0, pairs=tuple((r.numerator, r.denominator) for r in slopes))
+        # not reduced, not in (0,1), or unsorted: each form has one representation
+        for pairs in (((2, 4),), ((0, 1),), ((3, 3),), ((2, 3), (1, 2), (3, 4)),
+                      ((1, 3), (2, 6)), ((5 * 10 ** 17, 10 ** 18),)):
+            with pytest.raises(ValueError):
+                SeifertForm(b=0, pairs=pairs)
         with pytest.raises(ValueError):
             SeifertForm(b=0, degenerate=-1)
         with pytest.raises(ValueError):
@@ -170,5 +190,5 @@ class TestMirror:
             got = mirror(f)
             assert got == want and repr(got) == repr(want), f
             # and it passes the checks of the validating constructor
-            assert SeifertForm(base=got.base, b=got.b, slopes=got.slopes,
+            assert SeifertForm(base=got.base, b=got.b, pairs=got.pairs,
                                degenerate=got.degenerate) == got

@@ -13,7 +13,7 @@ from seifert_lspace import (INF, FamilyMember, SeiferterData, Tag,
                             tunnel2_family, unknot_seiferter_data)
 from seifert_lspace.twist import _certify, _runs, evaluate_point
 
-from oracles import fraction_point
+from oracles import fraction_member_point, fraction_point
 
 
 def F(n, d=1):
@@ -195,7 +195,7 @@ class TestClassifyFamily:
                                                  for _ in range(20)]
                     for off in offsets:
                         n = tail.from_n + off if tail.to_n is None else tail.to_n - off
-                        _, form = member.point(n)
+                        _, form = fraction_member_point(member, n)
                         assert decide(form).is_lspace is tail.is_lspace, (spec.name, n)
 
     def test_limit_lspace_iff_some_certified_lspace_tail(self):
@@ -315,7 +315,7 @@ class TestClassifyFamily:
         report = classify_family(member, (-5, 5))
         assert report.tail_pos.is_lspace
         assert report.tail_neg.is_lspace
-        slope_m1, _ = member.point(-1)
+        slope_m1, _ = fraction_member_point(member, -1)
         assert slope_m1 == -(22 + 31 + 11)
 
 
