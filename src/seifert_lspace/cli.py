@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Verbs: decide, h1, normalize, threshold, twist-scan, family (list | run),
-reproduce.  All numeric output is exact; --float adds decimal approximations
-for human reading only.  Exit codes: decide uses 0 for an L-space, 1 for not
-an L-space, 2 for parse or range errors; reproduce exits 1 if any case fails.
+reproduce.  Each ``cmd_*`` verb computes its result and returns it; ``main``
+is the one output path, which times the verb and prints its text lines or
+its JSON envelope.  All numeric output is exact; --float adds decimal
+approximations to the JSON for human reading only.  Exit codes: decide uses
+0 for an L-space, 1 for not an L-space, 2 for parse or range errors;
+reproduce exits 1 if any case fails.
 """
 
 from __future__ import annotations
@@ -15,32 +18,13 @@ import time
 
 from . import corpus as corpus_mod
 from . import families as fam
-from .formats import (ParseError, classification_json, describe_segment,
+from .formats import (ParseError, add_approx, classification_json, describe_segment,
                       describe_tail, dumps, form_json, parse_form, report_json,
                       threshold_json, verdict_json)
 from .lspace import decide, third_slot_threshold
 from .rationals import format_rational, int_text, parse_rational
-from .seifert import UnsupportedFiberCount, classify
+from .seifert import classify
 from .twist import SeiferterData, classify_family
-
-
-def _emit(args, payload: dict, text_lines):
-    """Print the payload as indented JSON under --json, otherwise the lines
-    that ``text_lines()`` returns; --json never builds the text."""
-    if args.json:
-        print(dumps(payload))
-    else:
-        for line in text_lines():
-            print(line)
-
-
-def _report_envelope(args, inputs, outputs, t0):
-    return {
-        "command": args.command,
-        "inputs": inputs,
-        "outputs": outputs,
-        "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3),
-    }
 
 
 MAX_WINDOW = 10 ** 6  # indices a window may hold; each one is evaluated
@@ -58,12 +42,11 @@ def _window(text: str):
     return lo, hi
 
 
-def cmd_decide(args) -> int:
-    t0 = time.perf_counter()
+def cmd_decide(args):
     form = parse_form(args.form)
     c = classify(form)
     v = decide(form)
-    outputs = {"form": form_json(form, args.float),
+    outputs = {"form": form_json(form),
                "classification": classification_json(c),
                "verdict": verdict_json(v)}
 
@@ -73,56 +56,42 @@ def cmd_decide(args) -> int:
                                            f", |H1| = {'infinite' if outputs['classification']['h1_infinite'] else int_text(c.h1)}"),
                f"result: {'L-space' if v.is_lspace else 'not an L-space'} ({v.reason.value})"]
         if v.witness is not None:
-            out.append(f"witness: k={v.witness.k}, a={v.witness.a}"
+            out.append(f"witness: k={int_text(v.witness.k)}, a={int_text(v.witness.a)}"
                        + (" (on complemented slopes)" if v.witness_is_dual else ""))
         if v.search_bound is not None:
-            out.append(f"search bound: k <= {v.search_bound}")
+            out.append(f"search bound: k <= {int_text(v.search_bound)}")
         return out
 
-    _emit(args, _report_envelope(args, {"form": args.form}, outputs, t0), lines)
-    return 0 if v.is_lspace else 1
+    return {"form": args.form}, outputs, lines, 0 if v.is_lspace else 1
 
 
-def cmd_h1(args) -> int:
-    t0 = time.perf_counter()
+def cmd_h1(args):
     form = parse_form(args.form)
     c = classify(form)
-    payload = {"form": form_json(form, args.float), "classification": classification_json(c)}
+    outputs = {"form": form_json(form), "classification": classification_json(c)}
     if c.h1 is None:
         text = "n/a (projective base)"
-    elif payload["classification"]["h1_infinite"]:
+    elif outputs["classification"]["h1_infinite"]:
         text = "infinite"
     else:
         text = int_text(c.h1)
-    _emit(args, _report_envelope(args, {"form": args.form}, payload, t0),
-          lambda: [f"input: {form!r}", f"|H1| = {text}"])
-    return 0
+    return {"form": args.form}, outputs, lambda: [f"input: {form!r}", f"|H1| = {text}"], 0
 
 
-def cmd_normalize(args) -> int:
-    t0 = time.perf_counter()
+def cmd_normalize(args):
     form = parse_form(args.form)
-    _emit(args, _report_envelope(args, {"form": args.form},
-                                 {"form": form_json(form, args.float)}, t0),
-          lambda: [repr(form)])
-    return 0
+    return {"form": args.form}, {"form": form_json(form)}, lambda: [repr(form)], 0
 
 
-def cmd_threshold(args) -> int:
-    t0 = time.perf_counter()
-    r1 = parse_rational(args.r1)
-    r2 = parse_rational(args.r2)
-    t = third_slot_threshold(args.b, r1, r2)
-    payload = {"threshold": threshold_json(t, args.float)}
+def cmd_threshold(args):
+    t = third_slot_threshold(args.b, parse_rational(args.r1), parse_rational(args.r2))
     if t.boundary is None:
         desc = "every r in (0,1) gives an L-space"
     else:
         side = (">" if t.b == -1 else "<") + ("=" if t.attained else "")
         desc = f"L-space exactly for r {side} {format_rational(t.boundary)}"
-    _emit(args, _report_envelope(args, {"b": args.b, "r1": args.r1, "r2": args.r2},
-                                 payload, t0),
-          lambda: [f"S2({args.b}; {args.r1}, {args.r2}, r) for r in (0,1): {desc}"])
-    return 0
+    return ({"b": args.b, "r1": args.r1, "r2": args.r2}, {"threshold": threshold_json(t)},
+            lambda: [f"S2({args.b}; {args.r1}, {args.r2}, r) for r in (0,1): {desc}"], 0)
 
 
 def _scan_lines(report):
@@ -130,12 +99,12 @@ def _scan_lines(report):
     lo, hi = report.window
     for n, p in report.points.items():
         mark = "" if lo <= n <= hi else " (gap exception)"
-        slope = "-" if p.slope is None else str(p.slope)
+        slope = "-" if p.slope is None else int_text(p.slope)
         verdict = "L-space" if p.verdict.is_lspace else "NOT L-space"
-        wit = ""
-        if p.verdict.witness is not None:
-            wit = f"  witness (k={p.verdict.witness.k}, a={p.verdict.witness.a})"
-        rows.append((n, f"  n={n:>5}  m_n={slope:>8}  {p.form!r:<40} {verdict}{wit}{mark}"))
+        w = p.verdict.witness
+        wit = "" if w is None else f"  witness (k={int_text(w.k)}, a={int_text(w.a)})"
+        rows.append((n, f"  n={int_text(n):>5}  m_n={slope:>8}  {p.form!r:<40} "
+                        f"{verdict}{wit}{mark}"))
     rows += [(s.from_n, f"  segment: {describe_segment(s)}") for s in report.segments]
     lines = [line for _, line in sorted(rows, key=lambda row: row[0])]
     lines.append(f"tail n -> +inf: {describe_tail(report.tail_pos, report.limit_slope)}")
@@ -143,40 +112,30 @@ def _scan_lines(report):
     lines.append(f"limit space: {report.limit!r} "
                  f"({'L-space' if report.limit_verdict.is_lspace else 'not an L-space'})")
     if report.exceptional:
-        lines.append("exceptional n: "
-                     + ", ".join(f"{n} ({tag.value})" for n, tag in report.exceptional))
+        lines.append("exceptional n: " + ", ".join(f"{int_text(n)} ({tag.value})"
+                                                   for n, tag in report.exceptional))
     return lines
 
 
-def cmd_twist_scan(args) -> int:
-    t0 = time.perf_counter()
-    data = SeiferterData(b=args.b, r1=parse_rational(args.r1), r2=parse_rational(args.r2),
-                         alpha=args.alpha, beta=args.beta,
-                         alpha3=args.alpha3, beta3=args.beta3,
-                         m=args.m, l=args.l)
+def cmd_twist_scan(args):
+    inputs = {k: getattr(args, k)
+              for k in ("b", "r1", "r2", "alpha", "beta", "alpha3", "beta3", "m", "l")}
+    data = SeiferterData(**(inputs | {"r1": parse_rational(args.r1),
+                                      "r2": parse_rational(args.r2)}))
     report = classify_family(data, args.window)
-    inputs = {"b": args.b, "r1": args.r1, "r2": args.r2,
-              "alpha": args.alpha, "beta": args.beta,
-              "alpha3": args.alpha3, "beta3": args.beta3,
-              "m": args.m, "l": args.l, "window": list(args.window)}
-    _emit(args, _report_envelope(args, inputs,
-                                 {"report": report_json(report, args.float)}, t0),
-          lambda: _scan_lines(report))
-    return 0
+    inputs["window"] = list(args.window)
+    return inputs, {"report": report_json(report)}, lambda: _scan_lines(report), 0
 
 
-def cmd_family(args) -> int:
-    t0 = time.perf_counter()
+def cmd_family(args):
     if args.action == "list":
         specs = fam.catalog()
-        payload = {"families": [{"name": s.name, "description": s.description,
+        outputs = {"families": [{"name": s.name, "description": s.description,
                                  "params": dict(s.params),
                                  "guarantee": repr(s.guarantee),
                                  "members": len(s.members)} for s in specs]}
-        _emit(args, _report_envelope(args, {}, payload, t0),
-              lambda: [f"{s.name:<24} {repr(s.guarantee):<28} {s.description}"
-                       for s in specs])
-        return 0
+        return {}, outputs, lambda: [f"{s.name:<24} {repr(s.guarantee):<28} {s.description}"
+                                     for s in specs], 0
     inputs = {"name": args.name, "window": list(args.window)}
     try:
         if args.params:
@@ -188,24 +147,20 @@ def cmd_family(args) -> int:
                 params[key.strip()] = int(value)
             spec = fam.build_family(args.name, **params)
             if isinstance(spec, fam.TorusKnotDegenerate):
-                payload = {"degenerate": True, "torus_knot": {"a": spec.a, "b": spec.b}}
-                _emit(args, _report_envelope(args, inputs, payload, t0),
-                      lambda: [f"degenerate parameters: the twisted knot is a torus knot "
-                               f"(a={spec.a}, b={spec.b})"])
-                return 0
+                return (inputs, {"degenerate": True, "torus_knot": {"a": spec.a, "b": spec.b}},
+                        lambda: [f"degenerate parameters: the twisted knot is a torus knot "
+                                 f"(a={spec.a}, b={spec.b})"], 0)
         else:
             spec = fam.find_family(args.name)
     except KeyError:
-        print(f"error: unknown family {args.name!r}; try 'family list'", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown family {args.name!r}; try 'family list'") from None
     except TypeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        raise ValueError(str(e)) from None
     reports = [classify_family(m, args.window) for m in spec.members]
     ok, problems = fam.check_reports(spec, reports)
-    payload = {"name": spec.name, "guarantee": repr(spec.guarantee),
+    outputs = {"name": spec.name, "guarantee": repr(spec.guarantee),
                "guarantee_confirmed": ok, "problems": problems,
-               "reports": [report_json(r, args.float) for r in reports]}
+               "reports": [report_json(r) for r in reports]}
 
     def lines():
         out = [f"family {spec.name}: {spec.description}",
@@ -216,23 +171,18 @@ def cmd_family(args) -> int:
             out += _scan_lines(report)
         return out
 
-    _emit(args, _report_envelope(args, inputs, payload, t0), lines)
-    return 0 if ok else 1
+    return inputs, outputs, lines, 0 if ok else 1
 
 
-def cmd_reproduce(args) -> int:
-    t0 = time.perf_counter()
-    lines = []
+def cmd_reproduce(args):
+    log = []
     try:
-        passed, failed, names = corpus_mod.run_corpus(args.only, emit=lines.append)
+        passed, failed, names = corpus_mod.run_corpus(args.only, emit=log.append)
     except KeyError:
-        print(f"error: no corpus case matching {args.only!r}", file=sys.stderr)
-        return 2
-    _emit(args, _report_envelope(args, {"only": args.only},
-                                 {"passed": passed, "failed": failed,
-                                  "failed_cases": names, "log": lines}, t0),
-          lambda: lines + [f"{passed} passed, {failed} failed"])
-    return 1 if failed else 0
+        raise ValueError(f"no corpus case matching {args.only!r}") from None
+    outputs = {"passed": passed, "failed": failed, "failed_cases": names, "log": log}
+    return ({"only": args.only}, outputs,
+            lambda: log + [f"{passed} passed, {failed} failed"], 1 if failed else 0)
 
 
 @functools.cache
@@ -311,15 +261,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one verb and print its result; returns the exit code.
+
+    Each ``cmd_*`` verb returns ``(inputs, outputs, lines, exit_code)``, where
+    ``outputs`` is the exact JSON payload and ``lines()`` returns the text
+    lines, so --json never builds the text.  ``main`` is the one place that
+    times a verb and prints: under --json the envelope {command, inputs,
+    outputs, elapsed_ms}, with ``formats.add_approx`` run over the outputs
+    under --float, otherwise the lines.  A verb reports bad input by raising
+    ``ValueError`` (``ParseError`` among them); that, or one raised while the
+    output is built, prints one ``error: ...`` line on stderr and exits 2.
+    """
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.fn(args)
-    except ParseError as e:
-        print(f"error: {e.annotate()}", file=sys.stderr)
+        inputs, outputs, lines, code = args.fn(args)
+        if args.json:
+            print(dumps({"command": args.command, "inputs": inputs,
+                         "outputs": add_approx(outputs) if args.float else outputs,
+                         "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3)}))
+        else:
+            for line in lines():
+                print(line)
+    except (ValueError, ZeroDivisionError) as e:
+        print(f"error: {e.annotate() if isinstance(e, ParseError) else e}", file=sys.stderr)
         return 2
-    except (UnsupportedFiberCount, ValueError, ZeroDivisionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@ Text forms are ``SFS[S2; b; r1, r2, ...]`` (slopes may be raw: any rational,
 takes the tokens from one regex scan and hands the slopes to the normal-form
 core in ``seifert`` as reduced (num, den) integer pairs; token positions are
 worked out only for a ``ParseError``.  All JSON numbers are exact integer
-pairs {"num": ..., "den": ...}; a decimal approximation is attached only when
-requested and a float holds the value, and never feeds back into anything.
+pairs {"num": ..., "den": ...}.  The builders write only those; ``add_approx``
+is a separate pass over a finished payload that attaches a decimal
+approximation to each pair a float holds, and never feeds back into anything.
 """
 
 from __future__ import annotations
@@ -200,30 +201,34 @@ def dumps(o, _pad: str = "\n") -> str:
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
-def _pair_json(num: int, den: int, float_mode: bool):
-    """{"num", "den"}, and in float mode "approx" if a float holds num/den."""
-    out = {"num": num, "den": den}
-    if float_mode and den:
-        try:
-            out["approx"] = num / den
-        except OverflowError:  # |num/den| is beyond the largest float
-            pass
-    return out
+def add_approx(o):
+    """Add "approx", the float nearest num/den, to every {"num", "den"} pair
+    in the payload o that has den != 0 and a value a float holds; returns o."""
+    if type(o) is dict and o.keys() == {"num", "den"}:
+        if o["den"]:
+            try:
+                o["approx"] = o["num"] / o["den"]
+            except OverflowError:  # |num/den| is beyond the largest float
+                pass
+    elif type(o) is dict or type(o) is list:
+        for v in (o.values() if type(o) is dict else o):
+            add_approx(v)
+    return o
 
 
-def rational_json(x, float_mode=False):
+def rational_json(x):
     if x is None:
         return None
     if not is_finite(x):
-        return _pair_json(1, 0, float_mode)
-    return _pair_json(x.numerator, x.denominator, float_mode)
+        return {"num": 1, "den": 0}
+    return {"num": x.numerator, "den": x.denominator}
 
 
-def form_json(f: SeifertForm, float_mode=False):
+def form_json(f: SeifertForm):
     return {
         "base": f.base.value,
         "b": f.b,
-        "slopes": [_pair_json(p, q, float_mode) for p, q in f.pairs],
+        "slopes": [{"num": p, "den": q} for p, q in f.pairs],
         "degenerate": f.degenerate,
         "text": repr(f),
     }
@@ -256,29 +261,29 @@ def verdict_json(v: LSpaceVerdict):
     }
 
 
-def threshold_json(t: ThirdSlotThreshold, float_mode=False):
+def threshold_json(t: ThirdSlotThreshold):
     return {
         "b": t.b,
-        "r1": rational_json(t.r1, float_mode),
-        "r2": rational_json(t.r2, float_mode),
+        "r1": rational_json(t.r1),
+        "r2": rational_json(t.r2),
         "kind": t.kind.value,
-        "boundary": rational_json(t.boundary, float_mode),
+        "boundary": rational_json(t.boundary),
         "attained": t.attained,
     }
 
 
-def tail_json(t: Run, limit_slope, float_mode=False):
+def tail_json(t: Run, limit_slope):
     pos = t.to_n is None
     out = {
         "side": "pos" if pos else "neg",
         "status": "Certified",
         "is_lspace": t.is_lspace,
         "from_n": t.from_n if pos else t.to_n,
-        "limit_slope": rational_json(limit_slope, float_mode),
+        "limit_slope": rational_json(limit_slope),
         "band_base": t.band_base,
     }
     if t.threshold is not None:
-        out["threshold"] = threshold_json(t.threshold, float_mode)
+        out["threshold"] = threshold_json(t.threshold)
         # the side the slopes approach the limit from, in the threshold's
         # coordinates
         out["direction"] = "from_above" if pos != t.mirrored else "from_below"
@@ -287,37 +292,37 @@ def tail_json(t: Run, limit_slope, float_mode=False):
     return out
 
 
-def segment_json(s: Run, float_mode=False):
+def segment_json(s: Run):
     out = {
         "from_n": s.from_n,
         "to_n": s.to_n,
         "is_lspace": s.is_lspace,
         "band_base": s.band_base,
-        "threshold": None if s.threshold is None else threshold_json(s.threshold, float_mode),
+        "threshold": None if s.threshold is None else threshold_json(s.threshold),
     }
     if s.mirrored:
         out["mirrored"] = True
     return out
 
 
-def point_json(p: PointVerdict, float_mode=False):
+def point_json(p: PointVerdict):
     return {
         "n": p.n,
         "m_n": p.slope,
-        "seifert_form": form_json(p.form, float_mode),
+        "seifert_form": form_json(p.form),
         "tag": p.tag.value,
         "verdict": verdict_json(p.verdict),
     }
 
 
-def report_json(r: FamilyReport, float_mode=False):
+def report_json(r: FamilyReport):
     return {
         "window": None if r.window is None else list(r.window),
-        "points": [point_json(r.points[n], float_mode) for n in sorted(r.points)],
-        "segments": [segment_json(s, float_mode) for s in r.segments],
-        "tail_pos": tail_json(r.tail_pos, r.limit_slope, float_mode),
-        "tail_neg": tail_json(r.tail_neg, r.limit_slope, float_mode),
-        "limit": form_json(r.limit, float_mode),
+        "points": [point_json(r.points[n]) for n in sorted(r.points)],
+        "segments": [segment_json(s) for s in r.segments],
+        "tail_pos": tail_json(r.tail_pos, r.limit_slope),
+        "tail_neg": tail_json(r.tail_neg, r.limit_slope),
+        "limit": form_json(r.limit),
         "limit_verdict": verdict_json(r.limit_verdict),
         "exceptional": [{"n": n, "tag": tag.value} for n, tag in r.exceptional],
     }
@@ -326,10 +331,11 @@ def report_json(r: FamilyReport, float_mode=False):
 def describe_tail(t: Run, limit_slope) -> str:
     pos = t.to_n is None
     what = "L-space" if t.is_lspace else "not an L-space"
-    out = f"{what} for all n {'>=' if pos else '<='} {t.from_n if pos else t.to_n}"
+    out = f"{what} for all n {'>=' if pos else '<='} {int_text(t.from_n if pos else t.to_n)}"
     if t.threshold is not None and t.threshold.boundary is not None:
         out += (f"  [limit slope {format_rational(limit_slope)} approached "
-                f"from {'above' if pos != t.mirrored else 'below'}; band base {t.band_base}, "
+                f"from {'above' if pos != t.mirrored else 'below'}; "
+                f"band base {int_text(t.band_base)}, "
                 f"boundary {format_rational(t.threshold.boundary)}"
                 + ("; computed on the mirror" if t.mirrored else "") + "]")
     return out
@@ -337,10 +343,10 @@ def describe_tail(t: Run, limit_slope) -> str:
 
 def describe_segment(s: Run) -> str:
     what = "L-space" if s.is_lspace else "not an L-space"
-    out = f"{what} for all {s.from_n} <= n <= {s.to_n}"
+    out = f"{what} for all {int_text(s.from_n)} <= n <= {int_text(s.to_n)}"
     if s.threshold is None:
         return out + "  [lens spaces]"
     boundary = ("" if s.threshold.boundary is None
                 else f", boundary {format_rational(s.threshold.boundary)}")
-    return (out + f"  [band base {s.band_base}{boundary}"
+    return (out + f"  [band base {int_text(s.band_base)}{boundary}"
             + ("; computed on the mirror" if s.mirrored else "") + "]")

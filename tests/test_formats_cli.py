@@ -18,8 +18,8 @@ from seifert_lspace import INF, Base, SeifertForm, normalize
 from seifert_lspace.cli import MAX_WINDOW, _window, build_parser, main
 from seifert_lspace.corpus import CASES, Case, Check, run_corpus
 from seifert_lspace.families import catalog
-from seifert_lspace.formats import (ParseError, dumps, form_json, parse_form,
-                                    rational_json)
+from seifert_lspace.formats import (ParseError, add_approx, dumps, form_json,
+                                    parse_form, rational_json)
 from seifert_lspace.rationals import int_text
 
 from oracles import fraction_parse_form
@@ -155,10 +155,19 @@ class TestJson:
                            degenerate=obj["degenerate"]) == f
 
     def test_float_mode_only_adds_approx(self):
-        with_f = rational_json(F(2, 3), float_mode=True)
-        without = rational_json(F(2, 3))
-        assert without == {"num": 2, "den": 3}
-        assert with_f["num"] == 2 and "approx" in with_f
+        # add_approx fills in the payload it is given: an approx on each
+        # finite pair a float holds, nothing on the infinite pair, the pair
+        # past the float range or anything that is not a pair
+        big = {"num": 10 ** 400, "den": 1}
+        payload = {"x": rational_json(F(2, 3)), "inf": rational_json(INF), "n": 3,
+                   "l": [rational_json(F(-25, 6)), big, "num"], "none": rational_json(None)}
+        assert payload["x"] == {"num": 2, "den": 3}
+        assert add_approx(payload) is payload
+        assert payload == {"x": {"num": 2, "den": 3, "approx": 2 / 3},
+                           "inf": {"num": 1, "den": 0}, "n": 3,
+                           "l": [{"num": -25, "den": 6, "approx": -25 / 6},
+                                 {"num": 10 ** 400, "den": 1}, "num"],
+                           "none": None}
 
     def test_windowless_report(self):
         from seifert_lspace import classify_family, find_family
@@ -333,6 +342,36 @@ class TestCliOtherVerbs:
         assert report["points"][0]["seifert_form"]["slopes"][0] == {
             "num": 1, "den": 3, "approx": 1 / 3}
 
+    @pytest.mark.parametrize("argv", [
+        *(["family", "run", spec.name, "--window=-20..20"] for spec in catalog()),
+        *(["twist-scan", "--b", "-1", "--r1", "1/3", "--r2", f"{2 * 10 ** e - 3}/{3 * 10 ** e}",
+           "--alpha", "1", "--beta", "0", "--alpha3", "1", "--beta3", "1", "--window=-50..50"]
+          for e in range(3, 7))])
+    def test_float_is_a_pass_over_the_payload(self, argv, capsys):
+        # --float adds approx = num/den to each finite pair (all of these
+        # lie in the float range) and changes nothing else
+        outputs = []
+        for mode in (["--json", "--float"], ["--json"]):
+            main(argv + mode)
+            outputs.append(json.loads(capsys.readouterr().out)["outputs"])
+        with_float, exact = outputs
+
+        def strip(o):
+            if isinstance(o, list):
+                return [strip(v) for v in o]
+            if not isinstance(o, dict):
+                return o
+            if "num" in o and "den" in o:
+                if o["den"] == 0:
+                    assert "approx" not in o
+                else:
+                    assert o.pop("approx") == o["num"] / o["den"]
+                assert o.keys() == {"num", "den"}
+                return o
+            return {k: strip(v) for k, v in o.items()}
+
+        assert strip(with_float) == exact
+
     def test_twist_scan_rejects_bad_determinant(self, capsys):
         rc = main(["twist-scan", "--b", "-1", "--r1", "2/3", "--r2", "1/3",
                    "--alpha", "2", "--beta", "1", "--alpha3", "1", "--beta3", "2"])
@@ -496,6 +535,29 @@ class TestHugeIntegers:
         assert got["text"] == f"SFS[S2; {b_text}]"
 
 
+    def test_twist_scan_text_prints_slopes_past_the_limit(self, capsys):
+        # m_n = m + n*l^2 has 4401 digits at n = 1
+        l = 10 ** 2200
+        rc = main(["twist-scan", "--b", "3", "--r1", "1/2", "--r2", "2/3", "--alpha", "1",
+                   "--beta", "0", "--alpha3", "0", "--beta3", "1", "--m", "6",
+                   "--l", str(l), "--window=0..1"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert f"m_n={int_text(6 + l * l)}  " in out
+
+    def test_twist_scan_text_prints_indices_past_the_limit(self, capsys):
+        # a window just below 10^4300: the tail starts at the 4301-digit 10^4300
+        N = 10 ** 4300
+        rc = main(["twist-scan", "--b", "3", "--r1", "1/2", "--r2", "2/3", "--alpha", "1",
+                   "--beta", "0", "--alpha3", "0", "--beta3", "1", "--m", "6",
+                   "--l", "5", f"--window={N - 2}..{N - 1}"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        for n in (N - 2, N - 1):
+            assert f"n={int_text(n)}  m_n={int_text(6 + 25 * n)}  " in out
+        assert f"for all n >= {int_text(N)}" in out
+
+
 class TestGoldenJson:
     def test_decide_payload_schema(self, capsys):
         main(["decide", "SFS[S2; -2; 2/3, 2/3, 2/3]", "--json"])
@@ -599,3 +661,61 @@ class TestPinnedOutput:
                          capsys.readouterr().out)
             h.update(f"{' '.join(argv)}\n{rc}\n{out}".encode())
         assert h.hexdigest() == PINNED_OUTPUT_SHA256
+
+
+_FORMS = ("SFS[S2; -2; 2/3, 2/3, 2/3]", "SFS[S2; -1; 1/7, 1/3, 1/2]",
+          "SFS[S2; 1; 1/2, 1/3, 1/7]", "SFS[S2; 0; 2/3, -2/5]", "SFS[S2; -1; 1/2, 1/2]",
+          "SFS[S2; 3; 1/2, 2/3, inf]", "SFS[S2; 0; 5/3, 1/2]", "SFS[RP2]",
+          "SFS[S2; -1; 1/3, 1997/3000, 123456789012345678/999999999999999989]")
+_MODES = ((), ("--float",), ("--json",), ("--json", "--float"))
+
+
+def _verb_argvs():
+    """What the 96 pinned invocations leave out: decide, h1, normalize and
+    threshold in all four modes, every catalog ``family run`` under
+    --json --float, and the error paths of the verbs."""
+    out = [[verb, form, *mode] for verb in ("decide", "h1", "normalize")
+           for form in _FORMS for mode in _MODES]
+    for b, r1, r2 in (("-2", "2/3", "2/3"), ("-1", "1/3", "1997/3000"), ("-1", "2/5", "1/2"),
+                      ("0", "1/2", "1/3"), ("-1", "1/2", "1/2"), ("1", "1/3", "1/5"),
+                      ("-3", "1/2", "1/3")):
+        out += [["threshold", *mode, "--", b, r1, r2] for mode in _MODES]
+    out += [["family", "run", spec.name, "--window=-3..3", "--json", "--float"]
+            for spec in catalog()]
+    scan = ["twist-scan", "--b", "-1", "--r1", "2/3", "--r2", "1/3", "--alpha3", "1"]
+    for argv in (["family", "run", "nope"],
+                 ["family", "run", "p+q", "--params", "p7"],
+                 ["family", "run", "p+q", "--params", "p=x"],
+                 ["family", "run", "p+q", "--params", "p=7"],
+                 ["family", "run", "nope-kind", "--params", "p=7"],
+                 ["family", "run", "p+q", "--params", "p=4,q=6"],
+                 ["family", "run", "berge-vii", "--params", "a=1,b=2"],
+                 ["reproduce", "--only", "no-such-case"],
+                 ["decide", "SFS[S2; nope]"], ["h1", "SFS[S2; 1; 1/2,]"],
+                 ["normalize", "SFS(S2; 1)"],
+                 ["decide", "SFS[S2; 0; 1/2, 1/3, 1/5, 1/7]"],
+                 ["h1", "SFS[S2; 0; 1/2, 1/3, 1/5, 1/7]"],
+                 ["threshold", "--", "-1", "1/0", "1/2"],
+                 ["threshold", "--", "-1", "x", "1/2"],
+                 scan + ["--alpha", "2", "--beta", "1", "--beta3", "2"],
+                 scan[:4] + ["5/3"] + scan[5:] + ["--alpha", "0", "--beta", "-1",
+                                                  "--beta3", "0"]):
+        k = argv.index("--") if "--" in argv else len(argv)
+        out += [argv, argv[:k] + ["--json"] + argv[k:]]
+    return out
+
+
+# sha256 of _verb_argvs' exit codes, stdout with elapsed_ms blanked, and
+# stderr; a change that alters CLI output on purpose updates it
+VERB_OUTPUT_SHA256 = "79de4f99590393f10d1a1fd36b65ba44a959f8e0fe178ac0cd75f5cc6f74d28f"
+
+
+class TestPinnedVerbOutput:
+    def test_cli_bytes_are_unchanged(self, capsys):
+        h = hashlib.sha256()
+        for argv in _verb_argvs():
+            rc = main(argv)
+            got = capsys.readouterr()
+            out = re.sub(r'"elapsed_ms": [^,\n]*', '"elapsed_ms": 0', got.out)
+            h.update(f"{' '.join(argv)}\n{rc}\n{out}\n{got.err}".encode())
+        assert h.hexdigest() == VERB_OUTPUT_SHA256
