@@ -3,10 +3,10 @@
 Verbs: decide, h1, normalize, threshold, twist-scan, family (list | run),
 reproduce.  Each ``cmd_*`` verb computes its result and returns it; ``main``
 is the one output path, which times the verb and prints its text lines or
-its JSON envelope.  All numeric output is exact; --float adds decimal
-approximations to the JSON for human reading only.  Exit codes: decide uses
-0 for an L-space, 1 for not an L-space, 2 for parse or range errors;
-reproduce exits 1 if any case fails.
+its JSON envelope, building only the one it prints.  All numeric output is
+exact; --float adds decimal approximations to the JSON for human reading
+only.  Exit codes: decide uses 0 for an L-space, 1 for not an L-space, 2
+for parse or range errors; reproduce exits 1 if any case fails.
 """
 
 from __future__ import annotations
@@ -16,15 +16,14 @@ import functools
 import sys
 import time
 
-from . import corpus as corpus_mod
 from . import families as fam
 from .formats import (ParseError, add_approx, classification_json, describe_segment,
                       describe_tail, dumps, form_json, parse_form, report_json,
                       threshold_json, verdict_json)
 from .lspace import decide, third_slot_threshold
-from .rationals import format_rational, int_text, parse_rational
+from .rationals import INF, format_rational, int_text, parse_rational
 from .seifert import classify
-from .twist import SeiferterData, classify_family
+from .twist import PointVerdict, SeiferterData, classify_family
 
 
 MAX_WINDOW = 10 ** 6  # indices a window may hold; each one is evaluated
@@ -46,14 +45,11 @@ def cmd_decide(args):
     form = parse_form(args.form)
     c = classify(form)
     v = decide(form)
-    outputs = {"form": form_json(form),
-               "classification": classification_json(c),
-               "verdict": verdict_json(v)}
 
     def lines():
         out = [f"input:  {form!r}",
                f"class:  {c.tag.value}" + ("" if c.h1 is None else
-                                           f", |H1| = {'infinite' if outputs['classification']['h1_infinite'] else int_text(c.h1)}"),
+                                           f", |H1| = {'infinite' if c.h1 is INF else int_text(c.h1)}"),
                f"result: {'L-space' if v.is_lspace else 'not an L-space'} ({v.reason.value})"]
         if v.witness is not None:
             out.append(f"witness: k={int_text(v.witness.k)}, a={int_text(v.witness.a)}"
@@ -62,25 +58,29 @@ def cmd_decide(args):
             out.append(f"search bound: k <= {int_text(v.search_bound)}")
         return out
 
-    return {"form": args.form}, outputs, lines, 0 if v.is_lspace else 1
+    return ({"form": args.form},
+            lambda: {"form": form_json(form), "classification": classification_json(c),
+                     "verdict": verdict_json(v)},
+            lines, 0 if v.is_lspace else 1)
 
 
 def cmd_h1(args):
     form = parse_form(args.form)
     c = classify(form)
-    outputs = {"form": form_json(form), "classification": classification_json(c)}
     if c.h1 is None:
         text = "n/a (projective base)"
-    elif outputs["classification"]["h1_infinite"]:
+    elif c.h1 is INF:
         text = "infinite"
     else:
         text = int_text(c.h1)
-    return {"form": args.form}, outputs, lambda: [f"input: {form!r}", f"|H1| = {text}"], 0
+    return ({"form": args.form},
+            lambda: {"form": form_json(form), "classification": classification_json(c)},
+            lambda: [f"input: {form!r}", f"|H1| = {text}"], 0)
 
 
 def cmd_normalize(args):
     form = parse_form(args.form)
-    return {"form": args.form}, {"form": form_json(form)}, lambda: [repr(form)], 0
+    return {"form": args.form}, lambda: {"form": form_json(form)}, lambda: [repr(form)], 0
 
 
 def cmd_threshold(args):
@@ -90,31 +90,35 @@ def cmd_threshold(args):
     else:
         side = (">" if t.b == -1 else "<") + ("=" if t.attained else "")
         desc = f"L-space exactly for r {side} {format_rational(t.boundary)}"
-    return ({"b": args.b, "r1": args.r1, "r2": args.r2}, {"threshold": threshold_json(t)},
+    return ({"b": args.b, "r1": args.r1, "r2": args.r2}, lambda: {"threshold": threshold_json(t)},
             lambda: [f"S2({args.b}; {args.r1}, {args.r2}, r) for r in (0,1): {desc}"], 0)
 
 
-def _scan_lines(report):
-    rows = []
-    lo, hi = report.window
-    for n, p in report.points.items():
-        mark = "" if lo <= n <= hi else " (gap exception)"
-        slope = "-" if p.slope is None else int_text(p.slope)
-        verdict = "L-space" if p.verdict.is_lspace else "NOT L-space"
-        w = p.verdict.witness
-        wit = "" if w is None else f"  witness (k={int_text(w.k)}, a={int_text(w.a)})"
-        rows.append((n, f"  n={int_text(n):>5}  m_n={slope:>8}  {p.form!r:<40} "
-                        f"{verdict}{wit}{mark}"))
-    rows += [(s.from_n, f"  segment: {describe_segment(s)}") for s in report.segments]
-    lines = [line for _, line in sorted(rows, key=lambda row: row[0])]
-    lines.append(f"tail n -> +inf: {describe_tail(report.tail_pos, report.limit_slope)}")
-    lines.append(f"tail n -> -inf: {describe_tail(report.tail_neg, report.limit_slope)}")
-    lines.append(f"limit space: {report.limit!r} "
-                 f"({'L-space' if report.limit_verdict.is_lspace else 'not an L-space'})")
+def _scan_lines(report, window):
+    """A report's lines on the window, from one walk of ``report.shown``."""
+    lo, hi = window
+    for row in report.shown(lo, hi):
+        if isinstance(row, PointVerdict):
+            mark = "" if lo <= row.n <= hi else " (gap exception)"
+            slope = "-" if row.slope is None else int_text(row.slope)
+            verdict = "L-space" if row.verdict.is_lspace else "NOT L-space"
+            w = row.verdict.witness
+            wit = "" if w is None else f"  witness (k={int_text(w.k)}, a={int_text(w.a)})"
+            yield (f"  n={int_text(row.n):>5}  m_n={slope:>8}  {row.form!r:<40} "
+                   f"{verdict}{wit}{mark}")
+        elif row.from_n is None:
+            tail_neg = row
+        elif row.to_n is None:
+            tail_pos = row
+        else:
+            yield f"  segment: {describe_segment(row)}"
+    yield f"tail n -> +inf: {describe_tail(tail_pos, report.limit_slope)}"
+    yield f"tail n -> -inf: {describe_tail(tail_neg, report.limit_slope)}"
+    yield (f"limit space: {report.limit!r} "
+           f"({'L-space' if report.limit_verdict.is_lspace else 'not an L-space'})")
     if report.exceptional:
-        lines.append("exceptional n: " + ", ".join(f"{int_text(n)} ({tag.value})"
-                                                   for n, tag in report.exceptional))
-    return lines
+        yield "exceptional n: " + ", ".join(f"{int_text(n)} ({tag.value})"
+                                            for n, tag in report.exceptional)
 
 
 def cmd_twist_scan(args):
@@ -122,19 +126,23 @@ def cmd_twist_scan(args):
               for k in ("b", "r1", "r2", "alpha", "beta", "alpha3", "beta3", "m", "l")}
     data = SeiferterData(**(inputs | {"r1": parse_rational(args.r1),
                                       "r2": parse_rational(args.r2)}))
-    report = classify_family(data, args.window)
+    report = classify_family(data)
     inputs["window"] = list(args.window)
-    return inputs, {"report": report_json(report)}, lambda: _scan_lines(report), 0
+    return (inputs, lambda: {"report": report_json(report, args.window)},
+            lambda: _scan_lines(report, args.window), 0)
 
 
 def cmd_family(args):
     if args.action == "list":
         specs = fam.catalog()
-        outputs = {"families": [{"name": s.name, "description": s.description,
-                                 "params": dict(s.params),
-                                 "guarantee": repr(s.guarantee),
-                                 "members": len(s.members)} for s in specs]}
-        return {}, outputs, lambda: [f"{s.name:<24} {repr(s.guarantee):<28} {s.description}"
+
+        def listing():
+            return {"families": [{"name": s.name, "description": s.description,
+                                  "params": dict(s.params),
+                                  "guarantee": repr(s.guarantee),
+                                  "members": len(s.members)} for s in specs]}
+
+        return {}, listing, lambda: [f"{s.name:<24} {repr(s.guarantee):<28} {s.description}"
                                      for s in specs], 0
     inputs = {"name": args.name, "window": list(args.window)}
     try:
@@ -147,41 +155,44 @@ def cmd_family(args):
                 params[key.strip()] = int(value)
             spec = fam.build_family(args.name, **params)
             if isinstance(spec, fam.TorusKnotDegenerate):
-                return (inputs, {"degenerate": True, "torus_knot": {"a": spec.a, "b": spec.b}},
+                return (inputs, lambda: {"degenerate": True,
+                                         "torus_knot": {"a": spec.a, "b": spec.b}},
                         lambda: [f"degenerate parameters: the twisted knot is a torus knot "
                                  f"(a={spec.a}, b={spec.b})"], 0)
         else:
             spec = fam.find_family(args.name)
     except KeyError:
         raise ValueError(f"unknown family {args.name!r}; try 'family list'") from None
-    except TypeError as e:
-        raise ValueError(str(e)) from None
-    reports = [classify_family(m, args.window) for m in spec.members]
+    # the reports that check the guarantee are the ones shown
+    reports = [classify_family(m) for m in spec.members]
     ok, problems = fam.check_reports(spec, reports)
-    outputs = {"name": spec.name, "guarantee": repr(spec.guarantee),
-               "guarantee_confirmed": ok, "problems": problems,
-               "reports": [report_json(r) for r in reports]}
+
+    def outputs():
+        return {"name": spec.name, "guarantee": repr(spec.guarantee),
+                "guarantee_confirmed": ok, "problems": problems,
+                "reports": [report_json(r, args.window) for r in reports]}
 
     def lines():
-        out = [f"family {spec.name}: {spec.description}",
-               f"claimed: {spec.guarantee!r}  -> {'confirmed' if ok else 'NOT CONFIRMED'}"]
+        yield f"family {spec.name}: {spec.description}"
+        yield f"claimed: {spec.guarantee!r}  -> {'confirmed' if ok else 'NOT CONFIRMED'}"
         for member, report in zip(spec.members, reports):
             if member.label:
-                out.append(f"member {member.label}:")
-            out += _scan_lines(report)
-        return out
+                yield f"member {member.label}:"
+            yield from _scan_lines(report, args.window)
 
     return inputs, outputs, lines, 0 if ok else 1
 
 
 def cmd_reproduce(args):
+    # imported here so that the other verbs start without the corpus
+    from .corpus import run_corpus
     log = []
     try:
-        passed, failed, names = corpus_mod.run_corpus(args.only, emit=log.append)
+        passed, failed, names = run_corpus(args.only, emit=log.append)
     except KeyError:
         raise ValueError(f"no corpus case matching {args.only!r}") from None
-    outputs = {"passed": passed, "failed": failed, "failed_cases": names, "log": log}
-    return ({"only": args.only}, outputs,
+    return ({"only": args.only},
+            lambda: {"passed": passed, "failed": failed, "failed_cases": names, "log": log},
             lambda: log + [f"{passed} passed, {failed} failed"], 1 if failed else 0)
 
 
@@ -198,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--float", action="store_true",
-                       help="attach decimal approximations (display only)")
+                       help="with --json, attach decimal approximations (display "
+                            "only); text output is unchanged")
 
     p = sub.add_parser("decide", help="decide one Seifert form")
     p.add_argument("form", help="e.g. \"SFS[S2; -2; 2/3, 2/3, 2/3]\"")
@@ -263,12 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one verb and print its result; returns the exit code.
 
-    Each ``cmd_*`` verb returns ``(inputs, outputs, lines, exit_code)``, where
-    ``outputs`` is the exact JSON payload and ``lines()`` returns the text
-    lines, so --json never builds the text.  ``main`` is the one place that
-    times a verb and prints: under --json the envelope {command, inputs,
-    outputs, elapsed_ms}, with ``formats.add_approx`` run over the outputs
-    under --float, otherwise the lines.  A verb reports bad input by raising
+    Each ``cmd_*`` verb returns ``(inputs, outputs, lines, exit_code)``:
+    ``outputs()`` builds the exact JSON payload and ``lines()`` the text
+    lines, so either mode builds nothing of the other.  A family report's
+    lines stream from one walk of ``FamilyReport.shown``, each window member
+    evaluated as its line is printed.  ``main`` is the one place that times
+    a verb and prints: under --json the envelope {command, inputs, outputs,
+    elapsed_ms}, with ``formats.add_approx`` run over the outputs under
+    --float, otherwise the lines.  A verb reports bad input by raising
     ``ValueError`` (``ParseError`` among them); that, or one raised while the
     output is built, prints one ``error: ...`` line on stderr and exits 2.
     """
@@ -278,7 +292,7 @@ def main(argv=None) -> int:
         inputs, outputs, lines, code = args.fn(args)
         if args.json:
             print(dumps({"command": args.command, "inputs": inputs,
-                         "outputs": add_approx(outputs) if args.float else outputs,
+                         "outputs": add_approx(outputs()) if args.float else outputs(),
                          "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3)}))
         else:
             for line in lines():

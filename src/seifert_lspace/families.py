@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from .seifert import normalize
-from .twist import FamilyMember, SeiferterData, classify_family
+from .twist import FamilyMember, Run, SeiferterData, _span, classify_family
 
 
 class GuaranteeKind(Enum):
@@ -410,6 +410,9 @@ def build_family(kind: str, **params) -> FamilySpec:
         builder = _BUILDERS[kind.lower()]
     except KeyError:
         raise KeyError(f"unknown family kind {kind!r}; one of {', '.join(family_kinds())}")
+    names = builder.__code__.co_varnames[:builder.__code__.co_argcount]
+    if set(params) != set(names):
+        raise PreconditionFailed(f"family kind {kind!r} takes parameters {', '.join(names) or 'none'}")
     return builder(**params)
 
 
@@ -427,8 +430,8 @@ def find_family(name: str) -> FamilySpec:
 def check_guarantee(spec: FamilySpec):
     """Confirm a family's claimed guarantee for every integer n.
 
-    Classifies every member with no window, so the cost is that of its runs
-    and singles, and returns ``check_reports(spec, reports)``.
+    Classifies every member, at the cost of its runs and singles, and
+    returns ``check_reports(spec, reports)``.
     """
     return check_reports(spec, [classify_family(m) for m in spec.members])
 
@@ -442,13 +445,6 @@ def _merged(ranges) -> list[tuple[int, int]]:
         else:
             out.append((a, b))
     return out
-
-
-def _failures(report) -> list[tuple[int, int]]:
-    """Sorted, disjoint index ranges of the non-L-space members between the
-    tails, points and segments alike."""
-    return _merged([(n, n) for n, pv in report.points.items() if not pv.verdict.is_lspace]
-                   + [(s.from_n, s.to_n) for s in report.segments if not s.is_lspace])
 
 
 def _ranges_text(ranges) -> str:
@@ -467,7 +463,9 @@ def check_reports(spec: FamilySpec, reports):
     problems = []
     g = spec.guarantee
     for report in reports:
-        failures = _failures(report)
+        # the non-L-space rows between the tails, segments and singles alike
+        failures = _merged([_span(r) for r in report.rows[1:-1]
+                            if not (r.is_lspace if isinstance(r, Run) else r.verdict.is_lspace)])
         tp, tn = report.tail_pos, report.tail_neg
         if g.kind is GuaranteeKind.ALL_N:
             if failures:

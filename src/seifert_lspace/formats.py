@@ -315,13 +315,16 @@ def point_json(p: PointVerdict):
     }
 
 
-def report_json(r: FamilyReport):
+def report_json(r: FamilyReport, window):
+    """The report shown on the window lo..hi, from one walk of ``r.shown``."""
+    rows = list(r.shown(*window))
+    runs = [row for row in rows if isinstance(row, Run)]
     return {
-        "window": None if r.window is None else list(r.window),
-        "points": [point_json(r.points[n]) for n in sorted(r.points)],
-        "segments": [segment_json(s) for s in r.segments],
-        "tail_pos": tail_json(r.tail_pos, r.limit_slope),
-        "tail_neg": tail_json(r.tail_neg, r.limit_slope),
+        "window": list(window),
+        "points": [point_json(p) for p in rows if isinstance(p, PointVerdict)],
+        "segments": [segment_json(s) for s in runs[1:-1]],
+        "tail_pos": tail_json(runs[-1], r.limit_slope),
+        "tail_neg": tail_json(runs[0], r.limit_slope),
         "limit": form_json(r.limit),
         "limit_verdict": verdict_json(r.limit_verdict),
         "exceptional": [{"n": n, "tag": tag.value} for n, tag in r.exceptional],

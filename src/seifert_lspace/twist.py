@@ -21,9 +21,9 @@ runs of one verdict, cut where f crosses an integer or a band's threshold
 boundary, and the indices no threshold covers (the pole and integer values
 of f).  The two end runs are the tails: each is certified with the first
 index from which a single verdict holds, replacing epsilon-style "for n
-large enough" statements.  A report without a window is the runs and the
-singles alone, so its cost does not depend on any range of indices; a
-window adds its members pointwise and clips the runs to its complement.
+large enough" statements.  A report is the runs and the singles alone, so
+its cost does not depend on any range of indices; ``FamilyReport.shown``
+alone reads a display window, evaluating its members one at a time.
 
 The degenerate-fiber situation (the seiferter is an index-zero fiber of a
 connected sum of two lens spaces) is the special encoding (alpha_3, beta_3)
@@ -34,7 +34,7 @@ sum, and every other member is S2(b + beta; r1, r2, 1/n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -180,10 +180,6 @@ class Run:
     threshold: ThirdSlotThreshold | None = None
     mirrored: bool = False
 
-    def covers(self, n: int) -> bool:
-        return ((self.from_n is None or self.from_n <= n)
-                and (self.to_n is None or n <= self.to_n))
-
 
 def _piece(desc: ThirdSlotThreshold, r: Fraction, below: bool = False):
     """The piece of (0,1) on which ``desc`` has one verdict and which holds
@@ -214,11 +210,11 @@ def _first_below(d: SeiferterData, c: Fraction, strict: bool) -> int:
     return math.floor(x) + 1 if strict else math.ceil(x)
 
 
-def _runs(d: SeiferterData):
-    """Cut the data indices, all of Z, into maximal runs (from_j, to_j,
-    is_lspace, band_base, threshold) in increasing order, None marking an
-    infinite end, and the indices between them that no threshold covers:
-    the pole, integer values of f, and the alpha = 0 S2 x S1 index.
+def _runs(d: SeiferterData) -> list:
+    """Cut the data indices, all of Z, into one increasing list of maximal
+    runs (from_j, to_j, is_lspace, band_base, threshold), None marking an
+    infinite end, and the indices between them that no threshold covers, as
+    ints: the pole, integer values of f, and the alpha = 0 S2 x S1 index.
 
     A run holds the indices whose f(j) lies in one piece of one band, where
     the band's threshold has one verdict.  The walk starts at -infinity in
@@ -230,9 +226,9 @@ def _runs(d: SeiferterData):
         # f(j) = -j + beta3 is an integer for every j: all members are lens
         # spaces, L-spaces except a single possible S2 x S1.
         if d.r1 + d.r2 != 1:
-            return [(None, None, True, None, None)], []
+            return [(None, None, True, None, None)]
         j = d.b + d.beta3 + 1
-        return [(None, j - 1, True, None, None), (j + 1, None, True, None, None)], [j]
+        return [(None, j - 1, True, None, None), j, (j + 1, None, True, None, None)]
 
     cache = {}
 
@@ -251,22 +247,22 @@ def _runs(d: SeiferterData):
     # f increases to rc from below as j -> -infinity
     verdict, c, closed, base, desc = piece(rc, below=True)
     j = _first_below(d, c, closed)
-    runs, singles = [(None, j - 1, verdict, base, desc)], []
+    rows = [(None, j - 1, verdict, base, desc)]
     # at integers |f(j) - rc| <= 1/|alpha|, so each side of the pole meets at
     # most three bands, each split at most once by its threshold
     while True:
         v = fiber_slope(d, j)
         if v is INF or v.denominator == 1:
-            singles.append(j)
+            rows.append(j)
             j += 1
             continue
         verdict, c, closed, base, desc = piece(v)
         if j > pole and c <= rc:
             # f > rc right of the pole, so this cut is never reached
-            runs.append((j, None, verdict, base, desc))
-            return runs, singles
+            rows.append((j, None, verdict, base, desc))
+            return rows
         nxt = _first_below(d, c, closed)
-        runs.append((j, nxt - 1, verdict, base, desc))
+        rows.append((j, nxt - 1, verdict, base, desc))
         j = nxt
 
 
@@ -278,56 +274,71 @@ class PointVerdict(NamedTuple):
     verdict: LSpaceVerdict
 
 
-_EXCEPTIONAL_TAGS = (Tag.S2XS1, Tag.CONNECTED_SUM_LENS)
+def _span(row) -> tuple:
+    """(first, last) index of a run or a single, None at an infinite end."""
+    return (row.from_n, row.to_n) if isinstance(row, Run) else (row.n, row.n)
 
 
 @dataclass(frozen=True)
 class FamilyReport:
     """An exact verdict for every integer n.
 
-    ``points`` holds the pointwise verdicts on the window, if there is one,
-    plus the indices outside it that no threshold covers: the pole, members
-    with an integer fiber slope, and the S2 x S1 member of an alpha = 0
-    family.  ``runs`` are the runs of the walk over Z, clipped to the
-    complement of the window, in increasing order: index ranges whose
-    verdict a band threshold proves.  The first run is the tail to -infinity
-    and the last the tail to +infinity.  Window, points and runs partition
-    Z.  ``window`` is None when the report has none; ``limit_slope`` is the
-    slope beta/alpha of the limit space, before any mirroring, and None for
-    a projective-base family.
+    ``rows`` partition Z in increasing order: the runs of the walk and, as
+    ``PointVerdict``s, the singles between them.  The first row is the tail
+    to -infinity and the last the tail to +infinity; a family with one
+    verdict everywhere is the one row Run(None, None).  ``limit_slope`` is
+    beta/alpha, before any mirroring, and None for a projective-base family.
     """
-    window: tuple[int, int] | None
-    points: dict[int, PointVerdict]
-    runs: tuple[Run, ...]
+    member: FamilyMember
+    rows: tuple[Run | PointVerdict, ...]
     limit_slope: object  # Fraction, INF or None
     limit: SeifertForm
     limit_verdict: LSpaceVerdict
 
     @property
     def tail_neg(self) -> Run:
-        return self.runs[0]
+        return self.rows[0]
 
     @property
     def tail_pos(self) -> Run:
-        return self.runs[-1]
+        return self.rows[-1]
 
     @property
     def segments(self) -> tuple[Run, ...]:
-        return self.runs[1:-1]
+        return tuple(r for r in self.rows[1:-1] if isinstance(r, Run))
 
     @property
     def exceptional(self) -> tuple:
-        return tuple((n, pv.tag) for n, pv in sorted(self.points.items())
-                     if pv.tag in _EXCEPTIONAL_TAGS)
+        """(n, tag) of the S2 x S1 and connected-sum members, all singles."""
+        return tuple((r.n, r.tag) for r in self.rows if isinstance(r, PointVerdict)
+                     and r.tag in (Tag.S2XS1, Tag.CONNECTED_SUM_LENS))
 
     def lspace_at(self, n: int) -> bool:
-        """Verdict at any integer, from a point or a run."""
-        if n in self.points:
-            return self.points[n].verdict.is_lspace
-        for run in self.runs:
-            if run.covers(n):
-                return run.is_lspace
-        raise KeyError(f"n={n} is not covered by this report")
+        """Verdict at any integer, from the run or the single holding it."""
+        for row in self.rows:
+            a, b = _span(row)
+            if (a is None or a <= n) and (b is None or n <= b):
+                return row.is_lspace if isinstance(row, Run) else row.verdict.is_lspace
+
+    def shown(self, lo: int, hi: int):
+        """The report shown on the window lo..hi, in increasing order: the
+        part of each row left of it, each of its members, evaluated when
+        reached (a single reuses its verdict), and the part of each row
+        right of it; so the tails come first and last."""
+        if lo > hi:
+            raise ValueError("empty window")
+        for row in self.rows:
+            a, b = _span(row)
+            if a is None or a < lo:
+                yield row if b is not None and b < lo else replace(row, to_n=lo - 1)
+        singles = {r.n: r for r in self.rows
+                   if isinstance(r, PointVerdict) and lo <= r.n <= hi}
+        for n in range(lo, hi + 1):
+            yield singles[n] if n in singles else evaluate_point(self.member, n)
+        for row in self.rows:
+            a, b = _span(row)
+            if b is None or b > hi:
+                yield row if a is not None and a > hi else replace(row, from_n=hi + 1)
 
 
 def _as_member(d) -> FamilyMember:
@@ -362,55 +373,26 @@ def evaluate_point(d, n: int) -> PointVerdict:
     return PointVerdict(n, slope, form, c.tag, _decide_classified(form, c))
 
 
-def _certify(member: FamilyMember, window):
-    """The member's runs in family indices, in increasing order, and its
-    singles.  With a window lo..hi each run keeps its non-empty parts left
-    and right of it; with none, only a run over all of Z is cut, at 0, so
-    the first and the last run are always the two tails."""
-    if member.rp2:
-        runs, singles = [(None, None, True, None, None)], []
-    else:
-        runs, singles = _runs(member.data)
-    off, mirrored = member.offset, member.mirrored
-    # the family's n-th member is the data's (n + offset)-th, or the mirror
-    # of its -(n + offset)-th; mirroring reverses the runs and each run
+def classify_family(d) -> FamilyReport:
+    """Exact verdicts for every member, over all of Z, from the walk's runs
+    and singles.  The family's n-th member is the data's (n + offset)-th, or
+    the mirror of its -(n + offset)-th; mirroring reverses the rows."""
+    member = _as_member(d)
+    walk = [(None, None, True, None, None)] if member.rp2 else _runs(member.data)
+    mirrored = member.mirrored
     s = -1 if mirrored else 1
 
     def to_n(j):
-        return None if j is None else s * j - off
+        return None if j is None else s * j - member.offset
 
-    lo, hi = (0, -1) if window is None else window
-    left, right = [], []
-    for a, b, verdict, base, desc in (runs[::-1] if mirrored else runs):
-        a, b = (to_n(b), to_n(a)) if mirrored else (to_n(a), to_n(b))
-        if window is None and (a is not None or b is not None):
-            left.append(Run(a, b, verdict, base, desc, mirrored))
+    rows = []
+    for row in (walk[::-1] if mirrored else walk):
+        if isinstance(row, int):
+            rows.append(evaluate_point(member, to_n(row)))
             continue
-        # the last index of the run left of the window, the first right of it
-        end = lo - 1 if b is None else min(b, lo - 1)
-        start = hi + 1 if a is None else max(a, hi + 1)
-        if a is None or a <= end:
-            left.append(Run(a, end, verdict, base, desc, mirrored))
-        if b is None or start <= b:
-            right.append(Run(start, b, verdict, base, desc, mirrored))
-    return tuple(left + right), [to_n(j) for j in singles]
-
-
-def classify_family(d, window=None) -> FamilyReport:
-    """Exact verdicts for every member, over all of Z.
-
-    With no window the report's points are only the singles and its runs
-    are the walk's; the cost does not grow with any range of indices.  A
-    window lo..hi adds every member in it pointwise, for display, and clips
-    the runs to its complement.
-    """
-    member = _as_member(d)
-    if window is not None and window[0] > window[1]:
-        raise ValueError("empty window")
-    runs, singles = _certify(member, window)
-    shown = () if window is None else range(window[0], window[1] + 1)
-    points = {n: evaluate_point(member, n)
-              for n in (*shown, *(n for n in singles if n not in shown))}
+        a, b, verdict, base, desc = row
+        a, b = (to_n(b), to_n(a)) if mirrored else (to_n(a), to_n(b))
+        rows.append(Run(a, b, verdict, base, desc, mirrored))
     slope = None if member.rp2 else member.data.limit_slope
     limit = member.limit()
-    return FamilyReport(window, points, runs, slope, limit, decide(limit))
+    return FamilyReport(member, tuple(rows), slope, limit, decide(limit))

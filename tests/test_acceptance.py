@@ -8,8 +8,8 @@ import random
 import time
 from fractions import Fraction
 
-from seifert_lspace import (INF, FoliationWitness, classify, classify_family,
-                            catalog, decide, limit_space, linking_guarantee,
+from seifert_lspace import (INF, FoliationWitness, PointVerdict, Run, classify,
+                            classify_family, catalog, decide, limit_space, linking_guarantee,
                             normalize, surgered_space, third_slot_threshold,
                             torus_pq_candidates, tunnel2_family,
                             unknot_seiferter_data, ALL_N)
@@ -144,9 +144,10 @@ def test_07_trefoil_family():
     ok = cands == [(3, F(2, 3), F(1, 2))]
     ok = ok and linking_guarantee(3, 2, 5) == ALL_N
     from seifert_lspace import find_family
-    report = classify_family(find_family("K(3,2;5,n)").members[0], (-50, 50))
-    ok = ok and all(pv.verdict.is_lspace for pv in report.points.values())
-    ok = ok and report.points[0].tag.value == "ConnectedSumOfLensSpaces"
+    report = classify_family(find_family("K(3,2;5,n)").members[0])
+    points = {r.n: r for r in report.shown(-50, 50) if isinstance(r, PointVerdict)}
+    ok = ok and all(pv.verdict.is_lspace for pv in points.values())
+    ok = ok and points[0].tag.value == "ConnectedSumOfLensSpaces"
     ok = ok and report.tail_pos.is_lspace
     ok = ok and report.tail_neg.is_lspace
     _report("trefoil family: unique base form, all-n guarantee, L-space window "
@@ -180,8 +181,8 @@ def test_10_tail_soundness_and_performance():
     bad = []
     for spec in catalog():
         for member in spec.members:
-            report = classify_family(member, (-20, 20))
-            for tail in (report.tail_pos, report.tail_neg):
+            runs = [r for r in classify_family(member).shown(-20, 20) if isinstance(r, Run)]
+            for tail in (runs[-1], runs[0]):
                 for _ in range(20):
                     off = rng.randint(0, 10 ** 4)
                     n = tail.from_n + off if tail.to_n is None else tail.to_n - off

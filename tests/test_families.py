@@ -5,8 +5,8 @@ from math import gcd
 
 import pytest
 
-from seifert_lspace import (ALL_N, Guarantee, GuaranteeKind, PreconditionFailed,
-                            Tag, TorusKnotDegenerate, TwistedTorusKind,
+from seifert_lspace import (ALL_N, Guarantee, GuaranteeKind, PointVerdict,
+                            PreconditionFailed, Tag, TorusKnotDegenerate, TwistedTorusKind,
                             berge_sporadic, berge_type_vii_viii, catalog,
                             check_guarantee, classify, classify_family,
                             decide, distinctness_bound, eudave_munoz_rp2_family,
@@ -243,8 +243,9 @@ class TestEudaveMunoz:
             eudave_munoz_rp2_family(0)
 
     def test_members_are_lspace_everywhere(self):
-        report = classify_family(eudave_munoz_rp2_family(1).members[0], (-5, 5))
-        assert all(pv.verdict.is_lspace for pv in report.points.values())
+        report = classify_family(eudave_munoz_rp2_family(1).members[0])
+        points = [r for r in report.shown(-5, 5) if isinstance(r, PointVerdict)]
+        assert len(points) == 11 and all(pv.verdict.is_lspace for pv in points)
         assert report.tail_pos.is_lspace
 
 
@@ -255,26 +256,31 @@ class TestRegressionContract:
         assert ok, problems
 
     def test_failures_inside_gap_segments_are_checked(self):
-        # a window far right of the pole leaves the not-L-space run
-        # 335..1989 to a segment; the one-sided claims see it only there
+        # both tails are L-space; the not-L-space run 8..14 lies between
+        # them, a segment, and every claim must see it there
         from seifert_lspace import FamilyMember, FamilySpec, SeiferterData, check_reports
-        data = SeiferterData(b=-1, r1=F(1, 3), r2=F(1997, 3000),
-                             alpha=1, beta=0, alpha3=1, beta3=1)
-        member = FamilyMember(data=data)
-        reports = [classify_family(member, (1990, 2000))]
+        data = SeiferterData(b=-1, r1=F(9, 10), r2=F(11, 12),
+                             alpha=-1, beta=1, alpha3=6, beta3=-7)
+        assert [n for n in range(0, 30) if not decide(surgered_space(data, n)).is_lspace] \
+            == list(range(8, 15))
+        for mirrored, kind, bound, problem in (
+                (False, GuaranteeKind.N_LE, 7, None),
+                (False, GuaranteeKind.N_LE, 10, "fails at n=[8..10] <= 10"),
+                (False, GuaranteeKind.N_GE, 12, "fails at n=[12..14] >= 12"),
+                (False, GuaranteeKind.ALL_N, None, "not an L-space at n=[8..14]"),
+                (True, GuaranteeKind.N_GE, -7, None),
+                (True, GuaranteeKind.N_GE, -10, "fails at n=[-10..-8] >= -10"),
+                (True, GuaranteeKind.N_LE, -12, "fails at n=[-14..-12] <= -12")):
+            member = FamilyMember(data=data, mirrored=mirrored)
+            report = classify_family(member)
+            assert report.tail_pos.is_lspace and report.tail_neg.is_lspace
+            assert [(s.from_n, s.to_n) for s in report.segments if not s.is_lspace] == \
+                [(-14, -8) if mirrored else (8, 14)]
+            spec = FamilySpec("seg", "", (), Guarantee(kind, bound), (member,))
+            assert check_reports(spec, [report]) == \
+                ((True, []) if problem is None else (False, [f"seg: {problem}"]))
 
-        def check(guarantee):
-            return check_reports(FamilySpec("eps", "", (), guarantee, (member,)), reports)
-
-        assert check(Guarantee(GuaranteeKind.N_LE, 334)) == (True, [])
-        ok, problems = check(Guarantee(GuaranteeKind.N_LE, 400))
-        assert not ok and problems == ["eps: fails at n=[335..400] <= 400"]
-        ok, problems = check(ALL_N)
-        # the segment 335..1989 and the failing window 1990..2000 join
-        assert not ok and problems[0] == "eps: not an L-space at n=[335..2000]"
-
-    @pytest.mark.parametrize("window", [None, (-50, 50)], ids=["no-window", "window"])
-    def test_one_sided_guarantees_see_the_opposite_tail(self, window):
+    def test_one_sided_guarantees_see_the_opposite_tail(self):
         # every n >= 335 fails, and only the positive tail says so; a
         # guarantee for n <= 400 must report it, and for the mirror n >= -400
         from seifert_lspace import FamilyMember, FamilySpec, SeiferterData, check_reports
@@ -284,7 +290,7 @@ class TestRegressionContract:
                                             (True, GuaranteeKind.N_GE, -400,
                                              "[-400..-335] >= -400")):
             member = FamilyMember(data=data, mirrored=mirrored)
-            reports = [classify_family(member, window)]
+            reports = [classify_family(member)]
 
             def check(bound):
                 spec = FamilySpec("eps", "", (), Guarantee(kind, bound), (member,))
@@ -296,31 +302,54 @@ class TestRegressionContract:
             end, op = (-335, ">=") if mirrored else (335, "<=")
             assert check(end) == (False, [f"eps: fails at n=[{end}] {op} {end}"])
 
-    def test_failing_window_indices_merge_into_ranges(self):
-        # n >= 335 fails: the window's failing points and the positive tail
-        # read as ranges, not one index at a time
+    def test_failing_indices_merge_into_ranges(self):
+        # n >= 335 fails.  The report names the failing tail alone, also
+        # where a window shows its first members; split into single members
+        # 335..340 and a tail from 341, its failures read as ranges, not one
+        # index at a time
+        from dataclasses import replace
+
         from seifert_lspace import FamilyMember, FamilySpec, SeiferterData, check_reports
+        from seifert_lspace.twist import evaluate_point
         data = SeiferterData(b=-1, r1=F(1, 3), r2=F(1997, 3000),
                              alpha=1, beta=0, alpha3=1, beta3=1)
+
+        def split(member, lo, hi):
+            # the report, and its rows with lo..hi, where the failing tail
+            # begins, cut out of the tail as singles
+            report = classify_family(member)
+            singles = tuple(evaluate_point(member, n) for n in range(lo, hi + 1))
+            assert not any(p.verdict.is_lspace for p in singles)
+            tn, *rows, tp = report.rows
+            if member.mirrored:
+                assert tn.to_n == hi and not tn.is_lspace
+                rows = (replace(tn, to_n=lo - 1), *singles, *rows, tp)
+            else:
+                assert tp.from_n == lo and not tp.is_lspace
+                rows = (tn, *rows, *singles, replace(tp, from_n=hi + 1))
+            return report, replace(report, rows=rows)
+
         member = FamilyMember(data=data)
         spec = FamilySpec("eps", "", (), Guarantee(GuaranteeKind.N_GE, 0), (member,))
-        report = classify_family(member, (300, 340))
+        report, with_singles = split(member, 335, 340)
         assert check_reports(spec, [report]) == (False, [
+            "eps: positive tail not certified L-space"])
+        assert check_reports(spec, [with_singles]) == (False, [
             "eps: fails at n=[335..340] >= 0", "eps: positive tail not certified L-space"])
         # overlapping and adjacent ranges of points and segments join
         assert _merged([(7, 7), (1, 3), (4, 4), (2, 5), (9, 12), (10, 10), (13, 13)]) \
             == [(1, 5), (7, 7), (9, 13)]
         mirror = FamilyMember(data=data, mirrored=True)
         spec = FamilySpec("eps", "", (), Guarantee(GuaranteeKind.N_LE, 0), (mirror,))
-        assert check_reports(spec, [classify_family(mirror, (-340, -300))])[1][0] \
+        assert check_reports(spec, [split(mirror, -340, -335)[1]])[1][0] \
             == "eps: fails at n=[-340..-335] <= 0"
-        # the failing tail joins the failing points next to it
+        # the failing tail joins the failing singles next to it
         for member, kind, bound, window, text in (
-                (member, GuaranteeKind.N_LE, 400, (300, 340), "[335..400] <= 400"),
-                (mirror, GuaranteeKind.N_GE, -400, (-340, -300), "[-400..-335] >= -400")):
+                (member, GuaranteeKind.N_LE, 400, (335, 340), "[335..400] <= 400"),
+                (mirror, GuaranteeKind.N_GE, -400, (-340, -335), "[-400..-335] >= -400")):
             spec = FamilySpec("eps", "", (), Guarantee(kind, bound), (member,))
-            assert check_reports(spec, [classify_family(member, window)]) == \
-                (False, [f"eps: fails at n={text}"])
+            for r in split(member, *window):
+                assert check_reports(spec, [r]) == (False, [f"eps: fails at n={text}"])
 
     def test_exceptions_in_a_tail_are_checked(self):
         # n = 5 lies in the positive tail of the windowless report, but it is
@@ -329,10 +358,10 @@ class TestRegressionContract:
         members = unknot_seiferter_family(-1, 3).members
         spec = FamilySpec("x", "", (), Guarantee(GuaranteeKind.ALL_N_EXCEPT, exceptions=(5,)),
                           members)
-        assert classify_family(members[0]).tail_pos.covers(5)
+        assert classify_family(members[0]).tail_pos.from_n <= 5
         want = (False, ["x: failures [] != expected [5]"])
         assert check_guarantee(spec) == want
-        assert check_reports(spec, [classify_family(members[0], (-50, 50))]) == want
+        assert check_reports(spec, [classify_family(members[0])]) == want
 
     def test_windowless_reports_match_pointwise_verdicts(self):
         from seifert_lspace import FamilyMember, SeiferterData
@@ -344,21 +373,24 @@ class TestRegressionContract:
         kinds = set()
         for member in members:
             report = classify_family(member)
-            assert report.window is None
             if member.rp2:
                 kinds.add("rp2")
             elif member.data.alpha == 0:
-                kinds.add("alpha0-s2xs1" if report.points else "alpha0")
+                kinds.add("alpha0-s2xs1" if len(report.rows) > 1 else "alpha0")
             for n in range(-200, 201):
                 want = decide(fraction_member_point(member, n)[1]).is_lspace
                 assert report.lspace_at(n) is want, (member, n)
         assert kinds == {"rp2", "alpha0", "alpha0-s2xs1"}
 
     @pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.name)
-    def test_windowless_check_agrees_with_windowed_reports(self, spec):
-        from seifert_lspace import check_reports
-        reports = [classify_family(m, (-50, 50)) for m in spec.members]
-        assert check_guarantee(spec) == check_reports(spec, reports)
+    def test_family_run_checks_what_check_guarantee_checks(self, spec, capsys):
+        import json
+
+        from seifert_lspace.cli import main
+        rc = main(["family", "run", spec.name, "--window=-50..50", "--json"])
+        outputs = json.loads(capsys.readouterr().out)["outputs"]
+        assert (outputs["guarantee_confirmed"], outputs["problems"]) == check_guarantee(spec)
+        assert rc == 0
 
     def test_find_family(self):
         assert find_family("tunnel2-A").name == "tunnel2-A"
@@ -378,6 +410,21 @@ class TestBuildFamily:
         assert isinstance(build_family("berge-vii", a=1, b=2), TorusKnotDegenerate)
         with pytest.raises(KeyError):
             build_family("nope", p=1)
+
+    def test_missing_parameter_names_the_kinds_parameters(self):
+        from seifert_lspace import build_family
+        with pytest.raises(PreconditionFailed) as err:
+            build_family("p+q", p=7)
+        assert str(err.value) == "family kind 'p+q' takes parameters p, q"
+
+    def test_unknown_parameter_names_the_kinds_parameters(self):
+        from seifert_lspace import build_family
+        with pytest.raises(PreconditionFailed) as err:
+            build_family("unknot", m=-2, p=5, q=1)
+        assert str(err.value) == "family kind 'unknot' takes parameters m, p"
+        with pytest.raises(PreconditionFailed) as err:
+            build_family("tunnel2-a", p=1)
+        assert str(err.value) == "family kind 'tunnel2-a' takes parameters none"
 
     def test_built_families_check_out(self):
         from seifert_lspace import build_family

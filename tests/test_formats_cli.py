@@ -3,11 +3,13 @@
 import argparse
 import hashlib
 import json
+import os
 import random
 import re
 import sys
 import time
-from contextlib import contextmanager
+import tracemalloc
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -168,15 +170,6 @@ class TestJson:
                            "l": [{"num": -25, "den": 6, "approx": -25 / 6},
                                  {"num": 10 ** 400, "den": 1}, "num"],
                            "none": None}
-
-    def test_windowless_report(self):
-        from seifert_lspace import classify_family, find_family
-        from seifert_lspace.formats import report_json
-        obj = report_json(classify_family(find_family("K(3,2;5,n)").members[0]))
-        # f(n) = 1/n: the points are the pole and the integer slopes -1 and 1
-        assert obj["window"] is None and [p["n"] for p in obj["points"]] == [-1, 0, 1]
-        assert (obj["tail_neg"]["from_n"], obj["tail_pos"]["from_n"]) == (-2, 2)
-        assert json.loads(dumps(obj)) == obj
 
 
 # any code point, with the ones JSON escapes specially drawn often; built from
@@ -407,10 +400,10 @@ class TestCliOtherVerbs:
         capsys.readouterr()
 
     def test_family_run_classifies_each_member_once(self, capsys, monkeypatch):
-        from seifert_lspace import classify_family, find_family, twist
+        from seifert_lspace import PointVerdict, classify_family, find_family, twist
         spec = find_family("tunnel2-B")
-        gap_points = sum(len(classify_family(m, (-5, 5)).points) - 11
-                         for m in spec.members)
+        gap_points = sum(isinstance(r, PointVerdict) and not -5 <= r.n <= 5
+                         for m in spec.members for r in classify_family(m).rows)
         calls = []
         evaluate_point = twist.evaluate_point
 
@@ -429,9 +422,9 @@ class TestCliOtherVerbs:
         reports = []
         scan_lines = cli._scan_lines
 
-        def counting(report):
+        def counting(report, window):
             reports.append(report)
-            return scan_lines(report)
+            return scan_lines(report, window)
 
         monkeypatch.setattr(cli, "_scan_lines", counting)
         argv = ["family", "run", "tunnel2-B", "--window=-5..5"]
@@ -443,7 +436,40 @@ class TestCliOtherVerbs:
         assert len(reports) == len(spec.members)
         member_lines = [line for line in out
                         if not line.startswith(("family ", "claimed: ", "member "))]
-        assert member_lines == [line for r in reports for line in scan_lines(r)]
+        assert member_lines == [line for r in reports for line in scan_lines(r, (-5, 5))]
+
+    def test_text_builds_no_json(self, capsys, monkeypatch):
+        from seifert_lspace import formats
+        calls = []
+        point_json = formats.point_json
+
+        def counting(p):
+            calls.append(p.n)
+            return point_json(p)
+
+        monkeypatch.setattr(formats, "point_json", counting)
+        argv = ["family", "run", "tunnel2-B", "--window=-5..5"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert calls == []
+        assert main(argv + ["--json"]) == 0
+        capsys.readouterr()
+        assert set(range(-5, 6)) <= set(calls)
+
+    def test_text_scan_streams_its_lines(self):
+        # the window's members are evaluated and printed one at a time, so
+        # the peak does not grow with the window
+        argv = ["twist-scan", "--b", "-1", "--r1", "1/3", "--r2", "1997/3000",
+                "--alpha", "1", "--beta", "0", "--alpha3", "1", "--beta3", "1",
+                "--window=-20000..0"]
+        with open(os.devnull, "w") as devnull, redirect_stdout(devnull):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, peak
 
     def test_verbs_back_to_back_in_one_process(self, capsys):
         # main reuses one parser; each call of a verb prints and returns what
@@ -469,7 +495,9 @@ class TestCliOtherVerbs:
                      "--window=-3..3"]) == 0
         assert "K(7,3;10,n)" in capsys.readouterr().out
         assert main(["family", "run", "p+q", "--params", "p=7"]) == 2
-        capsys.readouterr()
+        assert capsys.readouterr().err == "error: family kind 'p+q' takes parameters p, q\n"
+        assert main(["family", "run", "p+q", "--params", "p=7,q=3,r=1"]) == 2
+        assert capsys.readouterr().err == "error: family kind 'p+q' takes parameters p, q\n"
         assert main(["family", "run", "berge-vii", "--params", "a=1,b=2"]) == 0
         assert "torus knot" in capsys.readouterr().out
 
@@ -707,7 +735,7 @@ def _verb_argvs():
 
 # sha256 of _verb_argvs' exit codes, stdout with elapsed_ms blanked, and
 # stderr; a change that alters CLI output on purpose updates it
-VERB_OUTPUT_SHA256 = "79de4f99590393f10d1a1fd36b65ba44a959f8e0fe178ac0cd75f5cc6f74d28f"
+VERB_OUTPUT_SHA256 = "e320b6a57ef7d18e2da2dc139ec656b9420d05213862afb454eca2d279bb1303"
 
 
 class TestPinnedVerbOutput:

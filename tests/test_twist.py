@@ -6,12 +6,12 @@ from math import gcd
 
 import pytest
 
-from seifert_lspace import (INF, FamilyMember, SeiferterData, Tag,
+from seifert_lspace import (INF, FamilyMember, PointVerdict, Run, SeiferterData, Tag,
                             catalog, classify, classify_family, decide,
-                            fiber_slope, h1_consistency, limit_space,
-                            normalize, surgered_space, surgery_slope,
+                            fiber_slope, find_family, h1_consistency, limit_space,
+                            normalize, surgered_space, surgery_slope, twist,
                             tunnel2_family, unknot_seiferter_data)
-from seifert_lspace.twist import _certify, _runs, evaluate_point
+from seifert_lspace.twist import _runs, _span, evaluate_point
 
 from oracles import fraction_member_point, fraction_point
 
@@ -24,6 +24,23 @@ TREFOIL = SeiferterData(b=3, r1=F(1, 2), r2=F(2, 3), alpha=1, beta=0,
                         alpha3=0, beta3=1, m=6, l=5)
 CASE1 = SeiferterData(b=-1, r1=F(1, 3), r2=F(2, 3), alpha=0, beta=-1,
                       alpha3=1, beta3=0, m=0, l=3)
+
+
+def _shown(report, lo, hi):
+    """The points and the runs of ``report.shown(lo, hi)``, and the verdict
+    at any n read off them, which must come from exactly one of them."""
+    rows = list(report.shown(lo, hi))
+    points = {r.n: r for r in rows if isinstance(r, PointVerdict)}
+    runs = [r for r in rows if isinstance(r, Run)]
+
+    def lspace_at(n):
+        if n in points:
+            return points[n].verdict.is_lspace
+        (run,) = [r for r in runs if (r.from_n is None or r.from_n <= n)
+                  and (r.to_n is None or n <= r.to_n)]
+        return run.is_lspace
+
+    return points, runs, lspace_at
 
 
 class TestSeiferterData:
@@ -152,29 +169,31 @@ class TestH1Consistency:
 
 class TestClassifyFamily:
     def test_trefoil_all_lspace_including_pole(self):
-        report = classify_family(TREFOIL, (-50, 50))
-        assert all(pv.verdict.is_lspace for pv in report.points.values())
+        report = classify_family(TREFOIL)
+        points, runs, _ = _shown(report, -50, 50)
+        assert all(pv.verdict.is_lspace for pv in points.values())
         assert report.exceptional == ((0, Tag.CONNECTED_SUM_LENS),)
-        assert report.tail_pos.is_lspace
-        assert report.tail_neg.is_lspace
+        assert report.tail_pos.is_lspace and runs[-1].is_lspace
+        assert report.tail_neg.is_lspace and runs[0].is_lspace
 
     def test_unknot_family_exception_at_zero(self):
         d = unknot_seiferter_data(0, 3)
-        report = classify_family(d, (-10, 10))
-        fails = [n for n, pv in report.points.items() if not pv.verdict.is_lspace]
+        points, _, _ = _shown(classify_family(d), -10, 10)
+        fails = [n for n, pv in points.items() if not pv.verdict.is_lspace]
         assert fails == [0]
-        assert report.points[0].tag is Tag.S2XS1
+        assert points[0].tag is Tag.S2XS1
 
     def test_linear_case_single_possible_exception(self):
-        report = classify_family(CASE1, (-10, 10))
-        fails = [n for n, pv in report.points.items() if not pv.verdict.is_lspace]
+        report = classify_family(CASE1)
+        points, _, _ = _shown(report, -10, 10)
+        fails = [n for n, pv in points.items() if not pv.verdict.is_lspace]
         assert fails == [0]  # b + beta3 + 1 = 0 here and r1 + r2 = 1
         assert report.tail_pos.is_lspace
         assert report.tail_neg.is_lspace
 
     def test_tails_with_not_lspace_limit(self):
         d = unknot_seiferter_data(3, 3)
-        report = classify_family(d, (-8, 8))
+        report = classify_family(d)
         assert not report.limit_verdict.is_lspace
         assert report.tail_pos.is_lspace is False
         assert report.tail_neg.is_lspace is False
@@ -188,8 +207,8 @@ class TestClassifyFamily:
         rng = random.Random(99)
         for spec in catalog():
             for member in spec.members:
-                report = classify_family(member, (-20, 20))
-                for tail in (report.tail_pos, report.tail_neg):
+                _, runs, _ = _shown(classify_family(member), -20, 20)
+                for tail in (runs[-1], runs[0]):
                     # the ten innermost certified values, then random far ones
                     offsets = list(range(10)) + [rng.randint(10, 10 ** 4)
                                                  for _ in range(20)]
@@ -208,16 +227,18 @@ class TestClassifyFamily:
             lim = limit_space(d)
             if len(lim.slopes) != 3:
                 continue
-            report = classify_family(d, (-30, 30))
+            report = classify_family(d)
             has_l_tail = report.tail_pos.is_lspace or report.tail_neg.is_lspace
             assert has_l_tail == decide(lim).is_lspace, d
 
     def test_gap_fill_covers_every_integer(self):
         # window far to the left of the pole: the right certificate starts
         # beyond the pole and the gap is covered by segments and points
-        report = classify_family(TREFOIL, (-30, -20))
-        for n in range(-19, report.tail_pos.from_n):
-            assert report.lspace_at(n) == decide(surgered_space(TREFOIL, n)).is_lspace, n
+        report = classify_family(TREFOIL)
+        _, runs, shown_at = _shown(report, -30, -20)
+        for n in range(-19, runs[-1].from_n):
+            want = decide(surgered_space(TREFOIL, n)).is_lspace
+            assert report.lspace_at(n) == shown_at(n) == want, n
         assert report.lspace_at(0)
         assert report.lspace_at(10 ** 6)
         assert report.lspace_at(-10 ** 6)
@@ -230,7 +251,7 @@ class TestClassifyFamily:
         d = SeiferterData(b=-1, r1=F(2, 5), r2=F(1, 2), alpha=7, beta=1,
                           alpha3=6, beta3=1)
         assert fiber_slope(d, 10 ** 9) > F(1, 7) > fiber_slope(d, -10 ** 9)
-        report = classify_family(d, (-10, 10))
+        report = classify_family(d)
         assert decide(report.limit).is_lspace
         assert report.tail_pos.is_lspace is True
         assert report.tail_neg.is_lspace is False
@@ -274,22 +295,24 @@ class TestClassifyFamily:
                               r2=F(rng.randint(1, d2 - 1), d2),
                               alpha=alpha, beta=beta, alpha3=alpha3, beta3=beta3)
             built += 1
-            report = classify_family(d, (-6, 6))
-            for tail in (report.tail_pos, report.tail_neg):
+            report = classify_family(d)
+            _, runs, shown_at = _shown(report, -6, 6)
+            for tail in (runs[-1], runs[0]):
                 for i in [*range(12), 25, 70, 311, 4096]:
                     n = tail.from_n + i if tail.to_n is None else tail.to_n - i
                     assert decide(surgered_space(d, n)).is_lspace is tail.is_lspace, (d, n)
             # window, gap segments and tails cover everything consistently
             for n in range(-30, 31):
-                assert report.lspace_at(n) == decide(surgered_space(d, n)).is_lspace, (d, n)
+                want = decide(surgered_space(d, n)).is_lspace
+                assert report.lspace_at(n) == shown_at(n) == want, (d, n)
             # a window 10^3 indices to one side of the pole leaves a gap
             # across the pole to the far tail
             pole = -alpha3 // alpha if alpha else 0
             side = 1 if built % 2 else -1
             lo = pole + side * 1000 - 6
-            far = classify_family(d, (lo, lo + 12))
+            far_at = _shown(report, lo, lo + 12)[2]
             for n in range(min(lo, pole) - 40, max(lo + 12, pole) + 41):
-                assert far.lspace_at(n) == decide(surgered_space(d, n)).is_lspace, (d, lo, n)
+                assert far_at(n) == decide(surgered_space(d, n)).is_lspace, (d, lo, n)
 
     def test_epsilon_seiferter_tail_starts_certified(self):
         # r2 = 2/3 - 10^-e puts the positive tail start at 33...35 (e - 2
@@ -297,13 +320,14 @@ class TestClassifyFamily:
         for e, start in ((4, 3335), (5, 33335), (6, 333335)):
             d = SeiferterData(b=-1, r1=F(1, 3), r2=F(2, 3) - F(1, 10 ** e),
                               alpha=1, beta=0, alpha3=1, beta3=1)
-            report = classify_family(d, (-50, 50))
-            assert report.tail_pos.from_n == start
-            assert report.tail_pos.is_lspace is False
-            assert report.tail_neg.to_n == -51
-            assert [(s.from_n, s.to_n, s.is_lspace) for s in report.segments] == \
+            report = classify_family(d)
+            points, runs, _ = _shown(report, -50, 50)
+            assert report.tail_pos.from_n == runs[-1].from_n == start
+            assert report.tail_pos.is_lspace is runs[-1].is_lspace is False
+            assert runs[0].to_n == -51
+            assert [(s.from_n, s.to_n, s.is_lspace) for s in runs[1:-1]] == \
                 [(51, start - 1, True)]
-            assert sorted(report.points) == list(range(-50, 51))
+            assert sorted(points) == list(range(-50, 51))
             for n, lspace in ((start - 1, True), (start, False)):
                 assert decide(surgered_space(d, n)).is_lspace is lspace
 
@@ -312,7 +336,7 @@ class TestClassifyFamily:
         spec = berge_sporadic("c", 1)
         member = spec.members[0]
         assert member.mirrored
-        report = classify_family(member, (-5, 5))
+        report = classify_family(member)
         assert report.tail_pos.is_lspace
         assert report.tail_neg.is_lspace
         slope_m1, _ = fraction_member_point(member, -1)
@@ -370,7 +394,8 @@ class TestEvaluatePoint:
             d = _random_seiferter(rng) if k % 2 else _huge_seiferter(rng)
             offset = rng.choice([rng.randint(-9, 9), rng.randint(-10 ** 18, 10 ** 18)])
             member = FamilyMember(data=d, mirrored=rng.random() < 0.5, offset=offset)
-            singles = _certify(member, None)[1]
+            singles = [r.n for r in classify_family(member).rows
+                       if isinstance(r, PointVerdict)]
             ns = {rng.randint(-50, 50), rng.randint(-10 ** 20, 10 ** 20), -offset,
                   *(n + i for n in singles for i in (-2, -1, 0, 1, 2))}
             for n in ns:
@@ -392,24 +417,22 @@ class TestEvaluatePoint:
 
 
 class TestRuns:
-    """One walk cuts all of Z into runs and singles; the report's segments
-    and tails are these runs clipped to the complement of the window."""
+    """One walk cuts all of Z into runs and singles, the rows of a report;
+    ``shown`` cuts the rows around a window and evaluates its members."""
 
     def test_runs_tile_z_with_pointwise_verdicts(self):
         rng = random.Random(2718)
         kinds = set()
         for _ in range(300):
             d = _random_seiferter(rng)
-            runs, singles = _runs(d)
+            rows = _runs(d)
+            runs = [r for r in rows if not isinstance(r, int)]
+            singles = [r for r in rows if isinstance(r, int)]
             pole = F(-d.alpha3, d.alpha) if d.alpha else None
             kinds.add("alpha0-s2xs1" if d.alpha == 0 and singles else "alpha0" if d.alpha == 0
                       else "integer pole" if pole.denominator == 1 else "pole")
-            spans = [(a, b) for a, b, *_ in runs]
-            parts = sorted(spans + [(j, j) for j in singles],
-                           key=lambda ab: (ab[0] is not None, ab[0]))
             # the walk yields runs and singles in increasing order
-            assert [ab for ab in parts if ab[0] is None or ab[0] not in singles] == spans, d
-            assert singles == sorted(singles), d
+            parts = [(r, r) if isinstance(r, int) else r[:2] for r in rows]
             assert parts[0][0] is None and parts[-1][1] is None, d
             for (_, b), (a, _) in zip(parts, parts[1:]):
                 assert b is not None and a == b + 1, (d, parts)
@@ -438,7 +461,14 @@ class TestRuns:
                         assert desc.b == base
         assert kinds == {"alpha0", "alpha0-s2xs1", "integer pole", "pole"}
 
-    def test_reports_do_not_depend_on_the_window(self):
+    def test_windowless_report_rows(self):
+        report = classify_family(find_family("K(3,2;5,n)").members[0])
+        # f(n) = 1/n: the singles are the pole and the integer slopes -1 and 1
+        assert [_span(r) for r in report.rows] == \
+            [(None, -2), (-1, -1), (0, 0), (1, 1), (2, None)]
+        assert [type(r) for r in report.rows] == [Run, *[PointVerdict] * 3, Run]
+
+    def test_shown_does_not_depend_on_the_window(self):
         rng = random.Random(3141)
         for _ in range(120):
             d = _random_seiferter(rng)
@@ -450,39 +480,52 @@ class TestRuns:
                 pole = -pole - member.offset if mirrored else pole - member.offset
                 windows = [(lo, lo + rng.randint(0, 9))
                            for lo in (rng.randint(-12, 3), pole + rng.randint(-150, 150))]
-                a, b = (classify_family(member, w) for w in windows)
-                # with no window, the points are exactly the singles
                 whole = classify_family(member)
-                assert len(whole.points) == len(_runs(d)[1]), (d, mirrored)
+                a, b = (_shown(whole, *w)[2] for w in windows)
+                # the report's points are exactly the singles
+                assert sum(isinstance(r, PointVerdict) for r in whole.rows) == \
+                    sum(isinstance(r, int) for r in _runs(d)), (d, mirrored)
                 lo = min(pole, *windows[0], *windows[1]) - 20
                 hi = max(pole, *windows[0], *windows[1]) + 20
                 for n in range(lo, hi + 1):
-                    assert a.lspace_at(n) is b.lspace_at(n) is whole.lspace_at(n), \
-                        (d, mirrored, windows, n)
+                    assert a(n) is b(n) is whole.lspace_at(n), (d, mirrored, windows, n)
 
-    def test_reports_partition_z(self):
+    def test_shown_partitions_z(self, monkeypatch):
         rng = random.Random(1618)
         members = [FamilyMember(rp2=True)]
         for _ in range(150):
             d = _random_seiferter(rng)
             members += [FamilyMember(data=d, mirrored=mirrored, offset=rng.randint(-9, 9))
                         for mirrored in (False, True)]
+        evaluated = []
+
+        def counting(member, n):
+            evaluated.append(n)
+            return evaluate_point(member, n)
+
+        monkeypatch.setattr(twist, "evaluate_point", counting)
+        exceptional = (Tag.S2XS1, Tag.CONNECTED_SUM_LENS)
         for member in members:
             lo = rng.randint(-40, 30)
-            for window in (None, (lo, lo + rng.randint(0, 12))):
-                report = classify_family(member, window)
-                runs = report.runs
-                # only the first run starts at -inf and only the last ends at +inf
-                assert [r.from_n is None for r in runs] == [True] + [False] * (len(runs) - 1)
-                assert [r.to_n is None for r in runs] == [False] * (len(runs) - 1) + [True]
-                # increasing, non-empty and disjoint
-                for r in runs[1:-1]:
-                    assert r.from_n <= r.to_n, (member, window, runs)
-                for r, s in zip(runs, runs[1:]):
-                    assert r.to_n < s.from_n, (member, window, runs)
-                for n in report.points:
-                    assert not any(r.covers(n) for r in runs), (member, window, n)
-                ends = [e for r in runs for e in (r.from_n, r.to_n) if e is not None]
-                for n in range(min(ends) - 5, max(ends) + 6):
-                    assert sum(r.covers(n) for r in runs) + (n in report.points) == 1, \
-                        (member, window, n)
+            hi = lo + rng.randint(0, 12)
+            evaluated.clear()
+            report = classify_family(member)
+            shown = list(report.shown(lo, hi))
+            # each index is evaluated at most once
+            assert len(evaluated) == len(set(evaluated)), (member, evaluated)
+            for rows in (report.rows, shown):
+                spans = [_span(r) for r in rows]
+                # the rows tile Z in order: only the first starts at -inf,
+                # only the last ends at +inf, and none is empty
+                assert spans[0][0] is None and spans[-1][1] is None, (member, spans)
+                for (a, b), (c, _) in zip(spans, spans[1:]):
+                    assert b is not None and c == b + 1, (member, spans)
+                    assert a is None or a <= b, (member, spans)
+            # the window's members are evaluated, each as evaluate_point has it
+            points = [r for r in shown if isinstance(r, PointVerdict) and lo <= r.n <= hi]
+            assert points == [evaluate_point(member, n) for n in range(lo, hi + 1)], member
+            # every S2 x S1 or connected-sum member is a single
+            assert [(p.n, p.tag) for p in points if p.tag in exceptional] == \
+                [(n, tag) for n, tag in report.exceptional if lo <= n <= hi], member
+        with pytest.raises(ValueError):
+            next(report.shown(1, 0))
