@@ -17,9 +17,9 @@ import sys
 import time
 
 from . import families as fam
-from .formats import (ParseError, add_approx, classification_json, describe_segment,
-                      describe_tail, dumps, form_json, parse_form, report_json,
-                      threshold_json, verdict_json)
+from .formats import (ParseError, classification_json, describe_segment, describe_tail,
+                      dumps, form_json, parse_form, report_json, threshold_json,
+                      verdict_json)
 from .lspace import decide, third_slot_threshold
 from .rationals import INF, format_rational, int_text, parse_rational
 from .seifert import classify
@@ -30,12 +30,17 @@ MAX_WINDOW = 10 ** 6  # indices a window may hold; each one is evaluated
 
 
 def _window(text: str):
+    """(lo, hi) from "lo..hi"; an ``ArgumentTypeError``, whose text argparse
+    prints, names what is wrong with any other text."""
     lo, sep, hi = text.partition("..")
     if not sep:
-        raise ValueError("window must look like a..b")
-    lo, hi = int(lo), int(hi)
+        raise argparse.ArgumentTypeError("window must look like a..b")
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError("window ends must be integers") from None
     if lo > hi:
-        raise ValueError("empty window")
+        raise argparse.ArgumentTypeError("empty window")
     if hi - lo >= MAX_WINDOW:
         raise argparse.ArgumentTypeError(f"a window holds at most {MAX_WINDOW} indices")
     return lo, hi
@@ -281,8 +286,8 @@ def main(argv=None) -> int:
     lines stream from one walk of ``FamilyReport.shown``, each window member
     evaluated as its line is printed.  ``main`` is the one place that times
     a verb and prints: under --json the envelope {command, inputs, outputs,
-    elapsed_ms}, with ``formats.add_approx`` run over the outputs under
-    --float, otherwise the lines.  A verb reports bad input by raising
+    elapsed_ms}, written by ``formats.dumps`` with --float's approximations
+    added as it writes, otherwise the lines.  A verb reports bad input by raising
     ``ValueError`` (``ParseError`` among them); that, or one raised while the
     output is built, prints one ``error: ...`` line on stderr and exits 2.
     """
@@ -291,9 +296,9 @@ def main(argv=None) -> int:
     try:
         inputs, outputs, lines, code = args.fn(args)
         if args.json:
-            print(dumps({"command": args.command, "inputs": inputs,
-                         "outputs": add_approx(outputs()) if args.float else outputs(),
-                         "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3)}))
+            print(dumps({"command": args.command, "inputs": inputs, "outputs": outputs(),
+                         "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3)},
+                        args.float))
         else:
             for line in lines():
                 print(line)

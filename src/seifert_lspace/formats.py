@@ -5,10 +5,12 @@ Text forms are ``SFS[S2; b; r1, r2, ...]`` (slopes may be raw: any rational,
 takes the tokens from one regex scan and hands the slopes to the normal-form
 core in ``seifert`` as reduced (num, den) integer pairs; token positions are
 worked out only for a ``ParseError``.  All JSON numbers are exact integer
-pairs {"num": ..., "den": ...}.  The builders write only those; ``add_approx``
-is a separate pass over a finished payload that attaches a decimal
-approximation to each pair a float holds, and never feeds back into anything.
-"""
+pairs {"num": ..., "den": ...}.  The builders write only those, and a
+report's ``"points"`` are its ``PointVerdict``s themselves.  ``dumps`` is
+the one writer: it writes each point into a layout cached per shape, and
+with ``approx`` set it adds --float's decimal approximation to each pair a
+float holds as it writes it; the approximation never feeds back into
+anything."""
 
 from __future__ import annotations
 
@@ -149,16 +151,21 @@ def _object_heads(keys: tuple, pad: str) -> tuple:
     return ("{" + heads[0], *["," + h for h in heads[1:]], pad + "}")
 
 
-def dumps(o, _pad: str = "\n") -> str:
+def dumps(o, approx: bool = False, _pad: str = "\n") -> str:
     """The bytes of ``json.dumps(o, indent=2)`` for dicts with str keys,
-    lists, str, int, bool, None and float.
+    lists, str, int, bool, None and float, where a container's members may
+    also be ``PointVerdict``s, each written as its JSON object.  With
+    ``approx``, each dict that is a {"num", "den"} pair with den != 0 and a
+    value a float holds gains a last member "approx", the float nearest
+    num/den.
 
     The stdlib takes a generator-based pure-Python path whenever ``indent``
     is set.  This one keeps the C string escaper, writes the scalar members
-    of a container in its own loop and recurses only into containers and
-    floats.  One join writes each container from its members' texts and
-    the texts between them (a dict's come cached per shape), so the text of
-    a subtree is copied once, and at most two copies of it are alive.
+    of a container in its own loop, each point with one %-format into its
+    cached layout, and recurses only into the other containers and floats.
+    One join writes each container from its members' texts and the texts
+    between them (a dict's come cached per shape), so the text of a subtree
+    is copied once, and at most two copies of it are alive.
     """
     t = type(o)
     if t is dict or t is list:
@@ -176,14 +183,24 @@ def dumps(o, _pad: str = "\n") -> str:
                 v = "true" if v else "false"
             elif v is None:
                 v = "null"
+            elif tv is PointVerdict:
+                v = _point_text(v, inner, approx)
             else:
-                v = dumps(v, inner)
+                v = dumps(v, approx, inner)
             parts.append(v)
+        if t is dict:
+            keys = tuple(o)
+            if approx and o.keys() == _PAIR and o["den"]:
+                try:
+                    parts.append(float.__repr__(o["num"] / o["den"]))
+                    keys += ("approx",)
+                except OverflowError:  # |num/den| is beyond the largest float
+                    pass
         # members at the odd places, the texts between them at the even ones
         pieces = ["," + inner] * (2 * len(parts) + 1)
         pieces[1::2] = parts
         if t is dict:
-            pieces[::2] = _object_heads(tuple(o), _pad)
+            pieces[::2] = _object_heads(keys, _pad)
         else:
             pieces[0], pieces[-1] = "[" + inner, _pad + "]"
         return "".join(pieces)
@@ -201,19 +218,55 @@ def dumps(o, _pad: str = "\n") -> str:
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
-def add_approx(o):
-    """Add "approx", the float nearest num/den, to every {"num", "den"} pair
-    in the payload o that has den != 0 and a value a float holds; returns o."""
-    if type(o) is dict and o.keys() == {"num", "den"}:
-        if o["den"]:
-            try:
-                o["approx"] = o["num"] / o["den"]
-            except OverflowError:  # |num/den| is beyond the largest float
-                pass
-    elif type(o) is dict or type(o) is list:
-        for v in (o.values() if type(o) is dict else o):
-            add_approx(v)
-    return o
+_PAIR = {"num", "den"}
+_SLOT = "\0"  # a placeholder value; dumps writes it as "\u0000"
+
+
+@lru_cache(maxsize=256)
+def _point_layout(pad: str, slopes: int, witness: bool, approx: bool) -> str:
+    """The text of a point at this indent with a %s slot for each value, from
+    ``dumps`` of a placeholder point: ``slopes`` slopes, each with an approx
+    slot when ``approx`` is set, and a witness or null.  This is the one
+    place that gives a point's JSON its keys and nesting."""
+    s = _SLOT
+    pair = {"num": s, "den": s, "approx": s} if approx else {"num": s, "den": s}
+    point = {
+        "n": s,
+        "m_n": s,
+        "seifert_form": {"base": s, "b": s, "slopes": [pair] * slopes,
+                         "degenerate": s, "text": s},
+        "tag": s,
+        "verdict": {"is_lspace": s, "reason": s,
+                    "witness": {"k": s, "a": s} if witness else None,
+                    "witness_is_dual": s, "search_bound": s, "infinite_h1": s},
+    }
+    return (dumps(point, False, pad).replace("%", "%%")
+            .replace(encode_basestring_ascii(s), "%s"))
+
+
+def _point_text(p: PointVerdict, pad: str, approx: bool) -> str:
+    """A point's JSON text: its values, in the order of the slots of
+    ``_point_layout``, through one %-format; a slope's approx is always
+    there, as p/q lies in (0, 1)."""
+    f, v = p.form, p.verdict
+    w = v.witness
+    slots = [p.n, "null" if p.slope is None else p.slope,
+             encode_basestring_ascii(f.base._value_), f.b]
+    for num, den in f.pairs:
+        slots += (num, den, num / den) if approx else (num, den)
+    slots += (f.degenerate, encode_basestring_ascii(repr(f)),
+              encode_basestring_ascii(p.tag._value_), "true" if v.is_lspace else "false",
+              encode_basestring_ascii(v.reason._value_))
+    if w is not None:
+        slots += (w.k, w.a)
+    slots += ("true" if v.witness_is_dual else "false",
+              "null" if v.search_bound is None else v.search_bound,
+              "true" if v.infinite_h1 else "false")
+    layout = _point_layout(pad, len(f.pairs), w is not None, approx)
+    try:
+        return layout % tuple(slots)
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        return layout % tuple([int_text(x) if type(x) is int else x for x in slots])
 
 
 def rational_json(x):
@@ -305,23 +358,14 @@ def segment_json(s: Run):
     return out
 
 
-def point_json(p: PointVerdict):
-    return {
-        "n": p.n,
-        "m_n": p.slope,
-        "seifert_form": form_json(p.form),
-        "tag": p.tag.value,
-        "verdict": verdict_json(p.verdict),
-    }
-
-
 def report_json(r: FamilyReport, window):
-    """The report shown on the window lo..hi, from one walk of ``r.shown``."""
+    """The report shown on the window lo..hi, from one walk of ``r.shown``;
+    its points are the ``PointVerdict``s, which ``dumps`` writes."""
     rows = list(r.shown(*window))
     runs = [row for row in rows if isinstance(row, Run)]
     return {
         "window": list(window),
-        "points": [point_json(p) for p in rows if isinstance(p, PointVerdict)],
+        "points": [p for p in rows if isinstance(p, PointVerdict)],
         "segments": [segment_json(s) for s in runs[1:-1]],
         "tail_pos": tail_json(runs[-1], r.limit_slope),
         "tail_neg": tail_json(runs[0], r.limit_slope),

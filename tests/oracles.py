@@ -21,7 +21,11 @@ package's former ``evaluate_point``, takes that form through the package's
 ``classify`` and ``_decide_classified``; it is the reference for the
 integer pairs that ``evaluate_point`` hands to ``_normal_form``.  The
 ``fraction_*`` oracles read a form's slopes through its ``Fraction`` view,
-``SeifertForm.slopes``.
+``SeifertForm.slopes``.  ``point_json`` and ``add_approx`` are the package's
+former point encoder and --float pass: a point as a tree of dicts, and a walk
+over a finished payload that adds "approx" to its pairs.  ``dumps`` of their
+payload is the reference for the layouts ``formats.dumps`` writes points into
+and for its ``approx``.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from math import gcd
 
 import numpy as np
 
-from seifert_lspace.formats import ParseError
+from seifert_lspace.formats import ParseError, form_json, verdict_json
 from seifert_lspace.lspace import (LSpaceVerdict, Reason, _decide_classified,
                                    _witness_from_pairs, search_bound)
 from seifert_lspace.rationals import INF, is_finite
@@ -447,3 +451,29 @@ def fraction_point(member: FamilyMember, n: int) -> PointVerdict:
     slope, form = fraction_member_point(member, n)
     c = classify(form)
     return PointVerdict(n, slope, form, c.tag, _decide_classified(form, c))
+
+
+def point_json(p: PointVerdict):
+    """A point's JSON object as a tree of dicts."""
+    return {
+        "n": p.n,
+        "m_n": p.slope,
+        "seifert_form": form_json(p.form),
+        "tag": p.tag.value,
+        "verdict": verdict_json(p.verdict),
+    }
+
+
+def add_approx(o):
+    """Add "approx", the float nearest num/den, to every {"num", "den"} pair
+    in the payload o that has den != 0 and a value a float holds; returns o."""
+    if type(o) is dict and o.keys() == {"num", "den"}:
+        if o["den"]:
+            try:
+                o["approx"] = o["num"] / o["den"]
+            except OverflowError:  # |num/den| is beyond the largest float
+                pass
+    elif type(o) is dict or type(o) is list:
+        for v in (o.values() if type(o) is dict else o):
+            add_approx(v)
+    return o

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -20,11 +21,13 @@ from seifert_lspace import INF, Base, SeifertForm, normalize
 from seifert_lspace.cli import MAX_WINDOW, _window, build_parser, main
 from seifert_lspace.corpus import CASES, Case, Check, run_corpus
 from seifert_lspace.families import catalog
-from seifert_lspace.formats import (ParseError, add_approx, dumps, form_json,
-                                    parse_form, rational_json)
+from seifert_lspace.formats import ParseError, dumps, form_json, parse_form, rational_json
+from seifert_lspace.lspace import decide
 from seifert_lspace.rationals import int_text
+from seifert_lspace.seifert import classify
+from seifert_lspace.twist import FamilyMember, PointVerdict, SeiferterData, evaluate_point
 
-from oracles import fraction_parse_form
+from oracles import add_approx, fraction_parse_form, point_json
 
 
 def F(n, d=1):
@@ -157,19 +160,109 @@ class TestJson:
                            degenerate=obj["degenerate"]) == f
 
     def test_float_mode_only_adds_approx(self):
-        # add_approx fills in the payload it is given: an approx on each
-        # finite pair a float holds, nothing on the infinite pair, the pair
-        # past the float range or anything that is not a pair
+        # dumps with approx writes an approx on each finite pair a float
+        # holds, and nothing on the infinite pair, the pair past the float
+        # range or anything that is not a pair; the payload is left as it is
         big = {"num": 10 ** 400, "den": 1}
         payload = {"x": rational_json(F(2, 3)), "inf": rational_json(INF), "n": 3,
                    "l": [rational_json(F(-25, 6)), big, "num"], "none": rational_json(None)}
+        want = {"x": {"num": 2, "den": 3, "approx": 2 / 3},
+                "inf": {"num": 1, "den": 0}, "n": 3,
+                "l": [{"num": -25, "den": 6, "approx": -25 / 6},
+                      {"num": 10 ** 400, "den": 1}, "num"],
+                "none": None}
+        assert dumps(payload, approx=True) == json.dumps(want, indent=2)
         assert payload["x"] == {"num": 2, "den": 3}
-        assert add_approx(payload) is payload
-        assert payload == {"x": {"num": 2, "den": 3, "approx": 2 / 3},
-                           "inf": {"num": 1, "den": 0}, "n": 3,
-                           "l": [{"num": -25, "den": 6, "approx": -25 / 6},
-                                 {"num": 10 ** 400, "den": 1}, "num"],
-                           "none": None}
+        assert dumps(payload) == json.dumps(payload, indent=2)
+
+
+def _random_points(rng):
+    """(points whose ints all have under 4300 digits, points with longer
+    ones): members of random seiferters, mirrored and offset, rp2 members,
+    and forms picked for their shapes, each with its verdict."""
+    points = []
+    for _ in range(150):
+        if rng.random() < 0.1:
+            alpha, beta, alpha3, beta3 = 1, rng.randint(-6, 6), 0, 1  # degenerate fiber
+        else:
+            alpha3 = rng.choice([1, 2, 3, 5, rng.randint(1, 40)])
+            alpha = rng.choice([0, rng.randint(-9, 9)])
+            if math.gcd(alpha, alpha3) != 1:
+                continue
+            beta3 = (pow(alpha, -1, alpha3) if alpha3 > 1 else 0) + alpha3 * rng.randint(-4, 4)
+            beta = (alpha * beta3 - 1) // alpha3
+        d1 = rng.randint(2, 12)
+        r1 = F(rng.randint(1, d1 - 1), d1)
+        r2 = 1 - r1 if rng.random() < 0.2 else F(rng.randint(1, 10), 11)
+        data = SeiferterData(b=rng.randint(-5, 4), r1=r1, r2=r2, alpha=alpha, beta=beta,
+                             alpha3=alpha3, beta3=beta3, m=rng.randint(-50, 50),
+                             l=rng.randint(0, 5))
+        member = FamilyMember(data=data, mirrored=rng.random() < 0.5,
+                              offset=rng.randint(-20, 20))
+        pole = -member.offset
+        for n in (pole - 1, pole, pole + 1, rng.randint(-60, 60), rng.randint(-10 ** 6, 10 ** 6)):
+            points.append(evaluate_point(member, n))
+    points.append(evaluate_point(FamilyMember(rp2=True), rng.randint(-9, 9)))
+    for text in ("SFS[S2; 0; inf, inf]", "SFS[S2; 1; inf]", "SFS[S2; 1; 1/2, inf]",
+                 "SFS[S2; 1; 1/2, 2/3, inf]", "SFS[S2; -1; 1/2, 1/2]", "SFS[S2; 4]",
+                 "SFS[S2; -2; 2/3, 2/3, 2/3]", "SFS[S2; -1; 1/7, 1/3, 1/2]",
+                 "SFS[S2; -1; 1/3, 1/3, 1/2]"):
+        form = parse_form(text)
+        points.append(PointVerdict(rng.randint(-9, 9), rng.choice([None, 7]), form,
+                                   classify(form).tag, decide(form)))
+    rng.shuffle(points)
+    # n and m_n past 10^4400, and a slope whose num and den have 4400 digits
+    N = 10 ** 4400 + rng.randint(0, 10 ** 6)
+    huge = [evaluate_point(FamilyMember(data=SeiferterData(
+                b=-1, r1=F(1, 3), r2=F(2, 3) - F(1, 1000), alpha=1, beta=0, alpha3=1,
+                beta3=1, m=5, l=2), mirrored=mirrored, offset=3), n)
+            for mirrored in (False, True) for n in (N, -N)]
+    return points, huge
+
+
+class TestPointLayouts:
+    """``dumps`` writes a ``PointVerdict`` as ``point_json`` of it, with
+    ``approx`` as ``add_approx`` of that, at any depth."""
+
+    @staticmethod
+    def _payloads(points):
+        return {"points": points, "first": points[0], "last": [points[-1]],
+                "deep": [{"window": [-1, 1], "points": points[:5],
+                          "slope": {"num": 1, "den": 3}}, points[-5:]]}
+
+    @staticmethod
+    def _oracle(o, approx):
+        def tree(o):
+            if type(o) is PointVerdict:
+                return point_json(o)
+            if type(o) is dict:
+                return {k: tree(v) for k, v in o.items()}
+            if type(o) is list:
+                return [tree(v) for v in o]
+            return o
+        t = tree(o)
+        return add_approx(t) if approx else t
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_the_dict_oracle(self, seed):
+        points, huge = _random_points(random.Random(seed))
+        shapes = {(len(p.form.pairs), p.form.degenerate > 0, p.verdict.witness is not None,
+                   p.verdict.witness_is_dual) for p in points}
+        assert {(0, True, False, False), (2, True, False, False), (3, False, True, True),
+                (3, False, True, False), (3, False, False, False)} <= shapes
+        assert any(p.form.base is Base.RP2 for p in points)
+        assert any(p.slope is None for p in points if p.form.base is Base.S2)
+        for approx in (False, True):
+            payload = self._payloads(points)
+            want = self._oracle(payload, approx)
+            got = dumps(payload, approx)
+            assert got == dumps(want)
+            assert got == json.dumps(want, indent=2)
+            payload = self._payloads(huge + points[:5])
+            with _unlimited_int_digits():
+                assert len(str(huge[0].n)) > 4300
+                assert max(len(str(q)) for p in huge for _, q in p.form.pairs) > 4300
+            assert dumps(payload, approx) == dumps(self._oracle(payload, approx))
 
 
 # any code point, with the ones JSON escapes specially drawn often; built from
@@ -383,6 +476,16 @@ class TestCliOtherVerbs:
         assert time.perf_counter() - t0 < 1.0
         assert f"at most {MAX_WINDOW} indices" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window, reason", [
+        ("5..1", "empty window"),
+        ("5", "window must look like a..b"),
+        ("a..b", "window ends must be integers")])
+    def test_bad_window_names_its_reason(self, window, reason, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["family", "run", "tunnel2-A", f"--window={window}"])
+        assert err.value.code == 2
+        assert f"error: argument --window: {reason}\n" in capsys.readouterr().err
+
     def test_window_limit_is_inclusive(self):
         assert MAX_WINDOW == 10 ** 6
         assert _window("-500000..499999") == (-500000, 499999)
@@ -441,13 +544,13 @@ class TestCliOtherVerbs:
     def test_text_builds_no_json(self, capsys, monkeypatch):
         from seifert_lspace import formats
         calls = []
-        point_json = formats.point_json
+        point_text = formats._point_text
 
-        def counting(p):
+        def counting(p, pad, approx):
             calls.append(p.n)
-            return point_json(p)
+            return point_text(p, pad, approx)
 
-        monkeypatch.setattr(formats, "point_json", counting)
+        monkeypatch.setattr(formats, "_point_text", counting)
         argv = ["family", "run", "tunnel2-B", "--window=-5..5"]
         assert main(argv) == 0
         capsys.readouterr()
@@ -455,6 +558,28 @@ class TestCliOtherVerbs:
         assert main(argv + ["--json"]) == 0
         capsys.readouterr()
         assert set(range(-5, 6)) <= set(calls)
+
+    def test_json_points_cost_no_recursion(self, capsys, monkeypatch):
+        # each point is written into a cached layout: after a warm-up run
+        # that derives the layouts, a window 100 times wider makes no more
+        # dumps calls
+        from seifert_lspace import formats
+        calls = []
+        inner = formats.dumps
+
+        def counting(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(formats, "dumps", counting)
+        counts = []
+        for window in ("-1000..1000", "-10..10", "-1000..1000"):
+            calls.clear()
+            argv = ["family", "run", "tunnel2-B", f"--window={window}", "--json"]
+            assert main(argv) == 0
+            capsys.readouterr()
+            counts.append(len(calls))
+        assert counts[1] == counts[2]
 
     def test_text_scan_streams_its_lines(self):
         # the window's members are evaluated and printed one at a time, so
