@@ -298,7 +298,7 @@ def main(argv=None) -> int:
         if args.json:
             print(dumps({"command": args.command, "inputs": inputs, "outputs": outputs(),
                          "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3)},
-                        args.float))
+                        approx=args.float))
         else:
             for line in lines():
                 print(line)

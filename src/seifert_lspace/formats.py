@@ -139,6 +139,7 @@ _NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 # ints below 640 digits have a decimal text under every
 # sys.set_int_max_str_digits() limit
 _SHORT_INT = 10 ** 639
+_PAIR = {"num", "den"}
 
 
 @lru_cache(maxsize=256)
@@ -218,7 +219,6 @@ def dumps(o, approx: bool = False, _pad: str = "\n") -> str:
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
-_PAIR = {"num", "den"}
 _SLOT = "\0"  # a placeholder value; dumps writes it as "\u0000"
 
 
@@ -230,16 +230,13 @@ def _point_layout(pad: str, slopes: int, witness: bool, approx: bool) -> str:
     place that gives a point's JSON its keys and nesting."""
     s = _SLOT
     pair = {"num": s, "den": s, "approx": s} if approx else {"num": s, "den": s}
-    point = {
-        "n": s,
-        "m_n": s,
-        "seifert_form": {"base": s, "b": s, "slopes": [pair] * slopes,
-                         "degenerate": s, "text": s},
-        "tag": s,
-        "verdict": {"is_lspace": s, "reason": s,
-                    "witness": {"k": s, "a": s} if witness else None,
-                    "witness_is_dual": s, "search_bound": s, "infinite_h1": s},
-    }
+    point = {"n": s, "m_n": s,
+             "seifert_form": {"base": s, "b": s, "slopes": [pair] * slopes,
+                              "degenerate": s, "text": s},
+             "tag": s,
+             "verdict": {"is_lspace": s, "reason": s,
+                         "witness": {"k": s, "a": s} if witness else None,
+                         "witness_is_dual": s, "search_bound": s, "infinite_h1": s}}
     return (dumps(point, False, pad).replace("%", "%%")
             .replace(encode_basestring_ascii(s), "%s"))
 
@@ -248,8 +245,7 @@ def _point_text(p: PointVerdict, pad: str, approx: bool) -> str:
     """A point's JSON text: its values, in the order of the slots of
     ``_point_layout``, through one %-format; a slope's approx is always
     there, as p/q lies in (0, 1)."""
-    f, v = p.form, p.verdict
-    w = v.witness
+    f, v, w = p.form, p.verdict, p.verdict.witness
     slots = [p.n, "null" if p.slope is None else p.slope,
              encode_basestring_ascii(f.base._value_), f.b]
     for num, den in f.pairs:

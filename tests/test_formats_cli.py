@@ -225,7 +225,7 @@ class TestPointLayouts:
     ``approx`` as ``add_approx`` of that, at any depth."""
 
     @staticmethod
-    def _payloads(points):
+    def _payload(points):
         return {"points": points, "first": points[0], "last": [points[-1]],
                 "deep": [{"window": [-1, 1], "points": points[:5],
                           "slope": {"num": 1, "den": 3}}, points[-5:]]}
@@ -252,16 +252,16 @@ class TestPointLayouts:
                 (3, False, True, False), (3, False, False, False)} <= shapes
         assert any(p.form.base is Base.RP2 for p in points)
         assert any(p.slope is None for p in points if p.form.base is Base.S2)
+        with _unlimited_int_digits():
+            assert len(str(huge[0].n)) > 4300
+            assert max(len(str(q)) for p in huge for _, q in p.form.pairs) > 4300
         for approx in (False, True):
-            payload = self._payloads(points)
+            payload = self._payload(points)
             want = self._oracle(payload, approx)
             got = dumps(payload, approx)
             assert got == dumps(want)
             assert got == json.dumps(want, indent=2)
-            payload = self._payloads(huge + points[:5])
-            with _unlimited_int_digits():
-                assert len(str(huge[0].n)) > 4300
-                assert max(len(str(q)) for p in huge for _, q in p.form.pairs) > 4300
+            payload = self._payload(huge + points[:5])
             assert dumps(payload, approx) == dumps(self._oracle(payload, approx))
 
 
