@@ -2,9 +2,10 @@
 
 Text forms are ``SFS[S2; b; r1, r2, ...]`` (slopes may be raw: any rational,
 ``inf``, or ``n/0`` for a degenerate fiber) and ``SFS[RP2]``.  The parser
-takes the tokens from one regex scan and hands the slopes to the normal-form
-core in ``seifert`` as reduced (num, den) integer pairs; token positions are
-worked out only for a ``ParseError``.  All JSON numbers are exact integer
+reads a form from one regex match of the whole grammar and hands the slopes
+to the normal-form core in ``seifert`` as reduced (num, den) integer pairs;
+only a text it cannot read is walked token by token, to find the message and
+position of its ``ParseError``.  All JSON numbers are exact integer
 pairs {"num": ..., "den": ...}.  The builders write only those, and a
 report's ``"points"`` are its ``PointVerdict``s themselves.  ``dumps`` is
 the one writer: it writes each point into a layout cached per shape, and
@@ -18,6 +19,7 @@ import re
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import gcd
+from typing import NoReturn
 
 from .rationals import INF, format_rational, int_text, is_finite
 from .seifert import Base, Classification, SeifertForm, _normal_form
@@ -36,103 +38,106 @@ class ParseError(ValueError):
         return f"{self.message} at position {self.pos}\n  {self.text}\n  {' ' * self.pos}^"
 
 
-_TOKEN = re.compile(r"\s*(-?\d+/\d+|-?\d+|inf|[A-Za-z]\w*|[\[\];,])")
-
-
-def _tokens(text: str) -> list[str]:
-    """The token strings of text, from one scan.
-
-    Whitespace separates tokens and occurs in none, so the scan skipped a
-    character exactly when the tokens do not spell out the text's
-    non-whitespace characters.  Only then is the text walked token by token,
-    to find where the first character that starts no token is.
-    """
-    toks = _TOKEN.findall(text)
-    if "".join(toks) != "".join(text.split()):
-        i = 0
-        while m := _TOKEN.match(text, i):
-            i = m.end()
-        raise ParseError("unexpected character", text, i)
-    return toks
-
-
-def _error(message: str, text: str, k: int) -> ParseError:
-    """ParseError at the start of token k, or at the end of text past the last."""
-    at = len(text)
-    for j, m in enumerate(_TOKEN.finditer(text)):
-        if j == k:
-            at = m.start(1)
-            break
-    return ParseError(message, text, at)
-
-
-_OPEN = ["SFS", "["]
+_SLOPE = r"(?:-?\d+(?:/\d+)?|inf)"
+_FORM = re.compile(r"\s*SFS\s*\[\s*(?:RP2|S2\s*;\s*(-?\d+)"
+                   rf"(?:\s*;\s*({_SLOPE}(?:\s*,\s*{_SLOPE})*))?)\s*\]\s*")
 
 
 def parse_form(text: str) -> SeifertForm:
-    """Parse the SFS grammar into a normalized form.
-
-    Slopes go to the normalization core as (num, den) pairs reduced by one
-    gcd, and degenerate fibers as a count; no ``Fraction`` is built.
-    """
-    toks = _tokens(text)
-    end = len(toks)
-    if toks[:2] != _OPEN:
-        k = 1 if toks[:1] == _OPEN[:1] else 0
-        raise _error(f"expected {_OPEN[k]!r}", text, k)
-    base = toks[2] if end > 2 else None
-    if base == "RP2":
-        if toks[3:4] != ["]"]:
-            raise _error("expected ']'", text, 3)
-        if end != 4:
-            raise _error("trailing input", text, 4)
-        return SeifertForm(base=Base.RP2)
-    if base != "S2":
-        raise _error("expected base 'S2' or 'RP2'", text, 2)
-    if toks[3:4] != [";"]:
-        raise _error("expected ';'", text, 3)
-    tok = toks[4] if end > 4 else ""
-    # a token that starts with - or a digit is -?d+ or -?d+/d+
-    if not (tok[:1] == "-" or tok[:1].isdigit()) or "/" in tok:
-        raise _error("expected integer section term", text, 4)
-    try:
-        b = int(tok)
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
-        raise _error("integer too long", text, 4) from None
-    pairs = []
-    degenerate = 0
-    k = 5
-    if k < end and toks[k] == ";":
-        while True:
-            k += 1
-            if k >= end:
-                raise _error("expected a slope", text, k)
-            tok = toks[k]
-            if tok == "inf":
-                degenerate += 1
-            elif tok[0] == "-" or tok[0].isdigit():
-                num, _, den = tok.partition("/")
-                try:
-                    num, den = int(num), int(den) if den else 1
-                except ValueError:  # more digits than sys.get_int_max_str_digits()
-                    raise _error("integer too long", text, k) from None
+    """Parse the SFS grammar into a normalized form, from the groups of one
+    ``_FORM`` match: slopes go to the normalization core as (num, den) pairs
+    reduced by one gcd, and degenerate fibers as a count.  A text the match
+    rejects, or with a 0/0 slope or an integer too long to read, goes to
+    ``_reject``."""
+    m = _FORM.fullmatch(text)
+    if m:
+        b, slopes = m.groups()
+        if b is None:
+            return SeifertForm(base=Base.RP2)
+        pairs, degenerate = [], 0
+        try:
+            b = int(b)
+            for s in slopes.split(",") if slopes else ():
+                num, _, den = s.strip().partition("/")
+                if num == "inf":
+                    degenerate += 1
+                    continue
+                num, den = int(num), int(den) if den else 1
                 if den:
                     g = gcd(num, den)
                     pairs.append((num // g, den // g))
                 elif num:
                     degenerate += 1
-                else:
-                    raise _error("0/0 is not a slope", text, k)
+                else:  # 0/0
+                    break
             else:
-                raise _error("expected a slope", text, k)
-            k += 1
-            if k >= end or toks[k] != ",":
-                break
-    if k >= end or toks[k] != "]":
-        raise _error("expected ']'", text, k)
-    if k + 1 != end:
-        raise _error("trailing input", text, k + 1)
-    return _normal_form(b, pairs, degenerate)
+                return _normal_form(b, pairs, degenerate)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    _reject(text)
+
+
+_TOKEN = re.compile(r"\s*(-?\d+/\d+|-?\d+|inf|[A-Za-z]\w*|[\[\];,])")
+
+
+def _reject(text: str) -> NoReturn:
+    """Raise the ParseError of the first fault in a text ``parse_form`` could
+    not read.  One scan gives the tokens and their positions, up to a
+    character that starts none; the walk over them only checks.  ``_FORM``
+    takes what passes every check, so past the ']' is trailing input."""
+    toks, starts, i = [], [], 0
+    for m in _TOKEN.finditer(text):
+        if m.start() != i:
+            break
+        toks.append(m[1])
+        starts.append(m.start(1))
+        i = m.end()
+    if text[i:].strip():
+        raise ParseError("unexpected character", text, i)
+
+    def error(message: str, k: int) -> ParseError:
+        return ParseError(message, text, starts[k] if k < len(toks) else len(text))
+
+    def check_number(k: int):
+        num, _, den = toks[k].partition("/")
+        try:
+            num, den = int(num), int(den) if den else 1
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise error("integer too long", k) from None
+        if not (num or den):
+            raise error("0/0 is not a slope", k)
+
+    if toks[:1] != ["SFS"]:
+        raise error("expected 'SFS'", 0)
+    if toks[1:2] != ["["]:
+        raise error("expected '['", 1)
+    base = toks[2] if len(toks) > 2 else None
+    if base not in ("S2", "RP2"):
+        raise error("expected base 'S2' or 'RP2'", 2)
+    k = 3
+    if base == "S2":
+        if toks[3:4] != [";"]:
+            raise error("expected ';'", 3)
+        tok = toks[4] if len(toks) > 4 else ""
+        # a token that starts with - or a digit is -?d+ or -?d+/d+
+        if not (tok[:1] == "-" or tok[:1].isdigit()) or "/" in tok:
+            raise error("expected integer section term", 4)
+        check_number(4)
+        k = 5
+        if toks[k:k + 1] == [";"]:
+            while True:
+                k += 1
+                tok = toks[k] if k < len(toks) else ""
+                if tok[:1] == "-" or tok[:1].isdigit():
+                    check_number(k)
+                elif tok != "inf":
+                    raise error("expected a slope", k)
+                k += 1
+                if toks[k:k + 1] != [","]:
+                    break
+    if toks[k:k + 1] != ["]"]:
+        raise error("expected ']'", k)
+    raise error("trailing input", k + 1)
 
 
 _NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}

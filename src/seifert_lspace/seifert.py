@@ -13,11 +13,11 @@ whenever they are rational homology spheres.
 Normalization is one integer core, ``_normal_form``: it folds the integer
 parts of reduced (num, den) pairs into b, sorts the remainders by
 cross-multiplication and builds the form without re-validating it.  The text
-parser hands it pairs straight from the tokens, and ``twist.evaluate_point``
-a family member's fixed pairs beside the pair of its fiber slope;
-``normalize`` is its adapter for ``Fraction`` and ``INF`` slopes, and
-``mirror`` builds its already-normal result directly.  ``SeifertForm(...)``
-itself still validates, for every other caller.
+parser hands it pairs from its regex match, and ``twist.evaluate_point`` a
+family member's fixed pairs beside the pair of its fiber slope; ``normalize``
+is its adapter for ``Fraction`` and ``INF`` slopes, and ``mirror`` builds its
+already-normal result directly.  ``SeifertForm(...)`` itself still validates,
+for every other caller.
 
 The first homology order of S2(b; r_1, ..., r_k) is |alpha_1 ... alpha_k *
 (b + r_1 + ... + r_k)|; order zero means positive first Betti number and is
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from typing import NamedTuple
 
 from .rationals import INF, int_text
@@ -93,11 +93,16 @@ class SeifertForm:
         return f"SFS[{inner}]"
 
 
+# read once: the metaclass of an Enum has a __getattr__ hook, which makes
+# each ``Base.S2`` read slow (Python 3.11)
+_S2 = Base.S2
+
+
 def _trusted_form(b: int, pairs: tuple, degenerate: int) -> SeifertForm:
     """A sphere-base form from data already in normal form, skipping the
     checks of ``__post_init__``."""
     f = _new_object(SeifertForm)
-    f.__dict__.update(base=Base.S2, b=b, pairs=pairs, degenerate=degenerate)
+    f.__dict__.update(base=_S2, b=b, pairs=pairs, degenerate=degenerate)
     return f
 
 
@@ -107,8 +112,10 @@ def _normal_form(b: int, pairs, degenerate: int) -> SeifertForm:
     ``pairs`` holds (p, q): a reduced fraction p/q with q > 0.  Integer
     parts fold into b, which keeps each remainder reduced (gcd(p - wq, q) =
     gcd(p, q)); integral slopes vanish, and the rest are sorted by
-    cross-multiplication.
+    cross-multiplication: by insertion, after one sort of more than three.
     """
+    if len(pairs) > 3:
+        pairs = sorted(pairs, key=_BY_REMAINDER)
     out = []
     for p, q in pairs:
         if not 0 < p < q:
@@ -122,6 +129,9 @@ def _normal_form(b: int, pairs, degenerate: int) -> SeifertForm:
             i -= 1
         out.insert(i, (p, q))
     return _trusted_form(b, tuple(out), degenerate)
+
+
+_BY_REMAINDER = cmp_to_key(lambda x, y: x[0] % x[1] * y[1] - y[0] % y[1] * x[1])
 
 
 def normalize(b: int, raw) -> SeifertForm:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seifert_lspace import INF, Base, SeifertForm, normalize
+from seifert_lspace import INF, Base, SeifertForm, formats, normalize
 from seifert_lspace.cli import MAX_WINDOW, _window, build_parser, main
 from seifert_lspace.corpus import CASES, Case, Check, run_corpus
 from seifert_lspace.families import catalog
@@ -130,6 +130,32 @@ class TestGrammar:
             f = parse_form(text)
             assert parse_form(repr(f)) == f
 
+    def test_many_slopes_sort_like_fractions(self):
+        # one sort by cross-multiplication, not an insertion per slope:
+        # 20,000 slopes, with integer parts and integral and degenerate
+        # ones, in the order sorted(key=Fraction) gives their remainders
+        rng = random.Random(15)
+        slopes = [F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4)) for _ in range(20000)]
+        text = "SFS[S2; 0; " + ", ".join(f"{r.numerator}/{r.denominator}" for r in slopes) + ", inf]"
+        t0 = time.perf_counter()
+        f = parse_form(text)
+        dt = time.perf_counter() - t0
+        assert f.pairs == tuple(sorted(((r % 1).as_integer_ratio() for r in slopes if r % 1),
+                                       key=lambda pq: F(*pq)))
+        assert (f.b, f.degenerate) == (sum(math.floor(r) for r in slopes), 1)
+        assert dt < 5.0, f"20,000 slopes parsed in {dt:.2f} s (budget 5 s)"
+        # the oracle sorts by insertion, so it is compared at a few hundred
+        _assert_parses_like_fraction_parser(text[:text.index(",", 3000)] + "]")
+
+    def test_rejection_is_linear(self):
+        text = "SFS[S2; 1; " + "1/2 , " * 10 ** 5 + "x]"
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_form(text)
+        dt = time.perf_counter() - t0
+        assert (err.value.message, err.value.pos) == ("expected a slope", 600011)
+        assert dt < 10.0, f"10^5-slope rejection in {dt:.2f} s (budget 10 s)"
+
 
 def _assert_parses_like_fraction_parser(text):
     try:
@@ -139,6 +165,9 @@ def _assert_parses_like_fraction_parser(text):
             parse_form(text)
         assert (got.value.message, got.value.pos) == (err.message, err.pos), text
         return
+    # the one grammar: a text the oracle takes is one _FORM match, so
+    # parse_form reads it without walking its tokens
+    assert formats._FORM.fullmatch(text), text
     f = parse_form(text)
     assert f == want and repr(f) == repr(want), text
 
