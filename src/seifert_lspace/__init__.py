@@ -4,8 +4,7 @@ classification of the twist families of Dehn surgeries produced by seiferters.
 
 from .rationals import INF, is_finite, simplest_between
 from .seifert import (Base, Classification, DegenerateEuler, SeifertForm, Tag,
-                      UnsupportedFiberCount, classify, euler_number, h1_order,
-                      mirror, normalize)
+                      UnsupportedFiberCount, classify, h1_order, mirror, normalize)
 from .lspace import (FoliationWitness, IntervalKind, LSpaceVerdict, Reason,
                      ThirdSlotThreshold, decide, third_slot_threshold)
 from .twist import (FamilyMember, FamilyReport, PointVerdict, Run,

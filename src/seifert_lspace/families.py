@@ -17,6 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
+from .rationals import int_text
 from .seifert import normalize
 from .twist import FamilyMember, Run, SeiferterData, _span, classify_family
 
@@ -259,12 +260,13 @@ def berge_sporadic(kind: str, p: int) -> FamilySpec:
     guarantee = linking_guarantee(P, Q, l)
     berge_n = -1 if mirrored else 1
     return FamilySpec(name=f"berge-spor-{kind}[p={p}]",
-                      description=f"sporadic Berge family: base ({P}, {Q}), "
-                                  f"linking {l}, Berge knot at n={berge_n}",
+                      description=f"sporadic Berge family: base ({int_text(P)}, "
+                                  f"{int_text(Q)}), linking {int_text(l)}, "
+                                  f"Berge knot at n={berge_n}",
                       params=(("p", p),),
                       guarantee=guarantee,
                       members=_torus_members(P, Q, l, P * Q, mirrored=mirrored),
-                      notes=f"base surgery slope {P * Q}"
+                      notes=f"base surgery slope {int_text(P * Q)}"
                             f"{' (mirrored)' if mirrored else ''}")
 
 
@@ -342,14 +344,14 @@ def eudave_munoz_rp2_family(l: int) -> FamilySpec:
     """
     if l == 0:
         raise PreconditionFailed("l must be nonzero")
-    return FamilySpec(name=f"em-rp2[l={l}]",
-                      description=f"projective-base family, base slope {12 * l * l - 4 * l}, "
-                                  f"fiber indices ({abs(l)}, {abs(-3 * l + 1)})",
+    slope, i1, i2 = int_text(12 * l * l - 4 * l), int_text(abs(l)), int_text(abs(-3 * l + 1))
+    return FamilySpec(name=f"em-rp2[l={int_text(l)}]",
+                      description=f"projective-base family, base slope {slope}, "
+                                  f"fiber indices ({i1}, {i2})",
                       params=(("l", l),),
                       guarantee=ALL_N,
                       members=(FamilyMember(rp2=True),),
-                      notes=f"surgery slope {12 * l * l - 4 * l}; "
-                            f"indices {abs(l)}, {abs(-3 * l + 1)}")
+                      notes=f"surgery slope {slope}; indices {i1}, {i2}")
 
 
 def catalog() -> tuple[FamilySpec, ...]:

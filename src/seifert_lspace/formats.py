@@ -8,10 +8,10 @@ only a text it cannot read is walked token by token, to find the message and
 position of its ``ParseError``.  All JSON numbers are exact integer
 pairs {"num": ..., "den": ...}.  The builders write only those, and a
 report's ``"points"`` are its ``PointVerdict``s themselves.  ``dumps`` is
-the one writer: it writes each point into a layout cached per shape, and
-with ``approx`` set it adds --float's decimal approximation to each pair a
-float holds as it writes it; the approximation never feeds back into
-anything."""
+the one writer: it writes each point's integers into a layout cached per
+shape, the form's text included, and with ``approx`` set it adds --float's
+decimal approximation to each pair a float holds as it writes it; the
+approximation never feeds back into anything."""
 
 from __future__ import annotations
 
@@ -22,8 +22,8 @@ from math import gcd
 from typing import NoReturn
 
 from .rationals import INF, format_rational, int_text, is_finite
-from .seifert import Base, Classification, SeifertForm, _normal_form
-from .lspace import LSpaceVerdict, ThirdSlotThreshold
+from .seifert import _RP2, Base, Classification, SeifertForm, _normal_form, _trusted_form
+from .lspace import _INFINITE, LSpaceVerdict, ThirdSlotThreshold
 from .twist import FamilyReport, PointVerdict, Run
 
 
@@ -169,17 +169,38 @@ def dumps(o, approx: bool = False, _pad: str = "\n") -> str:
     is set.  This one keeps the C string escaper, writes the scalar members
     of a container in its own loop, each point with one %-format into its
     cached layout, and recurses only into the other containers and floats.
-    One join writes each container from its members' texts and the texts
-    between them (a dict's come cached per shape), so the text of a subtree
-    is copied once, and at most two copies of it are alive.
+    Every text goes into one list, the texts between members cached per
+    dict shape, and one join writes the document: no subtree's text is
+    copied on its way up, so the largest text alive beside the members'
+    texts is the document itself.
     """
+    out = []
+    _write(o, approx, _pad, out)
+    return "".join(out)
+
+
+def _write(o, approx: bool, pad: str, out: list) -> None:
+    """Append the texts of o at this indent to ``out``, for ``dumps``."""
     t = type(o)
     if t is dict or t is list:
         if not o:
-            return "{}" if t is dict else "[]"
-        inner = _pad + "  "
-        parts = []
-        for v in (o.values() if t is dict else o):
+            out.append("{}" if t is dict else "[]")
+            return
+        inner, extra = pad + "  ", ()
+        if t is dict:
+            keys = tuple(o)
+            if approx and o.keys() == _PAIR and o["den"]:
+                try:
+                    extra = (float.__repr__(o["num"] / o["den"]),)
+                    keys += ("approx",)
+                except OverflowError:  # |num/den| is beyond the largest float
+                    pass
+            # the texts before each member, and the closing brace
+            heads = _object_heads(keys, pad)
+        else:
+            heads = ("[" + inner, *["," + inner] * (len(o) - 1), pad + "]")
+        for head, v in zip(heads, o.values() if t is dict else o):
+            out.append(head)
             tv = type(v)
             if tv is str:
                 v = encode_basestring_ascii(v)
@@ -192,78 +213,81 @@ def dumps(o, approx: bool = False, _pad: str = "\n") -> str:
             elif tv is PointVerdict:
                 v = _point_text(v, inner, approx)
             else:
-                v = dumps(v, approx, inner)
-            parts.append(v)
-        if t is dict:
-            keys = tuple(o)
-            if approx and o.keys() == _PAIR and o["den"]:
-                try:
-                    parts.append(float.__repr__(o["num"] / o["den"]))
-                    keys += ("approx",)
-                except OverflowError:  # |num/den| is beyond the largest float
-                    pass
-        # members at the odd places, the texts between them at the even ones
-        pieces = ["," + inner] * (2 * len(parts) + 1)
-        pieces[1::2] = parts
-        if t is dict:
-            pieces[::2] = _object_heads(keys, _pad)
-        else:
-            pieces[0], pieces[-1] = "[" + inner, _pad + "]"
-        return "".join(pieces)
-    if t is str:
-        return encode_basestring_ascii(o)
-    if t is int:
-        return int_text(o)
-    if o is None:
-        return "null"
-    if t is bool:
-        return "true" if o else "false"
-    if t is float:
+                _write(v, approx, inner, out)
+                continue
+            out.append(v)
+        for v in extra:
+            out += (heads[-2], v)
+        out.append(heads[-1])
+    elif t is str:
+        out.append(encode_basestring_ascii(o))
+    elif t is int:
+        out.append(int_text(o))
+    elif o is None:
+        out.append("null")
+    elif t is bool:
+        out.append("true" if o else "false")
+    elif t is float:
         r = float.__repr__(o)
-        return _NON_FINITE.get(r, r)
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+        out.append(_NON_FINITE.get(r, r))
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 _SLOT = "\0"  # a placeholder value; dumps writes it as "\u0000"
+_NAME = "\1"  # a placeholder for an enum value, inside its string
 
 
 @lru_cache(maxsize=256)
-def _point_layout(pad: str, slopes: int, witness: bool, approx: bool) -> str:
+def _point_layout(pad: str, slopes: int, degenerate: int, rp2: bool, witness: bool,
+                  approx: bool) -> str:
     """The text of a point at this indent with a %s slot for each value, from
-    ``dumps`` of a placeholder point: ``slopes`` slopes, each with an approx
-    slot when ``approx`` is set, and a witness or null.  This is the one
-    place that gives a point's JSON its keys and nesting."""
+    ``dumps`` of a placeholder point whose form is the RP2 form or has
+    placeholder b and pairs (each with an approx slot when ``approx`` is
+    set); so its text is a skeleton with slots for them.  Those slots and the
+    tag's and reason's lie inside strings, which digits, '-' and the enum
+    values pass unchanged.  This is the one place that gives a point's JSON
+    its keys and nesting."""
     s = _SLOT
-    pair = {"num": s, "den": s, "approx": s} if approx else {"num": s, "den": s}
-    point = {"n": s, "m_n": s,
-             "seifert_form": {"base": s, "b": s, "slopes": [pair] * slopes,
-                              "degenerate": s, "text": s},
-             "tag": s,
-             "verdict": {"is_lspace": s, "reason": s,
+    form = form_json(SeifertForm(base=Base.RP2) if rp2
+                     else _trusted_form(s, ((s, s),) * slopes, degenerate))
+    for pair in form["slopes"] if approx else ():
+        pair["approx"] = s
+    point = {"n": s, "m_n": s, "seifert_form": form, "tag": _NAME,
+             "verdict": {"is_lspace": s, "reason": _NAME,
                          "witness": {"k": s, "a": s} if witness else None,
                          "witness_is_dual": s, "search_bound": s, "infinite_h1": s}}
-    return (dumps(point, False, pad).replace("%", "%%")
-            .replace(encode_basestring_ascii(s), "%s"))
+    value, name = encode_basestring_ascii(s), encode_basestring_ascii(_NAME)[1:-1]
+    # the values first: what is left of a placeholder lies inside a string
+    return (dumps(point, False, pad).replace("%", "%%").replace(value, "%s")
+            .replace(value[1:-1], "%s").replace(name, "%s"))
 
 
 def _point_text(p: PointVerdict, pad: str, approx: bool) -> str:
-    """A point's JSON text: its values, in the order of the slots of
-    ``_point_layout``, through one %-format; a slope's approx is always
-    there, as p/q lies in (0, 1)."""
-    f, v, w = p.form, p.verdict, p.verdict.witness
-    slots = [p.n, "null" if p.slope is None else p.slope,
-             encode_basestring_ascii(f.base._value_), f.b]
-    for num, den in f.pairs:
-        slots += (num, den, num / den) if approx else (num, den)
-    slots += (f.degenerate, encode_basestring_ascii(repr(f)),
-              encode_basestring_ascii(p.tag._value_), "true" if v.is_lspace else "false",
-              encode_basestring_ascii(v.reason._value_))
+    """A point's JSON text: its integers and enum values, in the order of the
+    slots of ``_point_layout``, through one %-format, with no ``repr``; a
+    slope's approx is always there, as p/q lies in (0, 1)."""
+    f, v = p.form, p.verdict
+    w, reason, pairs, b = v.witness, v.reason, f.pairs, f.b
+    rp2 = f.base is _RP2
+    slots = [p.n, "null" if p.slope is None else p.slope]
+    if not rp2:  # the RP2 form's b = 0 is in its layout
+        flat = sum(pairs, ())  # a classified form has at most three pairs
+        slots.append(b)
+        if approx:
+            for num, den in pairs:
+                slots += (num, den, num / den)
+        else:
+            slots += flat
+        slots.append(b)
+        slots += flat
+    slots += (p.tag._value_, "true" if reason.is_lspace else "false", reason._value_)
     if w is not None:
         slots += (w.k, w.a)
     slots += ("true" if v.witness_is_dual else "false",
               "null" if v.search_bound is None else v.search_bound,
-              "true" if v.infinite_h1 else "false")
-    layout = _point_layout(pad, len(f.pairs), w is not None, approx)
+              "true" if reason is _INFINITE else "false")
+    layout = _point_layout(pad, len(pairs), f.degenerate, rp2, w is not None, approx)
     try:
         return layout % tuple(slots)
     except ValueError:  # an int past sys.get_int_max_str_digits()

@@ -35,7 +35,8 @@ from math import gcd
 from typing import NamedTuple
 
 from .rationals import INF, farey_neighbours, simplest_pair
-from .seifert import Classification, SeifertForm, Tag, classify
+from .seifert import (_RP2_TAG, _S2XS1, _SMALL, _SUM, Classification, SeifertForm, _new_tuple,
+                      classify)
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,17 @@ class LSpaceVerdict(NamedTuple):
 
     @property
     def infinite_h1(self) -> bool:
-        return self.reason is Reason.INFINITE_H1
+        return self.reason is _INFINITE
+
+
+# each member read once (see ``seifert._S2``), and one shared verdict for
+# each reason that carries nothing else; the tags are read in ``seifert``
+_INFINITE, _WITNESS, _DUAL, _NO_WITNESS = (
+    Reason.INFINITE_H1, Reason.WITNESS, Reason.DUAL_WITNESS, Reason.NO_WITNESS_EXHAUSTIVE)
+_RP2_BASE, _CONNECTED_SUM, _INFINITE_H1, _LENS, _B_LARGE = (
+    LSpaceVerdict(Reason.RP2_BASE), LSpaceVerdict(Reason.CONNECTED_SUM_OF_LSPACES),
+    LSpaceVerdict(_INFINITE), LSpaceVerdict(Reason.LENS_NOT_S2XS1),
+    LSpaceVerdict(Reason.B_LARGE))
 
 
 def _witness_from_pairs(p1, q1, p2, q2, p3, q3) -> FoliationWitness | None:
@@ -117,24 +128,21 @@ def search_bound(p: int, q: int) -> int:
 
 def decide(f: SeifertForm) -> LSpaceVerdict:
     """Is the (normalized) Seifert form an L-space?"""
-    c = classify(f)
-    return _decide_classified(f, c)
+    return _decide_classified(f, classify(f))
 
 
 def _decide_classified(f: SeifertForm, c: Classification) -> LSpaceVerdict:
-    if c.tag is Tag.RP2_BASE:
-        return LSpaceVerdict(Reason.RP2_BASE)
-    if c.tag is Tag.CONNECTED_SUM_LENS:
-        # both summand orders are >= 2, so neither summand is S3 or S2 x S1
-        return LSpaceVerdict(Reason.CONNECTED_SUM_OF_LSPACES)
-    if c.tag is Tag.S2XS1:
-        return LSpaceVerdict(Reason.INFINITE_H1)
-    if c.tag in (Tag.S3, Tag.LENS):
-        return LSpaceVerdict(Reason.LENS_NOT_S2XS1)
+    tag = c.tag
+    if tag is not _SMALL:
+        if tag is _RP2_TAG:
+            return _RP2_BASE
+        # both summand orders of a connected sum are >= 2, so neither
+        # summand is S3 or S2 x S1; what is left is S3 or a lens space
+        return _CONNECTED_SUM if tag is _SUM else _INFINITE_H1 if tag is _S2XS1 else _LENS
 
     b = f.b
     if b >= 0 or b <= -3:
-        return LSpaceVerdict(Reason.B_LARGE)
+        return _B_LARGE
     (p1, q1), (p2, q2), (p3, q3) = f.pairs
     dual = b == -2
     if dual:
@@ -146,12 +154,10 @@ def _decide_classified(f: SeifertForm, c: Classification) -> LSpaceVerdict:
         # not a rational homology sphere, hence not an L-space; the witness
         # (which exists exactly when a horizontal foliation does) is still
         # reported alongside.
-        return LSpaceVerdict(Reason.INFINITE_H1, witness=w,
-                             witness_is_dual=dual and w is not None, search_bound=bound)
+        return _new_tuple(LSpaceVerdict, (_INFINITE, w, dual and w is not None, bound))
     if w is not None:
-        return LSpaceVerdict(Reason.DUAL_WITNESS if dual else Reason.WITNESS,
-                             witness=w, witness_is_dual=dual, search_bound=bound)
-    return LSpaceVerdict(Reason.NO_WITNESS_EXHAUSTIVE, search_bound=bound)
+        return _new_tuple(LSpaceVerdict, (_DUAL if dual else _WITNESS, w, dual, bound))
+    return _new_tuple(LSpaceVerdict, (_NO_WITNESS, None, False, bound))
 
 
 class IntervalKind(Enum):

@@ -13,11 +13,11 @@ whenever they are rational homology spheres.
 Normalization is one integer core, ``_normal_form``: it folds the integer
 parts of reduced (num, den) pairs into b, sorts the remainders by
 cross-multiplication and builds the form without re-validating it.  The text
-parser hands it pairs from its regex match, and ``twist.evaluate_point`` a
-family member's fixed pairs beside the pair of its fiber slope; ``normalize``
-is its adapter for ``Fraction`` and ``INF`` slopes, and ``mirror`` builds its
-already-normal result directly.  ``SeifertForm(...)`` itself still validates,
-for every other caller.
+parser hands it pairs from its regex match; ``normalize`` is its adapter for
+``Fraction`` and ``INF`` slopes.  ``mirror`` and ``twist.evaluate_point``,
+which places one remainder among a family member's two sorted fixed pairs,
+build their already-normal results through ``_trusted_form`` directly.
+``SeifertForm(...)`` itself still validates, for every other caller.
 
 The first homology order of S2(b; r_1, ..., r_k) is |alpha_1 ... alpha_k *
 (b + r_1 + ... + r_k)|; order zero means positive first Betti number and is
@@ -43,12 +43,18 @@ class Base(Enum):
     RP2 = "RP2"
 
 
+# each member read once: the metaclass of an Enum has a __getattr__ hook,
+# which makes every ``Base.S2`` read slow (Python 3.11)
+_S2, _RP2 = Base.S2, Base.RP2
+_new_tuple = tuple.__new__  # a NamedTuple from its fields, without its __new__
+
+
 class UnsupportedFiberCount(ValueError):
     """More exceptional fibers than the classification covers."""
 
 
 class DegenerateEuler(ValueError):
-    """Euler number requested for a degenerate or projective-base form."""
+    """|H_1| requested for a degenerate or projective-base form."""
 
 
 @dataclass(frozen=True)
@@ -59,7 +65,7 @@ class SeifertForm:
     degenerate: int = 0
 
     def __post_init__(self):
-        if self.base is Base.RP2:
+        if self.base is _RP2:
             if self.pairs or self.degenerate or self.b:
                 raise ValueError("projective-base forms carry no slope data")
             return
@@ -79,7 +85,7 @@ class SeifertForm:
         return tuple([Fraction(p, q) for p, q in self.pairs])
 
     def __repr__(self):
-        if self.base is Base.RP2:
+        if self.base is _RP2:
             return "SFS[RP2]"
         try:
             parts = [f"{p}/{q}" for p, q in self.pairs]
@@ -91,11 +97,6 @@ class SeifertForm:
         if parts:
             inner += "; " + ", ".join(parts)
         return f"SFS[{inner}]"
-
-
-# read once: the metaclass of an Enum has a __getattr__ hook, which makes
-# each ``Base.S2`` read slow (Python 3.11)
-_S2 = Base.S2
 
 
 def _trusted_form(b: int, pairs: tuple, degenerate: int) -> SeifertForm:
@@ -150,16 +151,9 @@ def normalize(b: int, raw) -> SeifertForm:
     return _normal_form(int(b), pairs, degenerate)
 
 
-def euler_number(f: SeifertForm) -> Fraction:
-    """b + sum of the slopes; only defined for nondegenerate sphere-base forms."""
-    if f.base is not Base.S2 or f.degenerate:
-        raise DegenerateEuler("euler number needs a nondegenerate form over S2")
-    return f.b + sum(f.slopes, Fraction(0))
-
-
 def h1_order(f: SeifertForm):
     """|H_1| of a nondegenerate sphere-base form: an integer, or INF if infinite."""
-    if f.base is not Base.S2 or f.degenerate:
+    if f.base is not _S2 or f.degenerate:
         raise DegenerateEuler("h1_order needs a nondegenerate form over S2; "
                               "classify() covers the degenerate cases")
     # n/d runs through b + r_1 + ... with d the product of the denominators
@@ -184,6 +178,11 @@ class Classification(NamedTuple):
     summands: tuple[int, ...] | None = None  # lens-summand orders of a connected sum
 
 
+_S3, _S2XS1, _LENS, _SUM, _SMALL, _RP2_TAG = (Tag.S3, Tag.S2XS1, Tag.LENS,
+                                              Tag.CONNECTED_SUM_LENS, Tag.SMALL_SFS, Tag.RP2_BASE)
+_RP2_CLASS, _PRODUCT_CLASS = Classification(_RP2_TAG), Classification(_S2XS1, INF)
+
+
 def classify(f: SeifertForm) -> Classification:
     """Coarse homeomorphism type of a normalized form.
 
@@ -191,26 +190,23 @@ def classify(f: SeifertForm) -> Classification:
     degenerate fiber alongside finite ones.  Two or more degenerate fibers
     with nothing else is the product case S2 x S1.
     """
-    if f.base is Base.RP2:
-        return Classification(Tag.RP2_BASE)
+    if f.base is _RP2:
+        return _RP2_CLASS
     k = len(f.pairs)
     if f.degenerate == 0:
         if k > 3:
             raise UnsupportedFiberCount(f"{k} exceptional fibers")
         h = h1_order(f)
-        if k == 3:
-            return Classification(Tag.SMALL_SFS, h)
-        if h is INF:
-            return Classification(Tag.S2XS1, h)
-        return Classification(Tag.S3 if h == 1 else Tag.LENS, h)
+        tag = _SMALL if k == 3 else _S2XS1 if h is INF else _S3 if h == 1 else _LENS
+        return _new_tuple(Classification, (tag, h, None))
     if f.degenerate == 1 and k <= 2:
         orders = tuple([q for _, q in f.pairs])
         h = math.prod(orders)
         if k == 2:
-            return Classification(Tag.CONNECTED_SUM_LENS, h, orders)
-        return Classification(Tag.S3 if h == 1 else Tag.LENS, h)
+            return _new_tuple(Classification, (_SUM, h, orders))
+        return _new_tuple(Classification, (_S3 if h == 1 else _LENS, h, None))
     if f.degenerate >= 2 and k == 0:
-        return Classification(Tag.S2XS1, INF)
+        return _PRODUCT_CLASS
     raise UnsupportedFiberCount(
         f"{k} finite + {f.degenerate} degenerate fibers is outside the supported range")
 
@@ -218,7 +214,7 @@ def classify(f: SeifertForm) -> Classification:
 def mirror(f: SeifertForm) -> SeifertForm:
     """Orientation reversal: S2(b; r_1, ..., r_k) -> S2(-b-k; 1-r_k, ..., 1-r_1),
     degenerate count kept; the complements are already in (0,1) and in order."""
-    if f.base is not Base.S2:
+    if f.base is not _S2:
         raise ValueError("mirror is only defined over S2 here")
     pairs = f.pairs
     return _trusted_form(-f.b - len(pairs), tuple([(q - p, q) for p, q in reversed(pairs)]),

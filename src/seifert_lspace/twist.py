@@ -40,7 +40,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .rationals import INF
-from .seifert import Base, SeifertForm, Tag, _normal_form, classify, mirror, normalize
+from .seifert import (Base, SeifertForm, Tag, _new_tuple, _trusted_form, classify, mirror,
+                      normalize)
 from .lspace import (LSpaceVerdict, ThirdSlotThreshold, _decide_classified, decide,
                      third_slot_threshold)
 
@@ -147,18 +148,22 @@ class FamilyMember:
 
     @cached_property
     def frame(self):
-        """(base, fixed pairs), the form S2(b; r1, r2) or its mirror, worked
-        out once: the n-th member is S2(base; fixed, f(j)) before
-        normalization, or with mirroring S2(base; fixed, -f(j)).
+        """(base, fixed pairs, sign, offset, alpha, beta, alpha3, beta3, m,
+        l^2), worked out once: with j = sign * (n + offset), the n-th member
+        is S2(base; fixed, sign * f(j)) before normalization, where
+        S2(base; fixed) is S2(b; r1, r2) or, with mirroring (sign -1), its
+        mirror.
 
         Mirroring negates every raw slope of S2(b; r1, r2, f(j)), which takes
         the fixed part to its mirror S2(-b - 2; 1 - r2, 1 - r1) and leaves
         -f(j) as it is.
         """
-        f = normalize(self.data.b, (self.data.r1, self.data.r2))
+        d = self.data
+        f = normalize(d.b, (d.r1, d.r2))
         if self.mirrored:
             f = mirror(f)
-        return f.b, f.pairs
+        return (f.b, f.pairs, -1 if self.mirrored else 1, self.offset,
+                d.alpha, d.beta, d.alpha3, d.beta3, d.m, d.l * d.l)
 
 
 @dataclass(frozen=True)
@@ -304,10 +309,6 @@ class FamilyReport:
         return self.rows[-1]
 
     @property
-    def segments(self) -> tuple[Run, ...]:
-        return tuple(r for r in self.rows[1:-1] if isinstance(r, Run))
-
-    @property
     def exceptional(self) -> tuple:
         """(n, tag) of the S2 x S1 and connected-sum members, all singles."""
         return tuple((r.n, r.tag) for r in self.rows if isinstance(r, PointVerdict)
@@ -333,51 +334,58 @@ class FamilyReport:
                 yield row if b is not None and b < lo else replace(row, to_n=lo - 1)
         singles = {r.n: r for r in self.rows
                    if isinstance(r, PointVerdict) and lo <= r.n <= hi}
+        member = self.member
         for n in range(lo, hi + 1):
-            yield singles[n] if n in singles else evaluate_point(self.member, n)
+            yield singles[n] if n in singles else evaluate_point(member, n)
         for row in self.rows:
             a, b = _span(row)
             if b is None or b > hi:
                 yield row if a is not None and a > hi else replace(row, from_n=hi + 1)
 
 
-def _as_member(d) -> FamilyMember:
-    return d if isinstance(d, FamilyMember) else FamilyMember(data=d)
+_RP2_FORM = SeifertForm(base=Base.RP2)
 
 
 def evaluate_point(d, n: int) -> PointVerdict:
-    """The verdict on the n-th member, in one pass over integer pairs.
+    """The verdict on the n-th member, on integers alone.
 
     f(j) is the pair (j * beta + beta3, j * alpha + alpha3), negated for a
-    mirrored member, and goes to ``_normal_form`` beside the member's
-    ``frame``; no ``Fraction`` is built.  The pair is already reduced: the
-    seiferter matrix is unimodular, so it maps the primitive vector (j, 1) to
-    a primitive one.  Its oracle is the ``Fraction`` path, ``surgered_space``
-    and ``mirror`` through ``classify`` and ``_decide_classified``
-    (``fraction_point`` in ``tests/oracles.py``).
+    mirrored member, and reduced: the unimodular seiferter matrix maps the
+    primitive vector (j, 1) to a primitive one.  One ``divmod`` folds it into
+    the base of the member's ``frame``, and cross-multiplication places the
+    remainder among the two sorted fixed pairs, so the form is built normal.
+    Its oracle is ``fraction_point`` in ``tests/oracles.py``: ``Fraction``
+    slopes through ``fraction_classify`` and ``fraction_decide``.
     """
-    member = _as_member(d)
+    member = d if isinstance(d, FamilyMember) else FamilyMember(data=d)
     if member.rp2:
-        slope, form = None, SeifertForm(base=Base.RP2)
+        slope, form = None, _RP2_FORM
     else:
-        d, (b, fixed) = member.data, member.frame
-        s = -1 if member.mirrored else 1
-        j = s * (n + member.offset)
-        slope = s * surgery_slope(d, j)
-        num, den = s * (j * d.beta + d.beta3), j * d.alpha + d.alpha3
+        b, fixed, s, offset, alpha, beta, alpha3, beta3, m, ll = member.frame
+        j = s * (n + offset)
+        slope = s * (m + j * ll)
+        num, den = s * (j * beta + beta3), j * alpha + alpha3
         if den < 0:
             num, den = -num, -den
-        form = (_normal_form(b, (*fixed, (num, den)), 0) if den
-                else _normal_form(b, fixed, 1))
+        if den:
+            whole, p = divmod(num, den)
+            ((p1, q1), (p2, q2)), r = fixed, (p, den)
+            # r goes after the fixed pairs at or below it, as _normal_form
+            # inserts it; an integral slope leaves none
+            pairs = (fixed if not p else (r, *fixed) if p * q1 < p1 * den
+                     else (fixed[0], r, fixed[1]) if p * q2 < p2 * den else (*fixed, r))
+            form = _trusted_form(b + whole, pairs, 0)
+        else:
+            form = _trusted_form(b, fixed, 1)
     c = classify(form)
-    return PointVerdict(n, slope, form, c.tag, _decide_classified(form, c))
+    return _new_tuple(PointVerdict, (n, slope, form, c.tag, _decide_classified(form, c)))
 
 
 def classify_family(d) -> FamilyReport:
     """Exact verdicts for every member, over all of Z, from the walk's runs
     and singles.  The family's n-th member is the data's (n + offset)-th, or
     the mirror of its -(n + offset)-th; mirroring reverses the rows."""
-    member = _as_member(d)
+    member = d if isinstance(d, FamilyMember) else FamilyMember(data=d)
     walk = [(None, None, True, None, None)] if member.rp2 else _runs(member.data)
     mirrored = member.mirrored
     s = -1 if mirrored else 1

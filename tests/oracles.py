@@ -15,13 +15,14 @@ slope and a form through the validating ``SeifertForm`` constructor; they are
 the references for the integer-pair path.  They share only the package's
 data classes, ``ParseError`` and the witness core ``_witness_from_pairs``.
 ``fraction_member_point`` is the package's former ``FamilyMember.point``:
-the member's surgery slope and form through ``surgered_space`` with a
-``Fraction`` fiber slope, then ``mirror``.  ``fraction_point``, the
-package's former ``evaluate_point``, takes that form through the package's
-``classify`` and ``_decide_classified``; it is the reference for the
-integer pairs that ``evaluate_point`` hands to ``_normal_form``.  The
+the member's surgery slope and its form from ``fraction_normalize`` of the
+raw slopes with a ``Fraction`` fiber slope, all negated for a mirrored
+member.  ``fraction_point``, the package's former ``evaluate_point``, takes
+that form through ``fraction_classify`` and ``fraction_decide``; it is the
+reference for the integers ``evaluate_point`` builds a member from.  The
 ``fraction_*`` oracles read a form's slopes through its ``Fraction`` view,
-``SeifertForm.slopes``.  ``point_json`` and ``add_approx`` are the package's
+``SeifertForm.slopes``.  ``euler_number`` is b plus the sum of those
+``Fraction``s.  ``point_json`` and ``add_approx`` are the package's
 former point encoder and --float pass: a point as a tree of dicts, and a walk
 over a finished payload that adds "approx" to its pairs.  ``dumps`` of their
 payload is the reference for the layouts ``formats.dumps`` writes points into
@@ -39,13 +40,11 @@ from math import gcd
 import numpy as np
 
 from seifert_lspace.formats import ParseError, form_json, verdict_json
-from seifert_lspace.lspace import (LSpaceVerdict, Reason, _decide_classified,
-                                   _witness_from_pairs, search_bound)
+from seifert_lspace.lspace import LSpaceVerdict, Reason, _witness_from_pairs, search_bound
 from seifert_lspace.rationals import INF, is_finite
-from seifert_lspace.seifert import (Base, Classification, DegenerateEuler,
-                                    SeifertForm, Tag, UnsupportedFiberCount, classify,
-                                    mirror)
-from seifert_lspace.twist import FamilyMember, PointVerdict, surgered_space, surgery_slope
+from seifert_lspace.seifert import (Base, Classification, DegenerateEuler, SeifertForm, Tag,
+                                    UnsupportedFiberCount)
+from seifert_lspace.twist import FamilyMember, PointVerdict
 
 _TABLES = {}
 
@@ -348,6 +347,13 @@ def fraction_normalize(b: int, raw, base: Base = Base.S2) -> SeifertForm:
                        degenerate=degenerate)
 
 
+def euler_number(f: SeifertForm) -> Fraction:
+    """b + sum of the slopes; only defined for nondegenerate sphere-base forms."""
+    if f.base is not Base.S2 or f.degenerate:
+        raise DegenerateEuler("euler number needs a nondegenerate form over S2")
+    return f.b + sum(f.slopes, Fraction(0))
+
+
 def fraction_h1_order(f: SeifertForm):
     """|H_1| of a nondegenerate sphere-base form: an integer, or INF if infinite."""
     if f.base is not Base.S2 or f.degenerate:
@@ -436,21 +442,25 @@ def _fraction_decide_classified(f: SeifertForm, c: Classification) -> LSpaceVerd
 
 
 def fraction_member_point(member: FamilyMember, n: int):
-    """(surgery slope or None, normalized form) of the n-th member."""
+    """(surgery slope or None, normalized form) of the n-th member: the
+    data's j-th space S2(b; r1, r2, f(j)) with j = n + offset, or the mirror
+    S2(-b; -r1, -r2, -f(j)) of the one with j = -(n + offset), and the
+    surgery slope m + j l^2, negated with it."""
     if member.rp2:
         return None, SeifertForm(base=Base.RP2)
-    if member.mirrored:
-        j = -(n + member.offset)
-        return -surgery_slope(member.data, j), mirror(surgered_space(member.data, j))
-    j = n + member.offset
-    return surgery_slope(member.data, j), surgered_space(member.data, j)
+    d = member.data
+    s = -1 if member.mirrored else 1
+    j = s * (n + member.offset)
+    den = j * d.alpha + d.alpha3
+    raw = (d.r1, d.r2, INF if den == 0 else Fraction(j * d.beta + d.beta3, den))
+    return s * (d.m + j * d.l * d.l), fraction_normalize(s * d.b, [r if r is INF else s * r
+                                                                   for r in raw])
 
 
 def fraction_point(member: FamilyMember, n: int) -> PointVerdict:
     """The n-th member's verdict from its ``Fraction`` form."""
     slope, form = fraction_member_point(member, n)
-    c = classify(form)
-    return PointVerdict(n, slope, form, c.tag, _decide_classified(form, c))
+    return PointVerdict(n, slope, form, fraction_classify(form).tag, fraction_decide(form))
 
 
 def point_json(p: PointVerdict):

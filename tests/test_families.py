@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from seifert_lspace import (ALL_N, Guarantee, GuaranteeKind, PointVerdict,
+from seifert_lspace import (ALL_N, Guarantee, GuaranteeKind, PointVerdict, Run,
                             PreconditionFailed, Tag, TorusKnotDegenerate, TwistedTorusKind,
                             berge_sporadic, berge_type_vii_viii, catalog,
                             check_guarantee, classify, classify_family,
@@ -274,7 +274,8 @@ class TestRegressionContract:
             member = FamilyMember(data=data, mirrored=mirrored)
             report = classify_family(member)
             assert report.tail_pos.is_lspace and report.tail_neg.is_lspace
-            assert [(s.from_n, s.to_n) for s in report.segments if not s.is_lspace] == \
+            assert [(r.from_n, r.to_n) for r in report.rows[1:-1]
+                    if isinstance(r, Run) and not r.is_lspace] == \
                 [(-14, -8) if mirrored else (8, 14)]
             spec = FamilySpec("seg", "", (), Guarantee(kind, bound), (member,))
             assert check_reports(spec, [report]) == \

@@ -293,6 +293,25 @@ class TestPointLayouts:
             payload = self._payload(huge + points[:5])
             assert dumps(payload, approx) == dumps(self._oracle(payload, approx))
 
+    def test_form_text_fills_the_skeleton_of_its_shape(self):
+        # the layout writes the text's skeleton, and a point fills in b and
+        # the pairs; past 4300 digits they go through int_text
+        big = 10 ** 4400 + 7
+        forms = [parse_form(text) for text in ("SFS[S2; 3; inf, inf]", "SFS[S2; -4; 2/7, inf]",
+                                               "SFS[S2; 1; 1/2, 2/3, inf]", "SFS[RP2]")]
+        forms += [SeifertForm(b=big, pairs=((1, big), (3, big))),
+                  SeifertForm(b=-big, pairs=((1, 3), (big - 1, big)), degenerate=1)]
+        shapes = {(f.base, len(f.pairs), f.degenerate) for f in forms}
+        assert {(Base.S2, 0, 2), (Base.S2, 1, 1), (Base.S2, 2, 1), (Base.RP2, 0, 0)} <= shapes
+        points = [PointVerdict(-3, None, f, classify(f).tag, decide(f)) for f in forms]
+        points += _random_points(random.Random(4))[1]
+        for approx in (False, True):
+            with _unlimited_int_digits():
+                got = json.loads(dumps(points, approx))
+                assert len(str(big)) > 4300
+            assert [p["seifert_form"]["text"] for p in got] == [repr(p.form) for p in points]
+            assert dumps(points, approx) == dumps(self._oracle(points, approx))
+
 
 # any code point, with the ones JSON escapes specially drawn often; built from
 # integers so that no unicode table has to be computed on a cold cache
@@ -738,6 +757,22 @@ class TestHugeIntegers:
         for n in (N - 2, N - 1):
             assert f"n={int_text(n)}  m_n={int_text(6 + 25 * n)}  " in out
         assert f"for all n >= {int_text(N)}" in out
+
+
+    @pytest.mark.parametrize("kind, param", [("spor-a", "p"), ("spor-b", "p"), ("spor-c", "p"),
+                                             ("spor-d", "p"), ("em-rp2", "l")])
+    def test_family_builders_write_their_text_past_the_limit(self, kind, param, capsys):
+        # a 4,000-digit parameter: the base slope of each builder's text has
+        # about 8,000 digits
+        value = 10 ** 3999 + 1
+        for mode in ("--json", "--float"):
+            rc = main(["family", "run", kind, "--params", f"{param}={value}", "--window=0..1",
+                       mode])
+            got = capsys.readouterr()
+            assert rc in (0, 1)
+            assert "error:" not in got.out + got.err
+        if kind == "em-rp2":
+            assert f"base slope {int_text(12 * value * value - 4 * value)}," in got.out
 
 
 class TestGoldenJson:

@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seifert_lspace import (INF, Base, DegenerateEuler, SeifertForm, Tag,
-                            UnsupportedFiberCount, classify, euler_number,
-                            h1_order, mirror, normalize)
+                            UnsupportedFiberCount, classify, h1_order, mirror, normalize)
 
-from oracles import fraction_normalize, presentation_h1
+from oracles import euler_number, fraction_normalize, presentation_h1
 
 slope = st.fractions(min_value=Fraction(-20), max_value=Fraction(20), max_denominator=50)
 unit = st.fractions(min_value=Fraction(1, 50), max_value=Fraction(49, 50), max_denominator=50)

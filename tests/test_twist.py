@@ -397,6 +397,7 @@ class TestEvaluatePoint:
             singles = [r.n for r in classify_family(member).rows
                        if isinstance(r, PointVerdict)]
             ns = {rng.randint(-50, 50), rng.randint(-10 ** 20, 10 ** 20), -offset,
+                  10 ** 18 - rng.randint(0, 9), rng.randint(0, 9) - 10 ** 18,
                   *(n + i for n in singles for i in (-2, -1, 0, 1, 2))}
             for n in ns:
                 pv = evaluate_point(member, n)
@@ -414,6 +415,13 @@ class TestEvaluatePoint:
         member = FamilyMember(rp2=True)
         for n in (-3, 0, 10 ** 20):
             assert evaluate_point(member, n) == fraction_point(member, n)
+
+    def test_catalog_members_match_the_fraction_path(self):
+        members = [m for spec in catalog() for m in spec.members]
+        assert any(m.rp2 for m in members) and any(m.mirrored for m in members)
+        for member in members:
+            for n in range(-1000, 1001):
+                assert evaluate_point(member, n) == fraction_point(member, n), (member, n)
 
 
 class TestRuns:
