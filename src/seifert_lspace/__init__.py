@@ -9,8 +9,7 @@ from .lspace import (FoliationWitness, IntervalKind, LSpaceVerdict, Reason,
                      ThirdSlotThreshold, decide, third_slot_threshold)
 from .twist import (FamilyMember, FamilyReport, PointVerdict, Run,
                     SeiferterData, classify_family, evaluate_point,
-                    fiber_slope, h1_consistency, limit_space, surgered_space,
-                    surgery_slope)
+                    h1_consistency, limit_space, surgered_space, surgery_slope)
 from .families import (ALL_N, FamilySpec, Guarantee, GuaranteeKind,
                        PreconditionFailed, TorusKnotDegenerate,
                        TwistedTorusKind, berge_sporadic, berge_type_vii_viii,

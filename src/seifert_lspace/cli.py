@@ -21,7 +21,7 @@ from .formats import (ParseError, classification_json, describe_segment, describ
                       dumps, form_json, parse_form, report_json, threshold_json,
                       verdict_json)
 from .lspace import decide, third_slot_threshold
-from .rationals import INF, format_rational, int_text, parse_rational
+from .rationals import INF, int_text, pair_text, parse_rational
 from .seifert import classify
 from .twist import PointVerdict, SeiferterData, classify_family
 
@@ -90,11 +90,11 @@ def cmd_normalize(args):
 
 def cmd_threshold(args):
     t = third_slot_threshold(args.b, parse_rational(args.r1), parse_rational(args.r2))
-    if t.boundary is None:
+    if t.cut is None:
         desc = "every r in (0,1) gives an L-space"
     else:
         side = (">" if t.b == -1 else "<") + ("=" if t.attained else "")
-        desc = f"L-space exactly for r {side} {format_rational(t.boundary)}"
+        desc = f"L-space exactly for r {side} {pair_text(*t.cut)}"
     return ({"b": args.b, "r1": args.r1, "r2": args.r2}, lambda: {"threshold": threshold_json(t)},
             lambda: [f"S2({args.b}; {args.r1}, {args.r2}, r) for r in (0,1): {desc}"], 0)
 
@@ -218,17 +218,17 @@ def build_parser() -> argparse.ArgumentParser:
                             "only); text output is unchanged")
 
     p = sub.add_parser("decide", help="decide one Seifert form")
-    p.add_argument("form", help="e.g. \"SFS[S2; -2; 2/3, 2/3, 2/3]\"")
+    p.add_argument("form", help="e.g. \"SFS[S2; -2; 2/3, 2/3, 2/3]\", or - for stdin")
     common(p)
     p.set_defaults(fn=cmd_decide)
 
     p = sub.add_parser("h1", help="first homology order of a form")
-    p.add_argument("form")
+    p.add_argument("form", help="a form, or - for stdin")
     common(p)
     p.set_defaults(fn=cmd_h1)
 
     p = sub.add_parser("normalize", help="normal form of a raw description")
-    p.add_argument("form")
+    p.add_argument("form", help="a form, or - for stdin")
     common(p)
     p.set_defaults(fn=cmd_normalize)
 
@@ -294,6 +294,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
+        # decide, h1 and normalize read the form "-" from stdin, which has
+        # no length limit, as an argument has
+        if getattr(args, "form", None) == "-":
+            args.form = sys.stdin.read()
         inputs, outputs, lines, code = args.fn(args)
         if args.json:
             print(dumps({"command": args.command, "inputs": inputs, "outputs": outputs(),

@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import NoReturn
 
-from .rationals import INF, format_rational, int_text, is_finite
+from .rationals import INF, format_rational, int_text, is_finite, pair_text
 from .seifert import _RP2, Base, Classification, SeifertForm, _normal_form, _trusted_form
 from .lspace import _INFINITE, LSpaceVerdict, ThirdSlotThreshold
 from .twist import FamilyReport, PointVerdict, Run
@@ -342,10 +342,10 @@ def verdict_json(v: LSpaceVerdict):
 def threshold_json(t: ThirdSlotThreshold):
     return {
         "b": t.b,
-        "r1": rational_json(t.r1),
-        "r2": rational_json(t.r2),
+        "r1": {"num": t.r1[0], "den": t.r1[1]},
+        "r2": {"num": t.r2[0], "den": t.r2[1]},
         "kind": t.kind.value,
-        "boundary": rational_json(t.boundary),
+        "boundary": None if t.cut is None else {"num": t.cut[0], "den": t.cut[1]},
         "attained": t.attained,
     }
 
@@ -404,11 +404,11 @@ def describe_tail(t: Run, limit_slope) -> str:
     pos = t.to_n is None
     what = "L-space" if t.is_lspace else "not an L-space"
     out = f"{what} for all n {'>=' if pos else '<='} {int_text(t.from_n if pos else t.to_n)}"
-    if t.threshold is not None and t.threshold.boundary is not None:
+    if t.threshold is not None and t.threshold.cut is not None:
         out += (f"  [limit slope {format_rational(limit_slope)} approached "
                 f"from {'above' if pos != t.mirrored else 'below'}; "
                 f"band base {int_text(t.band_base)}, "
-                f"boundary {format_rational(t.threshold.boundary)}"
+                f"boundary {pair_text(*t.threshold.cut)}"
                 + ("; computed on the mirror" if t.mirrored else "") + "]")
     return out
 
@@ -418,7 +418,7 @@ def describe_segment(s: Run) -> str:
     out = f"{what} for all {int_text(s.from_n)} <= n <= {int_text(s.to_n)}"
     if s.threshold is None:
         return out + "  [lens spaces]"
-    boundary = ("" if s.threshold.boundary is None
-                else f", boundary {format_rational(s.threshold.boundary)}")
+    cut = s.threshold.cut
+    boundary = "" if cut is None else f", boundary {pair_text(*cut)}"
     return (out + f"  [band base {int_text(s.band_base)}{boundary}"
             + ("; computed on the mirror" if s.mirrored else "") + "]")

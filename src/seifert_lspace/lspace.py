@@ -173,20 +173,20 @@ _KINDS = {-1: IntervalKind.UP_CLOSED, -2: IntervalKind.DOWN_CLOSED}
 class ThirdSlotThreshold:
     """Exact description of { r in (0,1) : S2(b; r1, r2, r) is an L-space }.
 
-    For b = -1 the set is up-closed [t, 1) (or all of (0,1), encoded as
-    boundary 0, not attained); for b = -2 it is down-closed (0, t] (or all
-    of (0,1), encoded as boundary 1, not attained); otherwise it is all of
-    (0,1), with no boundary.  ``kind`` is read from b, and ``attained``
-    (is the boundary itself an L-space?) from the boundary: a boundary in
-    (0,1) always is.  The not-L-space set is a union of the open intervals
-    that witnesses rule out, and an euler-number-zero slope, the one
-    non-L-space that needs no witness, has one anyway (Eisenbud-Hirsch-
-    Neumann; Jankins-Neumann, Naimi), so it lies inside that union.
+    ``r1``, ``r2`` and the boundary t, ``cut``, are reduced integer pairs;
+    ``boundary`` is t as a ``Fraction``.  For b = -1 the set is up-closed
+    [t, 1) (or all of (0,1): t = 0, not attained); for b = -2 it is
+    down-closed (0, t] (or all of (0,1): t = 1, not attained); otherwise it
+    is all of (0,1), with no t.  ``kind`` is read from b, and ``attained``
+    (is t an L-space?) from t: a t in (0,1) always is.  The not-L-space set
+    is the union of the open intervals that witnesses rule out: an
+    euler-number-zero slope, the one non-L-space needing no witness, has one
+    anyway (Eisenbud-Hirsch-Neumann; Jankins-Neumann, Naimi).
     """
     b: int
-    r1: Fraction
-    r2: Fraction
-    boundary: Fraction | None = None
+    r1: tuple[int, int]
+    r2: tuple[int, int]
+    cut: tuple[int, int] | None = None
 
     @property
     def kind(self) -> IntervalKind:
@@ -194,18 +194,23 @@ class ThirdSlotThreshold:
 
     @property
     def attained(self) -> bool | None:
-        return None if self.boundary is None else 0 < self.boundary < 1
+        return None if self.cut is None else 0 < self.cut[0] < self.cut[1]
+
+    @property
+    def boundary(self) -> Fraction | None:
+        return None if self.cut is None else Fraction(*self.cut)
 
     def contains(self, r: Fraction) -> bool:
         """Membership of r in the L-space set; r must lie in (0,1)."""
         if not (0 < r < 1):
             raise ValueError("contains() is about the open unit interval")
-        if self.boundary is None:
+        if self.cut is None:
             return True
-        return r >= self.boundary if self.b == -1 else r <= self.boundary
+        above = r.numerator * self.cut[1] - self.cut[0] * r.denominator
+        return above >= 0 if self.b == -1 else above <= 0
 
 
-def _not_lspace_sup(u: Fraction, v: Fraction) -> Fraction:
+def _not_lspace_sup(u: tuple, v: tuple) -> tuple:
     """sup { r in (0,1) : S2(-1; u, v, r) is not an L-space }, or 0 if empty.
 
     The not-L-space set is the open initial segment (0, t): each witness
@@ -224,10 +229,9 @@ def _not_lspace_sup(u: Fraction, v: Fraction) -> Fraction:
     The third is resolved by the simplest fraction in (u, min(1-v, 1/2)),
     whose denominator is the least k; its a/k = 1/2 case is among the first
     two.  So the computation is two Stern-Brocot walks, exact and
-    logarithmic in the denominators.
+    logarithmic in the denominators; u, v and the result are pairs (num, den).
     """
-    un, ud = u.numerator, u.denominator
-    vn, vd = v.numerator, v.denominator
+    (un, ud), (vn, vd) = u, v
     if un * vd > vn * ud:
         un, ud, vn, vd = vn, vd, un, ud
     _, _, c, d = farey_neighbours(vn, vd, search_bound(un, ud))
@@ -237,16 +241,18 @@ def _not_lspace_sup(u: Fraction, v: Fraction) -> Fraction:
         k = simplest_pair(un, ud, hn, hd)[1]
         if num * k < den:
             num, den = 1, k
-    return Fraction(num, den)
+    return num, den
 
 
 def third_slot_threshold(b: int, r1: Fraction, r2: Fraction) -> ThirdSlotThreshold:
     """Exact L-space region in the third slope slot of S2(b; r1, r2, r)."""
-    if not (0 < r1.numerator < r1.denominator and 0 < r2.numerator < r2.denominator):
+    p1, q1, p2, q2 = r1.numerator, r1.denominator, r2.numerator, r2.denominator
+    if not (0 < p1 < q1 and 0 < p2 < q2):
         raise ValueError("fixed slopes must lie in (0,1)")
     if b == -1:
-        return ThirdSlotThreshold(b, r1, r2, _not_lspace_sup(r1, r2))
+        return ThirdSlotThreshold(b, (p1, q1), (p2, q2), _not_lspace_sup((p1, q1), (p2, q2)))
     if b == -2:
-        # the mirror image S2(-1; 1 - r1, 1 - r2, 1 - r)
-        return ThirdSlotThreshold(b, r1, r2, 1 - _not_lspace_sup(1 - r1, 1 - r2))
-    return ThirdSlotThreshold(b, r1, r2)
+        # the mirror image S2(-1; 1 - r1, 1 - r2, 1 - r); 1 - p/q is (q - p)/q
+        num, den = _not_lspace_sup((q1 - p1, q1), (q2 - p2, q2))
+        return ThirdSlotThreshold(b, (p1, q1), (p2, q2), (den - num, den))
+    return ThirdSlotThreshold(b, (p1, q1), (p2, q2))

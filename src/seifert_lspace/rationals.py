@@ -131,9 +131,10 @@ def _digits(n: int, width: int) -> str:
         return _digits(hi, width - k) + _digits(lo, k)
 
 
+def pair_text(p: int, q: int) -> str:
+    """Text of the reduced fraction p/q, q > 0: p alone when q = 1."""
+    return int_text(p) if q == 1 else f"{int_text(p)}/{int_text(q)}"
+
+
 def format_rational(x) -> str:
-    if not is_finite(x):
-        return "inf"
-    if x.denominator == 1:
-        return int_text(x.numerator)
-    return f"{int_text(x.numerator)}/{int_text(x.denominator)}"
+    return "inf" if not is_finite(x) else pair_text(x.numerator, x.denominator)

@@ -13,8 +13,8 @@ whenever they are rational homology spheres.
 Normalization is one integer core, ``_normal_form``: it folds the integer
 parts of reduced (num, den) pairs into b, sorts the remainders by
 cross-multiplication and builds the form without re-validating it.  The text
-parser hands it pairs from its regex match; ``normalize`` is its adapter for
-``Fraction`` and ``INF`` slopes.  ``mirror`` and ``twist.evaluate_point``,
+parser and ``twist.surgered_space`` hand it pairs; ``normalize`` is its
+adapter for ``Fraction`` and ``INF`` slopes.  ``mirror`` and ``twist.evaluate_point``,
 which places one remainder among a family member's two sorted fixed pairs,
 build their already-normal results through ``_trusted_form`` directly.
 ``SeifertForm(...)`` itself still validates, for every other caller.

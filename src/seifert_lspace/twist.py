@@ -25,6 +25,9 @@ large enough" statements.  A report is the runs and the singles alone, so
 its cost does not depend on any range of indices; ``FamilyReport.shown``
 alone reads a display window, evaluating its members one at a time.
 
+All of it runs on integers: f(n) is the reduced pair (n*beta + beta_3,
+n*alpha + alpha_3), and the walk compares such pairs by cross-multiplication.
+
 The degenerate-fiber situation (the seiferter is an index-zero fiber of a
 connected sum of two lens spaces) is the special encoding (alpha_3, beta_3)
 = (0, 1): then f(n) = beta + 1/n, the pole n = 0 reproduces the connected
@@ -33,15 +36,14 @@ sum, and every other member is S2(b + beta; r1, r2, 1/n).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
 from .rationals import INF
-from .seifert import (Base, SeifertForm, Tag, _new_tuple, _trusted_form, classify, mirror,
-                      normalize)
+from .seifert import (Base, SeifertForm, Tag, _new_tuple, _normal_form, _trusted_form, classify,
+                      mirror, normalize)
 from .lspace import (LSpaceVerdict, ThirdSlotThreshold, _decide_classified, decide,
                      third_slot_threshold)
 
@@ -83,18 +85,17 @@ class SeiferterData:
         return INF if self.alpha == 0 else Fraction(self.beta, self.alpha)
 
 
-def fiber_slope(d: SeiferterData, n: int):
-    """Slope of the twisted seiferter after n twists; INF at the pole."""
-    den = n * d.alpha + d.alpha3
-    num = n * d.beta + d.beta3
-    if den == 0:
-        return INF
-    return Fraction(num, den)
+def _space(d: SeiferterData, num: int, den: int) -> SeifertForm:
+    """Normal form of S2(b; r1, r2, num/den), num/den reduced; den = 0 is a degenerate fiber."""
+    pairs = [(d.r1.numerator, d.r1.denominator), (d.r2.numerator, d.r2.denominator)]
+    if den:
+        pairs.append((num, den) if den > 0 else (-num, -den))
+    return _normal_form(d.b, pairs, 0 if den else 1)
 
 
 def surgered_space(d: SeiferterData, n: int) -> SeifertForm:
     """Normal form of the manifold obtained after n twists."""
-    return normalize(d.b, (d.r1, d.r2, fiber_slope(d, n)))
+    return _space(d, n * d.beta + d.beta3, n * d.alpha + d.alpha3)
 
 
 def surgery_slope(d: SeiferterData, n: int) -> int:
@@ -104,7 +105,7 @@ def surgery_slope(d: SeiferterData, n: int) -> int:
 
 def limit_space(d: SeiferterData) -> SeifertForm:
     """The |n| -> infinity limit: slope beta/alpha, infinite when alpha = 0."""
-    return normalize(d.b, (d.r1, d.r2, d.limit_slope))
+    return _space(d, d.beta, d.alpha)
 
 
 def h1_consistency(d: SeiferterData, n: int) -> bool:
@@ -113,11 +114,8 @@ def h1_consistency(d: SeiferterData, n: int) -> bool:
     True for data realized by a knot in the 3-sphere; returns False (never
     raises) on synthetic data that violates it.
     """
-    c = classify(surgered_space(d, n))
-    s = surgery_slope(d, n)
-    if c.h1 is INF:
-        return s == 0
-    return c.h1 == abs(s)
+    h = classify(surgered_space(d, n)).h1
+    return (0 if h is INF else h) == abs(surgery_slope(d, n))
 
 
 @dataclass(frozen=True)
@@ -186,33 +184,17 @@ class Run:
     mirrored: bool = False
 
 
-def _piece(desc: ThirdSlotThreshold, r: Fraction, below: bool = False):
-    """The piece of (0,1) on which ``desc`` has one verdict and which holds
-    r, or with ``below`` the slopes just below r.
-
-    Returns (is_lspace, lo, lo_closed): the verdict and the piece's lower
-    end, which belongs to the piece when it is closed.
-    """
-    x = desc.boundary
-    if x is None or not 0 < x < 1:
-        return True, Fraction(0), False
-    # the L-space piece lies above x for b = -1 and below it for b = -2; x
-    # itself is an L-space, so it closes the upper piece only for b = -1
-    up = desc.b == -1
-    if r > x or (r == x and up and not below):
-        return up, x, up
-    return not up, Fraction(0), False
-
-
-def _first_below(d: SeiferterData, c: Fraction, strict: bool) -> int:
+def _first_below(d: SeiferterData, c: tuple, strict: bool) -> int:
     """Least j with f(j) < c (strict) or f(j) <= c, among the indices on the
-    side of the pole where f takes the value c.
+    side of the pole where f takes the value c = (p, q), q > 0.
 
-    f is decreasing there, so this inverts f(x) = c (Moebius inversion) and
-    rounds; c must differ from the limit slope beta/alpha.
+    f is decreasing there, so this inverts f(x) = c (Moebius inversion) by
+    floor division; c must differ from the limit slope beta/alpha.
     """
-    x = (d.beta3 - c * d.alpha3) / (c * d.alpha - d.beta)
-    return math.floor(x) + 1 if strict else math.ceil(x)
+    num, den = d.beta3 * c[1] - c[0] * d.alpha3, c[0] * d.alpha - d.beta * c[1]
+    if den < 0:
+        num, den = -num, -den
+    return num // den + 1 if strict else -(-num // den)
 
 
 def _runs(d: SeiferterData) -> list:
@@ -225,45 +207,59 @@ def _runs(d: SeiferterData) -> list:
     the band's threshold has one verdict.  The walk starts at -infinity in
     the piece just below beta/alpha and ends at the run right of the pole
     whose lower cut is at or below beta/alpha: f stays above beta/alpha
-    there, so that run goes on to +infinity.
+    there, so that run goes on to +infinity.  Slopes and cuts are reduced
+    pairs (num, den), den > 0; the oracle is ``oracles.fraction_runs``.
     """
-    if d.alpha == 0:
+    alpha, beta, alpha3, beta3 = d.alpha, d.beta, d.alpha3, d.beta3
+    if not alpha:
         # f(j) = -j + beta3 is an integer for every j: all members are lens
-        # spaces, L-spaces except a single possible S2 x S1.
-        if d.r1 + d.r2 != 1:
+        # spaces, L-spaces except a single possible S2 x S1 when r2 = 1 - r1.
+        r1, r2 = d.r1, d.r2
+        if (r2.numerator, r2.denominator) != (r1.denominator - r1.numerator, r1.denominator):
             return [(None, None, True, None, None)]
-        j = d.b + d.beta3 + 1
+        j = d.b + beta3 + 1
         return [(None, j - 1, True, None, None), j, (j + 1, None, True, None, None)]
 
     cache = {}
 
-    def piece(v, below=False):
-        # v's band (the lower one if v is an integer, which only the limit
-        # slope can be), its threshold, computed once per band, and the
-        # piece holding v or the slopes just below it
-        p = math.ceil(v) - 1
+    def piece(num, den, below=False):
+        # the band p < num/den <= p + 1 (the lower one if num/den is an
+        # integer, which only the limit slope can be), its threshold,
+        # computed once per band, and the piece of the band with one verdict
+        # that holds num/den, or with ``below`` the slopes just below it:
+        # (verdict, lower cut, whether the cut belongs to the piece, band
+        # base, threshold)
+        p = (num - 1) // den
         if p not in cache:
             cache[p] = third_slot_threshold(d.b + p, d.r1, d.r2)
-        verdict, lo, lo_closed = _piece(cache[p], v - p, below)
-        return verdict, p + lo, lo_closed, d.b + p, cache[p]
+        t = cache[p]
+        x, q = t.cut or (0, 1)
+        inner, up = 0 < x < q, t.b == -1
+        # the L-space piece lies above x for b = -1 and below it for b = -2;
+        # x itself is an L-space, so it closes the upper piece only for b = -1
+        above = (num - p * den) * q - x * den
+        if inner and (above > 0 or above == 0 and up and not below):
+            return up, (p * q + x, q), up, d.b + p, t
+        return not (inner and up), (p, 1), False, d.b + p, t
 
-    pole = Fraction(-d.alpha3, d.alpha)
-    rc = d.limit_slope
-    # f increases to rc from below as j -> -infinity
-    verdict, c, closed, base, desc = piece(rc, below=True)
+    rn, rd = (beta, alpha) if alpha > 0 else (-beta, -alpha)
+    # f increases to rn/rd from below as j -> -infinity
+    verdict, c, closed, base, desc = piece(rn, rd, below=True)
     j = _first_below(d, c, closed)
     rows = [(None, j - 1, verdict, base, desc)]
-    # at integers |f(j) - rc| <= 1/|alpha|, so each side of the pole meets at
-    # most three bands, each split at most once by its threshold
+    # at integers |f(j) - beta/alpha| <= 1/|alpha|, so each side of the pole
+    # meets at most three bands, each split at most once by its threshold
     while True:
-        v = fiber_slope(d, j)
-        if v is INF or v.denominator == 1:
+        num, den = j * beta + beta3, j * alpha + alpha3
+        if -1 <= den <= 1:  # the pole, or an integer slope: f(j) is reduced
             rows.append(j)
             j += 1
             continue
-        verdict, c, closed, base, desc = piece(v)
-        if j > pole and c <= rc:
-            # f > rc right of the pole, so this cut is never reached
+        s = 1 if den > 0 else -1
+        verdict, c, closed, base, desc = piece(s * num, s * den)
+        if s * alpha > 0 and c[0] * rd <= rn * c[1]:
+            # right of the pole (s * alpha > 0) f > beta/alpha, so this cut
+            # is never reached
             rows.append((j, None, verdict, base, desc))
             return rows
         nxt = _first_below(d, c, closed)

@@ -19,7 +19,11 @@ the member's surgery slope and its form from ``fraction_normalize`` of the
 raw slopes with a ``Fraction`` fiber slope, all negated for a mirrored
 member.  ``fraction_point``, the package's former ``evaluate_point``, takes
 that form through ``fraction_classify`` and ``fraction_decide``; it is the
-reference for the integers ``evaluate_point`` builds a member from.  The
+reference for the integers ``evaluate_point`` builds a member from.
+``fraction_runs``, with ``fraction_piece``, ``fraction_first_below`` and
+``fiber_slope``, is the package's former ``Fraction`` walk ``_runs``: the
+reference for the integer walk and, through ``fiber_slope``, for
+``surgered_space``.  The
 ``fraction_*`` oracles read a form's slopes through its ``Fraction`` view,
 ``SeifertForm.slopes``.  ``euler_number`` is b plus the sum of those
 ``Fraction``s.  ``point_json`` and ``add_approx`` are the package's
@@ -40,11 +44,12 @@ from math import gcd
 import numpy as np
 
 from seifert_lspace.formats import ParseError, form_json, verdict_json
-from seifert_lspace.lspace import LSpaceVerdict, Reason, _witness_from_pairs, search_bound
+from seifert_lspace.lspace import (LSpaceVerdict, Reason, ThirdSlotThreshold, _witness_from_pairs,
+                                   search_bound, third_slot_threshold)
 from seifert_lspace.rationals import INF, is_finite
 from seifert_lspace.seifert import (Base, Classification, DegenerateEuler, SeifertForm, Tag,
                                     UnsupportedFiberCount)
-from seifert_lspace.twist import FamilyMember, PointVerdict
+from seifert_lspace.twist import FamilyMember, PointVerdict, SeiferterData
 
 _TABLES = {}
 
@@ -461,6 +466,103 @@ def fraction_point(member: FamilyMember, n: int) -> PointVerdict:
     """The n-th member's verdict from its ``Fraction`` form."""
     slope, form = fraction_member_point(member, n)
     return PointVerdict(n, slope, form, fraction_classify(form).tag, fraction_decide(form))
+
+
+# ---- the Fraction-based twist walk, kept verbatim as a reference
+
+def fiber_slope(d: SeiferterData, n: int):
+    """Slope of the twisted seiferter after n twists; INF at the pole."""
+    den = n * d.alpha + d.alpha3
+    num = n * d.beta + d.beta3
+    if den == 0:
+        return INF
+    return Fraction(num, den)
+
+
+def fraction_piece(desc: ThirdSlotThreshold, r: Fraction, below: bool = False):
+    """The piece of (0,1) on which ``desc`` has one verdict and which holds
+    r, or with ``below`` the slopes just below r.
+
+    Returns (is_lspace, lo, lo_closed): the verdict and the piece's lower
+    end, which belongs to the piece when it is closed.
+    """
+    x = desc.boundary
+    if x is None or not 0 < x < 1:
+        return True, Fraction(0), False
+    # the L-space piece lies above x for b = -1 and below it for b = -2; x
+    # itself is an L-space, so it closes the upper piece only for b = -1
+    up = desc.b == -1
+    if r > x or (r == x and up and not below):
+        return up, x, up
+    return not up, Fraction(0), False
+
+
+def fraction_first_below(d: SeiferterData, c: Fraction, strict: bool) -> int:
+    """Least j with f(j) < c (strict) or f(j) <= c, among the indices on the
+    side of the pole where f takes the value c.
+
+    f is decreasing there, so this inverts f(x) = c (Moebius inversion) and
+    rounds; c must differ from the limit slope beta/alpha.
+    """
+    x = (d.beta3 - c * d.alpha3) / (c * d.alpha - d.beta)
+    return math.floor(x) + 1 if strict else math.ceil(x)
+
+
+def fraction_runs(d: SeiferterData) -> list:
+    """Cut the data indices, all of Z, into one increasing list of maximal
+    runs (from_j, to_j, is_lspace, band_base, threshold), None marking an
+    infinite end, and the indices between them that no threshold covers, as
+    ints: the pole, integer values of f, and the alpha = 0 S2 x S1 index.
+
+    A run holds the indices whose f(j) lies in one piece of one band, where
+    the band's threshold has one verdict.  The walk starts at -infinity in
+    the piece just below beta/alpha and ends at the run right of the pole
+    whose lower cut is at or below beta/alpha: f stays above beta/alpha
+    there, so that run goes on to +infinity.
+    """
+    if d.alpha == 0:
+        # f(j) = -j + beta3 is an integer for every j: all members are lens
+        # spaces, L-spaces except a single possible S2 x S1.
+        if d.r1 + d.r2 != 1:
+            return [(None, None, True, None, None)]
+        j = d.b + d.beta3 + 1
+        return [(None, j - 1, True, None, None), j, (j + 1, None, True, None, None)]
+
+    cache = {}
+
+    def piece(v, below=False):
+        # v's band (the lower one if v is an integer, which only the limit
+        # slope can be), its threshold, computed once per band, and the
+        # piece holding v or the slopes just below it
+        p = math.ceil(v) - 1
+        if p not in cache:
+            cache[p] = third_slot_threshold(d.b + p, d.r1, d.r2)
+        verdict, lo, lo_closed = fraction_piece(cache[p], v - p, below)
+        return verdict, p + lo, lo_closed, d.b + p, cache[p]
+
+    pole = Fraction(-d.alpha3, d.alpha)
+    rc = d.limit_slope
+    # f increases to rc from below as j -> -infinity
+    verdict, c, closed, base, desc = piece(rc, below=True)
+    j = fraction_first_below(d, c, closed)
+    rows = [(None, j - 1, verdict, base, desc)]
+    # at integers |f(j) - rc| <= 1/|alpha|, so each side of the pole meets at
+    # most three bands, each split at most once by its threshold
+    while True:
+        v = fiber_slope(d, j)
+        if v is INF or v.denominator == 1:
+            rows.append(j)
+            j += 1
+            continue
+        verdict, c, closed, base, desc = piece(v)
+        if j > pole and c <= rc:
+            # f > rc right of the pole, so this cut is never reached
+            rows.append((j, None, verdict, base, desc))
+            return rows
+        nxt = fraction_first_below(d, c, closed)
+        rows.append((j, nxt - 1, verdict, base, desc))
+        j = nxt
+
 
 
 def point_json(p: PointVerdict):

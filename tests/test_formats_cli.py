@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from seifert_lspace import INF, Base, SeifertForm, formats, normalize
 from seifert_lspace.cli import MAX_WINDOW, _window, build_parser, main
 from seifert_lspace.corpus import CASES, Case, Check, run_corpus
-from seifert_lspace.families import catalog
+from seifert_lspace.families import catalog, family_kinds
 from seifert_lspace.formats import ParseError, dumps, form_json, parse_form, rational_json
 from seifert_lspace.lspace import decide
 from seifert_lspace.rationals import int_text
@@ -936,3 +937,185 @@ class TestPinnedVerbOutput:
             out = re.sub(r'"elapsed_ms": [^,\n]*', '"elapsed_ms": 0', got.out)
             h.update(f"{' '.join(argv)}\n{rc}\n{out}\n{got.err}".encode())
         assert h.hexdigest() == VERB_OUTPUT_SHA256
+
+
+class TestFormFromStdin:
+    """decide, h1 and normalize read the form from stdin when it is "-": a
+    text past the longest argument Linux passes (131,072 bytes) reaches the
+    parser, and a form read so prints what the same form as an argument
+    prints, its inputs.form included."""
+
+    def test_a_10e5_slope_text_is_rejected_within_budget(self, capsys, monkeypatch):
+        text = "SFS[S2; 0; " + ", ".join(f"1/{k}" for k in range(2, 100002)) + "]"
+        assert len(text) > 131072
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        t0 = time.perf_counter()
+        rc = main(["decide", "-"])
+        dt = time.perf_counter() - t0
+        got = capsys.readouterr()
+        assert (rc, got.out, got.err) == (2, "", "error: 100000 exceptional fibers\n")
+        assert dt < 5.0, f"10^5-slope text through stdin in {dt:.2f} s (budget 5 s)"
+
+    @pytest.mark.parametrize("verb", ["decide", "h1", "normalize"])
+    def test_stdin_prints_what_the_argument_prints(self, verb, capsys, monkeypatch):
+        for form in (*_FORMS, "SFS[S2; 1; 1/2,]", "SFS[S2; 0; 1/2, 1/3, 1/5, 1/7]"):
+            for mode in _MODES:
+                got = []
+                for arg in (form, "-"):
+                    monkeypatch.setattr(sys, "stdin", io.StringIO(form))
+                    rc = main([verb, *mode, arg])
+                    out, err = capsys.readouterr()
+                    got.append((rc, re.sub(r'"elapsed_ms": [^,\n]*', "", out), err))
+                assert got[0] == got[1], (verb, form, mode)
+
+
+_UNICODE_DIGITS = ("\u0660", "\uff10", "\u0966")  # Arabic-Indic, fullwidth, Devanagari zeros
+
+
+class TestArgvFuzz:
+    """A seeded argv fuzzer over every verb and all four modes, in process.
+    Every call exits 0, 1 or 2; an exit of 2 prints exactly one error:
+    line; --json output parses.  Inputs valid by construction (grammar
+    forms of at most three finite slopes, slopes in (0, 1), det-1 seiferter
+    data, and every --params kind at 1, 100 and 4,000 digits) exit 0 or 1.
+    At 4,400 digits a parameter is past the parser's 4300-digit limit, so
+    its call exits 2 with that error."""
+
+    @staticmethod
+    def _run(argv, capsys):
+        try:
+            rc = main(argv)
+        except SystemExit as e:  # argparse rejects the arguments
+            rc = e.code
+        out, err = capsys.readouterr()
+        assert rc in (0, 1, 2), (argv, rc)
+        if rc == 2:
+            assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+        elif "--json" in argv:
+            with _unlimited_int_digits():
+                json.loads(out)
+        return rc, err
+
+    @staticmethod
+    def _digits(rng, n):
+        """The decimal text of an n-digit natural number, its digits
+        sometimes written in another Unicode script."""
+        text = str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=n - 1))
+        if rng.random() < 0.1:
+            zero = ord(rng.choice(_UNICODE_DIGITS))
+            text = "".join(chr(zero + int(c)) for c in text)
+        return text
+
+    def _integer(self, rng, long=True):
+        """(text, digit count) of a signed integer, up to 4,400 digits."""
+        n = rng.choice([1, 1, 2, 18, 60] + ([4000, 4400] if long else []))
+        return rng.choice(["", "-"]) + self._digits(rng, n), n
+
+    def _form(self, rng):
+        """(text, valid): a form text of the grammar, sometimes with a
+        character inserted; valid when it parses and classification
+        covers it."""
+        if rng.random() < 0.05:
+            return "SFS[RP2]", True
+        b, n = rng.choice([self._integer(rng), ("-1", 1), ("-2", 1)])
+        valid, slopes = n <= 4300, []
+        for _ in range(rng.choice([0, 1, 2, 3, 3, 3, 4])):
+            kind = rng.random()
+            if kind < 0.1:
+                slopes.append("inf")
+                valid = False
+                continue
+            if kind > 0.6:  # a small slope, where witnesses are common
+                q = rng.randint(2, 12)
+                slopes.append(f"{rng.randint(1, q - 1)}/{q}")
+                continue
+            num, n = self._integer(rng)
+            den = "0" if kind < 0.15 else self._digits(rng, rng.choice([1, 2, 18, 60, 4300]))
+            valid = valid and kind >= 0.15 and n <= 4300
+            slopes.append(f"{num}/{den}" if kind > 0.3 else num)
+        valid = valid and len(slopes) <= 3
+        text = f"SFS[S2; {b}" + (f"; {', '.join(slopes)}]" if slopes else "]")
+        if rng.random() < 0.1:
+            i = rng.randrange(len(text) + 1)
+            text, valid = text[:i] + rng.choice("x,;/-[]\u00e9 ") + text[i:], False
+        return text, valid
+
+    def _unit(self, rng):
+        """(text, valid) of a slope argument, in (0, 1) when valid."""
+        if rng.random() < 0.1:
+            return rng.choice(["1/0", "x", "3/2", "0", "-1/2", "1/2/3"]), False
+        q = rng.choice([2, 3, 7, 10 ** 18 + 9, 10 ** 60 + 7])
+        return f"{rng.randint(1, q - 1)}/{q}", True
+
+    def _seiferter(self, rng):
+        """twist-scan options of det-1 data with entries up to 10^400, or
+        with a determinant off by one."""
+        big = 10 ** rng.choice([1, 18, 400])
+        while True:
+            alpha3 = rng.randint(1, big)
+            alpha = rng.randint(-big, big)
+            if math.gcd(alpha, alpha3) == 1:
+                break
+        beta3 = (pow(alpha, -1, alpha3) if alpha3 > 1 else 0) + alpha3 * rng.randint(-4, 4)
+        beta = (alpha * beta3 - 1) // alpha3 + (rng.random() < 0.1)
+        return [f"--alpha={alpha}", f"--beta={beta}", f"--alpha3={alpha3}", f"--beta3={beta3}",
+                f"--b={rng.randint(-5, 5)}", f"--m={rng.randint(-big, big)}",
+                f"--l={rng.randint(0, big)}"], (alpha * beta3 - beta * alpha3 == 1)
+
+    def test_seeded_argv_fuzz(self, capsys):
+        rng = random.Random(17)
+        names = [spec.name for spec in catalog()]
+        cases = [c.name for c in CASES]
+        t0 = time.perf_counter()
+        calls, seen = 0, set()
+        for _ in range(300):
+            mode = list(rng.choice(_MODES))
+            verb = rng.choice(["decide", "h1", "normalize", "threshold", "twist-scan",
+                               "family", "reproduce"])
+            valid = True
+            if verb in ("decide", "h1", "normalize"):
+                form, valid = self._form(rng)
+                argv = [verb, *mode, "--", form]
+            elif verb == "threshold":
+                (r1, ok1), (r2, ok2) = self._unit(rng), self._unit(rng)
+                b, n = self._integer(rng, long=False)
+                argv, valid = ["threshold", *mode, "--", b, r1, r2], ok1 and ok2
+            elif verb == "twist-scan":
+                (r1, ok1), (r2, ok2) = self._unit(rng), self._unit(rng)
+                data, ok = self._seiferter(rng)
+                lo = rng.choice([0, -3, 10 ** 18, -10 ** 400])
+                argv = ["twist-scan", *mode, f"--r1={r1}", f"--r2={r2}", *data,
+                        f"--window={lo}..{lo + rng.randint(0, 3)}"]
+                valid = ok and ok1 and ok2
+            elif verb == "family":
+                lo = rng.randint(-20, 20)
+                argv = rng.choice([["family", "list", *mode],
+                                   ["family", "run", rng.choice(names), *mode,
+                                    f"--window={lo}..{lo + rng.randint(0, 6)}"]])
+            else:
+                argv = ["reproduce", *mode, "--only", rng.choice(cases)]
+            rc, _ = self._run(argv, capsys)
+            calls += 1
+            seen.add(rc)
+            if valid:
+                assert rc in (0, 1), (argv, rc)
+        # the tunnel2 kinds take no parameters
+        for kind in [k for k in family_kinds() if not k.startswith("tunnel2")]:
+            for n in (1, 100, 4000, 4400):
+                x = 10 ** (n - 1) + 1 if n > 1 else 2
+                with _unlimited_int_digits():  # to write the 4,400-digit parameters
+                    params = {"p+q": f"p={x},q={x + 1}", "p-q": f"p={x + 1},q={x}",
+                              "unknot": f"m={-x},p={2 * x + 1}", "berge-vii": f"a={x},b={x + 1}",
+                              "berge-viii": f"a={x},b={x + 1}", "em-rp2": f"l={x}"}
+                    params = params.get(kind, f"p={x}")
+                argv = ["family", "run", kind, "--params", params, "--window=0..1", "--json"]
+                rc, err = self._run(argv, capsys)
+                calls += 1
+                if n < 4300:
+                    assert rc in (0, 1), (kind, n, err)
+                else:
+                    assert rc == 2 and err.startswith("error: Exceeds the limit (4300 digits)"), \
+                        (kind, n, err)
+        dt = time.perf_counter() - t0
+        assert seen == {0, 1, 2}
+        assert dt < 5.0, f"{calls} fuzzed calls in {dt:.2f} s (budget 5 s)"

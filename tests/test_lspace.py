@@ -31,6 +31,10 @@ def _pairs(t):
     return [x for s in t for x in (s.numerator, s.denominator)]
 
 
+def _pair(r):
+    return r.numerator, r.denominator
+
+
 def witness_search(t):
     """Smallest witness of a sorted triple in (0,1), or None."""
     return _witness_from_pairs(*_pairs(t))
@@ -235,8 +239,10 @@ class TestAgainstLoopOracles:
     def test_not_lspace_sup_matches_loop(self):
         rng = random.Random(31)
         for _ in range(3000):
-            u, v = (random_unit_fraction(rng, rng.choice((12, 2000))) for _ in range(2))
-            assert _not_lspace_sup(u, v) == loop_not_lspace_sup(u, v), (u, v)
+            u, v = (random_unit_fraction(rng, rng.choice((12, 2000, 10 ** 18))) for _ in range(2))
+            if min(u, v) * 2000 < 1:
+                continue  # the loop walks every k below 1/min(u, v)
+            assert _not_lspace_sup(_pair(u), _pair(v)) == _pair(loop_not_lspace_sup(u, v)), (u, v)
 
     def test_first_denominator_near_1e5(self):
         # the loops walk up to 1/s1 here; half the triples put the simplest
@@ -254,7 +260,7 @@ class TestAgainstLoopOracles:
             assert _witness_pair(t) == loop_witness(*_pairs(t)), t
             u = Fraction(rng.randint(5, 60), q)
             v = random_unit_fraction(rng, q)
-            assert _not_lspace_sup(u, v) == loop_not_lspace_sup(u, v), (u, v)
+            assert _not_lspace_sup(_pair(u), _pair(v)) == _pair(loop_not_lspace_sup(u, v)), (u, v)
 
 
 class TestAgainstFractionOracles:

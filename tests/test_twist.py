@@ -8,12 +8,13 @@ import pytest
 
 from seifert_lspace import (INF, FamilyMember, PointVerdict, Run, SeiferterData, Tag,
                             catalog, classify, classify_family, decide,
-                            fiber_slope, find_family, h1_consistency, limit_space,
+                            find_family, h1_consistency, limit_space,
                             normalize, surgered_space, surgery_slope, twist,
                             tunnel2_family, unknot_seiferter_data)
 from seifert_lspace.twist import _runs, _span, evaluate_point
 
-from oracles import fraction_member_point, fraction_point
+from oracles import (fiber_slope, fraction_member_point, fraction_normalize, fraction_point,
+                     fraction_runs)
 
 
 def F(n, d=1):
@@ -468,6 +469,58 @@ class TestRuns:
                         assert d.b + (v.numerator // v.denominator) == base, (d, j)
                         assert desc.b == base
         assert kinds == {"alpha0", "alpha0-s2xs1", "integer pole", "pole"}
+
+    def test_integer_walk_matches_the_fraction_walk(self):
+        """_runs against the former Fraction walk, row by row, each band's
+        threshold compared through its Fraction view; surgered_space and
+        limit_space against fraction_normalize of the Fraction slope; and
+        every row of a mirrored and an unmirrored member against
+        fraction_point, at the singles and at the ends and inside of runs."""
+        rng = random.Random(1729)
+        kinds = set()
+        for k in range(360):
+            d = _random_seiferter(rng) if k % 2 else _huge_seiferter(rng)
+            rows, want = _runs(d), fraction_runs(d)
+            assert len(rows) == len(want), (d, rows, want)
+            for row, w in zip(rows, want):
+                if isinstance(w, int):
+                    assert row == w, (d, row, w)
+                    continue
+                assert row[:4] == w[:4], (d, row, w)
+                t, u = row[4], w[4]
+                assert (t is None) == (u is None), (d, row, w)
+                if t is not None:
+                    assert (t.b, t.boundary) == (u.b, u.boundary), (d, row, w)
+            ends = {j for row in rows for j in ((row,) if isinstance(row, int) else row[:2])
+                    if j is not None}
+            for j in {rng.randint(-10 ** 20, 10 ** 20), *(e + i for e in ends for i in (-1, 0, 1))}:
+                assert surgered_space(d, j) == \
+                    fraction_normalize(d.b, (d.r1, d.r2, fiber_slope(d, j))), (d, j)
+            assert limit_space(d) == fraction_normalize(d.b, (d.r1, d.r2, d.limit_slope)), d
+            for mirrored in (False, True):
+                member = FamilyMember(data=d, mirrored=mirrored, offset=rng.randint(-9, 9))
+                for row in classify_family(member).rows:
+                    if isinstance(row, PointVerdict):
+                        assert row == fraction_point(member, row.n), (member, row)
+                        continue
+                    a, b = row.from_n, row.to_n
+                    if a is None and b is None:
+                        a, b = -10 ** 18, 10 ** 18
+                    ns = {a if a is not None else b - 10 ** 18,
+                          b if b is not None else a + 10 ** 18}
+                    if a is not None and b is not None:
+                        ns.add(rng.randint(a, b))
+                    for n in ns:
+                        assert fraction_point(member, n).verdict.is_lspace is row.is_lspace, \
+                            (member, row, n)
+            singles = any(isinstance(r, int) for r in rows)
+            kinds.add(("alpha = 0, S2 x S1" if singles else "alpha = 0") if d.alpha == 0 else
+                      "(alpha3, beta3) = (0, 1)" if d.alpha3 == 0 else
+                      "integer limit" if abs(d.alpha) == 1 else
+                      "negative alpha" if d.alpha < 0 else "positive alpha")
+            kinds.add("10^18" if max(abs(d.alpha), d.alpha3) > 10 ** 12 else "small")
+        assert kinds == {"alpha = 0", "alpha = 0, S2 x S1", "(alpha3, beta3) = (0, 1)",
+                         "integer limit", "negative alpha", "positive alpha", "10^18", "small"}
 
     def test_windowless_report_rows(self):
         report = classify_family(find_family("K(3,2;5,n)").members[0])
