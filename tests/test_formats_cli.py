@@ -1078,7 +1078,7 @@ class TestArgvFuzz:
                 argv = [verb, *mode, "--", form]
             elif verb == "threshold":
                 (r1, ok1), (r2, ok2) = self._unit(rng), self._unit(rng)
-                b, n = self._integer(rng, long=False)
+                b, _ = self._integer(rng, long=False)
                 argv, valid = ["threshold", *mode, "--", b, r1, r2], ok1 and ok2
             elif verb == "twist-scan":
                 (r1, ok1), (r2, ok2) = self._unit(rng), self._unit(rng)
