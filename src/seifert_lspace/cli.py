@@ -18,7 +18,7 @@ import time
 
 from . import families as fam
 from .formats import (ParseError, classification_json, describe_segment, describe_tail,
-                      dumps, form_json, parse_form, report_json, threshold_json,
+                      dump, form_json, parse_form, report_json, threshold_json,
                       verdict_json)
 from .lspace import decide, third_slot_threshold
 from .rationals import INF, int_text, pair_text, parse_rational
@@ -260,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(pl)
     pl.set_defaults(fn=cmd_family, action="list")
     pr = psub.add_parser("run")
-    pr.add_argument("name", help="catalog name, or a family kind when --params is given")
+    pr.add_argument("name", help="catalog name, a family kind that takes no parameters "
+                                 "such as tunnel2-a, or a family kind when --params is given")
     pr.add_argument("--params", default=None, metavar="p=2,q=3",
                     help="named integer parameters; the name is then a family "
                          "kind such as p+q, unknot, spor-a, berge-vii, em-rp2")
@@ -286,10 +287,11 @@ def main(argv=None) -> int:
     lines stream from one walk of ``FamilyReport.shown``, each window member
     evaluated as its line is printed.  ``main`` is the one place that times
     a verb and prints: under --json the envelope {command, inputs, outputs,
-    elapsed_ms}, written by ``formats.dumps`` with --float's approximations
-    added as it writes, otherwise the lines.  A verb reports bad input by raising
-    ``ValueError`` (``ParseError`` among them); that, or one raised while the
-    output is built, prints one ``error: ...`` line on stderr and exits 2.
+    elapsed_ms}, written by ``formats.dump`` a batch of texts at a time,
+    with --float's approximations added as it writes, otherwise the lines.
+    A verb reports bad input by raising ``ValueError`` (``ParseError`` among
+    them); that, or one raised while the output is built, prints one
+    ``error: ...`` line on stderr and exits 2.
     """
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
@@ -300,9 +302,9 @@ def main(argv=None) -> int:
             args.form = sys.stdin.read()
         inputs, outputs, lines, code = args.fn(args)
         if args.json:
-            print(dumps({"command": args.command, "inputs": inputs, "outputs": outputs(),
-                         "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3)},
-                        approx=args.float))
+            dump({"command": args.command, "inputs": inputs, "outputs": outputs(),
+                  "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3)},
+                 sys.stdout, approx=args.float)
         else:
             for line in lines():
                 print(line)

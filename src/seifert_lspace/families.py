@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from .rationals import int_text
@@ -354,8 +355,10 @@ def eudave_munoz_rp2_family(l: int) -> FamilySpec:
                       notes=f"surgery slope {slope}; indices {i1}, {i2}")
 
 
+@cache
 def catalog() -> tuple[FamilySpec, ...]:
-    """Every named family shipped with the package."""
+    """Every named family shipped with the package, built on the first call
+    and shared after it: every field of a spec is frozen or a tuple."""
     return (
         twisted_torus_family(TwistedTorusKind.P_PLUS_Q, p=3, q=2),
         twisted_torus_family(TwistedTorusKind.P_PLUS_Q, p=5, q=2),
@@ -402,6 +405,10 @@ def family_kinds() -> tuple[str, ...]:
     return tuple(sorted(_BUILDERS))
 
 
+def _parameters(builder) -> tuple[str, ...]:
+    return builder.__code__.co_varnames[:builder.__code__.co_argcount]
+
+
 def build_family(kind: str, **params) -> FamilySpec:
     """Construct a family from a kind name and named integer parameters.
 
@@ -412,13 +419,16 @@ def build_family(kind: str, **params) -> FamilySpec:
         builder = _BUILDERS[kind.lower()]
     except KeyError:
         raise KeyError(f"unknown family kind {kind!r}; one of {', '.join(family_kinds())}")
-    names = builder.__code__.co_varnames[:builder.__code__.co_argcount]
+    names = _parameters(builder)
     if set(params) != set(names):
         raise PreconditionFailed(f"family kind {kind!r} takes parameters {', '.join(names) or 'none'}")
     return builder(**params)
 
 
 def find_family(name: str) -> FamilySpec:
+    """The catalog family of this name, or of which it is the one
+    substring, or the family of a kind that takes no parameters, named in
+    any case."""
     specs = catalog()
     for s in specs:
         if s.name == name:
@@ -426,6 +436,9 @@ def find_family(name: str) -> FamilySpec:
     matches = [s for s in specs if name in s.name]
     if len(matches) == 1:
         return matches[0]
+    builder = _BUILDERS.get(name.lower())
+    if builder is not None and not _parameters(builder):
+        return builder()
     raise KeyError(name)
 
 

@@ -7,11 +7,16 @@ to the normal-form core in ``seifert`` as reduced (num, den) integer pairs;
 only a text it cannot read is walked token by token, to find the message and
 position of its ``ParseError``.  All JSON numbers are exact integer
 pairs {"num": ..., "den": ...}.  The builders write only those, and a
-report's ``"points"`` are its ``PointVerdict``s themselves.  ``dumps`` is
-the one writer: it writes each point's integers into a layout cached per
-shape, the form's text included, and with ``approx`` set it adds --float's
-decimal approximation to each pair a float holds as it writes it; the
-approximation never feeds back into anything."""
+report's ``"points"`` are its singles' ``PointVerdict``s and the
+``twist.Stretch``es between them.  ``dumps`` is the one writer (``dump``
+writes its texts to a file): it writes a point's integers into a layout
+cached per shape, the form's text included, and a stretch member by member,
+each with one %-format of its varying integers into a layout filled once
+per stretch for each base, slot and verdict shape.  With ``approx`` set it
+adds --float's decimal approximation to each pair a float holds as it
+writes it; the approximation never feeds back into anything.  Every
+layout comes from ``_point_layout``, the one place that gives a point's
+JSON its keys."""
 
 from __future__ import annotations
 
@@ -22,9 +27,9 @@ from math import gcd
 from typing import NoReturn
 
 from .rationals import INF, format_rational, int_text, is_finite, pair_text
-from .seifert import _RP2, Base, Classification, SeifertForm, _normal_form, _trusted_form
+from .seifert import _RP2, _SMALL, Base, Classification, SeifertForm, _normal_form, _trusted_form
 from .lspace import _INFINITE, LSpaceVerdict, ThirdSlotThreshold
-from .twist import FamilyReport, PointVerdict, Run
+from .twist import FamilyReport, PointVerdict, Run, Stretch
 
 
 class ParseError(ValueError):
@@ -160,7 +165,8 @@ def _object_heads(keys: tuple, pad: str) -> tuple:
 def dumps(o, approx: bool = False, _pad: str = "\n") -> str:
     """The bytes of ``json.dumps(o, indent=2)`` for dicts with str keys,
     lists, str, int, bool, None and float, where a container's members may
-    also be ``PointVerdict``s, each written as its JSON object.  With
+    also be ``PointVerdict``s, each written as its JSON object, and a list's
+    members ``Stretch``es, each written as its members' objects.  With
     ``approx``, each dict that is a {"num", "den"} pair with den != 0 and a
     value a float holds gains a last member "approx", the float nearest
     num/den.
@@ -177,6 +183,21 @@ def dumps(o, approx: bool = False, _pad: str = "\n") -> str:
     out = []
     _write(o, approx, _pad, out)
     return "".join(out)
+
+
+_BATCH = 4096  # texts joined per write by ``dump``
+
+
+def dump(o, fp, approx: bool = False) -> None:
+    """Write ``dumps(o, approx)`` and a newline to the text file fp, as
+    ``print`` would, joining and writing a batch of texts at a time: the
+    document's text is never made whole, so beside the texts of its members
+    only one batch is."""
+    out = []
+    _write(o, approx, "\n", out)
+    out.append("\n")
+    for i in range(0, len(out), _BATCH):
+        fp.write("".join(out[i:i + _BATCH]))
 
 
 def _write(o, approx: bool, pad: str, out: list) -> None:
@@ -212,6 +233,9 @@ def _write(o, approx: bool, pad: str, out: list) -> None:
                 v = "null"
             elif tv is PointVerdict:
                 v = _point_text(v, inner, approx)
+            elif tv is Stretch:
+                _write_stretch(v, inner, approx, out)
+                continue
             else:
                 _write(v, approx, inner, out)
                 continue
@@ -263,35 +287,99 @@ def _point_layout(pad: str, slopes: int, degenerate: int, rp2: bool, witness: bo
             .replace(value[1:-1], "%s").replace(name, "%s"))
 
 
-def _point_text(p: PointVerdict, pad: str, approx: bool) -> str:
-    """A point's JSON text: its integers and enum values, in the order of the
-    slots of ``_point_layout``, through one %-format, with no ``repr``; a
-    slope's approx is always there, as p/q lies in (0, 1)."""
-    f, v = p.form, p.verdict
-    w, reason, pairs, b = v.witness, v.reason, f.pairs, f.b
-    rp2 = f.base is _RP2
-    slots = [p.n, "null" if p.slope is None else p.slope]
-    if not rp2:  # the RP2 form's b = 0 is in its layout
+def _slots(n, slope, b, pairs, approxes, tag, reason, witness, dual, bound) -> list:
+    """The values of a point's layout slots, in order: b is None for the
+    RP2 form, whose b = 0 is in its layout; ``approxes``, None without
+    approx, holds each pair's float; ``witness`` is (k, a) or None."""
+    slots = [n, "null" if slope is None else slope]
+    if b is not None:
         flat = sum(pairs, ())  # a classified form has at most three pairs
         slots.append(b)
-        if approx:
-            for num, den in pairs:
-                slots += (num, den, num / den)
-        else:
+        if approxes is None:
             slots += flat
+        else:
+            for (num, den), x in zip(pairs, approxes):
+                slots += (num, den, x)
         slots.append(b)
         slots += flat
-    slots += (p.tag._value_, "true" if reason.is_lspace else "false", reason._value_)
-    if w is not None:
-        slots += (w.k, w.a)
-    slots += ("true" if v.witness_is_dual else "false",
-              "null" if v.search_bound is None else v.search_bound,
+    slots += (tag._value_, "true" if reason.is_lspace else "false", reason._value_)
+    if witness is not None:
+        slots += witness
+    slots += ("true" if dual else "false", "null" if bound is None else bound,
               "true" if reason is _INFINITE else "false")
-    layout = _point_layout(pad, len(pairs), f.degenerate, rp2, w is not None, approx)
+    return slots
+
+
+def _fill(layout: str, values) -> str:
+    """``layout % values``, with no ``repr``; an int past
+    sys.get_int_max_str_digits() goes through ``int_text``."""
     try:
-        return layout % tuple(slots)
-    except ValueError:  # an int past sys.get_int_max_str_digits()
-        return layout % tuple([int_text(x) if type(x) is int else x for x in slots])
+        return layout % values
+    except ValueError:
+        return layout % tuple([int_text(x) if type(x) is int else x for x in values])
+
+
+def _point_text(p: PointVerdict, pad: str, approx: bool) -> str:
+    """A point's JSON text: its integers and enum values, in the order of the
+    slots of ``_point_layout``, through one %-format; a slope's approx is
+    always there, as p/q lies in (0, 1)."""
+    f, v = p.form, p.verdict
+    w, pairs = v.witness, f.pairs
+    rp2 = f.base is _RP2
+    slots = _slots(p.n, p.slope, None if rp2 else f.b, pairs,
+                   [num / den for num, den in pairs] if approx else None, p.tag, v.reason,
+                   None if w is None else (w.k, w.a), v.witness_is_dual, v.search_bound)
+    layout = _point_layout(pad, len(pairs), f.degenerate, rp2, w is not None, approx)
+    return _fill(layout, tuple(slots))
+
+
+_VAR = "\2"  # a placeholder for a value that varies along a stretch
+
+
+def _stretch_layout(fixed: tuple, pad: str, base: int, slot: int, v: LSpaceVerdict,
+                    approx: bool) -> str:
+    """The layout of the stretch members with this base, slot of the moving
+    pair and verdict shape, behind the separator of a list at this indent:
+    ``_point_layout`` filled with the base, the fixed pairs, the tag and the
+    verdict's fixed fields, with a %s slot left for each of n, m_n, the
+    moving pair (p, den) and its approx, and the witness and search bound."""
+    x, w = _VAR, v.witness
+    pairs = list(fixed)
+    pairs.insert(slot, (x, x))
+    approxes = None
+    if approx:
+        approxes = [x if num is x else num / den for num, den in pairs]
+    slots = _slots(x, x, base, pairs, approxes, _SMALL, v.reason,
+                   None if w is None else (x, x), v.witness_is_dual,
+                   None if v.search_bound is None else x)
+    text = _fill(_point_layout(pad, 3, 0, False, w is not None, approx), tuple(slots))
+    return ("," + pad + text.replace("%", "%%")).replace(x, "%s")
+
+
+def _write_stretch(s: Stretch, pad: str, approx: bool, out: list) -> None:
+    """Append the JSON texts of a stretch's members to ``out``, as members
+    of a list at this indent, each after the separator the list's head
+    leaves to it: a three-pair member is one %-format of its varying
+    integers into its ``_stretch_layout``, filled once per base, slot and
+    verdict shape; any other is its ``_point_text``."""
+    layouts, start, sep = {}, len(out), "," + pad
+    for t in s.members():
+        if type(t) is not tuple:
+            out += (sep, _point_text(t, pad, approx))
+            continue
+        n, slope, base, slot, p, den, v = t
+        w, bound = v.witness, v.search_bound
+        key = (base, slot, v.reason._value_, w is None)
+        layout = layouts.get(key)
+        if layout is None:
+            layout = layouts[key] = _stretch_layout(s.member.frame[1], pad, base, slot, v,
+                                                    approx)
+        t = (n, slope, p, den, p / den, p, den) if approx else (n, slope, p, den, p, den)
+        if bound is not None:
+            t += (bound,) if w is None else (w.k, w.a, bound)
+        out.append(_fill(layout, t))
+    # the first member follows the list's head, not a separator
+    out[start] = out[start][len(sep):]
 
 
 def rational_json(x):
@@ -384,13 +472,14 @@ def segment_json(s: Run):
 
 
 def report_json(r: FamilyReport, window):
-    """The report shown on the window lo..hi, from one walk of ``r.shown``;
-    its points are the ``PointVerdict``s, which ``dumps`` writes."""
-    rows = list(r.shown(*window))
-    runs = [row for row in rows if isinstance(row, Run)]
+    """The report shown on the window lo..hi, from one walk of
+    ``r.stretches``; its points are the singles' ``PointVerdict``s and the
+    ``Stretch``es between them, which ``dumps`` writes member by member."""
+    rows = list(r.stretches(*window))
+    runs = [row for row in rows if type(row) is Run]
     return {
         "window": list(window),
-        "points": [p for p in rows if isinstance(p, PointVerdict)],
+        "points": [p for p in rows if type(p) is not Run],
         "segments": [segment_json(s) for s in runs[1:-1]],
         "tail_pos": tail_json(runs[-1], r.limit_slope),
         "tail_neg": tail_json(runs[0], r.limit_slope),

@@ -139,18 +139,24 @@ def _decide_classified(f: SeifertForm, c: Classification) -> LSpaceVerdict:
         # both summand orders of a connected sum are >= 2, so neither
         # summand is S3 or S2 x S1; what is left is S3 or a lens space
         return _CONNECTED_SUM if tag is _SUM else _INFINITE_H1 if tag is _S2XS1 else _LENS
+    (p1, q1), (p2, q2), (p3, q3) = f.pairs
+    return _decide_small(f.b, p1, q1, p2, q2, p3, q3, c.h1 is INF)
 
-    b = f.b
+
+def _decide_small(b: int, p1: int, q1: int, p2: int, q2: int, p3: int, q3: int,
+                  euler_zero: bool) -> LSpaceVerdict:
+    """The verdict on S2(b; p1/q1, p2/q2, p3/q3), its three slopes sorted in
+    (0,1); ``euler_zero`` says whether b + p1/q1 + p2/q2 + p3/q3 is 0 (which
+    needs b = -1 or -2), the one case of infinite first homology."""
     if b >= 0 or b <= -3:
         return _B_LARGE
-    (p1, q1), (p2, q2), (p3, q3) = f.pairs
     dual = b == -2
     if dual:
         # complemented slopes in sorted order: 1 - r3 <= 1 - r2 <= 1 - r1
         p1, q1, p2, p3, q3 = q3 - p3, q3, q2 - p2, q1 - p1, q1
     w = _witness_from_pairs(p1, q1, p2, q2, p3, q3)
     bound = search_bound(p1, q1)
-    if c.h1 is INF:
+    if euler_zero:
         # not a rational homology sphere, hence not an L-space; the witness
         # (which exists exactly when a horizontal foliation does) is still
         # reported alongside.

@@ -22,8 +22,17 @@ boundary, and the indices no threshold covers (the pole and integer values
 of f).  The two end runs are the tails: each is certified with the first
 index from which a single verdict holds, replacing epsilon-style "for n
 large enough" statements.  A report is the runs and the singles alone, so
-its cost does not depend on any range of indices; ``FamilyReport.shown``
-alone reads a display window, evaluating its members one at a time.
+its cost does not depend on any range of indices.
+
+``FamilyReport.stretches`` alone reads a display window: it cuts the window
+at the singles in it into stretches, the maximal ranges between them.  Away
+from the pole and the integer values of f, every member is S2(b + k; r1, r2,
+p/den) with 0 < p < den, so along a stretch only the base b + k, the slot of
+p/den among the two fixed slopes and the verdict's fields move.  One
+evaluator, ``_members``, walks a stretch from the member's ``frame``,
+advancing f(n) and m_n by additions and deciding each member on integers;
+``evaluate_point`` is its one-member case, and ``FamilyReport.shown``
+expands its members into ``PointVerdict``s.
 
 All of it runs on integers: f(n) is the reduced pair (n*beta + beta_3,
 n*alpha + alpha_3), and the walk compares such pairs by cross-multiplication.
@@ -42,9 +51,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .rationals import INF
-from .seifert import (Base, SeifertForm, Tag, _new_tuple, _normal_form, _trusted_form, classify,
-                      mirror, normalize)
-from .lspace import (LSpaceVerdict, ThirdSlotThreshold, _decide_classified, decide,
+from .seifert import (_SMALL, Base, SeifertForm, Tag, _new_tuple, _normal_form, _trusted_form,
+                      classify, mirror, normalize)
+from .lspace import (LSpaceVerdict, ThirdSlotThreshold, _decide_classified, _decide_small, decide,
                      third_slot_threshold)
 
 
@@ -275,6 +284,17 @@ class PointVerdict(NamedTuple):
     verdict: LSpaceVerdict
 
 
+class Stretch(NamedTuple):
+    """The members lo..hi of a family, a maximal range of a shown window
+    between its singles; ``members()`` evaluates them."""
+    member: FamilyMember
+    lo: int
+    hi: int
+
+    def members(self):
+        return _members(self.member, self.lo, self.hi)
+
+
 def _span(row) -> tuple:
     """(first, last) index of a run or a single, None at an infinite end."""
     return (row.from_n, row.to_n) if isinstance(row, Run) else (row.n, row.n)
@@ -317,64 +337,114 @@ class FamilyReport:
             if (a is None or a <= n) and (b is None or n <= b):
                 return row.is_lspace if isinstance(row, Run) else row.verdict.is_lspace
 
-    def shown(self, lo: int, hi: int):
+    def stretches(self, lo: int, hi: int):
         """The report shown on the window lo..hi, in increasing order: the
-        part of each row left of it, each of its members, evaluated when
-        reached (a single reuses its verdict), and the part of each row
-        right of it; so the tails come first and last."""
+        part of each row left of it, its members as the singles in it and
+        the ``Stretch``es between them, and the part of each row right of
+        it; so the tails come first and last."""
         if lo > hi:
             raise ValueError("empty window")
         for row in self.rows:
             a, b = _span(row)
             if a is None or a < lo:
                 yield row if b is not None and b < lo else replace(row, to_n=lo - 1)
-        singles = {r.n: r for r in self.rows
-                   if isinstance(r, PointVerdict) and lo <= r.n <= hi}
-        member = self.member
-        for n in range(lo, hi + 1):
-            yield singles[n] if n in singles else evaluate_point(member, n)
+        start = lo
+        for row in self.rows:
+            if type(row) is PointVerdict and lo <= row.n <= hi:
+                if start < row.n:
+                    yield Stretch(self.member, start, row.n - 1)
+                yield row
+                start = row.n + 1
+        if start <= hi:
+            yield Stretch(self.member, start, hi)
         for row in self.rows:
             a, b = _span(row)
             if b is None or b > hi:
                 yield row if a is not None and a > hi else replace(row, from_n=hi + 1)
 
+    def shown(self, lo: int, hi: int):
+        """``stretches(lo, hi)`` with each stretch expanded into the
+        ``PointVerdict``s of its members, evaluated when reached."""
+        member = self.member
+        for row in self.stretches(lo, hi):
+            if type(row) is Stretch:
+                for t in row.members():
+                    yield _point(member, t)
+            else:
+                yield row
+
 
 _RP2_FORM = SeifertForm(base=Base.RP2)
 
 
-def evaluate_point(d, n: int) -> PointVerdict:
-    """The verdict on the n-th member, on integers alone.
+def _classified(n: int, slope, form: SeifertForm) -> PointVerdict:
+    c = classify(form)
+    return _new_tuple(PointVerdict, (n, slope, form, c.tag, _decide_classified(form, c)))
+
+
+def _members(member: FamilyMember, lo: int, hi: int):
+    """The members lo..hi in increasing order, each decided on integers
+    alone, reading the member's ``frame`` once.
 
     f(j) is the pair (j * beta + beta3, j * alpha + alpha3), negated for a
     mirrored member, and reduced: the unimodular seiferter matrix maps the
-    primitive vector (j, 1) to a primitive one.  One ``divmod`` folds it into
-    the base of the member's ``frame``, and cross-multiplication places the
-    remainder among the two sorted fixed pairs, so the form is built normal.
-    Its oracle is ``fraction_point`` in ``tests/oracles.py``: ``Fraction``
-    slopes through ``fraction_classify`` and ``fraction_decide``.
+    primitive vector (j, 1) to a primitive one; it and m_n advance by
+    additions.  Where f(j) = p/den is not an integer (den >= 2), one
+    ``divmod`` folds it into the base of the frame and cross-multiplication
+    places the remainder among the two sorted fixed pairs, at ``slot`` 0, 1
+    or 2 of the three; the member is the tuple (n, m_n, base, slot, p, den,
+    verdict), decided by ``lspace._decide_small`` with its Euler number
+    tested by cross-multiplication, and ``_point`` expands it.  The pole, an
+    integral f(j) and a projective-base member are yielded as their
+    ``PointVerdict``s, classified.  The oracle is ``fraction_point`` in
+    ``tests/oracles.py``: ``Fraction`` slopes through ``fraction_classify``
+    and ``fraction_decide``.
     """
-    member = d if isinstance(d, FamilyMember) else FamilyMember(data=d)
     if member.rp2:
-        slope, form = None, _RP2_FORM
-    else:
-        b, fixed, s, offset, alpha, beta, alpha3, beta3, m, ll = member.frame
-        j = s * (n + offset)
-        slope = s * (m + j * ll)
-        num, den = s * (j * beta + beta3), j * alpha + alpha3
-        if den < 0:
-            num, den = -num, -den
-        if den:
-            whole, p = divmod(num, den)
-            ((p1, q1), (p2, q2)), r = fixed, (p, den)
-            # r goes after the fixed pairs at or below it, as _normal_form
-            # inserts it; an integral slope leaves none
-            pairs = (fixed if not p else (r, *fixed) if p * q1 < p1 * den
-                     else (fixed[0], r, fixed[1]) if p * q2 < p2 * den else (*fixed, r))
-            form = _trusted_form(b + whole, pairs, 0)
-        else:
-            form = _trusted_form(b, fixed, 1)
-    c = classify(form)
-    return _new_tuple(PointVerdict, (n, slope, form, c.tag, _decide_classified(form, c)))
+        for n in range(lo, hi + 1):
+            yield _classified(n, None, _RP2_FORM)
+        return
+    b, fixed, s, offset, alpha, beta, alpha3, beta3, m, ll = member.frame
+    (a1, c1), (a2, c2) = fixed
+    # b' + a1/c1 + a2/c2 + p/den is (b' * q + e) / q + p/den
+    e, q = a1 * c2 + a2 * c1, c1 * c2
+    j = s * (lo + offset)
+    slope, num, den, step = s * (m + j * ll), s * (j * beta + beta3), j * alpha + alpha3, s * alpha
+    for n in range(lo, hi + 1):
+        p, d = (-num, -den) if den < 0 else (num, den)
+        if d > 1:
+            whole, p = divmod(p, d)
+            base = b + whole
+            zero = -3 < base < 0 and (base * q + e) * d + p * q == 0
+            # (p, d) goes after the fixed pairs at or below it, as
+            # _normal_form inserts it
+            if p * c1 < a1 * d:
+                yield n, slope, base, 0, p, d, _decide_small(base, p, d, a1, c1, a2, c2, zero)
+            elif p * c2 < a2 * d:
+                yield n, slope, base, 1, p, d, _decide_small(base, a1, c1, p, d, a2, c2, zero)
+            else:
+                yield n, slope, base, 2, p, d, _decide_small(base, a1, c1, a2, c2, p, d, zero)
+        else:  # the pole (d = 0), or the integer p
+            yield _classified(n, slope, _trusted_form(b + p, fixed, 0) if d
+                              else _trusted_form(b, fixed, 1))
+        slope, num, den = slope + ll, num + beta, den + step
+
+
+def _point(member: FamilyMember, t) -> PointVerdict:
+    """The ``PointVerdict`` of a member as ``_members`` yields it."""
+    if type(t) is not tuple:
+        return t
+    n, slope, base, slot, p, den, verdict = t
+    fixed, r = member.frame[1], (p, den)
+    pairs = (r, *fixed) if slot == 0 else (fixed[0], r, fixed[1]) if slot == 1 else (*fixed, r)
+    return _new_tuple(PointVerdict, (n, slope, _trusted_form(base, pairs, 0), _SMALL, verdict))
+
+
+def evaluate_point(d, n: int) -> PointVerdict:
+    """The verdict on the n-th member: the one-member case of ``_members``."""
+    member = d if isinstance(d, FamilyMember) else FamilyMember(data=d)
+    (t,) = _members(member, n, n)
+    return _point(member, t)
 
 
 def classify_family(d) -> FamilyReport:

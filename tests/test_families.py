@@ -393,9 +393,19 @@ class TestRegressionContract:
         assert (outputs["guarantee_confirmed"], outputs["problems"]) == check_guarantee(spec)
         assert rc == 0
 
+    def test_catalog_is_built_once(self):
+        assert catalog() is catalog()
+
     def test_find_family(self):
         assert find_family("tunnel2-A").name == "tunnel2-A"
         assert find_family("K(3,2;5,n)").name == "K(3,2;5,n)"
+        # a kind that takes no parameters, in any case
+        for name in ("tunnel2-a", "TUNNEL2-A", "Tunnel2-b"):
+            assert find_family(name) == find_family("tunnel2-" + name[-1].upper())
+        with pytest.raises(KeyError):
+            find_family("tunnel2")
+        with pytest.raises(KeyError):
+            find_family("unknot")
         with pytest.raises(KeyError):
             find_family("no-such-family")
 

@@ -314,6 +314,84 @@ class TestPointLayouts:
             assert dumps(points, approx) == dumps(self._oracle(points, approx))
 
 
+class TestStretchWriter:
+    """``dumps`` writes a ``Stretch`` as its members' ``_point_text``s, the
+    one-member path, would: byte for byte, at any indent, with and without
+    ``approx``."""
+
+    @staticmethod
+    def _members(rng):
+        """300 seeded seiferters, mirrored and offset, and seiferters whose
+        member at n = -offset has Euler number zero, each with windows by
+        its pole and by 0; the alpha = 0 lens family of the catalog and an
+        rp2 member; and windows of indices past 10^4400."""
+        from test_twist import _huge_seiferter, _random_seiferter
+        out = []
+        for k in range(300):
+            d = _random_seiferter(rng) if k % 3 else _huge_seiferter(rng)
+            for mirrored in (False, True):
+                member = FamilyMember(data=d, mirrored=mirrored, offset=rng.randint(-9, 9))
+                pole = -d.alpha3 // d.alpha if d.alpha else 0
+                pole = -pole - member.offset if mirrored else pole - member.offset
+                for lo in (pole - rng.randint(0, 12), rng.randint(-40, 20)):
+                    out.append((member, lo, lo + rng.randint(0, 24)))
+        for _ in range(40):
+            # S2(b; r1, r2, u/v) with b + r1 + r2 + u/v = 0 at j = 0
+            b = rng.choice([-1, -2])
+            r1, r2 = F(rng.randint(1, 6), 7), F(rng.randint(1, 10), 11)
+            r3 = -b - r1 - r2
+            if not 0 < r3 < 1:
+                continue
+            u, v = r3.numerator, r3.denominator
+            alpha = pow(u, -1, v) if v > 1 else 1
+            d = SeiferterData(b=b, r1=min(r1, r2), r2=max(r1, r2), alpha=alpha,
+                              beta=(alpha * u - 1) // v, alpha3=v, beta3=u,
+                              m=rng.randint(-9, 9), l=rng.randint(0, 3))
+            member = FamilyMember(data=d, mirrored=rng.random() < 0.5,
+                                  offset=rng.randint(-9, 9))
+            lo = -member.offset - rng.randint(0, 5)
+            out.append((member, lo, lo + rng.randint(5, 10)))
+        lens = next(s for s in catalog() if s.name == "unknot[m=0,p=3]").members[0]
+        assert lens.data.alpha == 0
+        out += [(lens, -30, 30), (FamilyMember(rp2=True), -4, 4)]
+        N = 10 ** 4400
+        for member, _, _ in out[:40:4]:
+            out.append((member, N, N + 3))
+            out.append((member, -N - 3, -N))
+        return out
+
+    def test_matches_the_point_path(self):
+        from seifert_lspace.twist import Run, Stretch, classify_family
+        rng = random.Random(1)
+        shapes, kinds = set(), set()
+        for member, lo, hi in self._members(rng):
+            rows = [r for r in classify_family(member).stretches(lo, hi) if type(r) is not Run]
+            oracle = [p for r in rows for p in
+                      ([evaluate_point(member, n) for n in range(r.lo, r.hi + 1)]
+                       if type(r) is Stretch else [r])]
+            for r in rows:
+                for t in r.members() if type(r) is Stretch else ():
+                    if type(t) is tuple:
+                        n, _, base, slot, _, _, v = t
+                        shapes.add((base, slot))
+                        kinds.add(v.reason.value)
+                        kinds.add("witness" if v.witness else "no witness")
+                        kinds.add("huge" if abs(n) > 10 ** 4300 else "small")
+                    else:
+                        kinds.add(t.tag.value)
+            depth = rng.randint(0, 2)
+            for approx in (False, True):
+                got, want = {"points": rows}, {"points": oracle}
+                for _ in range(depth):
+                    got, want = [got, 1], [want, 1]
+                assert dumps(got, approx) == dumps(want, approx), (member, lo, hi, approx)
+        # every shape of the stretch layouts, and the members written through
+        # _point_text inside a stretch: lens spaces and rp2 members
+        assert {(b, s) for b in (-1, -2) for s in (0, 1, 2)} <= shapes
+        assert {"InfiniteH1", "Witness", "DualWitness", "NoWitnessExhaustive", "BLarge",
+                "witness", "no witness", "huge", "small", "LensSpace", "RP2Base"} <= kinds
+
+
 # any code point, with the ones JSON escapes specially drawn often; built from
 # integers so that no unicode table has to be computed on a cold cache
 json_chars = (st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001F600a')
@@ -333,6 +411,15 @@ class TestDumps:
     @given(json_trees)
     def test_matches_stdlib_indent_2(self, tree):
         assert dumps(tree) == json.dumps(tree, indent=2)
+
+    def test_dump_writes_what_dumps_returns(self):
+        # more texts than one batch, and a document of one scalar
+        tree = {"a": [{"n": k, "s": str(k), "x": None} for k in range(3000)], "b": True}
+        for o in (tree, [tree, 10 ** 5000], 7):
+            for approx in (False, True):
+                fp = io.StringIO()
+                formats.dump(o, fp, approx)
+                assert fp.getvalue() == dumps(o, approx) + "\n"
 
     def test_rejects_types_outside_the_cli_payloads(self):
         for bad in (F(1, 2), {1: 2}, {"k": {3}}, (1, 2), {"a": [{"b": {1: "x"}}]},
@@ -550,6 +637,12 @@ class TestCliOtherVerbs:
         assert payload["outputs"]["guarantee_confirmed"] is True
         assert main(["family", "run", "does-not-exist"]) == 2
         capsys.readouterr()
+        # a kind that takes no parameters runs by its name, as its catalog
+        # family does
+        assert main(["family", "run", "tunnel2-a", "--window=-2..2"]) == 0
+        by_kind = capsys.readouterr().out
+        assert main(["family", "run", "tunnel2-A", "--window=-2..2"]) == 0
+        assert by_kind == capsys.readouterr().out
 
     def test_family_run_classifies_each_member_once(self, capsys, monkeypatch):
         from seifert_lspace import PointVerdict, classify_family, find_family, twist
@@ -557,16 +650,21 @@ class TestCliOtherVerbs:
         gap_points = sum(isinstance(r, PointVerdict) and not -5 <= r.n <= 5
                          for m in spec.members for r in classify_family(m).rows)
         calls = []
-        evaluate_point = twist.evaluate_point
+        members = twist._members
 
-        def counting(member, n):
-            calls.append(n)
-            return evaluate_point(member, n)
+        def counting(member, lo, hi):
+            calls.extend(range(lo, hi + 1))
+            return members(member, lo, hi)
 
-        monkeypatch.setattr(twist, "evaluate_point", counting)
-        assert main(["family", "run", "tunnel2-B", "--window=-5..5"]) == 0
-        capsys.readouterr()
-        assert len(calls) == len(spec.members) * 11 + gap_points
+        # every member is evaluated by the stretch evaluator, singles
+        # included; the window's members once each, in text and in JSON
+        monkeypatch.setattr(twist, "_members", counting)
+        for extra in ([], ["--json"]):
+            calls.clear()
+            assert main(["family", "run", "tunnel2-B", "--window=-5..5"] + extra) == 0
+            capsys.readouterr()
+            assert len(calls) == len(spec.members) * 11 + gap_points
+            assert set(range(-5, 6)) <= set(calls)
 
     def test_json_builds_no_text_lines(self, capsys, monkeypatch):
         from seifert_lspace import cli, find_family
@@ -592,14 +690,15 @@ class TestCliOtherVerbs:
 
     def test_text_builds_no_json(self, capsys, monkeypatch):
         from seifert_lspace import formats
+        # every point's text is one _fill of its layout, n its first value
         calls = []
-        point_text = formats._point_text
+        fill = formats._fill
 
-        def counting(p, pad, approx):
-            calls.append(p.n)
-            return point_text(p, pad, approx)
+        def counting(layout, values):
+            calls.append(values[0])
+            return fill(layout, values)
 
-        monkeypatch.setattr(formats, "_point_text", counting)
+        monkeypatch.setattr(formats, "_fill", counting)
         argv = ["family", "run", "tunnel2-B", "--window=-5..5"]
         assert main(argv) == 0
         capsys.readouterr()
@@ -1099,19 +1198,24 @@ class TestArgvFuzz:
             seen.add(rc)
             if valid:
                 assert rc in (0, 1), (argv, rc)
-        # the tunnel2 kinds take no parameters
-        for kind in [k for k in family_kinds() if not k.startswith("tunnel2")]:
+        for kind in family_kinds():
             for n in (1, 100, 4000, 4400):
                 x = 10 ** (n - 1) + 1 if n > 1 else 2
                 with _unlimited_int_digits():  # to write the 4,400-digit parameters
                     params = {"p+q": f"p={x},q={x + 1}", "p-q": f"p={x + 1},q={x}",
                               "unknot": f"m={-x},p={2 * x + 1}", "berge-vii": f"a={x},b={x + 1}",
-                              "berge-viii": f"a={x},b={x + 1}", "em-rp2": f"l={x}"}
+                              "berge-viii": f"a={x},b={x + 1}", "em-rp2": f"l={x}",
+                              "tunnel2-a": None, "tunnel2-b": None}
                     params = params.get(kind, f"p={x}")
-                argv = ["family", "run", kind, "--params", params, "--window=0..1", "--json"]
+                if params is None:
+                    # a kind without parameters runs by its name, in any case
+                    argv = ["family", "run", rng.choice([kind, kind.upper()]),
+                            *rng.choice([[], ["--params="]]), "--window=0..1", "--json"]
+                else:
+                    argv = ["family", "run", kind, "--params", params, "--window=0..1", "--json"]
                 rc, err = self._run(argv, capsys)
                 calls += 1
-                if n < 4300:
+                if n < 4300 or params is None:
                     assert rc in (0, 1), (kind, n, err)
                 else:
                     assert rc == 2 and err.startswith("error: Exceeds the limit (4300 digits)"), \

@@ -559,12 +559,14 @@ class TestRuns:
             members += [FamilyMember(data=d, mirrored=mirrored, offset=rng.randint(-9, 9))
                         for mirrored in (False, True)]
         evaluated = []
+        stretch_members = twist._members
 
-        def counting(member, n):
-            evaluated.append(n)
-            return evaluate_point(member, n)
+        def counting(member, lo, hi):
+            evaluated.extend(range(lo, hi + 1))
+            return stretch_members(member, lo, hi)
 
-        monkeypatch.setattr(twist, "evaluate_point", counting)
+        # the stretch evaluator evaluates every member, singles included
+        monkeypatch.setattr(twist, "_members", counting)
         exceptional = (Tag.S2XS1, Tag.CONNECTED_SUM_LENS)
         for member in members:
             lo = rng.randint(-40, 30)
@@ -572,8 +574,9 @@ class TestRuns:
             evaluated.clear()
             report = classify_family(member)
             shown = list(report.shown(lo, hi))
-            # each index is evaluated at most once
+            # each index is evaluated at most once, and each of the window's
             assert len(evaluated) == len(set(evaluated)), (member, evaluated)
+            assert set(range(lo, hi + 1)) <= set(evaluated), (member, evaluated)
             for rows in (report.rows, shown):
                 spans = [_span(r) for r in rows]
                 # the rows tile Z in order: only the first starts at -inf,
