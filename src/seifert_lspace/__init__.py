@@ -7,8 +7,8 @@ from .seifert import (Base, Classification, DegenerateEuler, SeifertForm, Tag,
                       UnsupportedFiberCount, classify, h1_order, mirror, normalize)
 from .lspace import (FoliationWitness, IntervalKind, LSpaceVerdict, Reason,
                      ThirdSlotThreshold, decide, third_slot_threshold)
-from .twist import (FamilyMember, FamilyReport, PointVerdict, Run,
-                    SeiferterData, Stretch, classify_family, evaluate_point,
+from .twist import (FamilyMember, FamilyReport, Piece, PointVerdict, Run,
+                    SeiferterData, classify_family, evaluate_point,
                     h1_consistency, limit_space, surgered_space, surgery_slope)
 from .families import (ALL_N, FamilySpec, Guarantee, GuaranteeKind,
                        PreconditionFailed, TorusKnotDegenerate,

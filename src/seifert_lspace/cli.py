@@ -287,8 +287,10 @@ def main(argv=None) -> int:
     lines stream from one walk of ``FamilyReport.shown``, each window member
     evaluated as its line is printed.  ``main`` is the one place that times
     a verb and prints: under --json the envelope {command, inputs, outputs,
-    elapsed_ms}, written by ``formats.dump`` a batch of texts at a time,
-    with --float's approximations added as it writes, otherwise the lines.
+    elapsed_ms}, written by ``formats.dump`` a chunk of a window's members
+    at a time, with --float's approximations added as it writes, and
+    elapsed_ms taken when the writer reaches it, after the window; otherwise
+    the lines.
     A verb reports bad input by raising ``ValueError`` (``ParseError`` among
     them); that, or one raised while the output is built, prints one
     ``error: ...`` line on stderr and exits 2.
@@ -303,7 +305,7 @@ def main(argv=None) -> int:
         inputs, outputs, lines, code = args.fn(args)
         if args.json:
             dump({"command": args.command, "inputs": inputs, "outputs": outputs(),
-                  "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3)},
+                  "elapsed_ms": lambda: round((time.perf_counter() - t0) * 1000, 3)},
                  sys.stdout, approx=args.float)
         else:
             for line in lines():

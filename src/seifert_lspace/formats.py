@@ -8,11 +8,12 @@ only a text it cannot read is walked token by token, to find the message and
 position of its ``ParseError``.  All JSON numbers are exact integer
 pairs {"num": ..., "den": ...}.  The builders write only those, and a
 report's ``"points"`` are its singles' ``PointVerdict``s and the
-``twist.Stretch``es between them.  ``dumps`` is the one writer (``dump``
-writes its texts to a file): it writes a point's integers into a layout
-cached per shape, the form's text included, and a stretch member by member,
-each with one %-format of its varying integers into a layout filled once
-per stretch for each base, slot and verdict shape.  With ``approx`` set it
+``twist.Piece``s between them.  ``dumps`` is the one writer (``dump``
+writes its texts to a file as it goes): it writes a point's integers into a
+layout cached per shape, the form's text included, and a piece a chunk of
+members at a time: the piece's layout, filled with what its members share,
+is split once into its literal parts, and a chunk is one join of those
+parts with the texts of the columns that move.  With ``approx`` set it
 adds --float's decimal approximation to each pair a float holds as it
 writes it; the approximation never feeds back into anything.  Every
 layout comes from ``_point_layout``, the one place that gives a point's
@@ -22,14 +23,16 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd
+from operator import truediv
 from typing import NoReturn
 
 from .rationals import INF, format_rational, int_text, is_finite, pair_text
-from .seifert import _RP2, _SMALL, Base, Classification, SeifertForm, _normal_form, _trusted_form
+from .seifert import _RP2, Base, Classification, SeifertForm, _normal_form, _trusted_form
 from .lspace import _INFINITE, LSpaceVerdict, ThirdSlotThreshold
-from .twist import FamilyReport, PointVerdict, Run, Stretch
+from .twist import FamilyReport, Piece, PointVerdict, Run
 
 
 class ParseError(ValueError):
@@ -165,39 +168,57 @@ def _object_heads(keys: tuple, pad: str) -> tuple:
 def dumps(o, approx: bool = False, _pad: str = "\n") -> str:
     """The bytes of ``json.dumps(o, indent=2)`` for dicts with str keys,
     lists, str, int, bool, None and float, where a container's members may
-    also be ``PointVerdict``s, each written as its JSON object, and a list's
-    members ``Stretch``es, each written as its members' objects.  With
-    ``approx``, each dict that is a {"num", "den"} pair with den != 0 and a
-    value a float holds gains a last member "approx", the float nearest
-    num/den.
+    also be ``PointVerdict``s, each written as its JSON object, a list's
+    members ``Piece``s, each written as its members' objects, and any value
+    a callable, written as the value it returns when the writer reaches it.
+    With ``approx``, each dict that is a {"num", "den"} pair with den != 0
+    and a value a float holds gains a last member "approx", the float
+    nearest num/den.
 
     The stdlib takes a generator-based pure-Python path whenever ``indent``
     is set.  This one keeps the C string escaper, writes the scalar members
     of a container in its own loop, each point with one %-format into its
-    cached layout, and recurses only into the other containers and floats.
-    Every text goes into one list, the texts between members cached per
-    dict shape, and one join writes the document: no subtree's text is
-    copied on its way up, so the largest text alive beside the members'
-    texts is the document itself.
+    cached layout, and each piece a chunk of members at a time into its
+    layout split into literal parts, and recurses only into the other
+    containers and floats.  Every text goes into one list, the texts between
+    members cached per dict shape, and one join writes the document: no
+    subtree's text is copied on its way up.
     """
-    out = []
+    out = _Texts()
     _write(o, approx, _pad, out)
     return "".join(out)
 
 
-_BATCH = 4096  # texts joined per write by ``dump``
+_CHUNK = 256  # members joined into one text
+
+
+class _Texts(list):
+    """The texts of a document, in order.  With ``write`` set, ``spill``
+    writes the texts so far as one and drops them once they hold a chunk's
+    worth of members; the piece writer spills after each chunk."""
+    __slots__ = ("write", "members")
+
+    def __init__(self, write=None):
+        super().__init__()
+        self.write, self.members = write, 0
+
+    def spill(self, members: int) -> None:
+        self.members += members
+        if self.write is not None and self.members >= _CHUNK:
+            self.write("".join(self))
+            self.clear()
+            self.members = 0
 
 
 def dump(o, fp, approx: bool = False) -> None:
     """Write ``dumps(o, approx)`` and a newline to the text file fp, as
-    ``print`` would, joining and writing a batch of texts at a time: the
-    document's text is never made whole, so beside the texts of its members
-    only one batch is."""
-    out = []
+    ``print`` would: the texts go out whenever they hold a chunk's worth of
+    a window's members, and the rest at the end, so beside the texts of the
+    document's small parts at most two chunks of members are held."""
+    out = _Texts(fp.write)
     _write(o, approx, "\n", out)
     out.append("\n")
-    for i in range(0, len(out), _BATCH):
-        fp.write("".join(out[i:i + _BATCH]))
+    fp.write("".join(out))
 
 
 def _write(o, approx: bool, pad: str, out: list) -> None:
@@ -233,8 +254,8 @@ def _write(o, approx: bool, pad: str, out: list) -> None:
                 v = "null"
             elif tv is PointVerdict:
                 v = _point_text(v, inner, approx)
-            elif tv is Stretch:
-                _write_stretch(v, inner, approx, out)
+            elif tv is Piece:
+                _write_piece(v, inner, approx, out)
                 continue
             else:
                 _write(v, approx, inner, out)
@@ -254,6 +275,8 @@ def _write(o, approx: bool, pad: str, out: list) -> None:
     elif t is float:
         r = float.__repr__(o)
         out.append(_NON_FINITE.get(r, r))
+    elif callable(o):
+        _write(o(), approx, pad, out)
     else:
         raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
@@ -333,53 +356,77 @@ def _point_text(p: PointVerdict, pad: str, approx: bool) -> str:
     return _fill(layout, tuple(slots))
 
 
-_VAR = "\2"  # a placeholder for a value that varies along a stretch
+_VAR = "\2"  # before the name of a column that moves along a piece
 
 
-def _stretch_layout(fixed: tuple, pad: str, base: int, slot: int, v: LSpaceVerdict,
-                    approx: bool) -> str:
-    """The layout of the stretch members with this base, slot of the moving
-    pair and verdict shape, behind the separator of a list at this indent:
-    ``_point_layout`` filled with the base, the fixed pairs, the tag and the
-    verdict's fixed fields, with a %s slot left for each of n, m_n, the
-    moving pair (p, den) and its approx, and the witness and search bound."""
-    x, w = _VAR, v.witness
-    pairs = list(fixed)
-    pairs.insert(slot, (x, x))
-    approxes = None
-    if approx:
-        approxes = [x if num is x else num / den for num, den in pairs]
-    slots = _slots(x, x, base, pairs, approxes, _SMALL, v.reason,
-                   None if w is None else (x, x), v.witness_is_dual,
-                   None if v.search_bound is None else x)
-    text = _fill(_point_layout(pad, 3, 0, False, w is not None, approx), tuple(slots))
-    return ("," + pad + text.replace("%", "%%")).replace(x, "%s")
+def _piece_layout(piece: Piece, columns: tuple, pad: str, approx: bool) -> tuple:
+    """The literal parts of the layout of a piece's members, behind the
+    separator of a list at this indent, and the names of the columns between
+    them: ``_point_layout`` filled with the values of ``piece.first`` and,
+    for n and each of the piece's ``columns`` that moves, a marker, then
+    split once at the markers.  The names are those of ``_write_piece``'s
+    columns; "x" is the approx of the moving pair and "k", "a" the
+    witness's."""
+    first = piece.first
+    f, v, w = first.form, first.verdict, first.verdict.witness
+    slopes, bs, nums, dens, ws, bounds = columns
+    x, pairs = _VAR, list(f.pairs)
+    approxes = [num / den for num, den in pairs] if approx else None
+    if dens is not None:
+        num, _ = pairs[piece.slot]
+        pairs[piece.slot] = (num if nums is None else x + "p"), x + "d"
+        if approx:
+            approxes[piece.slot] = x + "x"
+    rp2 = f.base is _RP2
+    if w is not None:
+        w = (w.k, w.a) if ws is None else (x + "k", x + "a")
+    slots = _slots(x + "n", first.slope if slopes is None else x + "m",
+                   None if rp2 else f.b if bs is None else x + "b", pairs, approxes, first.tag,
+                   v.reason, w, v.witness_is_dual, v.search_bound if bounds is None else x + "s")
+    text = _fill(_point_layout(pad, len(pairs), f.degenerate, rp2, w is not None, approx),
+                 tuple(slots))
+    parts = ("," + pad + text).split(x)
+    return [parts[0]] + [t[1:] for t in parts[1:]], [t[0] for t in parts[1:]]
 
 
-def _write_stretch(s: Stretch, pad: str, approx: bool, out: list) -> None:
-    """Append the JSON texts of a stretch's members to ``out``, as members
-    of a list at this indent, each after the separator the list's head
-    leaves to it: a three-pair member is one %-format of its varying
-    integers into its ``_stretch_layout``, filled once per base, slot and
-    verdict shape; any other is its ``_point_text``."""
-    layouts, start, sep = {}, len(out), "," + pad
-    for t in s.members():
-        if type(t) is not tuple:
-            out += (sep, _point_text(t, pad, approx))
-            continue
-        n, slope, base, slot, p, den, v = t
-        w, bound = v.witness, v.search_bound
-        key = (base, slot, v.reason._value_, w is None)
-        layout = layouts.get(key)
-        if layout is None:
-            layout = layouts[key] = _stretch_layout(s.member.frame[1], pad, base, slot, v,
-                                                    approx)
-        t = (n, slope, p, den, p / den, p, den) if approx else (n, slope, p, den, p, den)
-        if bound is not None:
-            t += (bound,) if w is None else (w.k, w.a, bound)
-        out.append(_fill(layout, t))
+def _texts(values: list) -> list:
+    """The JSON texts of ints and floats; an int past
+    sys.get_int_max_str_digits() goes through ``int_text``."""
+    try:
+        return [f"{x}" for x in values]
+    except ValueError:
+        return [int_text(x) if type(x) is int else f"{x}" for x in values]
+
+
+def _write_piece(piece: Piece, pad: str, approx: bool, out: list) -> None:
+    """Append the JSON texts of a piece's members to ``out``, as members of
+    a list at this indent, the first after the head the list leaves to it.
+
+    The piece's layout is split once, by ``_piece_layout``; a chunk of
+    members is one join of its literal parts with the texts of the values
+    of their columns, which ``Piece.columns`` gives, and nothing scans the
+    literal text per member.  ``out.spill`` counts each chunk's members.
+    """
+    columns = piece.columns()
+    lits, names = _piece_layout(piece, columns, pad, approx)
+    cols = {name: iter(col) for name, col in
+            zip("nmbpdws", (range(piece.lo, piece.hi + 1), *columns)) if col is not None}
     # the first member follows the list's head, not a separator
-    out[start] = out[start][len(sep):]
+    head, named = chain((lits[0][len(pad) + 1:],), repeat(lits[0])), set(names)
+    for start in range(0, piece.hi - piece.lo + 1, _CHUNK):
+        values = {name: list(islice(col, _CHUNK)) for name, col in cols.items()}
+        if "w" in values:
+            ws = values["w"]
+            values["k"], values["a"] = [w.k for w in ws], [w.a for w in ws]
+        if approx and "d" in values:
+            ps = values.get("p") or repeat(piece.first.form.pairs[piece.slot][0])
+            values["x"] = list(map(truediv, ps, values["d"]))
+        texts = {name: _texts(values[name]) for name in named}
+        row = [head if start == 0 else repeat(lits[0])]
+        for name, lit in zip(names, lits[1:]):
+            row += (texts[name], repeat(lit))
+        out.append("".join(chain.from_iterable(zip(*row))))
+        out.spill(len(values["n"]))
 
 
 def rational_json(x):
@@ -473,9 +520,10 @@ def segment_json(s: Run):
 
 def report_json(r: FamilyReport, window):
     """The report shown on the window lo..hi, from one walk of
-    ``r.stretches``; its points are the singles' ``PointVerdict``s and the
-    ``Stretch``es between them, which ``dumps`` writes member by member."""
-    rows = list(r.stretches(*window))
+    ``r.pieces``; its points are the singles' ``PointVerdict``s and the
+    ``Piece``s between them, which ``dumps`` writes a chunk of members at a
+    time."""
+    rows = list(r.pieces(*window))
     runs = [row for row in rows if type(row) is Run]
     return {
         "window": list(window),

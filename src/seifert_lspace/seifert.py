@@ -14,10 +14,11 @@ Normalization is one integer core, ``_normal_form``: it folds the integer
 parts of reduced (num, den) pairs into b, sorts the remainders by
 cross-multiplication and builds the form without re-validating it.  The text
 parser and ``twist.surgered_space`` hand it pairs; ``normalize`` is its
-adapter for ``Fraction`` and ``INF`` slopes.  ``mirror`` and ``twist._point``,
-which puts one remainder among a family member's two sorted fixed pairs at
-the slot ``twist._members`` found for it by cross-multiplication, build
-their already-normal results through ``_trusted_form`` directly.
+adapter for ``Fraction`` and ``INF`` slopes.  ``mirror`` and
+``twist.evaluate_point`` and ``Piece.points``, which put one remainder among
+a family member's two sorted fixed pairs at the slot cross-multiplication
+found for it, build their already-normal results through ``_trusted_form``
+directly.
 ``SeifertForm(...)`` itself still validates, for every other caller.
 
 The first homology order of S2(b; r_1, ..., r_k) is |alpha_1 ... alpha_k *

@@ -24,15 +24,18 @@ index from which a single verdict holds, replacing epsilon-style "for n
 large enough" statements.  A report is the runs and the singles alone, so
 its cost does not depend on any range of indices.
 
-``FamilyReport.stretches`` alone reads a display window: it cuts the window
-at the singles in it into stretches, the maximal ranges between them.  Away
-from the pole and the integer values of f, every member is S2(b + k; r1, r2,
-p/den) with 0 < p < den, so along a stretch only the base b + k, the slot of
-p/den among the two fixed slopes and the verdict's fields move.  One
-evaluator, ``_members``, walks a stretch from the member's ``frame``,
-advancing f(n) and m_n by additions and deciding each member on integers;
-``evaluate_point`` is its one-member case, and ``FamilyReport.shown``
-expands its members into ``PointVerdict``s.
+``FamilyReport.pieces`` alone reads a display window, and writes it as
+pieces: maximal ranges of members with one base, one slot of the moving
+pair among the two fixed slopes and one verdict shape.  A run lies in one
+band, so its part of the window keeps its base and its verdict; it is cut
+where f falls below a fixed slope shifted into the band (inverted by the
+walk's floor division) and around the one member whose Euler number is
+zero.  Along a piece, n, m_n and the moving pair are affine in n, so one
+decision of its first member, by ``evaluate_point``, gives its verdict
+shape; ``Piece.columns`` gives what moves, the search bound and the witness
+among it, and ``FamilyReport.shown`` expands the pieces into
+``PointVerdict``s.  ``evaluate_point`` stays the one-member path: it
+decides a member from its frame alone, with no piece cut.
 
 All of it runs on integers: f(n) is the reduced pair (n*beta + beta_3,
 n*alpha + alpha_3), and the walk compares such pairs by cross-multiplication.
@@ -48,13 +51,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from operator import sub
 from typing import NamedTuple
 
 from .rationals import INF
 from .seifert import (_SMALL, Base, SeifertForm, Tag, _new_tuple, _normal_form, _trusted_form,
                       classify, mirror, normalize)
-from .lspace import (LSpaceVerdict, ThirdSlotThreshold, _decide_classified, _decide_small, decide,
-                     third_slot_threshold)
+from .lspace import (LSpaceVerdict, ThirdSlotThreshold, _decide_classified, _decide_small,
+                     _witness_from_pairs, decide, search_bound, third_slot_threshold)
 
 
 @dataclass(frozen=True)
@@ -155,22 +160,27 @@ class FamilyMember:
 
     @cached_property
     def frame(self):
-        """(base, fixed pairs, sign, offset, alpha, beta, alpha3, beta3, m,
-        l^2), worked out once: with j = sign * (n + offset), the n-th member
-        is S2(base; fixed, sign * f(j)) before normalization, where
-        S2(base; fixed) is S2(b; r1, r2) or, with mirroring (sign -1), its
-        mirror.
+        """(base, fixed pairs, alpha, beta, alpha3, beta3, m, l^2), worked
+        out once: the n-th member is S2(base; fixed, F(n)) before
+        normalization, with F(n) = (beta n + beta3) / (alpha n + alpha3), and
+        its surgery slope is m + n l^2.  S2(base; fixed) is S2(b; r1, r2)
+        or, for a mirrored member, its mirror, and F(n) is the data's f(j)
+        at j = n + offset, or -f(j) at j = -(n + offset) when mirrored.  The
+        frame's matrix keeps determinant alpha beta3 - beta alpha3 = 1, so F
+        is decreasing on each side of its pole, as f is.
 
         Mirroring negates every raw slope of S2(b; r1, r2, f(j)), which takes
         the fixed part to its mirror S2(-b - 2; 1 - r2, 1 - r1) and leaves
         -f(j) as it is.
         """
-        d = self.data
+        d, off = self.data, self.offset
         f = normalize(d.b, (d.r1, d.r2))
+        s = -1 if self.mirrored else 1
         if self.mirrored:
             f = mirror(f)
-        return (f.b, f.pairs, -1 if self.mirrored else 1, self.offset,
-                d.alpha, d.beta, d.alpha3, d.beta3, d.m, d.l * d.l)
+        ll = d.l * d.l
+        return (f.b, f.pairs, s * d.alpha, d.beta, s * off * d.alpha + d.alpha3,
+                off * d.beta + s * d.beta3, s * d.m + off * ll, ll)
 
 
 @dataclass(frozen=True)
@@ -193,14 +203,17 @@ class Run:
     mirrored: bool = False
 
 
-def _first_below(d: SeiferterData, c: tuple, strict: bool) -> int:
-    """Least j with f(j) < c (strict) or f(j) <= c, among the indices on the
-    side of the pole where f takes the value c = (p, q), q > 0.
+def _first_below(mat: tuple, c: tuple, strict: bool) -> int:
+    """Least x with F(x) < c (strict) or F(x) <= c, among the integers on
+    the side of the pole where F(x) = (beta x + beta3) / (alpha x + alpha3),
+    with mat = (alpha, beta, alpha3, beta3) of determinant 1, takes the
+    value c = (p, q), q > 0.
 
-    f is decreasing there, so this inverts f(x) = c (Moebius inversion) by
+    F is decreasing there, so this inverts F(x) = c (Moebius inversion) by
     floor division; c must differ from the limit slope beta/alpha.
     """
-    num, den = d.beta3 * c[1] - c[0] * d.alpha3, c[0] * d.alpha - d.beta * c[1]
+    alpha, beta, alpha3, beta3 = mat
+    num, den = beta3 * c[1] - c[0] * alpha3, c[0] * alpha - beta * c[1]
     if den < 0:
         num, den = -num, -den
     return num // den + 1 if strict else -(-num // den)
@@ -252,9 +265,10 @@ def _runs(d: SeiferterData) -> list:
         return not (inner and up), (p, 1), False, d.b + p, t
 
     rn, rd = (beta, alpha) if alpha > 0 else (-beta, -alpha)
+    mat = alpha, beta, alpha3, beta3
     # f increases to rn/rd from below as j -> -infinity
     verdict, c, closed, base, desc = piece(rn, rd, below=True)
-    j = _first_below(d, c, closed)
+    j = _first_below(mat, c, closed)
     rows = [(None, j - 1, verdict, base, desc)]
     # at integers |f(j) - beta/alpha| <= 1/|alpha|, so each side of the pole
     # meets at most three bands, each split at most once by its threshold
@@ -271,7 +285,7 @@ def _runs(d: SeiferterData) -> list:
             # is never reached
             rows.append((j, None, verdict, base, desc))
             return rows
-        nxt = _first_below(d, c, closed)
+        nxt = _first_below(mat, c, closed)
         rows.append((j, nxt - 1, verdict, base, desc))
         j = nxt
 
@@ -284,15 +298,85 @@ class PointVerdict(NamedTuple):
     verdict: LSpaceVerdict
 
 
-class Stretch(NamedTuple):
-    """The members lo..hi of a family, a maximal range of a shown window
-    between its singles; ``members()`` evaluates them."""
+def _line(start: int, step: int, size: int):
+    """The size values start, start + step, ...; None when step is 0, for a
+    value that does not move."""
+    return range(start, start + step * size, step) if step else None
+
+
+class Piece(NamedTuple):
+    """The members lo..hi of a family, a maximal range of a shown window on
+    one side of the pole with one shape: one base, one slot of the moving
+    pair and one verdict shape.
+
+    Each member is ``first``, the member lo, with its n, its m_n and, at
+    ``slot`` of its form's pairs, the moving pair moved along, all affine in
+    n; a lens member (``slot`` None) moves its b instead, and a
+    projective-base member only its n.  ``columns`` gives what moves and
+    ``points`` the members' ``PointVerdict``s.
+    """
     member: FamilyMember
     lo: int
     hi: int
+    first: PointVerdict
+    slot: int | None
 
-    def members(self):
-        return _members(self.member, self.lo, self.hi)
+    def columns(self) -> tuple:
+        """What moves along the piece, each as its members' values in order,
+        or None where every member has ``first``'s: m_n, b, the moving pair's
+        num and den, the witness and the search bound.
+
+        At base -1 or -2, ``_decide_small`` tests the sorted triple, at -2
+        complemented and reversed.  The search bound moves when the moving
+        pair is that triple's smallest slope, and a witness, when there is
+        one, when the pair is one of the other two.
+        """
+        first, slot, size = self.first, self.slot, self.hi - self.lo + 1
+        slopes = bs = nums = dens = ws = bounds = None
+        if self.member.rp2:
+            return slopes, bs, nums, dens, ws, bounds
+        b, fixed, alpha, beta, alpha3, beta3, m, ll = self.member.frame
+        form, v = first.form, first.verdict
+        slopes = _line(first.slope, ll, size)
+        if slot is None:  # S2(b + F(n); fixed), F(n) an integer
+            return slopes, _line(form.b, beta, size), nums, dens, ws, bounds
+        # the moving pair is F(n) - (base - b) with den = sign (alpha n + alpha3) > 0
+        sign = 1 if alpha * self.lo + alpha3 > 0 else -1
+        p, d = form.pairs[slot]
+        nums = _line(p, sign * (beta - (form.b - b) * alpha), size)
+        dens = _line(d, sign * alpha, size)
+        if v.search_bound is not None:
+            ps = repeat(p) if nums is None else nums
+            if form.b == -2:
+                slot, ps, fixed = 2 - slot, map(sub, dens, ps), [(q - a, q) for a, q in fixed[::-1]]
+            (a1, c1), (a2, c2) = fixed
+            if slot == 0:
+                bounds = map(search_bound, ps, dens)
+            elif v.witness is not None:
+                ws = map(lambda p, d: _witness_from_pairs(a1, c1, p, d, a2, c2) if slot == 1
+                         else _witness_from_pairs(a1, c1, a2, c2, p, d), ps, dens)
+        return slopes, bs, nums, dens, ws, bounds
+
+    def points(self):
+        """The ``PointVerdict``s of the piece's members, in order."""
+        first, slot = self.first, self.slot
+        f, v, tag = first.form, first.verdict, first.tag
+        slopes, bs, nums, dens, ws, bounds = self.columns()
+        if bs is None and dens is None:  # a projective-base member
+            for n in range(self.lo, self.hi + 1):
+                yield first._replace(n=n)
+            return
+        fixed = self.member.frame[1]
+        p, d = (None, None) if slot is None else f.pairs[slot]
+        reason, dual = v.reason, v.witness_is_dual
+        for n, slope, b, p, d, w, bound in zip(
+                range(self.lo, self.hi + 1), slopes or repeat(first.slope),
+                bs or repeat(f.b), nums or repeat(p), dens or repeat(d),
+                ws or repeat(v.witness), bounds or repeat(v.search_bound)):
+            pairs = fixed if slot is None else (*fixed[:slot], (p, d), *fixed[slot:])
+            verdict = v if ws is None and bounds is None else \
+                _new_tuple(LSpaceVerdict, (reason, w, dual, bound))
+            yield _new_tuple(PointVerdict, (n, slope, _trusted_form(b, pairs, 0), tag, verdict))
 
 
 def _span(row) -> tuple:
@@ -337,41 +421,91 @@ class FamilyReport:
             if (a is None or a <= n) and (b is None or n <= b):
                 return row.is_lspace if isinstance(row, Run) else row.verdict.is_lspace
 
-    def stretches(self, lo: int, hi: int):
+    def pieces(self, lo: int, hi: int):
         """The report shown on the window lo..hi, in increasing order: the
         part of each row left of it, its members as the singles in it and
-        the ``Stretch``es between them, and the part of each row right of
-        it; so the tails come first and last."""
+        the ``Piece``s of each run's part in it, and the part of each row
+        right of it; so the tails come first and last."""
         if lo > hi:
             raise ValueError("empty window")
         for row in self.rows:
             a, b = _span(row)
             if a is None or a < lo:
                 yield row if b is not None and b < lo else replace(row, to_n=lo - 1)
-        start = lo
         for row in self.rows:
-            if type(row) is PointVerdict and lo <= row.n <= hi:
-                if start < row.n:
-                    yield Stretch(self.member, start, row.n - 1)
-                yield row
-                start = row.n + 1
-        if start <= hi:
-            yield Stretch(self.member, start, hi)
+            a, b = _span(row)
+            a, b = lo if a is None else max(a, lo), hi if b is None else min(b, hi)
+            if a <= b:
+                if type(row) is Run:
+                    yield from _pieces(self.member, a, b)
+                else:
+                    yield row
         for row in self.rows:
             a, b = _span(row)
             if b is None or b > hi:
                 yield row if a is not None and a > hi else replace(row, from_n=hi + 1)
 
     def shown(self, lo: int, hi: int):
-        """``stretches(lo, hi)`` with each stretch expanded into the
-        ``PointVerdict``s of its members, evaluated when reached."""
-        member = self.member
-        for row in self.stretches(lo, hi):
-            if type(row) is Stretch:
-                for t in row.members():
-                    yield _point(member, t)
+        """``pieces(lo, hi)`` with each piece expanded into the
+        ``PointVerdict``s of its members."""
+        for row in self.pieces(lo, hi):
+            if type(row) is Piece:
+                yield from row.points()
             else:
                 yield row
+
+
+def _pieces(member: FamilyMember, lo: int, hi: int):
+    """The ``Piece``s of the members lo..hi, which lie in one run, so in one
+    band with one base and, but at the member of Euler number zero, one
+    verdict.  They are cut where F falls below a fixed slope shifted into
+    the band, whole + a/c (``_first_below`` on the frame, unless F starts
+    below it or never gets there), and around the member where F(n) = -(b +
+    r1 + r2), the Euler number zero; in a lens family (alpha = 0, F(n) =
+    beta3 - n), around the S3 members, where b + F(n) = (h - e)/q with r1 +
+    r2 = e/q and |H1| = |h| = 1.  Each piece's first member is decided by
+    ``evaluate_point``.
+    """
+    if member.rp2:
+        yield Piece(member, lo, hi, evaluate_point(member, lo), None)
+        return
+    b, fixed, alpha, beta, alpha3, beta3, m, ll = member.frame
+    (a1, c1), (a2, c2) = fixed
+    e, q = a1 * c2 + a2 * c1, c1 * c2
+    cuts, slots = set(), ()
+    if not alpha:
+        for h in (1, -1):
+            base, rem = divmod(h - e, q)
+            if not rem:
+                n = beta3 + b - base
+                cuts.update((n, n + 1))
+    else:
+        mat = alpha, beta, alpha3, beta3
+        num, den = beta * lo + beta3, alpha * lo + alpha3
+        if den < 0:
+            num, den = -num, -den
+        whole = num // den
+        for a, c in fixed:
+            a += whole * c
+            if num * c < a * den:
+                x = lo
+            elif a * alpha == beta * c:
+                x = hi + 1
+            else:  # a crossing at or left of lo is on the other side of the pole
+                x = _first_below(mat, (a, c), True)
+                x = x if x > lo else hi + 1
+            cuts.add(x)
+            slots += (x,)
+        u, v = -b * q - e, q
+        num, den = beta3 * v - u * alpha3, u * alpha - beta * v
+        if den and not num % den:
+            n = num // den
+            cuts.update((n, n + 1))
+    starts = sorted({lo, *[n for n in cuts if lo < n <= hi]})
+    for start, end in zip(starts, starts[1:] + [hi + 1]):
+        # from the crossing of r2 on the pair is below r2, from that of r1 below both
+        slot = None if not slots else 2 - sum(start >= x for x in slots)
+        yield Piece(member, start, end - 1, evaluate_point(member, start), slot)
 
 
 _RP2_FORM = SeifertForm(base=Base.RP2)
@@ -382,69 +516,38 @@ def _classified(n: int, slope, form: SeifertForm) -> PointVerdict:
     return _new_tuple(PointVerdict, (n, slope, form, c.tag, _decide_classified(form, c)))
 
 
-def _members(member: FamilyMember, lo: int, hi: int):
-    """The members lo..hi in increasing order, each decided on integers
-    alone, reading the member's ``frame`` once.
-
-    f(j) is the pair (j * beta + beta3, j * alpha + alpha3), negated for a
-    mirrored member, and reduced: the unimodular seiferter matrix maps the
-    primitive vector (j, 1) to a primitive one; it and m_n advance by
-    additions.  Where f(j) = p/den is not an integer (den >= 2), one
-    ``divmod`` folds it into the base of the frame and cross-multiplication
-    places the remainder among the two sorted fixed pairs, at ``slot`` 0, 1
-    or 2 of the three; the member is the tuple (n, m_n, base, slot, p, den,
-    verdict), decided by ``lspace._decide_small`` with its Euler number
-    tested by cross-multiplication, and ``_point`` expands it.  The pole, an
-    integral f(j) and a projective-base member are yielded as their
-    ``PointVerdict``s, classified.  The oracle is ``fraction_point`` in
-    ``tests/oracles.py``: ``Fraction`` slopes through ``fraction_classify``
-    and ``fraction_decide``.
-    """
-    if member.rp2:
-        for n in range(lo, hi + 1):
-            yield _classified(n, None, _RP2_FORM)
-        return
-    b, fixed, s, offset, alpha, beta, alpha3, beta3, m, ll = member.frame
-    (a1, c1), (a2, c2) = fixed
-    # b' + a1/c1 + a2/c2 + p/den is (b' * q + e) / q + p/den
-    e, q = a1 * c2 + a2 * c1, c1 * c2
-    j = s * (lo + offset)
-    slope, num, den, step = s * (m + j * ll), s * (j * beta + beta3), j * alpha + alpha3, s * alpha
-    for n in range(lo, hi + 1):
-        p, d = (-num, -den) if den < 0 else (num, den)
-        if d > 1:
-            whole, p = divmod(p, d)
-            base = b + whole
-            zero = -3 < base < 0 and (base * q + e) * d + p * q == 0
-            # (p, d) goes after the fixed pairs at or below it, as
-            # _normal_form inserts it
-            if p * c1 < a1 * d:
-                yield n, slope, base, 0, p, d, _decide_small(base, p, d, a1, c1, a2, c2, zero)
-            elif p * c2 < a2 * d:
-                yield n, slope, base, 1, p, d, _decide_small(base, a1, c1, p, d, a2, c2, zero)
-            else:
-                yield n, slope, base, 2, p, d, _decide_small(base, a1, c1, a2, c2, p, d, zero)
-        else:  # the pole (d = 0), or the integer p
-            yield _classified(n, slope, _trusted_form(b + p, fixed, 0) if d
-                              else _trusted_form(b, fixed, 1))
-        slope, num, den = slope + ll, num + beta, den + step
-
-
-def _point(member: FamilyMember, t) -> PointVerdict:
-    """The ``PointVerdict`` of a member as ``_members`` yields it."""
-    if type(t) is not tuple:
-        return t
-    n, slope, base, slot, p, den, verdict = t
-    fixed, r = member.frame[1], (p, den)
-    pairs = (r, *fixed) if slot == 0 else (fixed[0], r, fixed[1]) if slot == 1 else (*fixed, r)
-    return _new_tuple(PointVerdict, (n, slope, _trusted_form(base, pairs, 0), _SMALL, verdict))
-
-
 def evaluate_point(d, n: int) -> PointVerdict:
-    """The verdict on the n-th member: the one-member case of ``_members``."""
+    """The verdict on the n-th member, on integers alone from the member's
+    ``frame``: the one-member path, which no piece cut enters.
+
+    F(n) = (beta n + beta3, alpha n + alpha3) is reduced, as the frame is
+    unimodular.  Where it is no integer, one ``divmod`` folds it into the
+    base, cross-multiplication places the remainder after the fixed pairs at
+    or below it, as ``_normal_form`` would, and ``lspace._decide_small``
+    decides the member, its Euler number tested by cross-multiplication.
+    The pole, an integer F(n) and a projective-base member are classified.
+    The oracle is ``fraction_point`` in ``tests/oracles.py``.
+    """
     member = d if isinstance(d, FamilyMember) else FamilyMember(data=d)
-    (t,) = _members(member, n, n)
-    return _point(member, t)
+    if member.rp2:
+        return _classified(n, None, _RP2_FORM)
+    b, fixed, alpha, beta, alpha3, beta3, m, ll = member.frame
+    p, den = beta * n + beta3, alpha * n + alpha3
+    if den < 0:
+        p, den = -p, -den
+    if den < 2:  # the pole (den = 0), or the integer p
+        return _classified(n, m + n * ll, _trusted_form(b + p, fixed, 0) if den
+                           else _trusted_form(b, fixed, 1))
+    whole, p = divmod(p, den)
+    base, r = b + whole, (p, den)
+    (a1, c1), (a2, c2) = fixed
+    pairs = ((r, *fixed) if p * c1 < a1 * den else (fixed[0], r, fixed[1]) if p * c2 < a2 * den
+             else (*fixed, r))
+    # base + a1/c1 + a2/c2 + p/den = 0 needs base -1 or -2
+    zero = -3 < base < 0 and ((base * c1 + a1) * c2 + a2 * c1) * den + p * c1 * c2 == 0
+    (p1, q1), (p2, q2), (p3, q3) = pairs
+    return _new_tuple(PointVerdict, (n, m + n * ll, _trusted_form(base, pairs, 0), _SMALL,
+                                     _decide_small(base, p1, q1, p2, q2, p3, q3, zero)))
 
 
 def classify_family(d) -> FamilyReport:

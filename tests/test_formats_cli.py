@@ -315,16 +315,18 @@ class TestPointLayouts:
 
 
 class TestStretchWriter:
-    """``dumps`` writes a ``Stretch`` as its members' ``_point_text``s, the
-    one-member path, would: byte for byte, at any indent, with and without
-    ``approx``."""
+    """``dumps`` writes the ``Piece``s of a shown window as their members'
+    ``_point_text``s, the one-member path, would: byte for byte, at any
+    indent, with and without ``approx``."""
 
     @staticmethod
     def _members(rng):
         """300 seeded seiferters, mirrored and offset, and seiferters whose
         member at n = -offset has Euler number zero, each with windows by
-        its pole and by 0; the alpha = 0 lens family of the catalog and an
-        rp2 member; and windows of indices past 10^4400."""
+        its pole and by 0; seiferters whose limit slope is a fixed slope
+        shifted by an integer, and two whose witness moves with the largest
+        slope of the tested triple; the alpha = 0 lens families of the catalog
+        and an rp2 member; and windows of indices past 10^4400."""
         from test_twist import _huge_seiferter, _random_seiferter
         out = []
         for k in range(300):
@@ -351,45 +353,112 @@ class TestStretchWriter:
                                   offset=rng.randint(-9, 9))
             lo = -member.offset - rng.randint(0, 5)
             out.append((member, lo, lo + rng.randint(5, 10)))
+        for b, r, whole in ((-1, F(1, 3), 0), (-2, F(2, 5), -1), (-1, F(4, 7), 2)):
+            # beta/alpha = whole + r: f tends to the shifted fixed slope r
+            alpha, beta = r.denominator, whole * r.denominator + r.numerator
+            # beta * alpha3 = -1 mod alpha makes the determinant one
+            alpha3 = -pow(beta, -1, alpha) % alpha + alpha * rng.randint(0, 3)
+            beta3 = (1 + beta * alpha3) // alpha
+            d = SeiferterData(b=b, r1=r, r2=F(5, 6), alpha=alpha, beta=beta, alpha3=alpha3,
+                              beta3=beta3, m=1, l=2)
+            for mirrored in (False, True):
+                out.append((FamilyMember(data=d, mirrored=mirrored), -60, 60))
+        for b, r1, r2 in ((-1, F(1, 10), F(1, 5)), (-2, F(4, 5), F(9, 10))):
+            # f(j) = 1/(j + 1) is the largest of the tested triple for
+            # j = 1..3, and the simplest fraction in (1/5, 1 - f(j)) moves
+            d = SeiferterData(b=b, r1=r1, r2=r2, alpha=1, beta=0, alpha3=1, beta3=1, l=1)
+            out.append((FamilyMember(data=d), -3, 20))
         lens = next(s for s in catalog() if s.name == "unknot[m=0,p=3]").members[0]
         assert lens.data.alpha == 0
-        out += [(lens, -30, 30), (FamilyMember(rp2=True), -4, 4)]
+        lens3 = FamilyMember(data=SeiferterData(b=-1, r1=F(1, 2), r2=F(1, 3), alpha=0, beta=-1,
+                                                alpha3=1, beta3=0))
+        out += [(lens, -30, 30), (lens3, -6, 6), (FamilyMember(rp2=True), -4, 4)]
         N = 10 ** 4400
         for member, _, _ in out[:40:4]:
             out.append((member, N, N + 3))
             out.append((member, -N - 3, -N))
         return out
 
+    @staticmethod
+    def _cut(member, rows, members) -> set:
+        """The kinds of cut between two neighbouring rows of a window, from
+        the last member of the left and the first of the right: the pole (a
+        single, or between them), an integer f(n) or an integer crossing,
+        the Euler-zero member, an S3 lens member, a threshold boundary, or
+        the moving pair crossing r1 or r2."""
+        from seifert_lspace.twist import Piece
+        (r, s), a, b = rows, members[0][-1], members[1][0]
+        kinds = set()
+        for p in (a, b):
+            if p.form.degenerate:
+                kinds.add("pole")
+            elif p.verdict.reason.value == "InfiniteH1":
+                kinds.add("euler")
+            elif p.tag.value == "S3":
+                kinds.add("S3")
+            elif len(p.form.pairs) == 2 and member.data.alpha:
+                kinds.add("integer")
+        if type(r) is Piece is type(s) and r.slot is not None:
+            # f(n) is (beta n + beta3) / (alpha n + alpha3) in the frame
+            alpha, alpha3 = member.frame[2], member.frame[4]
+            if (alpha * a.n + alpha3) * (alpha * b.n + alpha3) < 0:
+                kinds.add("pole")
+            elif a.form.b != b.form.b:
+                kinds.add("integer")
+            else:
+                if a.verdict.is_lspace != b.verdict.is_lspace and "euler" not in kinds:
+                    kinds.add("threshold")
+                kinds |= {(2, 1): {"r2"}, (1, 0): {"r1"}, (2, 0): {"r1", "r2"}}.get(
+                    (r.slot, s.slot), set())
+        return kinds
+
     def test_matches_the_point_path(self):
-        from seifert_lspace.twist import Run, Stretch, classify_family
+        from seifert_lspace.twist import Piece, Run, classify_family
         rng = random.Random(1)
-        shapes, kinds = set(), set()
+        shapes, kinds, cuts = set(), set(), set()
         for member, lo, hi in self._members(rng):
-            rows = [r for r in classify_family(member).stretches(lo, hi) if type(r) is not Run]
-            oracle = [p for r in rows for p in
-                      ([evaluate_point(member, n) for n in range(r.lo, r.hi + 1)]
-                       if type(r) is Stretch else [r])]
-            for r in rows:
-                for t in r.members() if type(r) is Stretch else ():
-                    if type(t) is tuple:
-                        n, _, base, slot, _, _, v = t
-                        shapes.add((base, slot))
-                        kinds.add(v.reason.value)
-                        kinds.add("witness" if v.witness else "no witness")
-                        kinds.add("huge" if abs(n) > 10 ** 4300 else "small")
-                    else:
-                        kinds.add(t.tag.value)
+            rows = [r for r in classify_family(member).pieces(lo, hi) if type(r) is not Run]
+            members = [[evaluate_point(member, n) for n in range(r.lo, r.hi + 1)]
+                       if type(r) is Piece else [r] for r in rows]
+            oracle = [p for ps in members for p in ps]
+            for r, ps in zip(rows, members):
+                if type(r) is not Piece:
+                    kinds.add(r.tag.value)
+                    continue
+                # the text path's expansion is the point path too
+                assert list(r.points()) == ps, (member, r)
+                v = r.first.verdict
+                shapes.add((r.first.form.b, r.slot))
+                kinds.update((v.reason.value, r.first.tag.value,
+                              "witness" if v.witness else "no witness",
+                              "huge" if abs(r.lo) > 10 ** 4300 else "small"))
+                if len({p.verdict.witness for p in ps}) > 1:
+                    # the slot in the triple _decide_small tests: at base -2
+                    # the complements, in reverse order
+                    slot = 2 - r.slot if v.witness_is_dual else r.slot
+                    kinds.add(f"witness moves at slot {slot}")
+                if len({p.verdict.search_bound for p in ps}) > 1:
+                    kinds.add("bound moves")
+            for i in range(len(rows) - 1):
+                cut = self._cut(member, rows[i:i + 2], members[i:i + 2])
+                cuts |= cut
+                if type(rows[i]) is Piece is type(rows[i + 1]):
+                    # a piece is maximal: its neighbour differs in shape
+                    assert cut, (member, rows[i], rows[i + 1])
             depth = rng.randint(0, 2)
             for approx in (False, True):
                 got, want = {"points": rows}, {"points": oracle}
                 for _ in range(depth):
                     got, want = [got, 1], [want, 1]
                 assert dumps(got, approx) == dumps(want, approx), (member, lo, hi, approx)
-        # every shape of the stretch layouts, and the members written through
-        # _point_text inside a stretch: lens spaces and rp2 members
+        # every shape of the piece layouts, and the members of lens-space
+        # and rp2 pieces
         assert {(b, s) for b in (-1, -2) for s in (0, 1, 2)} <= shapes
         assert {"InfiniteH1", "Witness", "DualWitness", "NoWitnessExhaustive", "BLarge",
-                "witness", "no witness", "huge", "small", "LensSpace", "RP2Base"} <= kinds
+                "witness", "no witness", "huge", "small", "LensSpace", "S3", "RP2Base",
+                "LensNotS2xS1", "witness moves at slot 1", "witness moves at slot 2",
+                "bound moves"} <= kinds
+        assert {"r1", "r2", "integer", "threshold", "euler", "pole", "S3"} <= cuts
 
 
 # any code point, with the ones JSON escapes specially drawn often; built from
@@ -650,15 +719,21 @@ class TestCliOtherVerbs:
         gap_points = sum(isinstance(r, PointVerdict) and not -5 <= r.n <= 5
                          for m in spec.members for r in classify_family(m).rows)
         calls = []
-        members = twist._members
+        point, columns = twist.evaluate_point, twist.Piece.columns
 
-        def counting(member, lo, hi):
-            calls.extend(range(lo, hi + 1))
-            return members(member, lo, hi)
+        def counting_point(member, n):
+            calls.append(n)
+            return point(member, n)
 
-        # every member is evaluated by the stretch evaluator, singles
-        # included; the window's members once each, in text and in JSON
-        monkeypatch.setattr(twist, "_members", counting)
+        def counting_columns(piece):
+            calls.extend(range(piece.lo + 1, piece.hi + 1))
+            return columns(piece)
+
+        # every member is evaluated once: the singles and the first member
+        # of each piece by evaluate_point, the others by their piece's
+        # columns; the window's members once each, in text and in JSON
+        monkeypatch.setattr(twist, "evaluate_point", counting_point)
+        monkeypatch.setattr(twist.Piece, "columns", counting_columns)
         for extra in ([], ["--json"]):
             calls.clear()
             assert main(["family", "run", "tunnel2-B", "--window=-5..5"] + extra) == 0
@@ -690,15 +765,20 @@ class TestCliOtherVerbs:
 
     def test_text_builds_no_json(self, capsys, monkeypatch):
         from seifert_lspace import formats
-        # every point's text is one _fill of its layout, n its first value
+        # every member's JSON text is written by _write_piece or _point_text
         calls = []
-        fill = formats._fill
+        write_piece, point_text = formats._write_piece, formats._point_text
 
-        def counting(layout, values):
-            calls.append(values[0])
-            return fill(layout, values)
+        def counting_piece(piece, *args):
+            calls.extend(range(piece.lo, piece.hi + 1))
+            return write_piece(piece, *args)
 
-        monkeypatch.setattr(formats, "_fill", counting)
+        def counting_point(p, *args):
+            calls.append(p.n)
+            return point_text(p, *args)
+
+        monkeypatch.setattr(formats, "_write_piece", counting_piece)
+        monkeypatch.setattr(formats, "_point_text", counting_point)
         argv = ["family", "run", "tunnel2-B", "--window=-5..5"]
         assert main(argv) == 0
         capsys.readouterr()
@@ -743,6 +823,79 @@ class TestCliOtherVerbs:
             finally:
                 tracemalloc.stop()
         assert peak < 2 * 2 ** 20, peak
+
+    def test_json_scan_streams_its_pieces(self):
+        # each chunk of a piece's members is written as soon as it is
+        # joined, so the peak of a --json scan does not grow with the window
+        argv = ["twist-scan", "--b", "-1", "--r1", "1/3", "--r2", "1997/3000",
+                "--alpha", "1", "--beta", "0", "--alpha3", "1", "--beta3", "1",
+                "--window=-20000..0", "--json"]
+        for extra in ([], ["--float"]):
+            with open(os.devnull, "w") as devnull, redirect_stdout(devnull):
+                tracemalloc.start()
+                try:
+                    assert main(argv + extra) == 0
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak < 3 * 2 ** 20, (extra, peak)
+
+    def test_elapsed_ms_covers_the_window(self, capsys, monkeypatch):
+        # the window is evaluated and encoded as the envelope is written;
+        # elapsed_ms, its last member, is timed when the writer reaches it
+        from seifert_lspace import formats
+        calls = []
+        write_piece = formats._write_piece
+
+        def slow(*args):
+            calls.append(1)
+            time.sleep(0.05)
+            return write_piece(*args)
+
+        monkeypatch.setattr(formats, "_write_piece", slow)
+        assert main(["family", "run", "tunnel2-B", "--window=-50..50", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert calls and payload["elapsed_ms"] >= 50 * len(calls), (len(calls), payload)
+
+    def test_decisions_and_layouts_grow_with_pieces_not_windows(self, capsys, monkeypatch):
+        # a shown window costs one decision and one split layout per piece:
+        # every catalog family over -1000..1000 and the epsilon = 10^-3 scan
+        # over 10^5 indices have a few pieces per side of the pole, however
+        # wide the window
+        from seifert_lspace import formats, twist
+        decided, layouts, pieces = [], [], []
+        decide_small, piece_layout, cut = twist._decide_small, formats._piece_layout, twist._pieces
+
+        def counting_decide(*args):
+            decided.append(1)
+            return decide_small(*args)
+
+        def counting_layout(*args):
+            layouts.append(1)
+            return piece_layout(*args)
+
+        def counting_pieces(*args):
+            for piece in cut(*args):
+                pieces.append(piece.hi - piece.lo + 1)
+                yield piece
+
+        monkeypatch.setattr(twist, "_decide_small", counting_decide)
+        monkeypatch.setattr(formats, "_piece_layout", counting_layout)
+        monkeypatch.setattr(twist, "_pieces", counting_pieces)
+        scan = ["twist-scan", "--b", "-1", "--r1", "1/3", "--r2", "1997/3000", "--alpha", "1",
+                "--beta", "0", "--alpha3", "1", "--beta3", "1", "--window=-100000..0"]
+        runs = [(["family", "run", s.name, "--window=-1000..1000"], len(s.members))
+                for s in catalog()] + [(scan, 1)]
+        for argv, count in runs:
+            decided.clear(), layouts.clear(), pieces.clear()
+            assert main(argv + ["--json"]) in (0, 1)
+            capsys.readouterr()
+            # at most six runs a side, each cut at r1 and r2, and the
+            # Euler-zero member
+            assert len(decided) <= len(layouts) == len(pieces) <= 38 * count, argv
+            # the window is shown by its pieces, but for a few singles
+            lo, hi = map(int, argv[-1].split("=")[1].split(".."))
+            assert sum(pieces) > count * (hi - lo + 1) - 10, argv
 
     def test_verbs_back_to_back_in_one_process(self, capsys):
         # main reuses one parser; each call of a verb prints and returns what

@@ -559,14 +559,20 @@ class TestRuns:
             members += [FamilyMember(data=d, mirrored=mirrored, offset=rng.randint(-9, 9))
                         for mirrored in (False, True)]
         evaluated = []
-        stretch_members = twist._members
+        point, columns = twist.evaluate_point, twist.Piece.columns
 
-        def counting(member, lo, hi):
-            evaluated.extend(range(lo, hi + 1))
-            return stretch_members(member, lo, hi)
+        def counting_point(member, n):
+            evaluated.append(n)
+            return point(member, n)
 
-        # the stretch evaluator evaluates every member, singles included
-        monkeypatch.setattr(twist, "_members", counting)
+        def counting_columns(piece):
+            evaluated.extend(range(piece.lo + 1, piece.hi + 1))
+            return columns(piece)
+
+        # evaluate_point evaluates the singles and the first member of each
+        # piece, and a piece's columns its other members
+        monkeypatch.setattr(twist, "evaluate_point", counting_point)
+        monkeypatch.setattr(twist.Piece, "columns", counting_columns)
         exceptional = (Tag.S2XS1, Tag.CONNECTED_SUM_LENS)
         for member in members:
             lo = rng.randint(-40, 30)
