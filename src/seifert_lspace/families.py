@@ -56,7 +56,6 @@ class FamilySpec:
     params: tuple[tuple[str, int], ...]
     guarantee: Guarantee
     members: tuple[FamilyMember, ...]
-    notes: str = ""
 
 
 class PreconditionFailed(ValueError):
@@ -266,9 +265,7 @@ def berge_sporadic(kind: str, p: int) -> FamilySpec:
                                   f"Berge knot at n={berge_n}",
                       params=(("p", p),),
                       guarantee=guarantee,
-                      members=_torus_members(P, Q, l, P * Q, mirrored=mirrored),
-                      notes=f"base surgery slope {int_text(P * Q)}"
-                            f"{' (mirrored)' if mirrored else ''}")
+                      members=_torus_members(P, Q, l, P * Q, mirrored=mirrored))
 
 
 @dataclass(frozen=True)
@@ -351,8 +348,7 @@ def eudave_munoz_rp2_family(l: int) -> FamilySpec:
                                   f"fiber indices ({i1}, {i2})",
                       params=(("l", l),),
                       guarantee=ALL_N,
-                      members=(FamilyMember(rp2=True),),
-                      notes=f"surgery slope {slope}; indices {i1}, {i2}")
+                      members=(FamilyMember(rp2=True),))
 
 
 @cache

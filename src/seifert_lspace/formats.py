@@ -9,15 +9,15 @@ position of its ``ParseError``.  All JSON numbers are exact integer
 pairs {"num": ..., "den": ...}.  The builders write only those, and a
 report's ``"points"`` are its singles' ``PointVerdict``s and the
 ``twist.Piece``s between them.  ``dumps`` is the one writer (``dump``
-writes its texts to a file as it goes): it writes a point's integers into a
-layout cached per shape, the form's text included, and a piece a chunk of
-members at a time: the piece's layout, filled with what its members share,
-is split once into its literal parts, and a chunk is one join of those
-parts with the texts of the columns that move.  With ``approx`` set it
-adds --float's decimal approximation to each pair a float holds as it
-writes it; the approximation never feeds back into anything.  Every
-layout comes from ``_point_layout``, the one place that gives a point's
-JSON its keys."""
+writes its texts to a file as it goes): it writes a piece a chunk of
+members at a time, and a single as a piece of one member.  The piece's
+layout, cached per shape with the form's text included and filled with what
+its members share, is split once into its literal parts, and a chunk is one
+join of those parts with the texts of the columns that move.  With
+``approx`` set it adds --float's decimal approximation to each pair a float
+holds as it writes it; the approximation never feeds back into anything.
+Every layout comes from ``_point_layout``, the one place that gives a
+point's JSON its keys."""
 
 from __future__ import annotations
 
@@ -177,12 +177,12 @@ def dumps(o, approx: bool = False, _pad: str = "\n") -> str:
 
     The stdlib takes a generator-based pure-Python path whenever ``indent``
     is set.  This one keeps the C string escaper, writes the scalar members
-    of a container in its own loop, each point with one %-format into its
-    cached layout, and each piece a chunk of members at a time into its
-    layout split into literal parts, and recurses only into the other
-    containers and floats.  Every text goes into one list, the texts between
-    members cached per dict shape, and one join writes the document: no
-    subtree's text is copied on its way up.
+    of a container in its own loop, each piece a chunk of members at a time
+    into its layout split into literal parts, and a point as a piece of one
+    member, and recurses only into the other containers and floats.  Every
+    text goes into one list, the texts between members cached per dict
+    shape, and one join writes the document: no subtree's text is copied on
+    its way up.
     """
     out = _Texts()
     _write(o, approx, _pad, out)
@@ -252,10 +252,9 @@ def _write(o, approx: bool, pad: str, out: list) -> None:
                 v = "true" if v else "false"
             elif v is None:
                 v = "null"
-            elif tv is PointVerdict:
-                v = _point_text(v, inner, approx)
-            elif tv is Piece:
-                _write_piece(v, inner, approx, out)
+            elif tv is Piece or tv is PointVerdict:
+                _write_piece(v if tv is Piece else Piece(None, v.n, v.n, v, None), inner,
+                             approx, out)
                 continue
             else:
                 _write(v, approx, inner, out)
@@ -342,20 +341,6 @@ def _fill(layout: str, values) -> str:
         return layout % tuple([int_text(x) if type(x) is int else x for x in values])
 
 
-def _point_text(p: PointVerdict, pad: str, approx: bool) -> str:
-    """A point's JSON text: its integers and enum values, in the order of the
-    slots of ``_point_layout``, through one %-format; a slope's approx is
-    always there, as p/q lies in (0, 1)."""
-    f, v = p.form, p.verdict
-    w, pairs = v.witness, f.pairs
-    rp2 = f.base is _RP2
-    slots = _slots(p.n, p.slope, None if rp2 else f.b, pairs,
-                   [num / den for num, den in pairs] if approx else None, p.tag, v.reason,
-                   None if w is None else (w.k, w.a), v.witness_is_dual, v.search_bound)
-    layout = _point_layout(pad, len(pairs), f.degenerate, rp2, w is not None, approx)
-    return _fill(layout, tuple(slots))
-
-
 _VAR = "\2"  # before the name of a column that moves along a piece
 
 
@@ -400,7 +385,8 @@ def _texts(values: list) -> list:
 
 def _write_piece(piece: Piece, pad: str, approx: bool, out: list) -> None:
     """Append the JSON texts of a piece's members to ``out``, as members of
-    a list at this indent, the first after the head the list leaves to it.
+    a list at this indent, the first after the head the list leaves to it;
+    a single's, as the one member of its piece, after any head.
 
     The piece's layout is split once, by ``_piece_layout``; a chunk of
     members is one join of its literal parts with the texts of the values

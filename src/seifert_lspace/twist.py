@@ -16,26 +16,25 @@ pole)), f is strictly decreasing on each side of its pole -alpha_3/alpha and
 converges to beta/alpha, the slope of the n -> +-infinity limit space (the
 result of (m, 0)-surgery on knot and seiferter together).  Combining this
 monotonicity with the exact third-slope thresholds classifies every member
-of the family exactly.  One walk over all of Z cuts the indices into a few
-runs of one verdict, cut where f crosses an integer or a band's threshold
-boundary, and the indices no threshold covers (the pole and integer values
-of f).  The two end runs are the tails: each is certified with the first
-index from which a single verdict holds, replacing epsilon-style "for n
-large enough" statements.  A report is the runs and the singles alone, so
-its cost does not depend on any range of indices.
+of the family exactly.  One walk on a member's ``frame``, which folds the
+offset and any mirroring into the slope F(n) of its n-th member, cuts all of
+Z into pieces: maximal ranges with one base, one slot of the moving pair
+among the two fixed slopes and one verdict shape, cut where F crosses an
+integer, a band's threshold boundary or a fixed slope shifted into the band,
+and around the member whose Euler number is zero.  The pieces of one band
+with one verdict on one side of the pole form a run; the indices no
+threshold covers (the pole and integer values of F) are singles.  The two
+end runs are the tails: each is certified with the first index from which a
+single verdict holds, replacing epsilon-style "for n large enough"
+statements.  A report is the runs, their pieces and the singles, so its cost
+does not depend on any range of indices.
 
-``FamilyReport.pieces`` alone reads a display window, and writes it as
-pieces: maximal ranges of members with one base, one slot of the moving
-pair among the two fixed slopes and one verdict shape.  A run lies in one
-band, so its part of the window keeps its base and its verdict; it is cut
-where f falls below a fixed slope shifted into the band (inverted by the
-walk's floor division) and around the one member whose Euler number is
-zero.  Along a piece, n, m_n and the moving pair are affine in n, so one
-decision of its first member, by ``evaluate_point``, gives its verdict
-shape; ``Piece.columns`` gives what moves, the search bound and the witness
-among it, and ``FamilyReport.shown`` expands the pieces into
-``PointVerdict``s.  ``evaluate_point`` stays the one-member path: it
-decides a member from its frame alone, with no piece cut.
+``FamilyReport.pieces`` alone reads a display window: it clips the pieces to
+it and decides each one's first member by ``evaluate_point``.  Along a
+piece, n, m_n and the moving pair are affine in n, so that one decision
+gives its verdict shape; ``Piece.columns`` gives what moves, the search
+bound and the witness among it, and ``FamilyReport.shown`` expands the
+pieces into ``PointVerdict``s.
 
 All of it runs on integers: f(n) is the reduced pair (n*beta + beta_3,
 n*alpha + alpha_3), and the walk compares such pairs by cross-multiplication.
@@ -219,75 +218,105 @@ def _first_below(mat: tuple, c: tuple, strict: bool) -> int:
     return num // den + 1 if strict else -(-num // den)
 
 
-def _runs(d: SeiferterData) -> list:
-    """Cut the data indices, all of Z, into one increasing list of maximal
-    runs (from_j, to_j, is_lspace, band_base, threshold), None marking an
-    infinite end, and the indices between them that no threshold covers, as
-    ints: the pole, integer values of f, and the alpha = 0 S2 x S1 index.
+def _runs(member: FamilyMember) -> list:
+    """Cut the family's indices, all of Z, into one increasing list of
+    maximal runs of one band, verdict and side of the pole, [from_n, to_n,
+    is_lspace, band_base, threshold, pieces], None marking an infinite end,
+    and the indices between them that no threshold covers, as ints: the
+    pole, integer values of F, and the alpha = 0 S2 x S1 member.
 
-    A run holds the indices whose f(j) lies in one piece of one band, where
-    the band's threshold has one verdict.  The walk starts at -infinity in
-    the piece just below beta/alpha and ends at the run right of the pole
-    whose lower cut is at or below beta/alpha: f stays above beta/alpha
-    there, so that run goes on to +infinity.  Slopes and cuts are reduced
-    pairs (num, den), den > 0; the oracle is ``oracles.fraction_runs``.
+    The walk goes up from -infinity on the member's ``frame``, piece by
+    piece: F is decreasing, so the next piece starts where F passes the
+    largest of its band's cuts below it (``_first_below``), and where cuts
+    share a value the piece holds it only if each one does.  A run's pieces
+    are (first, last, slot).  A run reports the data's band base and
+    threshold: for a mirrored member in the band of base B, those of
+    -B - 3.  The walk starts in the piece just below beta/alpha and ends
+    right of the pole at the piece with no cut between F and beta/alpha,
+    which goes on to +infinity.  The oracle is ``oracles.fraction_runs``.
     """
-    alpha, beta, alpha3, beta3 = d.alpha, d.beta, d.alpha3, d.beta3
+    if member.rp2:
+        return [(None, None, True, None, None, ((None, None, None),))]
+    d, mirrored = member.data, member.mirrored
+    b, fixed, alpha, beta, alpha3, beta3, m, ll = member.frame
+    (a1, c1), (a2, c2) = fixed
+    e, q = a1 * c2 + a2 * c1, c1 * c2
     if not alpha:
-        # f(j) = -j + beta3 is an integer for every j: all members are lens
-        # spaces, L-spaces except a single possible S2 x S1 when r2 = 1 - r1.
-        r1, r2 = d.r1, d.r2
-        if (r2.numerator, r2.denominator) != (r1.denominator - r1.numerator, r1.denominator):
-            return [(None, None, True, None, None)]
-        j = d.b + beta3 + 1
-        return [(None, j - 1, True, None, None), j, (j + 1, None, True, None, None)]
+        # F(n) = beta3 - n is an integer for every n: all members are lens
+        # spaces S2(b + F(n); fixed), L-spaces but for one S2 x S1 when the
+        # fixed slopes sum to 1; the S3 member, |(b + F(n)) q + e| = 1, is
+        # cut out
+        if e == q:
+            n = b + beta3 + 1
+            return [(None, n - 1, True, None, None, ((None, n - 1, None),)), n,
+                    (n + 1, None, True, None, None, ((n + 1, None, None),))]
+        pieces = ((None, None, None),)
+        for h in (1, -1):
+            base, rem = divmod(h - e, q)
+            if not rem:
+                n = beta3 + b - base
+                pieces = ((None, n - 1, None), (n, n, None), (n + 1, None, None))
+        return [(None, None, True, None, None, pieces)]
 
-    cache = {}
-
-    def piece(num, den, below=False):
-        # the band p < num/den <= p + 1 (the lower one if num/den is an
-        # integer, which only the limit slope can be), its threshold,
-        # computed once per band, and the piece of the band with one verdict
-        # that holds num/den, or with ``below`` the slopes just below it:
-        # (verdict, lower cut, whether the cut belongs to the piece, band
-        # base, threshold)
-        p = (num - 1) // den
-        if p not in cache:
-            cache[p] = third_slot_threshold(d.b + p, d.r1, d.r2)
-        t = cache[p]
-        x, q = t.cut or (0, 1)
-        inner, up = 0 < x < q, t.b == -1
-        # the L-space piece lies above x for b = -1 and below it for b = -2;
-        # x itself is an L-space, so it closes the upper piece only for b = -1
-        above = (num - p * den) * q - x * den
-        if inner and (above > 0 or above == 0 and up and not below):
-            return up, (p * q + x, q), up, d.b + p, t
-        return not (inner and up), (p, 1), False, d.b + p, t
-
-    rn, rd = (beta, alpha) if alpha > 0 else (-beta, -alpha)
+    # the Euler number is zero where F(n) = -(b + e/q): a member there, at
+    # an integer n, is a piece of its own; of the two cuts at its value, the
+    # open one ends the piece before it and the closed one the member's
+    zn = -b * q - e
+    num, den = beta3 * q - zn * alpha3, zn * alpha - beta * q
+    euler = [(zn, q, False, ""), (zn, q, True, "")] if den and not num % den else []
     mat = alpha, beta, alpha3, beta3
-    # f increases to rn/rd from below as j -> -infinity
-    verdict, c, closed, base, desc = piece(rn, rd, below=True)
-    j = _first_below(mat, c, closed)
-    rows = [(None, j - 1, verdict, base, desc)]
-    # at integers |f(j) - beta/alpha| <= 1/|alpha|, so each side of the pole
-    # meets at most three bands, each split at most once by its threshold
+    rn, rd = (beta, alpha) if alpha > 0 else (-beta, -alpha)
+    # F increases to rn/rd from below as n -> -infinity; at integers
+    # |F(n) - rn/rd| <= 1/|alpha|, so each side of the pole meets at most
+    # three bands, each cut at most five times
+    rows, bands, last, j, vn, vd, below, right = [], {}, None, None, rn, rd, True, False
     while True:
-        num, den = j * beta + beta3, j * alpha + alpha3
-        if -1 <= den <= 1:  # the pole, or an integer slope: f(j) is reduced
-            rows.append(j)
-            j += 1
-            continue
-        s = 1 if den > 0 else -1
-        verdict, c, closed, base, desc = piece(s * num, s * den)
-        if s * alpha > 0 and c[0] * rd <= rn * c[1]:
-            # right of the pole (s * alpha > 0) f > beta/alpha, so this cut
-            # is never reached
-            rows.append((j, None, verdict, base, desc))
+        p = (vn - 1) // vd
+        if p not in bands:
+            # the threshold a run in the band p < F <= p + 1 reports, and the
+            # band's cuts (num, den, closed, kind): "s" where the moving pair
+            # changes slot, "t" the boundary, closed on its L-space side
+            t = third_slot_threshold(-b - p - 3 if mirrored else b + p, d.r1, d.r2)
+            cuts = [(p, 1, False, ""), (p * c1 + a1, c1, True, "s"), (p * c2 + a2, c2, True, "s"),
+                    *euler]
+            x, y = t.cut or (0, 1)
+            if 0 < x < y:
+                x = y - x if mirrored else x
+                cuts.append((p * y + x, y, (t.b == -1) != mirrored, "t"))
+            bands[p] = t, cuts
+        t, cuts = bands[p]
+        slot, verdict, top = 0, True, None
+        for cn, cd, closed, kind in cuts:
+            x = cn * vd - vn * cd
+            ahead = x < 0 or x == 0 and closed and not below
+            if kind == "t":
+                verdict = ahead == closed
+            if not ahead:  # F has passed the cut already
+                continue
+            slot += kind == "s"
+            # right of the pole F > rn/rd, so a cut at or below it is never reached
+            if right and cn * rd <= rn * cd:
+                continue
+            y = 1 if top is None else cn * top[1] - top[0] * cd
+            if y > 0:
+                top, shut = (cn, cd), closed
+            elif y == 0:
+                shut = shut and closed
+        nxt = None if top is None else _first_below(mat, top, shut)
+        piece = (j, None if nxt is None else nxt - 1, slot)
+        if last == (p, verdict, right):
+            rows[-1][1] = piece[1]
+            rows[-1][5].append(piece)
+        else:
+            rows.append([j, piece[1], verdict, t.b, t, [piece]])
+        if nxt is None:
             return rows
-        nxt = _first_below(mat, c, closed)
-        rows.append((j, nxt - 1, verdict, base, desc))
-        j = nxt
+        last, j, num, den = (p, verdict, right), nxt, beta * nxt + beta3, alpha * nxt + alpha3
+        while -1 <= den <= 1:  # the pole, or an integer F(j): F(j) is reduced
+            rows.append(j)
+            last, j, num, den = None, j + 1, num + beta, den + alpha
+        s = 1 if den > 0 else -1
+        vn, vd, below, right = s * num, s * den, False, s * alpha > 0
 
 
 class PointVerdict(NamedTuple):
@@ -313,7 +342,8 @@ class Piece(NamedTuple):
     ``slot`` of its form's pairs, the moving pair moved along, all affine in
     n; a lens member (``slot`` None) moves its b instead, and a
     projective-base member only its n.  ``columns`` gives what moves and
-    ``points`` the members' ``PointVerdict``s.
+    ``points`` the members' ``PointVerdict``s.  A single is the piece of
+    one member, which needs no ``member``: nothing moves along it.
     """
     member: FamilyMember
     lo: int
@@ -324,7 +354,8 @@ class Piece(NamedTuple):
     def columns(self) -> tuple:
         """What moves along the piece, each as its members' values in order,
         or None where every member has ``first``'s: m_n, b, the moving pair's
-        num and den, the witness and the search bound.
+        num and den, the witness and the search bound; all None along one
+        member.
 
         At base -1 or -2, ``_decide_small`` tests the sorted triple, at -2
         complemented and reversed.  The search bound moves when the moving
@@ -333,7 +364,7 @@ class Piece(NamedTuple):
         """
         first, slot, size = self.first, self.slot, self.hi - self.lo + 1
         slopes = bs = nums = dens = ws = bounds = None
-        if self.member.rp2:
+        if size == 1 or self.member.rp2:
             return slopes, bs, nums, dens, ws, bounds
         b, fixed, alpha, beta, alpha3, beta3, m, ll = self.member.frame
         form, v = first.form, first.verdict
@@ -362,7 +393,7 @@ class Piece(NamedTuple):
         first, slot = self.first, self.slot
         f, v, tag = first.form, first.verdict, first.tag
         slopes, bs, nums, dens, ws, bounds = self.columns()
-        if bs is None and dens is None:  # a projective-base member
+        if bs is None and dens is None:  # one member, or projective-base ones
             for n in range(self.lo, self.hi + 1):
                 yield first._replace(n=n)
             return
@@ -393,12 +424,15 @@ class FamilyReport:
     to -infinity and the last the tail to +infinity; a family with one
     verdict everywhere is the one row Run(None, None).  ``limit_slope`` is
     beta/alpha, before any mirroring, and None for a projective-base family.
+    ``parts`` partition Z the same way into the runs' pieces, as (first,
+    last, slot), and the singles.
     """
     member: FamilyMember
     rows: tuple[Run | PointVerdict, ...]
     limit_slope: object  # Fraction, INF or None
     limit: SeifertForm
     limit_verdict: LSpaceVerdict
+    parts: tuple
 
     @property
     def tail_neg(self) -> Run:
@@ -423,23 +457,25 @@ class FamilyReport:
 
     def pieces(self, lo: int, hi: int):
         """The report shown on the window lo..hi, in increasing order: the
-        part of each row left of it, its members as the singles in it and
-        the ``Piece``s of each run's part in it, and the part of each row
-        right of it; so the tails come first and last."""
+        part of each row left of it, the singles and the ``Piece``s of
+        ``parts`` clipped to it, each piece's first member decided by
+        ``evaluate_point``, and the part of each row right of it; so the
+        tails come first and last."""
         if lo > hi:
             raise ValueError("empty window")
         for row in self.rows:
             a, b = _span(row)
             if a is None or a < lo:
                 yield row if b is not None and b < lo else replace(row, to_n=lo - 1)
-        for row in self.rows:
-            a, b = _span(row)
+        for part in self.parts:
+            if type(part) is PointVerdict:
+                if lo <= part.n <= hi:
+                    yield part
+                continue
+            a, b, slot = part
             a, b = lo if a is None else max(a, lo), hi if b is None else min(b, hi)
             if a <= b:
-                if type(row) is Run:
-                    yield from _pieces(self.member, a, b)
-                else:
-                    yield row
+                yield Piece(self.member, a, b, evaluate_point(self.member, a), slot)
         for row in self.rows:
             a, b = _span(row)
             if b is None or b > hi:
@@ -453,59 +489,6 @@ class FamilyReport:
                 yield from row.points()
             else:
                 yield row
-
-
-def _pieces(member: FamilyMember, lo: int, hi: int):
-    """The ``Piece``s of the members lo..hi, which lie in one run, so in one
-    band with one base and, but at the member of Euler number zero, one
-    verdict.  They are cut where F falls below a fixed slope shifted into
-    the band, whole + a/c (``_first_below`` on the frame, unless F starts
-    below it or never gets there), and around the member where F(n) = -(b +
-    r1 + r2), the Euler number zero; in a lens family (alpha = 0, F(n) =
-    beta3 - n), around the S3 members, where b + F(n) = (h - e)/q with r1 +
-    r2 = e/q and |H1| = |h| = 1.  Each piece's first member is decided by
-    ``evaluate_point``.
-    """
-    if member.rp2:
-        yield Piece(member, lo, hi, evaluate_point(member, lo), None)
-        return
-    b, fixed, alpha, beta, alpha3, beta3, m, ll = member.frame
-    (a1, c1), (a2, c2) = fixed
-    e, q = a1 * c2 + a2 * c1, c1 * c2
-    cuts, slots = set(), ()
-    if not alpha:
-        for h in (1, -1):
-            base, rem = divmod(h - e, q)
-            if not rem:
-                n = beta3 + b - base
-                cuts.update((n, n + 1))
-    else:
-        mat = alpha, beta, alpha3, beta3
-        num, den = beta * lo + beta3, alpha * lo + alpha3
-        if den < 0:
-            num, den = -num, -den
-        whole = num // den
-        for a, c in fixed:
-            a += whole * c
-            if num * c < a * den:
-                x = lo
-            elif a * alpha == beta * c:
-                x = hi + 1
-            else:  # a crossing at or left of lo is on the other side of the pole
-                x = _first_below(mat, (a, c), True)
-                x = x if x > lo else hi + 1
-            cuts.add(x)
-            slots += (x,)
-        u, v = -b * q - e, q
-        num, den = beta3 * v - u * alpha3, u * alpha - beta * v
-        if den and not num % den:
-            n = num // den
-            cuts.update((n, n + 1))
-    starts = sorted({lo, *[n for n in cuts if lo < n <= hi]})
-    for start, end in zip(starts, starts[1:] + [hi + 1]):
-        # from the crossing of r2 on the pair is below r2, from that of r1 below both
-        slot = None if not slots else 2 - sum(start >= x for x in slots)
-        yield Piece(member, start, end - 1, evaluate_point(member, start), slot)
 
 
 _RP2_FORM = SeifertForm(base=Base.RP2)
@@ -551,25 +534,18 @@ def evaluate_point(d, n: int) -> PointVerdict:
 
 
 def classify_family(d) -> FamilyReport:
-    """Exact verdicts for every member, over all of Z, from the walk's runs
-    and singles.  The family's n-th member is the data's (n + offset)-th, or
-    the mirror of its -(n + offset)-th; mirroring reverses the rows."""
+    """Exact verdicts for every member, over all of Z, from the walk's runs,
+    with their pieces, and its singles."""
     member = d if isinstance(d, FamilyMember) else FamilyMember(data=d)
-    walk = [(None, None, True, None, None)] if member.rp2 else _runs(member.data)
-    mirrored = member.mirrored
-    s = -1 if mirrored else 1
-
-    def to_n(j):
-        return None if j is None else s * j - member.offset
-
-    rows = []
-    for row in (walk[::-1] if mirrored else walk):
-        if isinstance(row, int):
-            rows.append(evaluate_point(member, to_n(row)))
-            continue
-        a, b, verdict, base, desc = row
-        a, b = (to_n(b), to_n(a)) if mirrored else (to_n(a), to_n(b))
-        rows.append(Run(a, b, verdict, base, desc, mirrored))
+    rows, parts = [], []
+    for row in _runs(member):
+        if type(row) is int:
+            row = evaluate_point(member, row)
+            parts.append(row)
+        else:
+            parts += row[5]
+            row = Run(*row[:5], member.mirrored)
+        rows.append(row)
     slope = None if member.rp2 else member.data.limit_slope
     limit = member.limit()
-    return FamilyReport(member, tuple(rows), slope, limit, decide(limit))
+    return FamilyReport(member, tuple(rows), slope, limit, decide(limit), tuple(parts))

@@ -21,9 +21,10 @@ member.  ``fraction_point``, the package's former ``evaluate_point``, takes
 that form through ``fraction_classify`` and ``fraction_decide``; it is the
 reference for the integers ``evaluate_point`` builds a member from.
 ``fraction_runs``, with ``fraction_piece``, ``fraction_first_below`` and
-``fiber_slope``, is the package's former ``Fraction`` walk ``_runs``: the
-reference for the integer walk and, through ``fiber_slope``, for
-``surgered_space``.  The
+``fiber_slope``, is the package's former ``Fraction`` walk ``_runs`` on the
+data's index j: the reference for the integer walk on a member's frame,
+through n = j - offset or, mirrored, n = -j - offset, and, through
+``fiber_slope``, for ``surgered_space``.  The
 ``fraction_*`` oracles read a form's slopes through its ``Fraction`` view,
 ``SeifertForm.slopes``.  ``euler_number`` is b plus the sum of those
 ``Fraction``s.  ``point_json`` and ``add_approx`` are the package's

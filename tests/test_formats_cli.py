@@ -315,9 +315,9 @@ class TestPointLayouts:
 
 
 class TestStretchWriter:
-    """``dumps`` writes the ``Piece``s of a shown window as their members'
-    ``_point_text``s, the one-member path, would: byte for byte, at any
-    indent, with and without ``approx``."""
+    """``dumps`` writes the ``Piece``s of a shown window as their members,
+    each a piece of one member, would: byte for byte, at any indent, with
+    and without ``approx``."""
 
     @staticmethod
     def _members(rng):
@@ -765,20 +765,16 @@ class TestCliOtherVerbs:
 
     def test_text_builds_no_json(self, capsys, monkeypatch):
         from seifert_lspace import formats
-        # every member's JSON text is written by _write_piece or _point_text
+        # every member's JSON text is written by _write_piece, a single's
+        # as a piece of one member
         calls = []
-        write_piece, point_text = formats._write_piece, formats._point_text
+        write_piece = formats._write_piece
 
         def counting_piece(piece, *args):
             calls.extend(range(piece.lo, piece.hi + 1))
             return write_piece(piece, *args)
 
-        def counting_point(p, *args):
-            calls.append(p.n)
-            return point_text(p, *args)
-
         monkeypatch.setattr(formats, "_write_piece", counting_piece)
-        monkeypatch.setattr(formats, "_point_text", counting_point)
         argv = ["family", "run", "tunnel2-B", "--window=-5..5"]
         assert main(argv) == 0
         capsys.readouterr()
@@ -861,10 +857,11 @@ class TestCliOtherVerbs:
         # a shown window costs one decision and one split layout per piece:
         # every catalog family over -1000..1000 and the epsilon = 10^-3 scan
         # over 10^5 indices have a few pieces per side of the pole, however
-        # wide the window
+        # wide the window; a single is written as a piece of one member
         from seifert_lspace import formats, twist
         decided, layouts, pieces = [], [], []
-        decide_small, piece_layout, cut = twist._decide_small, formats._piece_layout, twist._pieces
+        decide_small, piece_layout = twist._decide_small, formats._piece_layout
+        cut = twist.FamilyReport.pieces
 
         def counting_decide(*args):
             decided.append(1)
@@ -875,13 +872,14 @@ class TestCliOtherVerbs:
             return piece_layout(*args)
 
         def counting_pieces(*args):
-            for piece in cut(*args):
-                pieces.append(piece.hi - piece.lo + 1)
-                yield piece
+            for row in cut(*args):
+                if type(row) is not twist.Run:
+                    pieces.append(row.hi - row.lo + 1 if type(row) is twist.Piece else 1)
+                yield row
 
         monkeypatch.setattr(twist, "_decide_small", counting_decide)
         monkeypatch.setattr(formats, "_piece_layout", counting_layout)
-        monkeypatch.setattr(twist, "_pieces", counting_pieces)
+        monkeypatch.setattr(twist.FamilyReport, "pieces", counting_pieces)
         scan = ["twist-scan", "--b", "-1", "--r1", "1/3", "--r2", "1997/3000", "--alpha", "1",
                 "--beta", "0", "--alpha3", "1", "--beta3", "1", "--window=-100000..0"]
         runs = [(["family", "run", s.name, "--window=-1000..1000"], len(s.members))

@@ -44,6 +44,31 @@ def _shown(report, lo, hi):
     return points, runs, lspace_at
 
 
+def _assert_rows_map(member, want):
+    """The member's report rows are ``want``, the rows of ``fraction_runs``
+    on its data, mapped through n = j - offset, or n = -j - offset and
+    reversed on a mirrored member: each run's ends, verdict, band base,
+    threshold (b, boundary) and mirrored flag, and each single's n."""
+    s = -1 if member.mirrored else 1
+
+    def to_n(j):
+        return None if j is None else s * j - member.offset
+
+    rows = classify_family(member).rows
+    assert len(rows) == len(want), (member, rows, want)
+    for row, w in zip(rows, want[::s]):
+        if isinstance(w, int):
+            assert isinstance(row, PointVerdict) and row.n == to_n(w), (member, row, w)
+            continue
+        a, b = (to_n(w[0]), to_n(w[1]))[::s]
+        assert (row.from_n, row.to_n, row.is_lspace, row.band_base, row.mirrored) == \
+            (a, b, w[2], w[3], member.mirrored), (member, row, w)
+        t, u = row.threshold, w[4]
+        assert (t is None) == (u is None), (member, row, w)
+        if t is not None:
+            assert (t.b, t.boundary) == (u.b, u.boundary), (member, row, w)
+
+
 class TestSeiferterData:
     def test_determinant_enforced(self):
         with pytest.raises(ValueError):
@@ -434,7 +459,8 @@ class TestRuns:
         kinds = set()
         for _ in range(300):
             d = _random_seiferter(rng)
-            rows = _runs(d)
+            # at offset 0, unmirrored, the family's n is the data's j
+            rows = _runs(FamilyMember(data=d))
             runs = [r for r in rows if not isinstance(r, int)]
             singles = [r for r in rows if isinstance(r, int)]
             pole = F(-d.alpha3, d.alpha) if d.alpha else None
@@ -453,7 +479,11 @@ class TestRuns:
             for j in singles:
                 v = fiber_slope(d, j)
                 assert v is INF or v.denominator == 1, (d, j)
-            for a, b, is_lspace, base, desc in runs:
+            for a, b, is_lspace, base, desc, pieces in runs:
+                # the run's pieces tile it in order
+                assert pieces[0][0] == a and pieces[-1][1] == b, (d, pieces)
+                for (_, z, _), (x, _, _) in zip(pieces, pieces[1:]):
+                    assert z is not None and x == z + 1, (d, pieces)
                 if a is None and b is None:
                     points = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(4)]
                 elif a is None:
@@ -471,27 +501,21 @@ class TestRuns:
         assert kinds == {"alpha0", "alpha0-s2xs1", "integer pole", "pole"}
 
     def test_integer_walk_matches_the_fraction_walk(self):
-        """_runs against the former Fraction walk, row by row, each band's
-        threshold compared through its Fraction view; surgered_space and
-        limit_space against fraction_normalize of the Fraction slope; and
-        every row of a mirrored and an unmirrored member against
-        fraction_point, at the singles and at the ends and inside of runs."""
+        """The walk on the frame against the former Fraction walk on the
+        data, row by row through ``_assert_rows_map``, for a member at
+        offset 0 and an unmirrored and a mirrored one at random offsets,
+        each band's threshold compared through its Fraction view;
+        surgered_space and limit_space against fraction_normalize of the
+        Fraction slope; and every row of the mirrored and the unmirrored
+        member against fraction_point, at the singles and at the ends and
+        inside of runs."""
         rng = random.Random(1729)
         kinds = set()
         for k in range(360):
             d = _random_seiferter(rng) if k % 2 else _huge_seiferter(rng)
-            rows, want = _runs(d), fraction_runs(d)
-            assert len(rows) == len(want), (d, rows, want)
-            for row, w in zip(rows, want):
-                if isinstance(w, int):
-                    assert row == w, (d, row, w)
-                    continue
-                assert row[:4] == w[:4], (d, row, w)
-                t, u = row[4], w[4]
-                assert (t is None) == (u is None), (d, row, w)
-                if t is not None:
-                    assert (t.b, t.boundary) == (u.b, u.boundary), (d, row, w)
-            ends = {j for row in rows for j in ((row,) if isinstance(row, int) else row[:2])
+            want = fraction_runs(d)
+            _assert_rows_map(FamilyMember(data=d), want)
+            ends = {j for row in want for j in ((row,) if isinstance(row, int) else row[:2])
                     if j is not None}
             for j in {rng.randint(-10 ** 20, 10 ** 20), *(e + i for e in ends for i in (-1, 0, 1))}:
                 assert surgered_space(d, j) == \
@@ -499,6 +523,7 @@ class TestRuns:
             assert limit_space(d) == fraction_normalize(d.b, (d.r1, d.r2, d.limit_slope)), d
             for mirrored in (False, True):
                 member = FamilyMember(data=d, mirrored=mirrored, offset=rng.randint(-9, 9))
+                _assert_rows_map(member, want)
                 for row in classify_family(member).rows:
                     if isinstance(row, PointVerdict):
                         assert row == fraction_point(member, row.n), (member, row)
@@ -513,7 +538,7 @@ class TestRuns:
                     for n in ns:
                         assert fraction_point(member, n).verdict.is_lspace is row.is_lspace, \
                             (member, row, n)
-            singles = any(isinstance(r, int) for r in rows)
+            singles = any(isinstance(r, int) for r in want)
             kinds.add(("alpha = 0, S2 x S1" if singles else "alpha = 0") if d.alpha == 0 else
                       "(alpha3, beta3) = (0, 1)" if d.alpha3 == 0 else
                       "integer limit" if abs(d.alpha) == 1 else
@@ -545,7 +570,7 @@ class TestRuns:
                 a, b = (_shown(whole, *w)[2] for w in windows)
                 # the report's points are exactly the singles
                 assert sum(isinstance(r, PointVerdict) for r in whole.rows) == \
-                    sum(isinstance(r, int) for r in _runs(d)), (d, mirrored)
+                    sum(isinstance(r, int) for r in _runs(member)), (d, mirrored)
                 lo = min(pole, *windows[0], *windows[1]) - 20
                 hi = max(pole, *windows[0], *windows[1]) + 20
                 for n in range(lo, hi + 1):
