@@ -47,7 +47,7 @@ sum, and every other member is S2(b + beta; r1, r2, 1/n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -193,6 +193,8 @@ class Run:
     runs of a family whose fiber slope is always an integer (alpha = 0) and
     for projective-base families.  When ``mirrored`` is set they refer to
     the underlying data before mirroring (the verdict is mirror-invariant).
+    ``pieces`` are the run's pieces as the walk cut them, (first, last,
+    slot) in order; a run clipped to the outside of a window keeps them.
     """
     from_n: int | None
     to_n: int | None
@@ -200,6 +202,7 @@ class Run:
     band_base: int | None = None
     threshold: ThirdSlotThreshold | None = None
     mirrored: bool = False
+    pieces: tuple = field(default=(), compare=False, repr=False)
 
 
 def _first_below(mat: tuple, c: tuple, strict: bool) -> int:
@@ -343,9 +346,10 @@ class Piece(NamedTuple):
     n; a lens member (``slot`` None) moves its b instead, and a
     projective-base member only its n.  ``columns`` gives what moves and
     ``points`` the members' ``PointVerdict``s.  A single is the piece of
-    one member, which needs no ``member``: nothing moves along it.
+    one member, whose ``member`` may be None: nothing moves along it, so
+    ``columns`` tests the size before it reads ``member``.
     """
-    member: FamilyMember
+    member: FamilyMember | None
     lo: int
     hi: int
     first: PointVerdict
@@ -424,15 +428,12 @@ class FamilyReport:
     to -infinity and the last the tail to +infinity; a family with one
     verdict everywhere is the one row Run(None, None).  ``limit_slope`` is
     beta/alpha, before any mirroring, and None for a projective-base family.
-    ``parts`` partition Z the same way into the runs' pieces, as (first,
-    last, slot), and the singles.
     """
     member: FamilyMember
     rows: tuple[Run | PointVerdict, ...]
     limit_slope: object  # Fraction, INF or None
     limit: SeifertForm
     limit_verdict: LSpaceVerdict
-    parts: tuple
 
     @property
     def tail_neg(self) -> Run:
@@ -457,8 +458,8 @@ class FamilyReport:
 
     def pieces(self, lo: int, hi: int):
         """The report shown on the window lo..hi, in increasing order: the
-        part of each row left of it, the singles and the ``Piece``s of
-        ``parts`` clipped to it, each piece's first member decided by
+        part of each row left of it, the singles and the ``Piece``s of the
+        runs' pieces clipped to it, each piece's first member decided by
         ``evaluate_point``, and the part of each row right of it; so the
         tails come first and last."""
         if lo > hi:
@@ -467,15 +468,15 @@ class FamilyReport:
             a, b = _span(row)
             if a is None or a < lo:
                 yield row if b is not None and b < lo else replace(row, to_n=lo - 1)
-        for part in self.parts:
-            if type(part) is PointVerdict:
-                if lo <= part.n <= hi:
-                    yield part
+        for row in self.rows:
+            if type(row) is PointVerdict:
+                if lo <= row.n <= hi:
+                    yield row
                 continue
-            a, b, slot = part
-            a, b = lo if a is None else max(a, lo), hi if b is None else min(b, hi)
-            if a <= b:
-                yield Piece(self.member, a, b, evaluate_point(self.member, a), slot)
+            for a, b, slot in row.pieces:
+                a, b = lo if a is None else max(a, lo), hi if b is None else min(b, hi)
+                if a <= b:
+                    yield Piece(self.member, a, b, evaluate_point(self.member, a), slot)
         for row in self.rows:
             a, b = _span(row)
             if b is None or b > hi:
@@ -537,15 +538,8 @@ def classify_family(d) -> FamilyReport:
     """Exact verdicts for every member, over all of Z, from the walk's runs,
     with their pieces, and its singles."""
     member = d if isinstance(d, FamilyMember) else FamilyMember(data=d)
-    rows, parts = [], []
-    for row in _runs(member):
-        if type(row) is int:
-            row = evaluate_point(member, row)
-            parts.append(row)
-        else:
-            parts += row[5]
-            row = Run(*row[:5], member.mirrored)
-        rows.append(row)
+    rows = tuple(evaluate_point(member, row) if type(row) is int else
+                 Run(*row[:5], member.mirrored, tuple(row[5])) for row in _runs(member))
     slope = None if member.rp2 else member.data.limit_slope
     limit = member.limit()
-    return FamilyReport(member, tuple(rows), slope, limit, decide(limit), tuple(parts))
+    return FamilyReport(member, rows, slope, limit, decide(limit))
