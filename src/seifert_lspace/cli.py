@@ -17,13 +17,12 @@ import sys
 import time
 
 from . import families as fam
-from .formats import (ParseError, classification_json, describe_segment, describe_tail,
-                      dump, form_json, parse_form, report_json, threshold_json,
-                      verdict_json)
+from .formats import (ParseError, classification_json, dump, form_json, parse_form,
+                      report_json, report_lines, threshold_json, verdict_json)
 from .lspace import decide, third_slot_threshold
 from .rationals import INF, int_text, pair_text, parse_rational
 from .seifert import classify
-from .twist import PointVerdict, SeiferterData, classify_family
+from .twist import SeiferterData, classify_family
 
 
 MAX_WINDOW = 10 ** 6  # indices a window may hold; each one is evaluated
@@ -99,33 +98,6 @@ def cmd_threshold(args):
             lambda: [f"S2({args.b}; {args.r1}, {args.r2}, r) for r in (0,1): {desc}"], 0)
 
 
-def _scan_lines(report, window):
-    """A report's lines on the window, from one walk of ``report.shown``."""
-    lo, hi = window
-    for row in report.shown(lo, hi):
-        if isinstance(row, PointVerdict):
-            mark = "" if lo <= row.n <= hi else " (gap exception)"
-            slope = "-" if row.slope is None else int_text(row.slope)
-            verdict = "L-space" if row.verdict.is_lspace else "NOT L-space"
-            w = row.verdict.witness
-            wit = "" if w is None else f"  witness (k={int_text(w.k)}, a={int_text(w.a)})"
-            yield (f"  n={int_text(row.n):>5}  m_n={slope:>8}  {row.form!r:<40} "
-                   f"{verdict}{wit}{mark}")
-        elif row.from_n is None:
-            tail_neg = row
-        elif row.to_n is None:
-            tail_pos = row
-        else:
-            yield f"  segment: {describe_segment(row)}"
-    yield f"tail n -> +inf: {describe_tail(tail_pos, report.limit_slope)}"
-    yield f"tail n -> -inf: {describe_tail(tail_neg, report.limit_slope)}"
-    yield (f"limit space: {report.limit!r} "
-           f"({'L-space' if report.limit_verdict.is_lspace else 'not an L-space'})")
-    if report.exceptional:
-        yield "exceptional n: " + ", ".join(f"{int_text(n)} ({tag.value})"
-                                            for n, tag in report.exceptional)
-
-
 def cmd_twist_scan(args):
     inputs = {k: getattr(args, k)
               for k in ("b", "r1", "r2", "alpha", "beta", "alpha3", "beta3", "m", "l")}
@@ -134,7 +106,7 @@ def cmd_twist_scan(args):
     report = classify_family(data)
     inputs["window"] = list(args.window)
     return (inputs, lambda: {"report": report_json(report, args.window)},
-            lambda: _scan_lines(report, args.window), 0)
+            lambda: report_lines(report, args.window), 0)
 
 
 def cmd_family(args):
@@ -183,7 +155,7 @@ def cmd_family(args):
         for member, report in zip(spec.members, reports):
             if member.label:
                 yield f"member {member.label}:"
-            yield from _scan_lines(report, args.window)
+            yield from report_lines(report, args.window)
 
     return inputs, outputs, lines, 0 if ok else 1
 
@@ -282,15 +254,15 @@ def main(argv=None) -> int:
     """Run one verb and print its result; returns the exit code.
 
     Each ``cmd_*`` verb returns ``(inputs, outputs, lines, exit_code)``:
-    ``outputs()`` builds the exact JSON payload and ``lines()`` the text
-    lines, so either mode builds nothing of the other.  A family report's
-    lines stream from one walk of ``FamilyReport.shown``, each window member
-    evaluated as its line is printed.  ``main`` is the one place that times
-    a verb and prints: under --json the envelope {command, inputs, outputs,
-    elapsed_ms}, written by ``formats.dump`` a chunk of a window's members
-    at a time, with --float's approximations added as it writes, and
-    elapsed_ms taken when the writer reaches it, after the window; otherwise
-    the lines.
+    ``outputs()`` builds the exact JSON payload and ``lines()`` the texts
+    of the text lines, so either mode builds nothing of the other.  A family
+    report's lines stream from ``formats.report_lines``, each piece of the
+    window a chunk of members at a time, each text printed as it comes.
+    ``main`` is the one place that times a verb and prints: under --json
+    the envelope {command, inputs, outputs, elapsed_ms}, written by
+    ``formats.dump`` a chunk of a window's members at a time, with
+    --float's approximations added as it writes, and elapsed_ms taken when
+    the writer reaches it, after the window; otherwise the lines.
     A verb reports bad input by raising ``ValueError`` (``ParseError`` among
     them); that, or one raised while the output is built, prints one
     ``error: ...`` line on stderr and exits 2.

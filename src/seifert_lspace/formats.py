@@ -1,4 +1,4 @@
-"""Text grammar and JSON encoding.
+"""Text grammar, JSON encoding and a report's text lines.
 
 Text forms are ``SFS[S2; b; r1, r2, ...]`` (slopes may be raw: any rational,
 ``inf``, or ``n/0`` for a degenerate fiber) and ``SFS[RP2]``.  The parser
@@ -6,32 +6,32 @@ reads a form from one regex match of the whole grammar and hands the slopes
 to the normal-form core in ``seifert`` as reduced (num, den) integer pairs;
 only a text it cannot read is walked token by token, to find the message and
 position of its ``ParseError``.  All JSON numbers are exact integer
-pairs {"num": ..., "den": ...}.  The builders write only those, and a
-report's ``"points"`` are its singles' ``PointVerdict``s and the
-``twist.Piece``s between them.  ``dumps`` is the one writer (``dump``
-writes its texts to a file as it goes): it writes a piece a chunk of
-members at a time, and a single as a piece of one member.  The piece's
-layout, cached per shape with the form's text included and filled with what
-its members share, is split once into its literal parts, and a chunk is one
-join of those parts with the texts of the columns that move.  With
-``approx`` set it adds --float's decimal approximation to each pair a float
-holds as it writes it; the approximation never feeds back into anything.
-Every layout comes from ``_point_layout``, the one place that gives a
-point's JSON its keys."""
+pairs {"num": ..., "den": ...}.  A report's ``"points"`` are its singles'
+``PointVerdict``s and the ``twist.Piece``s between them.  ``dumps`` is the
+one JSON writer (``dump`` writes its texts to a file as it goes), and
+``report_lines`` the one text writer.  Both write a piece a chunk of
+members at a time from ``Piece.columns``, a single as a piece of one
+member: a piece's layout is filled with what its members share and split
+once, and a chunk joins its literal parts with the texts of the columns
+that move.  A JSON layout comes from ``_point_layout``, cached per shape,
+the one place that gives a point's JSON its keys.  With ``approx`` set,
+``dumps`` adds --float's decimal approximation to each pair a float holds;
+the approximation never feeds back into anything."""
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from operator import truediv
+from operator import itemgetter, truediv
 from typing import NoReturn
 
 from .rationals import INF, format_rational, int_text, is_finite, pair_text
-from .seifert import _RP2, Base, Classification, SeifertForm, _normal_form, _trusted_form
-from .lspace import _INFINITE, LSpaceVerdict, ThirdSlotThreshold
+from .seifert import (_RP2, Base, Classification, SeifertForm, _new_tuple, _normal_form,
+                      _trusted_form)
+from .lspace import _INFINITE, LSpaceVerdict, Reason, ThirdSlotThreshold
 from .twist import FamilyReport, Piece, PointVerdict, Run
 
 
@@ -253,8 +253,8 @@ def _write(o, approx: bool, pad: str, out: list) -> None:
             elif v is None:
                 v = "null"
             elif tv is Piece or tv is PointVerdict:
-                _write_piece(v if tv is Piece else Piece(None, v.n, v.n, v, None), inner,
-                             approx, out)
+                _write_piece(v if tv is Piece else _new_tuple(Piece, (None, v.n, v.n, v, None)),
+                             inner, approx, out)
                 continue
             else:
                 _write(v, approx, inner, out)
@@ -280,139 +280,167 @@ def _write(o, approx: bool, pad: str, out: list) -> None:
         raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
-_SLOT = "\0"  # a placeholder value; dumps writes it as "\u0000"
-_NAME = "\1"  # a placeholder for an enum value, inside its string
+_SLOT = "\0"  # before the name of a number's slot; dumps writes it as "\u0000"
+_VAR = "\2"  # before the name of a column that moves along a piece
+_MARKER = re.compile(_VAR + "(.)")
 
 
 @lru_cache(maxsize=256)
-def _point_layout(pad: str, slopes: int, degenerate: int, rp2: bool, witness: bool,
-                  approx: bool) -> str:
-    """The text of a point at this indent with a %s slot for each value, from
-    ``dumps`` of a placeholder point whose form is the RP2 form or has
-    placeholder b and pairs (each with an approx slot when ``approx`` is
-    set); so its text is a skeleton with slots for them.  Those slots and the
-    tag's and reason's lie inside strings, which digits, '-' and the enum
-    values pass unchanged.  This is the one place that gives a point's JSON
-    its keys and nesting."""
-    s = _SLOT
-    form = form_json(SeifertForm(base=Base.RP2) if rp2
-                     else _trusted_form(s, ((s, s),) * slopes, degenerate))
-    for pair in form["slopes"] if approx else ():
-        pair["approx"] = s
-    point = {"n": s, "m_n": s, "seifert_form": form, "tag": _NAME,
-             "verdict": {"is_lspace": s, "reason": _NAME,
-                         "witness": {"k": s, "a": s} if witness else None,
-                         "witness_is_dual": s, "search_bound": s, "infinite_h1": s}}
-    value, name = encode_basestring_ascii(s), encode_basestring_ascii(_NAME)[1:-1]
-    # the values first: what is left of a placeholder lies inside a string
-    return (dumps(point, False, pad).replace("%", "%%").replace(value, "%s")
-            .replace(value[1:-1], "%s").replace(name, "%s"))
+def _point_layout(pad: str, approx: bool, slopes: int, degenerate: int, rp2: bool, tag: str,
+                  reason: str, witness: bool, dual: bool) -> tuple:
+    """The text of a point of this shape as a member of a list at this
+    indent, behind its separator, split into its literal parts with a gap
+    (None) between each two for a number; and a getter that picks the gaps'
+    texts from those of the point's n, m_n, b, witness k and a, search
+    bound, the pairs' nums and dens and, with ``approx``, their approx.
+    From ``dumps`` of a point with this tag and reason (values, as an enum
+    member hashes in Python code) whose numbers are named markers, its form
+    the RP2 form or one with marker b and pairs.  This is the one place that
+    gives a point's JSON its keys and nesting."""
+    order = "nmbkas" + "PDQERF"[:2 * slopes] + ("XYZ"[:slopes] if approx else "")
+    s = {c: _SLOT + c for c in "nmbkasPDQERFXYZ"}
+    form = form_json(SeifertForm(base=Base.RP2) if rp2 else _trusted_form(
+        s["b"], tuple(zip(map(s.get, "PQR"), map(s.get, "DEF")))[:slopes], degenerate))
+    for pair, x in zip(form["slopes"], "XYZ") if approx else ():
+        pair["approx"] = s[x]
+    reason = Reason(reason)
+    point = {"n": s["n"], "m_n": s["m"], "seifert_form": form, "tag": tag,
+             "verdict": {"is_lspace": reason.is_lspace, "reason": reason.value,
+                         "witness": {"k": s["k"], "a": s["a"]} if witness else None,
+                         "witness_is_dual": dual, "search_bound": s["s"],
+                         "infinite_h1": reason is _INFINITE}}
+    # a number's marker loses the quotes of the string dumps writes it as;
+    # in the form's text, which starts "SFS[" and ends "]", none is quoted
+    parts = re.split(r'"?\\u0000(.)"?', "," + pad + dumps(point, False, pad))
+    fill = itemgetter(*map(order.index, parts[1::2]))
+    parts[1::2] = [None] * (len(parts) // 2)
+    return parts, fill
 
 
-def _slots(n, slope, b, pairs, approxes, tag, reason, witness, dual, bound) -> list:
-    """The values of a point's layout slots, in order: b is None for the
-    RP2 form, whose b = 0 is in its layout; ``approxes``, None without
-    approx, holds each pair's float; ``witness`` is (k, a) or None."""
-    slots = [n, "null" if slope is None else slope]
-    if b is not None:
-        flat = sum(pairs, ())  # a classified form has at most three pairs
-        slots.append(b)
-        if approxes is None:
-            slots += flat
-        else:
-            for (num, den), x in zip(pairs, approxes):
-                slots += (num, den, x)
-        slots.append(b)
-        slots += flat
-    slots += (tag._value_, "true" if reason.is_lspace else "false", reason._value_)
-    if witness is not None:
-        slots += witness
-    slots += ("true" if dual else "false", "null" if bound is None else bound,
-              "true" if reason is _INFINITE else "false")
-    return slots
-
-
-def _fill(layout: str, values) -> str:
-    """``layout % values``, with no ``repr``; an int past
-    sys.get_int_max_str_digits() goes through ``int_text``."""
-    try:
-        return layout % values
-    except ValueError:
-        return layout % tuple([int_text(x) if type(x) is int else x for x in values])
-
-
-_VAR = "\2"  # before the name of a column that moves along a piece
-
-
-def _piece_layout(piece: Piece, columns: tuple, pad: str, approx: bool) -> tuple:
-    """The literal parts of the layout of a piece's members, behind the
-    separator of a list at this indent, and the names of the columns between
-    them: ``_point_layout`` filled with the values of ``piece.first`` and,
-    for n and each of the piece's ``columns`` that moves, a marker, then
-    split once at the markers.  The names are those of ``_write_piece``'s
-    columns; "x" is the approx of the moving pair and "k", "a" the
-    witness's."""
+def _piece_layout(piece: Piece, columns: tuple, pad: str, approx: bool) -> list:
+    """The layout of a piece's members: ``_point_layout``'s, filled once
+    with ``piece.first``'s numbers but for a marker and the column's name
+    for each that moves, and split at the markers into its literal parts
+    with the name of a column between each two, those of ``_chunks`` and
+    "x" for the moving pair's approx.  Nothing moves along one member."""
     first = piece.first
     f, v, w = first.form, first.verdict, first.verdict.witness
-    slopes, bs, nums, dens, ws, bounds = columns
-    x, pairs = _VAR, list(f.pairs)
-    approxes = [num / den for num, den in pairs] if approx else None
-    if dens is not None:
-        num, _ = pairs[piece.slot]
-        pairs[piece.slot] = (num if nums is None else x + "p"), x + "d"
-        if approx:
-            approxes[piece.slot] = x + "x"
-    rp2 = f.base is _RP2
-    if w is not None:
-        w = (w.k, w.a) if ws is None else (x + "k", x + "a")
-    slots = _slots(x + "n", first.slope if slopes is None else x + "m",
-                   None if rp2 else f.b if bs is None else x + "b", pairs, approxes, first.tag,
-                   v.reason, w, v.witness_is_dual, v.search_bound if bounds is None else x + "s")
-    text = _fill(_point_layout(pad, len(pairs), f.degenerate, rp2, w is not None, approx),
-                 tuple(slots))
-    parts = ("," + pad + text).split(x)
-    return [parts[0]] + [t[1:] for t in parts[1:]], [t[0] for t in parts[1:]]
+    parts, fill = _point_layout(pad, approx, len(f.pairs), f.degenerate, f.base is _RP2,
+                                first.tag._value_, v.reason._value_, w is not None,
+                                v.witness_is_dual)
+    values = [piece.lo, "null" if first.slope is None else first.slope, f.b,
+              *((None, None) if w is None else (w.k, w.a)),
+              "null" if v.search_bound is None else v.search_bound, *sum(f.pairs, ())]
+    if approx:
+        values += [p / q for p, q in f.pairs]
+    if piece.hi > piece.lo:
+        slopes, bs, nums, dens, ws, bounds = columns
+        values[0] = _VAR + "n"
+        for i, col in enumerate((slopes, bs, ws, ws, bounds), 1):
+            if col is not None:
+                values[i] = _VAR + "nmbkas"[i]
+        if dens is not None:
+            # the moving pair's num and den, and its approx after all pairs'
+            i = piece.slot
+            values[7 + 2 * i] = _VAR + "d"
+            if nums is not None:
+                values[6 + 2 * i] = _VAR + "p"
+            if approx:
+                values[6 + 2 * len(f.pairs) + i] = _VAR + "x"
+    parts = parts.copy()
+    parts[1::2] = fill(_texts(values))
+    return _MARKER.split("".join(parts))
 
 
 def _texts(values: list) -> list:
-    """The JSON texts of ints and floats; an int past
-    sys.get_int_max_str_digits() goes through ``int_text``."""
+    """The texts of ints, floats and strs, past the limit of
+    sys.get_int_max_str_digits() too."""
     try:
         return [f"{x}" for x in values]
     except ValueError:
-        return [int_text(x) if type(x) is int else f"{x}" for x in values]
+        return list(map(int_text, values))
+
+
+def _chunks(piece: Piece, columns: tuple):
+    """What moves along a piece, up to ``_CHUNK`` members at a time, for
+    both writers: dicts from "n" and the names of the ``columns`` that are
+    not None, "m", "b", "p", "d", "s" and the witness's "k" and "a"."""
+    cols = {c: iter(col) for c, col in
+            zip("nmbpdws", (range(piece.lo, piece.hi + 1), *columns)) if col is not None}
+    for _ in range(0, piece.hi - piece.lo + 1, _CHUNK):
+        values = {c: list(islice(col, _CHUNK)) for c, col in cols.items()}
+        if "w" in values:
+            ws = values.pop("w")
+            values["k"], values["a"] = [w.k for w in ws], [w.a for w in ws]
+        yield values
 
 
 def _write_piece(piece: Piece, pad: str, approx: bool, out: list) -> None:
     """Append the JSON texts of a piece's members to ``out``, as members of
-    a list at this indent, the first after the head the list leaves to it;
-    a single's, as the one member of its piece, after any head.
-
-    The piece's layout is split once, by ``_piece_layout``; a chunk of
-    members is one join of its literal parts with the texts of the values
-    of their columns, which ``Piece.columns`` gives, and nothing scans the
-    literal text per member.  ``out.spill`` counts each chunk's members.
-    """
+    a list at this indent, the first after the head the list leaves to it.
+    A chunk of members from ``_chunks`` is one join of copies of the literal
+    parts of ``_piece_layout`` with the texts of the columns put between
+    them; nothing scans the literal text per member.  ``out.spill`` counts
+    each chunk's members."""
     columns = piece.columns()
-    lits, names = _piece_layout(piece, columns, pad, approx)
-    cols = {name: iter(col) for name, col in
-            zip("nmbpdws", (range(piece.lo, piece.hi + 1), *columns)) if col is not None}
+    parts = _piece_layout(piece, columns, pad, approx)
     # the first member follows the list's head, not a separator
-    head, named = chain((lits[0][len(pad) + 1:],), repeat(lits[0])), set(names)
-    for start in range(0, piece.hi - piece.lo + 1, _CHUNK):
-        values = {name: list(islice(col, _CHUNK)) for name, col in cols.items()}
-        if "w" in values:
-            ws = values["w"]
-            values["k"], values["a"] = [w.k for w in ws], [w.a for w in ws]
-        if approx and "d" in values:
+    head, names, step = parts[0][len(pad) + 1:], parts[1::2], len(parts)
+    if step == 1:  # one member: its text is its layout
+        out.append(head)
+        out.spill(1)
+        return
+    for values in _chunks(piece, columns):
+        if "x" in names:
             ps = values.get("p") or repeat(piece.first.form.pairs[piece.slot][0])
             values["x"] = list(map(truediv, ps, values["d"]))
-        texts = {name: _texts(values[name]) for name in named}
-        row = [head if start == 0 else repeat(lits[0])]
-        for name, lit in zip(names, lits[1:]):
-            row += (texts[name], repeat(lit))
-        out.append("".join(chain.from_iterable(zip(*row))))
+        texts = parts * len(values["n"])
+        for i, c in enumerate(names):
+            texts[2 * i + 1::step] = _texts(values[c])
+        texts[0], head = head, parts[0]
+        out.append("".join(texts))
         out.spill(len(values["n"]))
+
+
+def _line_layout(piece: Piece, columns: tuple, mark: str) -> tuple:
+    """The literal parts of a piece's members' text lines after m_n, with
+    the name of a column, or "" for none, between each two, and m_n's text
+    if it does not move: the first member's form's text split once at
+    markers in its moving pair, or in b along a lens piece, and its
+    verdict, witness and ``mark`` at markers in a moving witness."""
+    first = piece.first
+    f, v, w = first.form, first.verdict, first.verdict.witness
+    slopes, bs, nums, dens, ws, _ = columns
+    if bs is not None:
+        f = _trusted_form(_VAR + "b", f.pairs, f.degenerate)
+    elif dens is not None:
+        i, (p, _) = piece.slot, f.pairs[piece.slot]
+        pair = p if nums is None else _VAR + "p", _VAR + "d"
+        f = _trusted_form(f.b, (*f.pairs[:i], pair, *f.pairs[i + 1:]), f.degenerate)
+    w = (_VAR + "k", _VAR + "a") if ws is not None else w and (w.k, w.a)
+    wit = "" if w is None else f"  witness (k={int_text(w[0])}, a={int_text(w[1])})"
+    rest = f" {'L-space' if v.is_lspace else 'NOT L-space'}{wit}{mark}"
+    return ((_MARKER.split(repr(f)) + ["", ""] * 2)[:5],
+            (_MARKER.split(rest) + ["", ""] * 2)[:5],
+            "-" if first.slope is None else int_text(first.slope))
+
+
+def _piece_lines(piece: Piece, mark: str):
+    """A piece's members' text lines, up to ``_CHUNK`` lines a text: one
+    f-string per member of ``_line_layout``'s parts and the texts of the
+    columns from ``_chunks``, which pads n to 5, m_n to 8 and the form's
+    text to 40 from that member's own texts; no search bound is computed."""
+    columns = piece.columns()
+    (f0, x, f1, y, f2), (r0, k, r1, a, r2), slope = _line_layout(piece, columns, mark)
+    width = 40 - len(f0) - len(f1) - len(f2)
+    for values in _chunks(piece, (*columns[:5], None)):
+        texts = {c: _texts(col) for c, col in values.items()}
+        texts[""] = repeat("")
+        cols = zip(texts["n"], texts.get("m") or repeat(slope),
+                   texts[x], texts[y], texts[k], texts[a])
+        yield "\n".join([f"  n={n:>5}  m_n={m:>8}  {f0}{xs}{f1}{ys}{f2}"
+                         f"{' ' * (width - len(xs) - len(ys))}{r0}{ks}{r1}{as_}{r2}"
+                         for n, m, xs, ys, ks, as_ in cols])
 
 
 def rational_json(x):
@@ -521,6 +549,32 @@ def report_json(r: FamilyReport, window):
         "limit_verdict": verdict_json(r.limit_verdict),
         "exceptional": [{"n": n, "tag": tag.value} for n, tag in r.exceptional],
     }
+
+
+def report_lines(r: FamilyReport, window):
+    """The text lines of the report shown on the window lo..hi, from one
+    walk of ``r.pieces``: its segments, and its singles' and pieces'
+    members up to ``_CHUNK`` lines a text, a single outside the window
+    marked as a gap exception; then its tails, limit and exceptional n."""
+    lo, hi = window
+    tails = []
+    for row in r.pieces(lo, hi):
+        if type(row) is Piece:
+            yield from _piece_lines(row, "")
+        elif type(row) is not Run:
+            yield from _piece_lines(Piece(None, row.n, row.n, row, None),
+                                    "" if lo <= row.n <= hi else " (gap exception)")
+        elif row.from_n is None or row.to_n is None:
+            tails.append(row)
+        else:
+            yield f"  segment: {describe_segment(row)}"
+    yield f"tail n -> +inf: {describe_tail(tails[1], r.limit_slope)}"
+    yield f"tail n -> -inf: {describe_tail(tails[0], r.limit_slope)}"
+    yield (f"limit space: {r.limit!r} "
+           f"({'L-space' if r.limit_verdict.is_lspace else 'not an L-space'})")
+    if r.exceptional:
+        yield "exceptional n: " + ", ".join(f"{int_text(n)} ({tag.value})"
+                                            for n, tag in r.exceptional)
 
 
 def describe_tail(t: Run, limit_slope) -> str:

@@ -114,9 +114,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def int_text(n: int) -> str:
-    """Decimal text of n, also past sys.get_int_max_str_digits()."""
+    """Decimal text of n, also past sys.get_int_max_str_digits(); a str passes."""
     try:
-        return int.__repr__(n)
+        return f"{n}"
     except ValueError:  # too many digits: convert the halves of n
         return ("-" if n < 0 else "") + _digits(abs(n), 0)
 

@@ -15,10 +15,9 @@ parts of reduced (num, den) pairs into b, sorts the remainders by
 cross-multiplication and builds the form without re-validating it.  The text
 parser and ``twist.surgered_space`` hand it pairs; ``normalize`` is its
 adapter for ``Fraction`` and ``INF`` slopes.  ``mirror`` and
-``twist.evaluate_point`` and ``Piece.points``, which put one remainder among
-a family member's two sorted fixed pairs at the slot cross-multiplication
-found for it, build their already-normal results through ``_trusted_form``
-directly.
+``twist.evaluate_point``, which puts one remainder among a family member's
+two sorted fixed pairs at the slot cross-multiplication found for it, build
+their already-normal results through ``_trusted_form`` directly.
 ``SeifertForm(...)`` itself still validates, for every other caller.
 
 The first homology order of S2(b; r_1, ..., r_k) is |alpha_1 ... alpha_k *
@@ -89,16 +88,8 @@ class SeifertForm:
     def __repr__(self):
         if self.base is _RP2:
             return "SFS[RP2]"
-        try:
-            parts = [f"{p}/{q}" for p, q in self.pairs]
-            inner = f"S2; {self.b}"
-        except ValueError:  # more digits than sys.get_int_max_str_digits()
-            parts = [f"{int_text(p)}/{int_text(q)}" for p, q in self.pairs]
-            inner = f"S2; {int_text(self.b)}"
-        parts += ["inf"] * self.degenerate
-        if parts:
-            inner += "; " + ", ".join(parts)
-        return f"SFS[{inner}]"
+        parts = [f"{int_text(p)}/{int_text(q)}" for p, q in self.pairs] + ["inf"] * self.degenerate
+        return f"SFS[S2; {int_text(self.b)}{'; ' * bool(parts)}{', '.join(parts)}]"
 
 
 def _trusted_form(b: int, pairs: tuple, degenerate: int) -> SeifertForm:

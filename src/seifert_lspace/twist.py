@@ -32,9 +32,10 @@ does not depend on any range of indices.
 ``FamilyReport.pieces`` alone reads a display window: it clips the pieces to
 it and decides each one's first member by ``evaluate_point``.  Along a
 piece, n, m_n and the moving pair are affine in n, so that one decision
-gives its verdict shape; ``Piece.columns`` gives what moves, the search
-bound and the witness among it, and ``FamilyReport.shown`` expands the
-pieces into ``PointVerdict``s.
+gives its verdict shape, and ``Piece.columns`` gives what moves, the
+search bound and the witness among it.  The writers in ``formats`` read a
+piece's members from those columns alone; no member of a piece is built as
+a ``PointVerdict``.
 
 All of it runs on integers: f(n) is the reduced pair (n*beta + beta_3,
 n*alpha + alpha_3), and the walk compares such pairs by cross-multiplication.
@@ -344,10 +345,10 @@ class Piece(NamedTuple):
     Each member is ``first``, the member lo, with its n, its m_n and, at
     ``slot`` of its form's pairs, the moving pair moved along, all affine in
     n; a lens member (``slot`` None) moves its b instead, and a
-    projective-base member only its n.  ``columns`` gives what moves and
-    ``points`` the members' ``PointVerdict``s.  A single is the piece of
-    one member, whose ``member`` may be None: nothing moves along it, so
-    ``columns`` tests the size before it reads ``member``.
+    projective-base member only its n.  ``columns`` gives what moves.  A
+    single is the piece of one member, whose ``member`` may be None:
+    nothing moves along it, so ``columns`` tests the size before it reads
+    ``member``.
     """
     member: FamilyMember | None
     lo: int
@@ -391,27 +392,6 @@ class Piece(NamedTuple):
                 ws = map(lambda p, d: _witness_from_pairs(a1, c1, p, d, a2, c2) if slot == 1
                          else _witness_from_pairs(a1, c1, a2, c2, p, d), ps, dens)
         return slopes, bs, nums, dens, ws, bounds
-
-    def points(self):
-        """The ``PointVerdict``s of the piece's members, in order."""
-        first, slot = self.first, self.slot
-        f, v, tag = first.form, first.verdict, first.tag
-        slopes, bs, nums, dens, ws, bounds = self.columns()
-        if bs is None and dens is None:  # one member, or projective-base ones
-            for n in range(self.lo, self.hi + 1):
-                yield first._replace(n=n)
-            return
-        fixed = self.member.frame[1]
-        p, d = (None, None) if slot is None else f.pairs[slot]
-        reason, dual = v.reason, v.witness_is_dual
-        for n, slope, b, p, d, w, bound in zip(
-                range(self.lo, self.hi + 1), slopes or repeat(first.slope),
-                bs or repeat(f.b), nums or repeat(p), dens or repeat(d),
-                ws or repeat(v.witness), bounds or repeat(v.search_bound)):
-            pairs = fixed if slot is None else (*fixed[:slot], (p, d), *fixed[slot:])
-            verdict = v if ws is None and bounds is None else \
-                _new_tuple(LSpaceVerdict, (reason, w, dual, bound))
-            yield _new_tuple(PointVerdict, (n, slope, _trusted_form(b, pairs, 0), tag, verdict))
 
 
 def _span(row) -> tuple:
@@ -481,15 +461,6 @@ class FamilyReport:
             a, b = _span(row)
             if b is None or b > hi:
                 yield row if a is not None and a > hi else replace(row, from_n=hi + 1)
-
-    def shown(self, lo: int, hi: int):
-        """``pieces(lo, hi)`` with each piece expanded into the
-        ``PointVerdict``s of its members."""
-        for row in self.pieces(lo, hi):
-            if type(row) is Piece:
-                yield from row.points()
-            else:
-                yield row
 
 
 _RP2_FORM = SeifertForm(base=Base.RP2)

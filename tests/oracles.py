@@ -31,7 +31,10 @@ through n = j - offset or, mirrored, n = -j - offset, and, through
 former point encoder and --float pass: a point as a tree of dicts, and a walk
 over a finished payload that adds "approx" to its pairs.  ``dumps`` of their
 payload is the reference for the layouts ``formats.dumps`` writes points into
-and for its ``approx``.
+and for its ``approx``.  ``points``, ``shown`` and ``scan_lines`` are the
+package's former ``Piece.points``, ``FamilyReport.shown`` and
+``cli._scan_lines``: a window's members as ``PointVerdict``s, and each one's
+text line from ``repr`` of its form, the reference for both writers.
 """
 
 from __future__ import annotations
@@ -40,17 +43,19 @@ import math
 import random
 import re
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 
 import numpy as np
 
-from seifert_lspace.formats import ParseError, form_json, verdict_json
+from seifert_lspace.formats import (ParseError, describe_segment, describe_tail, form_json,
+                                    verdict_json)
 from seifert_lspace.lspace import (LSpaceVerdict, Reason, ThirdSlotThreshold, _witness_from_pairs,
                                    search_bound, third_slot_threshold)
-from seifert_lspace.rationals import INF, is_finite
+from seifert_lspace.rationals import INF, int_text, is_finite
 from seifert_lspace.seifert import (Base, Classification, DegenerateEuler, SeifertForm, Tag,
-                                    UnsupportedFiberCount)
-from seifert_lspace.twist import FamilyMember, PointVerdict, SeiferterData
+                                    UnsupportedFiberCount, _trusted_form)
+from seifert_lspace.twist import FamilyMember, Piece, PointVerdict, SeiferterData
 
 _TABLES = {}
 
@@ -590,3 +595,65 @@ def add_approx(o):
         for v in (o.values() if type(o) is dict else o):
             add_approx(v)
     return o
+
+
+# ---- the package's former per-member view of a window and its text lines
+
+def points(piece: Piece):
+    """The ``PointVerdict``s of the piece's members, in order, from its
+    ``columns``."""
+    first, slot = piece.first, piece.slot
+    f, v, tag = first.form, first.verdict, first.tag
+    slopes, bs, nums, dens, ws, bounds = piece.columns()
+    if bs is None and dens is None:  # one member, or projective-base ones
+        for n in range(piece.lo, piece.hi + 1):
+            yield first._replace(n=n)
+        return
+    fixed = piece.member.frame[1]
+    p, d = (None, None) if slot is None else f.pairs[slot]
+    reason, dual = v.reason, v.witness_is_dual
+    for n, slope, b, p, d, w, bound in zip(
+            range(piece.lo, piece.hi + 1), slopes or repeat(first.slope),
+            bs or repeat(f.b), nums or repeat(p), dens or repeat(d),
+            ws or repeat(v.witness), bounds or repeat(v.search_bound)):
+        pairs = fixed if slot is None else (*fixed[:slot], (p, d), *fixed[slot:])
+        verdict = v if ws is None and bounds is None else LSpaceVerdict(reason, w, dual, bound)
+        yield PointVerdict(n, slope, _trusted_form(b, pairs, 0), tag, verdict)
+
+
+def shown(report, lo: int, hi: int):
+    """``report.pieces(lo, hi)`` with each piece expanded into the
+    ``PointVerdict``s of its members."""
+    for row in report.pieces(lo, hi):
+        if type(row) is Piece:
+            yield from points(row)
+        else:
+            yield row
+
+
+def scan_lines(report, window):
+    """A report's text lines on the window, one per member of ``shown``,
+    each formatted from its ``PointVerdict`` with ``repr`` of its form."""
+    lo, hi = window
+    for row in shown(report, lo, hi):
+        if isinstance(row, PointVerdict):
+            mark = "" if lo <= row.n <= hi else " (gap exception)"
+            slope = "-" if row.slope is None else int_text(row.slope)
+            verdict = "L-space" if row.verdict.is_lspace else "NOT L-space"
+            w = row.verdict.witness
+            wit = "" if w is None else f"  witness (k={int_text(w.k)}, a={int_text(w.a)})"
+            yield (f"  n={int_text(row.n):>5}  m_n={slope:>8}  {row.form!r:<40} "
+                   f"{verdict}{wit}{mark}")
+        elif row.from_n is None:
+            tail_neg = row
+        elif row.to_n is None:
+            tail_pos = row
+        else:
+            yield f"  segment: {describe_segment(row)}"
+    yield f"tail n -> +inf: {describe_tail(tail_pos, report.limit_slope)}"
+    yield f"tail n -> -inf: {describe_tail(tail_neg, report.limit_slope)}"
+    yield (f"limit space: {report.limit!r} "
+           f"({'L-space' if report.limit_verdict.is_lspace else 'not an L-space'})")
+    if report.exceptional:
+        yield "exceptional n: " + ", ".join(f"{int_text(n)} ({tag.value})"
+                                            for n, tag in report.exceptional)

@@ -14,7 +14,8 @@ from seifert_lspace import (INF, FoliationWitness, PointVerdict, Run, classify,
                             torus_pq_candidates, tunnel2_family,
                             unknot_seiferter_data, ALL_N)
 
-from oracles import fraction_member_point, naive_witness, random_triple, random_unit_fraction
+from oracles import (fraction_member_point, naive_witness, random_triple, random_unit_fraction,
+                     shown)
 
 
 def F(n, d=1):
@@ -145,7 +146,7 @@ def test_07_trefoil_family():
     ok = ok and linking_guarantee(3, 2, 5) == ALL_N
     from seifert_lspace import find_family
     report = classify_family(find_family("K(3,2;5,n)").members[0])
-    points = {r.n: r for r in report.shown(-50, 50) if isinstance(r, PointVerdict)}
+    points = {r.n: r for r in shown(report, -50, 50) if isinstance(r, PointVerdict)}
     ok = ok and all(pv.verdict.is_lspace for pv in points.values())
     ok = ok and points[0].tag.value == "ConnectedSumOfLensSpaces"
     ok = ok and report.tail_pos.is_lspace
@@ -181,7 +182,7 @@ def test_10_tail_soundness_and_performance():
     bad = []
     for spec in catalog():
         for member in spec.members:
-            runs = [r for r in classify_family(member).shown(-20, 20) if isinstance(r, Run)]
+            runs = [r for r in shown(classify_family(member), -20, 20) if isinstance(r, Run)]
             for tail in (runs[-1], runs[0]):
                 for _ in range(20):
                     off = rng.randint(0, 10 ** 4)

@@ -17,7 +17,7 @@ from seifert_lspace import (ALL_N, Guarantee, GuaranteeKind, PointVerdict, Run,
                             unknot_seiferter_family)
 from seifert_lspace.families import _merged
 
-from oracles import fraction_member_point, loop_torus_pq_candidates
+from oracles import fraction_member_point, loop_torus_pq_candidates, shown
 
 
 def F(n, d=1):
@@ -244,7 +244,7 @@ class TestEudaveMunoz:
 
     def test_members_are_lspace_everywhere(self):
         report = classify_family(eudave_munoz_rp2_family(1).members[0])
-        points = [r for r in report.shown(-5, 5) if isinstance(r, PointVerdict)]
+        points = [r for r in shown(report, -5, 5) if isinstance(r, PointVerdict)]
         assert len(points) == 11 and all(pv.verdict.is_lspace for pv in points)
         assert report.tail_pos.is_lspace
 

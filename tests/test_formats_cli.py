@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from seifert_lspace.rationals import int_text
 from seifert_lspace.seifert import classify
 from seifert_lspace.twist import FamilyMember, PointVerdict, SeiferterData, evaluate_point
 
-from oracles import add_approx, fraction_parse_form, point_json
+from oracles import add_approx, fraction_parse_form, point_json, points, scan_lines
 
 
 def F(n, d=1):
@@ -317,7 +318,8 @@ class TestPointLayouts:
 class TestStretchWriter:
     """``dumps`` writes the ``Piece``s of a shown window as their members,
     each a piece of one member, would: byte for byte, at any indent, with
-    and without ``approx``."""
+    and without ``approx``; and ``report_lines`` writes the window's text
+    lines as the former per-member lines of ``oracles.shown`` would."""
 
     @staticmethod
     def _members(rng):
@@ -326,7 +328,9 @@ class TestStretchWriter:
         its pole and by 0; seiferters whose limit slope is a fixed slope
         shifted by an integer, and two whose witness moves with the largest
         slope of the tested triple; the alpha = 0 lens families of the catalog
-        and an rp2 member; and windows of indices past 10^4400."""
+        and an rp2 member; windows of indices past 10^4400; seiferters whose
+        fixed slopes have denominators past 10^4400; and the epsilon = 10^-3
+        scan on a window whose pieces hold more than a chunk of members."""
         from test_twist import _huge_seiferter, _random_seiferter
         out = []
         for k in range(300):
@@ -377,6 +381,13 @@ class TestStretchWriter:
         for member, _, _ in out[:40:4]:
             out.append((member, N, N + 3))
             out.append((member, -N - 3, -N))
+        for b, r1, r2 in ((-1, F(1, 3), F(N, N + 1)), (-2, F(1, N + 1), F(N - 1, N + 1))):
+            d = SeiferterData(b=b, r1=r1, r2=r2, alpha=1, beta=0, alpha3=1, beta3=1, m=5, l=2)
+            for mirrored in (False, True):
+                out.append((FamilyMember(data=d, mirrored=mirrored, offset=3), -12, 12))
+        d = SeiferterData(b=-1, r1=F(1, 3), r2=F(1997, 3000), alpha=1, beta=0, alpha3=1,
+                          beta3=1, m=2, l=1)
+        out.append((FamilyMember(data=d), -700, 400))
         return out
 
     @staticmethod
@@ -417,7 +428,8 @@ class TestStretchWriter:
         rng = random.Random(1)
         shapes, kinds, cuts = set(), set(), set()
         for member, lo, hi in self._members(rng):
-            rows = [r for r in classify_family(member).pieces(lo, hi) if type(r) is not Run]
+            report = classify_family(member)
+            rows = [r for r in report.pieces(lo, hi) if type(r) is not Run]
             members = [[evaluate_point(member, n) for n in range(r.lo, r.hi + 1)]
                        if type(r) is Piece else [r] for r in rows]
             oracle = [p for ps in members for p in ps]
@@ -426,15 +438,19 @@ class TestStretchWriter:
                     kinds.add(r.tag.value)
                     # dumps writes a single as a piece of one member, with none
                     single = Piece(None, r.n, r.n, r, None)
-                    assert single.columns() == (None,) * 6 and list(single.points()) == [r]
+                    assert single.columns() == (None,) * 6 and list(points(single)) == [r]
                     continue
-                # the text path's expansion is the point path too
-                assert list(r.points()) == ps, (member, r)
+                # the expansion of the text lines' oracle is the point path too
+                assert list(points(r)) == ps, (member, r)
                 v = r.first.verdict
                 shapes.add((r.first.form.b, r.slot))
                 kinds.update((v.reason.value, r.first.tag.value,
                               "witness" if v.witness else "no witness",
                               "huge" if abs(r.lo) > 10 ** 4300 else "small"))
+                if any(q > 10 ** 4300 for _, q in r.first.form.pairs):
+                    kinds.add("huge fixed slope")
+                if r.hi - r.lo >= formats._CHUNK:
+                    kinds.add("chunks")
                 if len({p.verdict.witness for p in ps}) > 1:
                     # the slot in the triple _decide_small tests: at base -2
                     # the complements, in reverse order
@@ -454,13 +470,18 @@ class TestStretchWriter:
                 for _ in range(depth):
                     got, want = [got, 1], [want, 1]
                 assert dumps(got, approx) == dumps(want, approx), (member, lo, hi, approx)
+            # the text lines, member by member, a chunk of lines a text
+            lines = "\n".join(formats.report_lines(report, (lo, hi))).split("\n")
+            assert lines == list(scan_lines(report, (lo, hi))), (member, lo, hi)
+            if any(line.endswith(" (gap exception)") for line in lines):
+                kinds.add("gap exception")
         # every shape of the piece layouts, and the members of lens-space
         # and rp2 pieces
         assert {(b, s) for b in (-1, -2) for s in (0, 1, 2)} <= shapes
         assert {"InfiniteH1", "Witness", "DualWitness", "NoWitnessExhaustive", "BLarge",
                 "witness", "no witness", "huge", "small", "LensSpace", "S3", "RP2Base",
                 "LensNotS2xS1", "witness moves at slot 1", "witness moves at slot 2",
-                "bound moves"} <= kinds
+                "bound moves", "gap exception", "huge fixed slope", "chunks"} <= kinds
         assert {"r1", "r2", "integer", "threshold", "euler", "pole", "S3"} <= cuts
 
 
@@ -748,13 +769,14 @@ class TestCliOtherVerbs:
         from seifert_lspace import cli, find_family
         spec = find_family("tunnel2-B")
         reports = []
-        scan_lines = cli._scan_lines
 
         def counting(report, window):
             reports.append(report)
-            return scan_lines(report, window)
+            return formats.report_lines(report, window)
 
-        monkeypatch.setattr(cli, "_scan_lines", counting)
+        # cli writes a report's text lines through formats.report_lines
+        assert cli.report_lines is formats.report_lines
+        monkeypatch.setattr(cli, "report_lines", counting)
         argv = ["family", "run", "tunnel2-B", "--window=-5..5"]
         assert main(argv + ["--json"]) == 0
         capsys.readouterr()
@@ -764,7 +786,9 @@ class TestCliOtherVerbs:
         assert len(reports) == len(spec.members)
         member_lines = [line for line in out
                         if not line.startswith(("family ", "claimed: ", "member "))]
-        assert member_lines == [line for r in reports for line in scan_lines(r, (-5, 5))]
+        assert member_lines == [line for r in reports
+                                for text in formats.report_lines(r, (-5, 5))
+                                for line in text.split("\n")]
 
     def test_text_builds_no_json(self, capsys, monkeypatch):
         from seifert_lspace import formats
@@ -860,19 +884,28 @@ class TestCliOtherVerbs:
         # a shown window costs one decision and one split layout per piece:
         # every catalog family over -1000..1000 and the epsilon = 10^-3 scan
         # over 10^5 indices have a few pieces per side of the pole, however
-        # wide the window; a single is written as a piece of one member
+        # wide the window; a single is written as a piece of one member.  In
+        # JSON the layout is _piece_layout's, in text _line_layout's, and a
+        # form's text is built once per piece and once for each member's
+        # limit space line
         from seifert_lspace import formats, twist
-        decided, layouts, pieces = [], [], []
-        decide_small, piece_layout = twist._decide_small, formats._piece_layout
-        cut = twist.FamilyReport.pieces
+        decided, layouts, pieces, reprs = [], [], [], []
+        decide_small, cut = twist._decide_small, twist.FamilyReport.pieces
+        form_repr = SeifertForm.__repr__
 
         def counting_decide(*args):
             decided.append(1)
             return decide_small(*args)
 
-        def counting_layout(*args):
-            layouts.append(1)
-            return piece_layout(*args)
+        def counting(layout):
+            def counting_layout(*args):
+                layouts.append(1)
+                return layout(*args)
+            return counting_layout
+
+        def counting_repr(form):
+            reprs.append(1)
+            return form_repr(form)
 
         def counting_pieces(*args):
             # a single counts toward the pieces but not toward the members
@@ -883,22 +916,25 @@ class TestCliOtherVerbs:
                 yield row
 
         monkeypatch.setattr(twist, "_decide_small", counting_decide)
-        monkeypatch.setattr(formats, "_piece_layout", counting_layout)
+        monkeypatch.setattr(formats, "_piece_layout", counting(formats._piece_layout))
+        monkeypatch.setattr(formats, "_line_layout", counting(formats._line_layout))
         monkeypatch.setattr(twist.FamilyReport, "pieces", counting_pieces)
+        monkeypatch.setattr(SeifertForm, "__repr__", counting_repr)
         scan = ["twist-scan", "--b", "-1", "--r1", "1/3", "--r2", "1997/3000", "--alpha", "1",
                 "--beta", "0", "--alpha3", "1", "--beta3", "1", "--window=-100000..0"]
         runs = [(["family", "run", s.name, "--window=-1000..1000"], len(s.members))
                 for s in catalog()] + [(scan, 1)]
-        for argv, count in runs:
-            decided.clear(), layouts.clear(), pieces.clear()
-            assert main(argv + ["--json"]) in (0, 1)
+        for (argv, count), mode in itertools.product(runs, (["--json"], [])):
+            decided.clear(), layouts.clear(), pieces.clear(), reprs.clear()
+            assert main(argv + mode) in (0, 1)
             capsys.readouterr()
             # at most six runs a side, each cut at r1 and r2, and the
             # Euler-zero member
-            assert len(decided) <= len(layouts) == len(pieces) <= 38 * count, argv
+            assert len(decided) <= len(layouts) == len(pieces) <= 38 * count, (argv, mode)
+            assert len(reprs) <= len(pieces) + count, (argv, mode)
             # the window is shown by its pieces, but for a few singles
             lo, hi = map(int, argv[-1].split("=")[1].split(".."))
-            assert sum(pieces) > count * (hi - lo + 1) - 10, argv
+            assert sum(pieces) > count * (hi - lo + 1) - 10, (argv, mode)
 
     def test_verbs_back_to_back_in_one_process(self, capsys):
         # main reuses one parser; each call of a verb prints and returns what

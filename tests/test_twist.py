@@ -14,7 +14,7 @@ from seifert_lspace import (INF, FamilyMember, PointVerdict, Run, SeiferterData,
 from seifert_lspace.twist import _runs, _span, evaluate_point
 
 from oracles import (fiber_slope, fraction_member_point, fraction_normalize, fraction_point,
-                     fraction_runs)
+                     fraction_runs, shown)
 
 
 def F(n, d=1):
@@ -28,9 +28,9 @@ CASE1 = SeiferterData(b=-1, r1=F(1, 3), r2=F(2, 3), alpha=0, beta=-1,
 
 
 def _shown(report, lo, hi):
-    """The points and the runs of ``report.shown(lo, hi)``, and the verdict
+    """The points and the runs of ``shown(report, lo, hi)``, and the verdict
     at any n read off them, which must come from exactly one of them."""
-    rows = list(report.shown(lo, hi))
+    rows = list(shown(report, lo, hi))
     points = {r.n: r for r in rows if isinstance(r, PointVerdict)}
     runs = [r for r in rows if isinstance(r, Run)]
 
@@ -452,7 +452,8 @@ class TestEvaluatePoint:
 
 class TestRuns:
     """One walk cuts all of Z into runs and singles, the rows of a report;
-    ``shown`` cuts the rows around a window and evaluates its members."""
+    ``pieces`` cuts the rows around a window, and ``oracles.shown`` expands
+    its pieces into their members."""
 
     def test_runs_tile_z_with_pointwise_verdicts(self):
         rng = random.Random(2718)
@@ -604,11 +605,11 @@ class TestRuns:
             hi = lo + rng.randint(0, 12)
             evaluated.clear()
             report = classify_family(member)
-            shown = list(report.shown(lo, hi))
+            window = list(shown(report, lo, hi))
             # each index is evaluated at most once, and each of the window's
             assert len(evaluated) == len(set(evaluated)), (member, evaluated)
             assert set(range(lo, hi + 1)) <= set(evaluated), (member, evaluated)
-            for rows in (report.rows, shown):
+            for rows in (report.rows, window):
                 spans = [_span(r) for r in rows]
                 # the rows tile Z in order: only the first starts at -inf,
                 # only the last ends at +inf, and none is empty
@@ -617,10 +618,10 @@ class TestRuns:
                     assert b is not None and c == b + 1, (member, spans)
                     assert a is None or a <= b, (member, spans)
             # the window's members are evaluated, each as evaluate_point has it
-            points = [r for r in shown if isinstance(r, PointVerdict) and lo <= r.n <= hi]
+            points = [r for r in window if isinstance(r, PointVerdict) and lo <= r.n <= hi]
             assert points == [evaluate_point(member, n) for n in range(lo, hi + 1)], member
             # every S2 x S1 or connected-sum member is a single
             assert [(p.n, p.tag) for p in points if p.tag in exceptional] == \
                 [(n, tag) for n, tag in report.exceptional if lo <= n <= hi], member
         with pytest.raises(ValueError):
-            next(report.shown(1, 0))
+            next(shown(report, 1, 0))
