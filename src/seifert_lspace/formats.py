@@ -149,9 +149,6 @@ def _reject(text: str) -> NoReturn:
 
 
 _NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
-# ints below 640 digits have a decimal text under every
-# sys.set_int_max_str_digits() limit
-_SHORT_INT = 10 ** 639
 _PAIR = {"num", "den"}
 
 
@@ -247,7 +244,7 @@ def _write(o, approx: bool, pad: str, out: list) -> None:
             if tv is str:
                 v = encode_basestring_ascii(v)
             elif tv is int:
-                v = int.__repr__(v) if -_SHORT_INT < v < _SHORT_INT else int_text(v)
+                v = int_text(v)
             elif tv is bool:
                 v = "true" if v else "false"
             elif v is None:
