@@ -13,10 +13,10 @@ whenever they are rational homology spheres.
 Normalization is one integer core, ``_normal_form``: it folds the integer
 parts of reduced (num, den) pairs into b, sorts the remainders by
 cross-multiplication and builds the form without re-validating it.  The text
-parser and ``twist.surgered_space`` hand it pairs; ``normalize`` is its
-adapter for ``Fraction`` and ``INF`` slopes.  ``mirror`` and
-``twist.evaluate_point``, which puts one remainder among a family member's
-two sorted fixed pairs at the slot cross-multiplication found for it, build
+parser hands it pairs; ``normalize`` is its adapter for ``Fraction`` and
+``INF`` slopes.  ``mirror`` and ``twist._space``, which folds one pair into
+the base and puts its remainder among a twist member's two sorted fixed
+pairs by cross-multiplication, for every member form ``twist`` builds, make
 their already-normal results through ``_trusted_form`` directly.
 ``SeifertForm(...)`` itself still validates, for every other caller.
 
@@ -96,7 +96,8 @@ def _trusted_form(b: int, pairs: tuple, degenerate: int) -> SeifertForm:
     """A sphere-base form from data already in normal form, skipping the
     checks of ``__post_init__``."""
     f = _new_object(SeifertForm)
-    f.__dict__.update(base=_S2, b=b, pairs=pairs, degenerate=degenerate)
+    fields = f.__dict__
+    fields["base"], fields["b"], fields["pairs"], fields["degenerate"] = _S2, b, pairs, degenerate
     return f
 
 

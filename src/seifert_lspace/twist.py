@@ -48,6 +48,7 @@ sum, and every other member is S2(b + beta; r1, r2, 1/n).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -56,8 +57,8 @@ from operator import sub
 from typing import NamedTuple
 
 from .rationals import INF
-from .seifert import (_SMALL, Base, SeifertForm, Tag, _new_tuple, _normal_form, _trusted_form,
-                      classify, mirror, normalize)
+from .seifert import (_SMALL, Base, SeifertForm, Tag, _new_tuple, _trusted_form, classify,
+                      mirror)
 from .lspace import (LSpaceVerdict, ThirdSlotThreshold, _decide_classified, _decide_small,
                      _witness_from_pairs, decide, search_bound, third_slot_threshold)
 
@@ -80,8 +81,14 @@ class SeiferterData:
     beta3: int
     m: int = 0
     l: int = 0
+    # r1 and r2 as reduced pairs, sorted; set once, by __post_init__, as a
+    # field and not a cached property, whose write makes CPython keep the
+    # instance's attributes in a dict, which every later field read pays for
+    fixed: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not (isinstance(self.r1, Fraction) and isinstance(self.r2, Fraction)):
+            raise ValueError("fixed slopes must be Fractions")
         if not (0 < self.r1 < 1 and 0 < self.r2 < 1):
             raise ValueError("fixed slopes must lie in (0,1)")
         if self.alpha * self.beta3 - self.beta * self.alpha3 != 1:
@@ -91,6 +98,8 @@ class SeiferterData:
                              "for a degenerate fiber")
         if self.l < 0:
             raise ValueError("linking number is recorded as a nonnegative integer")
+        pairs = (self.r1.numerator, self.r1.denominator), (self.r2.numerator, self.r2.denominator)
+        object.__setattr__(self, "fixed", pairs if self.r1 <= self.r2 else pairs[::-1])
 
     @property
     def limit_slope(self):
@@ -99,17 +108,24 @@ class SeiferterData:
         return INF if self.alpha == 0 else Fraction(self.beta, self.alpha)
 
 
-def _space(d: SeiferterData, num: int, den: int) -> SeifertForm:
-    """Normal form of S2(b; r1, r2, num/den), num/den reduced; den = 0 is a degenerate fiber."""
-    pairs = [(d.r1.numerator, d.r1.denominator), (d.r2.numerator, d.r2.denominator)]
-    if den:
-        pairs.append((num, den) if den > 0 else (-num, -den))
-    return _normal_form(d.b, pairs, 0 if den else 1)
+def _space(b: int, fixed: tuple, p: int, den: int) -> SeifertForm:
+    """The normal form of S2(b; fixed, p/den), fixed two sorted pairs and
+    p/den reduced, den = 0 a degenerate fiber: one ``divmod`` folds p/den
+    into b, and cross-multiplication places the remainder among the pairs."""
+    if den < 0:
+        p, den = -p, -den
+    if den < 2:
+        return _trusted_form(b + p, fixed, 0) if den else _trusted_form(b, fixed, 1)
+    whole, p = divmod(p, den)
+    r = p, den
+    (a1, c1), (a2, c2) = f1, f2 = fixed
+    return _trusted_form(b + whole, (r, f1, f2) if p * c1 < a1 * den else
+                         (f1, r, f2) if p * c2 < a2 * den else (f1, f2, r), 0)
 
 
 def surgered_space(d: SeiferterData, n: int) -> SeifertForm:
     """Normal form of the manifold obtained after n twists."""
-    return _space(d, n * d.beta + d.beta3, n * d.alpha + d.alpha3)
+    return _space(d.b, d.fixed, n * d.beta + d.beta3, n * d.alpha + d.alpha3)
 
 
 def surgery_slope(d: SeiferterData, n: int) -> int:
@@ -119,7 +135,7 @@ def surgery_slope(d: SeiferterData, n: int) -> int:
 
 def limit_space(d: SeiferterData) -> SeifertForm:
     """The |n| -> infinity limit: slope beta/alpha, infinite when alpha = 0."""
-    return _space(d, d.beta, d.alpha)
+    return _space(d.b, d.fixed, d.beta, d.alpha)
 
 
 def h1_consistency(d: SeiferterData, n: int) -> bool:
@@ -152,12 +168,6 @@ class FamilyMember:
         if not self.rp2 and self.data is None:
             raise ValueError("a member needs seiferter data unless it is rp2")
 
-    def limit(self) -> SeifertForm:
-        if self.rp2:
-            return SeifertForm(base=Base.RP2)
-        f = limit_space(self.data)
-        return mirror(f) if self.mirrored else f
-
     @cached_property
     def frame(self):
         """(base, fixed pairs, alpha, beta, alpha3, beta3, m, l^2), worked
@@ -174,7 +184,7 @@ class FamilyMember:
         -f(j) as it is.
         """
         d, off = self.data, self.offset
-        f = normalize(d.b, (d.r1, d.r2))
+        f = _trusted_form(d.b, d.fixed, 0)
         s = -1 if self.mirrored else 1
         if self.mirrored:
             f = mirror(f)
@@ -406,14 +416,32 @@ class FamilyReport:
     ``rows`` partition Z in increasing order: the runs of the walk and, as
     ``PointVerdict``s, the singles between them.  The first row is the tail
     to -infinity and the last the tail to +infinity; a family with one
-    verdict everywhere is the one row Run(None, None).  ``limit_slope`` is
-    beta/alpha, before any mirroring, and None for a projective-base family.
+    verdict everywhere is the one row Run(None, None).  The limit fields,
+    which only the writers read, are worked out from ``member`` when first
+    read: ``limit_slope`` is beta/alpha, before any mirroring, and None for a
+    projective-base family; ``limit`` is the |n| -> infinity limit space.
     """
     member: FamilyMember
     rows: tuple[Run | PointVerdict, ...]
-    limit_slope: object  # Fraction, INF or None
-    limit: SeifertForm
-    limit_verdict: LSpaceVerdict
+
+    @cached_property
+    def limit_slope(self):  # Fraction, INF or None
+        return None if self.member.rp2 else self.member.data.limit_slope
+
+    @cached_property
+    def limit(self) -> SeifertForm:
+        if self.member.rp2:
+            return _RP2_FORM
+        f = limit_space(self.member.data)
+        return mirror(f) if self.member.mirrored else f
+
+    @cached_property
+    def limit_verdict(self) -> LSpaceVerdict:
+        return decide(self.limit)
+
+    @cached_property
+    def _starts(self) -> list:  # the first index of each row but the first
+        return [_span(row)[0] for row in self.rows[1:]]
 
     @property
     def tail_neg(self) -> Run:
@@ -430,11 +458,9 @@ class FamilyReport:
                      and r.tag in (Tag.S2XS1, Tag.CONNECTED_SUM_LENS))
 
     def lspace_at(self, n: int) -> bool:
-        """Verdict at any integer, from the run or the single holding it."""
-        for row in self.rows:
-            a, b = _span(row)
-            if (a is None or a <= n) and (b is None or n <= b):
-                return row.is_lspace if isinstance(row, Run) else row.verdict.is_lspace
+        """Verdict at any integer, from the row holding it, found by bisection."""
+        row = self.rows[bisect_right(self._starts, n)]
+        return row.is_lspace if type(row) is Run else row.verdict.is_lspace
 
     def pieces(self, lo: int, hi: int):
         """The report shown on the window lo..hi, in increasing order: the
@@ -476,32 +502,26 @@ def evaluate_point(d, n: int) -> PointVerdict:
     ``frame``: the one-member path, which no piece cut enters.
 
     F(n) = (beta n + beta3, alpha n + alpha3) is reduced, as the frame is
-    unimodular.  Where it is no integer, one ``divmod`` folds it into the
-    base, cross-multiplication places the remainder after the fixed pairs at
-    or below it, as ``_normal_form`` would, and ``lspace._decide_small``
-    decides the member, its Euler number tested by cross-multiplication.
-    The pole, an integer F(n) and a projective-base member are classified.
-    The oracle is ``fraction_point`` in ``tests/oracles.py``.
+    unimodular.  ``_space`` builds the member's form; where F(n) is no
+    integer, ``lspace._decide_small`` decides it, its Euler number tested by
+    cross-multiplication.  The pole, an integer F(n) and a projective-base
+    member are classified.  The oracle is ``fraction_point`` in
+    ``tests/oracles.py``.
     """
     member = d if isinstance(d, FamilyMember) else FamilyMember(data=d)
     if member.rp2:
         return _classified(n, None, _RP2_FORM)
     b, fixed, alpha, beta, alpha3, beta3, m, ll = member.frame
     p, den = beta * n + beta3, alpha * n + alpha3
-    if den < 0:
-        p, den = -p, -den
-    if den < 2:  # the pole (den = 0), or the integer p
-        return _classified(n, m + n * ll, _trusted_form(b + p, fixed, 0) if den
-                           else _trusted_form(b, fixed, 1))
-    whole, p = divmod(p, den)
-    base, r = b + whole, (p, den)
+    form = _space(b, fixed, p, den)
+    if -2 < den < 2:  # the pole (den = 0), or the integer p/den
+        return _classified(n, m + n * ll, form)
+    base = form.b
     (a1, c1), (a2, c2) = fixed
-    pairs = ((r, *fixed) if p * c1 < a1 * den else (fixed[0], r, fixed[1]) if p * c2 < a2 * den
-             else (*fixed, r))
-    # base + a1/c1 + a2/c2 + p/den = 0 needs base -1 or -2
-    zero = -3 < base < 0 and ((base * c1 + a1) * c2 + a2 * c1) * den + p * c1 * c2 == 0
-    (p1, q1), (p2, q2), (p3, q3) = pairs
-    return _new_tuple(PointVerdict, (n, m + n * ll, _trusted_form(base, pairs, 0), _SMALL,
+    # b + a1/c1 + a2/c2 + p/den = 0 needs base -1 or -2
+    zero = -3 < base < 0 and ((b * c1 + a1) * c2 + a2 * c1) * den + p * c1 * c2 == 0
+    (p1, q1), (p2, q2), (p3, q3) = form.pairs
+    return _new_tuple(PointVerdict, (n, m + n * ll, form, _SMALL,
                                      _decide_small(base, p1, q1, p2, q2, p3, q3, zero)))
 
 
@@ -509,8 +529,6 @@ def classify_family(d) -> FamilyReport:
     """Exact verdicts for every member, over all of Z, from the walk's runs,
     with their pieces, and its singles."""
     member = d if isinstance(d, FamilyMember) else FamilyMember(data=d)
-    rows = tuple(evaluate_point(member, row) if type(row) is int else
-                 Run(*row[:5], member.mirrored, tuple(row[5])) for row in _runs(member))
-    slope = None if member.rp2 else member.data.limit_slope
-    limit = member.limit()
-    return FamilyReport(member, rows, slope, limit, decide(limit))
+    return FamilyReport(member, tuple(evaluate_point(member, row) if type(row) is int else
+                                      Run(*row[:5], member.mirrored, tuple(row[5]))
+                                      for row in _runs(member)))

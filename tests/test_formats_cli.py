@@ -1121,6 +1121,23 @@ class TestReproduce:
         assert main(["reproduce", "--only", "no-such-case"]) == 2
         capsys.readouterr()
 
+    def test_tunnel2_checks_are_live(self, monkeypatch):
+        """The tunnel-number-two case reads the verdict from the family's
+        report and |H1| from ``surgered_space``, apart from the report: a
+        wrong value of either at one n fails both families at that n."""
+        from seifert_lspace import corpus
+        from seifert_lspace.twist import FamilyReport
+        assert [c.got for c in corpus._case_tunnel2()] == [[], []]
+        space, lspace_at = corpus.surgered_space, FamilyReport.lspace_at
+        # the form of member 38 has |H1| = |m_38|, not |m_37|
+        monkeypatch.setattr(corpus, "surgered_space",
+                            lambda d, n: space(d, n + (n == 37)))
+        assert [c.got for c in corpus._case_tunnel2()] == [[37], [37]]
+        monkeypatch.undo()
+        monkeypatch.setattr(FamilyReport, "lspace_at",
+                            lambda report, n: lspace_at(report, n) != (n == -12))
+        assert [c.got for c in corpus._case_tunnel2()] == [[-12], [-12]]
+
     def test_perturbed_expectation_fails_naming_case(self, capsys):
         bad = Case("broken-case", "a deliberately wrong expectation",
                    lambda: [Check("always wrong", False, got=1, want=2)])

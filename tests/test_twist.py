@@ -7,14 +7,15 @@ from math import gcd
 import pytest
 
 from seifert_lspace import (INF, FamilyMember, PointVerdict, Run, SeiferterData, Tag,
-                            catalog, classify, classify_family, decide,
-                            find_family, h1_consistency, limit_space,
-                            normalize, surgered_space, surgery_slope, twist,
+                            berge_sporadic, catalog, check_guarantee, classify,
+                            classify_family, decide, find_family, h1_consistency,
+                            limit_space, normalize, surgered_space, surgery_slope, twist,
                             tunnel2_family, unknot_seiferter_data)
+from seifert_lspace.formats import form_json, rational_json, report_json, verdict_json
 from seifert_lspace.twist import _runs, _span, evaluate_point
 
-from oracles import (fiber_slope, fraction_member_point, fraction_normalize, fraction_point,
-                     fraction_runs, shown)
+from oracles import (fiber_slope, fraction_decide, fraction_member_point, fraction_normalize,
+                     fraction_point, fraction_runs, shown)
 
 
 def F(n, d=1):
@@ -85,6 +86,15 @@ class TestSeiferterData:
             SeiferterData(b=0, r1=F(3, 2), r2=F(1, 3), alpha=1, beta=0,
                           alpha3=0, beta3=1)
 
+    def test_slopes_must_be_fractions(self):
+        # a float or a str slope is rejected where it is given, not left to
+        # fail later in the integer arithmetic
+        for bad in (0.5, "1/2"):
+            for r1, r2 in ((bad, F(5, 7)), (F(1, 2), bad)):
+                with pytest.raises(ValueError, match="Fractions"):
+                    SeiferterData(b=-1, r1=r1, r2=r2, alpha=14, beta=11,
+                                  alpha3=5, beta3=4, m=71, l=14)
+
 
 class TestFiberSlope:
     def test_zero_twist(self):
@@ -141,6 +151,62 @@ class TestSurgeredSpace:
     def test_zero_twist_nondegenerate(self):
         d = tunnel2_family("B").members[0].data
         assert surgered_space(d, 0) == normalize(0, (F(4, 5), F(1, 2), F(-2, 7)))
+
+
+def _assert_fold(member, ns):
+    """surgered_space, limit_space and evaluate_point, which build a form by
+    one integer fold, against the Fraction oracles at the indices ns."""
+    d, s = member.data, -1 if member.mirrored else 1
+    assert d.fixed == tuple(sorted([(d.r1.numerator, d.r1.denominator),
+                                    (d.r2.numerator, d.r2.denominator)],
+                                   key=lambda pq: F(*pq))), d
+    for n in ns:
+        assert surgered_space(d, n) == \
+            fraction_normalize(d.b, (d.r1, d.r2, fiber_slope(d, n))), (d, n)
+        assert evaluate_point(member, n) == fraction_point(member, n), (member, n)
+    assert limit_space(d) == fraction_normalize(d.b, (d.r1, d.r2, d.limit_slope)), d
+    assert classify_family(member).limit == fraction_normalize(
+        s * d.b, [r if r is INF else s * r for r in (d.r1, d.r2, d.limit_slope)]), member
+
+
+def _singles(member):
+    """The indices no threshold covers: the pole and the integer values of F."""
+    return [r.n for r in classify_family(member).rows if isinstance(r, PointVerdict)]
+
+
+class TestFold:
+    def test_catalog_data(self):
+        members = [m for spec in catalog() for m in spec.members if not m.rp2]
+        assert any(m.mirrored for m in members)
+        for member in members:
+            _assert_fold(member, range(-200, 201))
+
+    def test_equal_and_decreasing_fixed_slopes(self):
+        # r1 == r2, and r1 > r2, each at the pole, at the integer values of
+        # f(n) and next to them, with the fixed pair on either side of the
+        # moving one
+        kinds = set()
+        for r1, r2 in ((F(2, 3), F(2, 3)), (F(5, 7), F(1, 2)), (F(1, 2), F(1, 2))):
+            for alpha, beta, alpha3, beta3 in ((14, 11, 5, 4), (1, 0, 1, 1), (1, 0, 0, 1),
+                                               (-3, 1, 2, -1)):
+                d = SeiferterData(b=-1, r1=r1, r2=r2, alpha=alpha, beta=beta,
+                                  alpha3=alpha3, beta3=beta3, m=3, l=2)
+                for mirrored in (False, True):
+                    member = FamilyMember(data=d, mirrored=mirrored, offset=1)
+                    singles = _singles(member)
+                    ns = {n + i for n in singles for i in (-2, -1, 0, 1, 2)} | set(range(-30, 31))
+                    _assert_fold(member, ns)
+                    for n in singles:
+                        j = -n - 1 if mirrored else n + 1
+                        kinds.add("pole" if fiber_slope(d, j) is INF else "integer f(n)")
+                kinds.add("r1 == r2" if r1 == r2 else "r1 > r2")
+        assert kinds == {"pole", "integer f(n)", "r1 == r2", "r1 > r2"}
+
+    def test_4001_digit_sporadic_data(self):
+        for kind in "abcd":
+            for member in berge_sporadic(kind, 10 ** 4000).members:
+                _assert_fold(member, {n + i for n in _singles(member) for i in (-2, -1, 0, 1, 2)}
+                             | {-10 ** 18, 0, 7, 10 ** 18})
 
 
 class TestSurgerySlope:
@@ -450,6 +516,70 @@ class TestEvaluatePoint:
                 assert evaluate_point(member, n) == fraction_point(member, n), (member, n)
 
 
+def _linear_lspace_at(report, n):
+    """The verdict at n from the one row holding it, found by a scan."""
+    (row,) = [r for r in report.rows if (_span(r)[0] is None or _span(r)[0] <= n)
+              and (_span(r)[1] is None or n <= _span(r)[1])]
+    return row.is_lspace if isinstance(row, Run) else row.verdict.is_lspace
+
+
+def _assert_lspace_at(report):
+    """The bisected lspace_at against the scan, at each row's ends, one
+    either side of them, and at +-10^18."""
+    ns = {-10 ** 18, 10 ** 18, *(e + i for r in report.rows for e in _span(r) if e is not None
+                                 for i in (-1, 0, 1))}
+    for n in ns:
+        assert report.lspace_at(n) is _linear_lspace_at(report, n), (report.member, n)
+
+
+class TestReport:
+    """A report's verdict at n is bisected from its rows, and its limit
+    fields are worked out only when a writer reads them."""
+
+    def test_lspace_at_on_the_catalog(self):
+        for spec in catalog():
+            for member in spec.members:
+                _assert_lspace_at(classify_family(member))
+
+    def test_check_guarantee_works_out_no_limit(self, monkeypatch):
+        calls = []
+        limit, decision = twist.limit_space, twist.decide
+
+        def counting_limit(d):
+            calls.append("limit_space")
+            return limit(d)
+
+        def counting_decide(f):
+            calls.append("decide")
+            return decision(f)
+
+        monkeypatch.setattr(twist, "limit_space", counting_limit)
+        monkeypatch.setattr(twist, "decide", counting_decide)
+        for spec in catalog():
+            assert check_guarantee(spec)[0], spec.name
+        assert calls == []
+        # the counters see a writer's reads, each field worked out once
+        report = classify_family(catalog()[0].members[0])
+        assert report.limit_verdict is report.limit_verdict
+        assert calls == ["limit_space", "decide"]
+
+    def test_report_json_writes_the_limit(self):
+        for spec in catalog():
+            for member in spec.members:
+                out = report_json(classify_family(member), (-3, 3))
+                if member.rp2:
+                    slope, want = None, fraction_point(member, 0).form
+                else:
+                    d, s = member.data, -1 if member.mirrored else 1
+                    slope = d.limit_slope
+                    want = fraction_normalize(s * d.b, [r if r is INF else s * r
+                                                        for r in (d.r1, d.r2, slope)])
+                assert out["limit"] == form_json(want), member
+                assert out["limit_verdict"] == verdict_json(fraction_decide(want)), member
+                assert out["tail_pos"]["limit_slope"] == out["tail_neg"]["limit_slope"] \
+                    == rational_json(slope), member
+
+
 class TestRuns:
     """One walk cuts all of Z into runs and singles, the rows of a report;
     ``pieces`` cuts the rows around a window, and ``oracles.shown`` expands
@@ -462,6 +592,7 @@ class TestRuns:
             d = _random_seiferter(rng)
             # at offset 0, unmirrored, the family's n is the data's j
             rows = _runs(FamilyMember(data=d))
+            _assert_lspace_at(classify_family(d))
             runs = [r for r in rows if not isinstance(r, int)]
             singles = [r for r in rows if isinstance(r, int)]
             pole = F(-d.alpha3, d.alpha) if d.alpha else None
