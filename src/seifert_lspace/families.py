@@ -177,7 +177,6 @@ def unknot_seiferter_data(m: int, p: int) -> SeiferterData:
     s1 = Fraction(1 - p, 2 * p)
     s2 = Fraction(p - 2 * m - 1, 2 * p - 4 * m)
     form = normalize(0, (s1, s2))
-    assert len(form.slopes) == 2
     r1, r2 = form.slopes
     return SeiferterData(b=form.b, r1=r1, r2=r2,
                          alpha=m, beta=-1, alpha3=1, beta3=0,

@@ -31,7 +31,7 @@ from typing import NoReturn
 from .rationals import INF, format_rational, int_text, is_finite, pair_text
 from .seifert import (_RP2, Base, Classification, SeifertForm, _new_tuple, _normal_form,
                       _trusted_form)
-from .lspace import _INFINITE, LSpaceVerdict, Reason, ThirdSlotThreshold
+from .lspace import _INFINITE, FoliationWitness, LSpaceVerdict, Reason, ThirdSlotThreshold
 from .twist import FamilyReport, Piece, PointVerdict, Run
 
 
@@ -73,7 +73,7 @@ def parse_form(text: str) -> SeifertForm:
                 num, den = int(num), int(den) if den else 1
                 if den:
                     g = gcd(num, den)
-                    pairs.append((num // g, den // g))
+                    pairs.append((num, den) if g == 1 else (num // g, den // g))
                 elif num:
                     degenerate += 1
                 else:  # 0/0
@@ -293,19 +293,17 @@ def _point_layout(pad: str, approx: bool, slopes: int, degenerate: int, rp2: boo
     From ``dumps`` of a point with this tag and reason (values, as an enum
     member hashes in Python code) whose numbers are named markers, its form
     the RP2 form or one with marker b and pairs.  This is the one place that
-    gives a point's JSON its keys and nesting."""
+    gives a point's JSON its keys and nesting, with ``form_json`` and
+    ``verdict_json``."""
     order = "nmbkas" + "PDQERF"[:2 * slopes] + ("XYZ"[:slopes] if approx else "")
     s = {c: _SLOT + c for c in "nmbkasPDQERFXYZ"}
     form = form_json(SeifertForm(base=Base.RP2) if rp2 else _trusted_form(
         s["b"], tuple(zip(map(s.get, "PQR"), map(s.get, "DEF")))[:slopes], degenerate))
     for pair, x in zip(form["slopes"], "XYZ") if approx else ():
         pair["approx"] = s[x]
-    reason = Reason(reason)
+    w = _new_tuple(FoliationWitness, (s["k"], s["a"])) if witness else None
     point = {"n": s["n"], "m_n": s["m"], "seifert_form": form, "tag": tag,
-             "verdict": {"is_lspace": reason.is_lspace, "reason": reason.value,
-                         "witness": {"k": s["k"], "a": s["a"]} if witness else None,
-                         "witness_is_dual": dual, "search_bound": s["s"],
-                         "infinite_h1": reason is _INFINITE}}
+             "verdict": verdict_json(LSpaceVerdict(Reason(reason), w, dual, s["s"]))}
     # a number's marker loses the quotes of the string dumps writes it as;
     # in the form's text, which starts "SFS[" and ends "]", none is quoted
     parts = re.split(r'"?\\u0000(.)"?', "," + pad + dumps(point, False, pad))
@@ -475,13 +473,15 @@ def classification_json(c: Classification):
 
 
 def verdict_json(v: LSpaceVerdict):
+    # the reason read once, and its own attributes, not the verdict's properties
+    r, w = v.reason, v.witness
     return {
-        "is_lspace": v.is_lspace,
-        "reason": v.reason.value,
-        "witness": None if v.witness is None else {"k": v.witness.k, "a": v.witness.a},
+        "is_lspace": r.is_lspace,
+        "reason": r._value_,
+        "witness": None if w is None else {"k": w.k, "a": w.a},
         "witness_is_dual": v.witness_is_dual,
         "search_bound": v.search_bound,
-        "infinite_h1": v.infinite_h1,
+        "infinite_h1": r is _INFINITE,
     }
 
 

@@ -28,26 +28,23 @@ runs at the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .rationals import INF, farey_neighbours, simplest_pair
-from .seifert import (_RP2_TAG, _S2XS1, _SMALL, _SUM, Classification, SeifertForm, _new_tuple,
-                      classify)
+from .rationals import farey_neighbours, simplest_pair
+from .seifert import _RP2_TAG, _S2XS1, _SUM, SeifertForm, _new_tuple, classify
 
 
-@dataclass(frozen=True)
-class FoliationWitness:
+class FoliationWitness(NamedTuple("FoliationWitness", [("k", int), ("a", int)])):
     """Coprime pair certifying a horizontal foliation: 0 < a <= k/2, k >= 2."""
-    k: int
-    a: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.k >= 2 and 0 < 2 * self.a <= self.k and gcd(self.a, self.k) == 1):
-            raise ValueError(f"invalid witness pair (k={self.k}, a={self.a})")
+    def __new__(cls, k: int, a: int):
+        if not (k >= 2 and 0 < 2 * a <= k and gcd(a, k) == 1):
+            raise ValueError(f"invalid witness pair (k={k}, a={a})")
+        return _new_tuple(cls, (k, a))
 
 
 class Reason(Enum):
@@ -117,7 +114,9 @@ def _witness_from_pairs(p1, q1, p2, q2, p3, q3) -> FoliationWitness | None:
     if p2 * q3 + p3 * q2 >= q2 * q3:
         return None
     a, k = simplest_pair(p2, q2, q3 - p3, q3)
-    return FoliationWitness(k, a) if k * p1 < q1 else None
+    # a valid pair unchecked: the simplest fraction is reduced, a/k <= 1/2
+    # as above, and a/k in (0, 1) makes k >= 2
+    return _new_tuple(FoliationWitness, (k, a)) if k * p1 < q1 else None
 
 
 def search_bound(p: int, q: int) -> int:
@@ -127,43 +126,44 @@ def search_bound(p: int, q: int) -> int:
 
 
 def decide(f: SeifertForm) -> LSpaceVerdict:
-    """Is the (normalized) Seifert form an L-space?"""
-    return _decide_classified(f, classify(f))
+    """Is the (normalized) Seifert form an L-space?  A form of three finite
+    fibers and no degenerate one goes straight to ``_decide_small``; every
+    other form is classified, and decided by its tag."""
+    pairs = f.pairs
+    if len(pairs) == 3 and not f.degenerate:  # so it is over S2
+        (p1, q1), (p2, q2), (p3, q3) = pairs
+        return _decide_small(f.b, p1, q1, p2, q2, p3, q3)
+    return _decide_classified(classify(f).tag)
 
 
-def _decide_classified(f: SeifertForm, c: Classification) -> LSpaceVerdict:
-    tag = c.tag
-    if tag is not _SMALL:
-        if tag is _RP2_TAG:
-            return _RP2_BASE
-        # both summand orders of a connected sum are >= 2, so neither
-        # summand is S3 or S2 x S1; what is left is S3 or a lens space
-        return _CONNECTED_SUM if tag is _SUM else _INFINITE_H1 if tag is _S2XS1 else _LENS
-    (p1, q1), (p2, q2), (p3, q3) = f.pairs
-    return _decide_small(f.b, p1, q1, p2, q2, p3, q3, c.h1 is INF)
+def _decide_classified(tag) -> LSpaceVerdict:
+    """The verdict on a form of at most two finite fibers, from its tag."""
+    if tag is _RP2_TAG:
+        return _RP2_BASE
+    # both summand orders of a connected sum are >= 2, so neither summand
+    # is S3 or S2 x S1; what is left is S3 or a lens space
+    return _CONNECTED_SUM if tag is _SUM else _INFINITE_H1 if tag is _S2XS1 else _LENS
 
 
-def _decide_small(b: int, p1: int, q1: int, p2: int, q2: int, p3: int, q3: int,
-                  euler_zero: bool) -> LSpaceVerdict:
+def _decide_small(b: int, p1: int, q1: int, p2: int, q2: int, p3: int, q3: int) -> LSpaceVerdict:
     """The verdict on S2(b; p1/q1, p2/q2, p3/q3), its three slopes sorted in
-    (0,1); ``euler_zero`` says whether b + p1/q1 + p2/q2 + p3/q3 is 0 (which
-    needs b = -1 or -2), the one case of infinite first homology."""
+    (0,1): the one three-fiber decision, for ``decide`` and
+    ``twist.evaluate_point``.  Its Euler number b + p1/q1 + p2/q2 + p3/q3,
+    tested by cross-multiplication, is zero only at b = -1 or -2, the one
+    case of infinite first homology."""
     if b >= 0 or b <= -3:
         return _B_LARGE
+    euler_zero = ((b * q1 + p1) * q2 + p2 * q1) * q3 + p3 * q1 * q2 == 0
     dual = b == -2
     if dual:
         # complemented slopes in sorted order: 1 - r3 <= 1 - r2 <= 1 - r1
         p1, q1, p2, p3, q3 = q3 - p3, q3, q2 - p2, q1 - p1, q1
     w = _witness_from_pairs(p1, q1, p2, q2, p3, q3)
-    bound = search_bound(p1, q1)
-    if euler_zero:
-        # not a rational homology sphere, hence not an L-space; the witness
-        # (which exists exactly when a horizontal foliation does) is still
-        # reported alongside.
-        return _new_tuple(LSpaceVerdict, (_INFINITE, w, dual and w is not None, bound))
-    if w is not None:
-        return _new_tuple(LSpaceVerdict, (_DUAL if dual else _WITNESS, w, dual, bound))
-    return _new_tuple(LSpaceVerdict, (_NO_WITNESS, None, False, bound))
+    # at Euler number zero, not a rational homology sphere, hence not an
+    # L-space; the witness (which exists exactly when a horizontal foliation
+    # does) is still reported alongside
+    reason = _INFINITE if euler_zero else _NO_WITNESS if w is None else _DUAL if dual else _WITNESS
+    return _new_tuple(LSpaceVerdict, (reason, w, dual and w is not None, search_bound(p1, q1)))
 
 
 class IntervalKind(Enum):
@@ -175,8 +175,7 @@ class IntervalKind(Enum):
 _KINDS = {-1: IntervalKind.UP_CLOSED, -2: IntervalKind.DOWN_CLOSED}
 
 
-@dataclass(frozen=True)
-class ThirdSlotThreshold:
+class ThirdSlotThreshold(NamedTuple):
     """Exact description of { r in (0,1) : S2(b; r1, r2, r) is an L-space }.
 
     ``r1``, ``r2`` and the boundary t, ``cut``, are reduced integer pairs;
@@ -255,10 +254,11 @@ def third_slot_threshold(b: int, r1: Fraction, r2: Fraction) -> ThirdSlotThresho
     p1, q1, p2, q2 = r1.numerator, r1.denominator, r2.numerator, r2.denominator
     if not (0 < p1 < q1 and 0 < p2 < q2):
         raise ValueError("fixed slopes must lie in (0,1)")
+    cut = None
     if b == -1:
-        return ThirdSlotThreshold(b, (p1, q1), (p2, q2), _not_lspace_sup((p1, q1), (p2, q2)))
-    if b == -2:
+        cut = _not_lspace_sup((p1, q1), (p2, q2))
+    elif b == -2:
         # the mirror image S2(-1; 1 - r1, 1 - r2, 1 - r); 1 - p/q is (q - p)/q
         num, den = _not_lspace_sup((q1 - p1, q1), (q2 - p2, q2))
-        return ThirdSlotThreshold(b, (p1, q1), (p2, q2), (den - num, den))
-    return ThirdSlotThreshold(b, (p1, q1), (p2, q2))
+        cut = den - num, den
+    return _new_tuple(ThirdSlotThreshold, (b, (p1, q1), (p2, q2), cut))

@@ -17,8 +17,10 @@ parser hands it pairs; ``normalize`` is its adapter for ``Fraction`` and
 ``INF`` slopes.  ``mirror`` and ``twist._space``, which folds one pair into
 the base and puts its remainder among a twist member's two sorted fixed
 pairs by cross-multiplication, for every member form ``twist`` builds, make
-their already-normal results through ``_trusted_form`` directly.
-``SeifertForm(...)`` itself still validates, for every other caller.
+their already-normal results through ``_trusted_form`` directly, which sets
+the form's slots unchecked.  ``SeifertForm(...)`` itself validates in its
+constructor, for every other caller.  A form is immutable, equal to another
+form with the same fields and never to a tuple.
 
 The first homology order of S2(b; r_1, ..., r_k) is |alpha_1 ... alpha_k *
 (b + r_1 + ... + r_k)|; order zero means positive first Betti number and is
@@ -28,10 +30,9 @@ reported as INF.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key
 from typing import NamedTuple
 
 from .rationals import INF, int_text
@@ -58,29 +59,45 @@ class DegenerateEuler(ValueError):
     """|H_1| requested for a degenerate or projective-base form."""
 
 
-@dataclass(frozen=True)
 class SeifertForm:
-    base: Base = Base.S2
-    b: int = 0
-    pairs: tuple[tuple[int, int], ...] = ()
-    degenerate: int = 0
+    """S2(b; pairs, inf * degenerate), or the bare projective-base marker."""
+    __slots__ = __match_args__ = ("base", "b", "pairs", "degenerate")
 
-    def __post_init__(self):
-        if self.base is _RP2:
-            if self.pairs or self.degenerate or self.b:
-                raise ValueError("projective-base forms carry no slope data")
-            return
+    def __new__(cls, base: Base = Base.S2, b: int = 0, pairs: tuple[tuple[int, int], ...] = (),
+                degenerate: int = 0):
+        if base is _RP2 and (pairs or degenerate or b):
+            raise ValueError("projective-base forms carry no slope data")
         pp, pq = 0, 1
-        for p, q in self.pairs:
+        for p, q in pairs:
             if p <= 0 or p >= q or math.gcd(p, q) != 1:
                 raise ValueError(f"slope {p}/{q} is not reduced in (0,1); use normalize()")
             if p * pq < pp * q:
                 raise ValueError("slopes must be sorted; use normalize()")
             pp, pq = p, q
-        if self.degenerate < 0:
+        if degenerate < 0:
             raise ValueError("negative degenerate fiber count")
+        return _trusted_form(b, pairs, degenerate, base)
 
-    @cached_property
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.base, self.b, self.pairs, self.degenerate
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        # the default would restore the slots through __setattr__
+        return self.__class__, self._key()
+
+    @property
     def slopes(self) -> tuple[Fraction, ...]:
         """The slopes as ``Fraction``s, in the order of ``pairs``."""
         return tuple([Fraction(p, q) for p, q in self.pairs])
@@ -92,12 +109,19 @@ class SeifertForm:
         return f"SFS[S2; {int_text(self.b)}{'; ' * bool(parts)}{', '.join(parts)}]"
 
 
-def _trusted_form(b: int, pairs: tuple, degenerate: int) -> SeifertForm:
-    """A sphere-base form from data already in normal form, skipping the
-    checks of ``__post_init__``."""
+# the slots' own setters, which skip the frozen __setattr__
+_set_base, _set_b, _set_pairs, _set_degenerate = (
+    getattr(SeifertForm, name).__set__ for name in SeifertForm.__slots__)
+
+
+def _trusted_form(b: int, pairs: tuple, degenerate: int, base: Base = _S2) -> SeifertForm:
+    """A form from data already in normal form, over S2 unless ``base``
+    says otherwise: what the constructor does after its checks."""
     f = _new_object(SeifertForm)
-    fields = f.__dict__
-    fields["base"], fields["b"], fields["pairs"], fields["degenerate"] = _S2, b, pairs, degenerate
+    _set_base(f, base)
+    _set_b(f, b)
+    _set_pairs(f, pairs)
+    _set_degenerate(f, degenerate)
     return f
 
 
@@ -107,9 +131,9 @@ def _normal_form(b: int, pairs, degenerate: int) -> SeifertForm:
     ``pairs`` holds (p, q): a reduced fraction p/q with q > 0.  Integer
     parts fold into b, which keeps each remainder reduced (gcd(p - wq, q) =
     gcd(p, q)); integral slopes vanish, and the rest are sorted by
-    cross-multiplication: by insertion, after one sort of more than three.
+    cross-multiplication: by insertion, after one sort of more than four.
     """
-    if len(pairs) > 3:
+    if len(pairs) > 4:
         pairs = sorted(pairs, key=_BY_REMAINDER)
     out = []
     for p, q in pairs:
@@ -135,14 +159,9 @@ def normalize(b: int, raw) -> SeifertForm:
     Integral slopes (in particular zeros) disappear into the section term;
     infinite entries are counted as degenerate fibers.
     """
-    pairs = []
-    degenerate = 0
-    for r in raw:
-        if r is INF:
-            degenerate += 1
-        else:
-            pairs.append((r.numerator, r.denominator))
-    return _normal_form(int(b), pairs, degenerate)
+    raw = list(raw)
+    pairs = [(r.numerator, r.denominator) for r in raw if r is not INF]
+    return _normal_form(int(b), pairs, len(raw) - len(pairs))
 
 
 def h1_order(f: SeifertForm):

@@ -49,7 +49,7 @@ sum, and every other member is S2(b + beta; r1, r2, 1/n).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -193,8 +193,7 @@ class FamilyMember:
                 off * d.beta + s * d.beta3, s * d.m + off * ll, ll)
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(NamedTuple):
     """Every n from from_n to to_n has the stated L-space verdict; None
     marks an infinite end.
 
@@ -213,7 +212,7 @@ class Run:
     band_base: int | None = None
     threshold: ThirdSlotThreshold | None = None
     mirrored: bool = False
-    pieces: tuple = field(default=(), compare=False, repr=False)
+    pieces: tuple = ()
 
 
 def _first_below(mat: tuple, c: tuple, strict: bool) -> int:
@@ -473,7 +472,7 @@ class FamilyReport:
         for row in self.rows:
             a, b = _span(row)
             if a is None or a < lo:
-                yield row if b is not None and b < lo else replace(row, to_n=lo - 1)
+                yield row if b is not None and b < lo else row._replace(to_n=lo - 1)
         for row in self.rows:
             if type(row) is PointVerdict:
                 if lo <= row.n <= hi:
@@ -486,15 +485,10 @@ class FamilyReport:
         for row in self.rows:
             a, b = _span(row)
             if b is None or b > hi:
-                yield row if a is not None and a > hi else replace(row, from_n=hi + 1)
+                yield row if a is not None and a > hi else row._replace(from_n=hi + 1)
 
 
 _RP2_FORM = SeifertForm(base=Base.RP2)
-
-
-def _classified(n: int, slope, form: SeifertForm) -> PointVerdict:
-    c = classify(form)
-    return _new_tuple(PointVerdict, (n, slope, form, c.tag, _decide_classified(form, c)))
 
 
 def evaluate_point(d, n: int) -> PointVerdict:
@@ -503,32 +497,29 @@ def evaluate_point(d, n: int) -> PointVerdict:
 
     F(n) = (beta n + beta3, alpha n + alpha3) is reduced, as the frame is
     unimodular.  ``_space`` builds the member's form; where F(n) is no
-    integer, ``lspace._decide_small`` decides it, its Euler number tested by
-    cross-multiplication.  The pole, an integer F(n) and a projective-base
+    integer, ``lspace._decide_small`` decides it, as ``decide`` does any
+    three-fiber form.  The pole, an integer F(n) and a projective-base
     member are classified.  The oracle is ``fraction_point`` in
     ``tests/oracles.py``.
     """
     member = d if isinstance(d, FamilyMember) else FamilyMember(data=d)
     if member.rp2:
-        return _classified(n, None, _RP2_FORM)
-    b, fixed, alpha, beta, alpha3, beta3, m, ll = member.frame
-    p, den = beta * n + beta3, alpha * n + alpha3
-    form = _space(b, fixed, p, den)
-    if -2 < den < 2:  # the pole (den = 0), or the integer p/den
-        return _classified(n, m + n * ll, form)
-    base = form.b
-    (a1, c1), (a2, c2) = fixed
-    # b + a1/c1 + a2/c2 + p/den = 0 needs base -1 or -2
-    zero = -3 < base < 0 and ((b * c1 + a1) * c2 + a2 * c1) * den + p * c1 * c2 == 0
-    (p1, q1), (p2, q2), (p3, q3) = form.pairs
-    return _new_tuple(PointVerdict, (n, m + n * ll, form, _SMALL,
-                                     _decide_small(base, p1, q1, p2, q2, p3, q3, zero)))
+        slope, form = None, _RP2_FORM
+    else:
+        b, fixed, alpha, beta, alpha3, beta3, m, ll = member.frame
+        slope, form = m + n * ll, _space(b, fixed, beta * n + beta3, alpha * n + alpha3)
+    if len(form.pairs) == 3:
+        (p1, q1), (p2, q2), (p3, q3) = form.pairs
+        return _new_tuple(PointVerdict, (n, slope, form, _SMALL,
+                                         _decide_small(form.b, p1, q1, p2, q2, p3, q3)))
+    tag = classify(form).tag  # the pole, an integer F(n) or the projective base
+    return _new_tuple(PointVerdict, (n, slope, form, tag, _decide_classified(tag)))
 
 
 def classify_family(d) -> FamilyReport:
     """Exact verdicts for every member, over all of Z, from the walk's runs,
     with their pieces, and its singles."""
     member = d if isinstance(d, FamilyMember) else FamilyMember(data=d)
-    return FamilyReport(member, tuple(evaluate_point(member, row) if type(row) is int else
-                                      Run(*row[:5], member.mirrored, tuple(row[5]))
-                                      for row in _runs(member)))
+    return FamilyReport(member, tuple(
+        evaluate_point(member, row) if type(row) is int else
+        _new_tuple(Run, (*row[:5], member.mirrored, tuple(row[5]))) for row in _runs(member)))

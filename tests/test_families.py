@@ -324,10 +324,10 @@ class TestRegressionContract:
             tn, *rows, tp = report.rows
             if member.mirrored:
                 assert tn.to_n == hi and not tn.is_lspace
-                rows = (replace(tn, to_n=lo - 1), *singles, *rows, tp)
+                rows = (tn._replace(to_n=lo - 1), *singles, *rows, tp)
             else:
                 assert tp.from_n == lo and not tp.is_lspace
-                rows = (tn, *rows, *singles, replace(tp, from_n=hi + 1))
+                rows = (tn, *rows, *singles, tp._replace(from_n=hi + 1))
             return report, replace(report, rows=rows)
 
         member = FamilyMember(data=data)

@@ -159,6 +159,64 @@ class TestGrammar:
         assert dt < 10.0, f"10^5-slope rejection in {dt:.2f} s (budget 10 s)"
 
 
+def _python_calls(fn, *args) -> list:
+    """The names of the Python-level functions fn(*args) calls, itself
+    included, in order: the "call" events of a profile, which C functions
+    do not raise."""
+    names, before = [], sys.getprofile()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(before)
+    return names[1:]  # the first is fn's own call
+
+
+class TestTextToVerdictCalls:
+    """A gate on the count of Python-level calls from a form's text to its
+    verdict's JSON, with no wall clock: a call costs about as much as the
+    arithmetic of a small form's decision."""
+
+    @staticmethod
+    def calls(text):
+        return _python_calls(lambda: formats.verdict_json(decide(parse_form(text))))
+
+    def test_three_fibers_no_witness(self):
+        # 13 calls before decide sent a three-fiber form straight to
+        # _decide_small, with no classify, h1_order or property reads
+        for b in (0, 3, -3, -7):
+            names = self.calls(f"SFS[S2; {b}; 1/2, 1/3, 1/5]")
+            assert len(names) <= 6, names
+        # b = -1 with no witness: the witness search ends at its first test
+        names = self.calls("SFS[S2; -1; 1/2, 2/3, 3/4]")
+        assert len(names) <= 8, names
+        assert not {"classify", "h1_order", "_decide_classified"} & set(names)
+
+    def test_witness(self):
+        # 18 calls with the dataclass witness's __init__ and __post_init__
+        for text in ("SFS[S2; -1; 1/3, 1/3, 1/3]", "SFS[S2; -1; 1/7, 1/3, 1/2]",
+                     "SFS[S2; -2; 2/3, 2/3, 2/3]"):
+            names = self.calls(text)
+            assert len(names) <= 9 and "__init__" not in names, (text, names)
+
+    def test_integral_fourth_slope_sorts_by_insertion(self):
+        # 21 calls, six of them cmp_to_key's lambda, before four raw slopes
+        # were sorted by insertion
+        for text in ("SFS[S2; -3; 2, 3/4, 2/3, 1/2]", "SFS[S2; -3; 1/2, 3/4, 2/3, 2]",
+                     "SFS[S2; -2; 5/4, 2/3, -1/2, 1]"):
+            names = self.calls(text)
+            assert "<lambda>" not in names and len(names) <= 9, (text, names)
+
+    def test_other_forms_are_classified(self):
+        for text in ("SFS[RP2]", "SFS[S2; 0; 1/2, inf]", "SFS[S2; -1; 1/2, 1/2]"):
+            assert "classify" in self.calls(text), text
+
+
 def _assert_parses_like_fraction_parser(text):
     try:
         want = fraction_parse_form(text)

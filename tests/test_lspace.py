@@ -1,5 +1,7 @@
 """The decision procedure: witnesses, duality, exact thresholds."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,9 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seifert_lspace import (INF, FoliationWitness, IntervalKind, Reason,
-                            SeifertForm, classify, decide, mirror, normalize,
-                            third_slot_threshold)
+from seifert_lspace import (INF, FamilyMember, FoliationWitness, IntervalKind, Reason,
+                            SeiferterData, SeifertForm, ThirdSlotThreshold, classify, decide,
+                            lspace, mirror, normalize, seifert, third_slot_threshold, twist)
 from seifert_lspace.lspace import _not_lspace_sup, _witness_from_pairs, search_bound
 
 from oracles import (fraction_classify, fraction_decide, fraction_normalize,
@@ -107,6 +109,104 @@ class TestDecide:
     def test_search_bound_recorded(self):
         v = decide(small_sfs(-1, (1, 7), (2, 5), (1, 2)))
         assert v.search_bound == 6 == search_bound(1, 7)
+
+
+class TestOneThreeFiberDecision:
+    """``_decide_small`` is the one three-fiber decision: ``decide`` sends a
+    form of three finite fibers to it unclassified, as
+    ``twist.evaluate_point`` does a member's form."""
+
+    def forms(self):
+        return [small_sfs(b, *t) for b in (-3, -2, -1, 0) for t in (
+            ((2, 3), (2, 3), (2, 3)), ((1, 7), (1, 3), (1, 2)), ((1, 2), (2, 3), (4, 5)),
+            ((1, 3), (1, 3), (1, 3)), ((1, 2), (1, 2), (1, 2)))]
+
+    def test_decide_skips_classify_for_three_fibers(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("classified")
+
+        small = [decide(f) for f in self.forms()]
+        monkeypatch.setattr(lspace, "classify", refuse)
+        monkeypatch.setattr(seifert, "h1_order", refuse)
+        assert [decide(f) for f in self.forms()] == small
+        for f in (small_sfs(0, (2, 3)), SeifertForm(base=seifert.Base.RP2),
+                  normalize(0, (F(2, 3), F(1, 2), INF)), normalize(0, (F(1, 2),) * 4)):
+            with pytest.raises(AssertionError, match="classified"):
+                decide(f)
+
+    def test_decide_and_evaluate_point_share_it(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return decide_small(*args)
+
+        decide_small = lspace._decide_small
+        monkeypatch.setattr(lspace, "_decide_small", counting)
+        monkeypatch.setattr(twist, "_decide_small", counting)
+        for f in self.forms():
+            calls.clear()
+            decide(f)
+            assert calls == [(f.b, *f.pairs[0], *f.pairs[1], *f.pairs[2])]
+        d = SeiferterData(b=-1, r1=F(1, 2), r2=F(5, 7), alpha=14, beta=11, alpha3=5, beta3=4,
+                          m=71, l=14)
+        for n in range(-30, 30):
+            calls.clear()
+            p = twist.evaluate_point(FamilyMember(data=d), n)
+            assert len(calls) == (len(p.form.pairs) == 3 and not p.form.degenerate), n
+        # the unpatched decision still covers an Euler-zero triple
+        assert decide_small(-2, 2, 3, 2, 3, 2, 3) == decide(small_sfs(-2, *[(2, 3)] * 3))
+        assert decide_small(-2, 2, 3, 2, 3, 2, 3).reason is Reason.INFINITE_H1
+
+
+class TestValueClasses:
+    """FoliationWitness and ThirdSlotThreshold are NamedTuples: immutable,
+    and with the fields, repr, equality and hash they had as dataclasses."""
+
+    def test_witness(self):
+        w = FoliationWitness(k=5, a=2)
+        assert (w.k, w.a) == (5, 2) and w == FoliationWitness(5, 2) != FoliationWitness(5, 1)
+        assert repr(w) == "FoliationWitness(k=5, a=2)" and hash(w) == hash((5, 2))
+        with pytest.raises(AttributeError):
+            w.k = 7
+        for g in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+            assert type(g) is FoliationWitness and g == w
+        for k, a in ((4, 2), (1, 1), (5, 3), (3, 0), (2, -1), (6, 4)):
+            with pytest.raises(ValueError) as err:
+                FoliationWitness(k, a)
+            assert str(err.value) == f"invalid witness pair (k={k}, a={a})"
+
+    def test_searched_witnesses_pass_the_checks(self):
+        # _witness_from_pairs builds its witness unchecked; the validating
+        # constructor takes each one it finds
+        rng = random.Random(23)
+        found = 0
+        for _ in range(3000):
+            t = sorted(F(rng.randint(1, 59), 60) for _ in range(3))
+            w = witness_search(t)
+            if w is not None:
+                assert type(w) is FoliationWitness and FoliationWitness(w.k, w.a) == w
+                found += 1
+        assert found > 100
+
+    def test_threshold(self):
+        t = third_slot_threshold(-2, F(2, 3), F(2, 3))
+        assert t == ThirdSlotThreshold(-2, (2, 3), (2, 3), (1, 2))
+        assert t != third_slot_threshold(-1, F(2, 3), F(2, 3))
+        assert repr(t) == "ThirdSlotThreshold(b=-2, r1=(2, 3), r2=(2, 3), cut=(1, 2))"
+        assert repr(third_slot_threshold(0, F(1, 3), F(1, 2))) == \
+            "ThirdSlotThreshold(b=0, r1=(1, 3), r2=(1, 2), cut=None)"
+        assert hash(t) == hash((-2, (2, 3), (2, 3), (1, 2)))
+        assert (t.kind, t.boundary, t.attained) == (IntervalKind.DOWN_CLOSED, F(1, 2), True)
+        assert t.contains(F(1, 2)) and not t.contains(F(2, 3))
+        with pytest.raises(AttributeError):
+            t.cut = None
+        for g in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert type(g) is ThirdSlotThreshold and g == t
+        with pytest.raises(ValueError, match=r"^fixed slopes must lie in \(0,1\)$"):
+            third_slot_threshold(-1, F(1), F(1, 2))
+        with pytest.raises(ValueError, match=r"^contains\(\) is about the open unit interval$"):
+            t.contains(F(1))
 
 
 class TestDualityAndMonotonicity:

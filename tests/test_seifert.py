@@ -1,6 +1,8 @@
 """Normal form bookkeeping: normalization, euler number, homology, mirror."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 
 from seifert_lspace import (INF, Base, DegenerateEuler, SeifertForm, Tag,
                             UnsupportedFiberCount, classify, h1_order, mirror, normalize)
+from seifert_lspace.formats import parse_form
+from seifert_lspace.seifert import _trusted_form
 
 from oracles import euler_number, fraction_normalize, presentation_h1
 
@@ -80,6 +84,94 @@ class TestNormalize:
             SeifertForm(b=0, degenerate=-1)
         with pytest.raises(ValueError):
             SeifertForm(base=Base.RP2, b=1)
+
+
+class TestFormContract:
+    """A form is a slotted class: built by its validating constructor or by
+    ``_trusted_form``, immutable, equal to a form with the same fields and
+    to nothing else."""
+
+    N = 10 ** 4000 + 1  # 4,001 digits
+
+    def forms(self):
+        N = self.N
+        return [SeifertForm(b=-1, pairs=((1, 3), (1, 2), (2, 3))), SeifertForm(base=Base.RP2),
+                SeifertForm(), SeifertForm(Base.S2, 3, ((1, 2), (2, 3)), 1),
+                SeifertForm(b=-N, pairs=((1, N), (N - 1, N)), degenerate=2)]
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        for f in self.forms():
+            before = (f.base, f.b, f.pairs, f.degenerate)
+            for name in ("base", "b", "pairs", "degenerate", "slopes", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(f, name, 1)
+                with pytest.raises(AttributeError):
+                    delattr(f, name)
+            assert (f.base, f.b, f.pairs, f.degenerate) == before
+            assert not hasattr(f, "__dict__")
+        f = self.forms()[0]
+        with pytest.raises(AttributeError, match="^cannot assign to field 'b'$"):
+            f.b = 0
+        with pytest.raises(AttributeError, match="^cannot delete field 'pairs'$"):
+            del f.pairs
+
+    def test_trusted_form_equals_the_constructor(self):
+        N = self.N
+        for b, pairs, degenerate in ((-1, ((1, 3), (1, 2), (2, 3)), 0), (0, (), 0),
+                                     (3, ((1, 2), (2, 3)), 1), (-N, ((1, N), (N - 1, N)), 2)):
+            f, g = SeifertForm(b=b, pairs=pairs, degenerate=degenerate), _trusted_form(
+                b, pairs, degenerate)
+            assert type(g) is SeifertForm and f == g and not f != g and hash(f) == hash(g)
+            assert hash(f) == hash((Base.S2, b, pairs, degenerate))
+        assert parse_form("SFS[S2; -3; 4/3, 1/2, 5/3]") == normalize(-1, (F(1, 3), F(1, 2), F(2, 3)))
+        assert parse_form("SFS[RP2]") == SeifertForm(base=Base.RP2)
+        assert len({*self.forms(), *self.forms()}) == len(self.forms())
+
+    def test_never_equal_to_a_tuple(self):
+        for f in self.forms():
+            for other in ((f.base, f.b, f.pairs, f.degenerate), (f.b, f.pairs, f.degenerate),
+                          f.pairs, f.b, None):
+                assert f != other and other != f and not f == other
+        a, b = SeifertForm(b=-1, pairs=((1, 2),)), SeifertForm(b=-2, pairs=((1, 2),))
+        assert a != b and a != SeifertForm(b=-1, pairs=((1, 2),), degenerate=1)
+
+    def test_repr_bytes(self):
+        N = self.N
+        want = ["SFS[S2; -1; 1/3, 1/2, 2/3]", "SFS[RP2]", "SFS[S2; 0]", "SFS[S2; 3; 1/2, 2/3, inf]",
+                f"SFS[S2; -{N}; 1/{N}, {N - 1}/{N}, inf, inf]"]
+        assert [repr(f).encode() for f in self.forms()] == [w.encode() for w in want]
+
+    def test_slopes_are_fractions(self):
+        f = normalize(-1, (F(7, 3), F(-1, 2), F(5, 7), INF))
+        assert f.pairs == ((1, 3), (1, 2), (5, 7)) and f.degenerate == 1
+        assert f.slopes == (F(1, 3), F(1, 2), F(5, 7))
+        assert all(type(r) is Fraction for r in f.slopes)
+        assert SeifertForm(base=Base.RP2).slopes == ()
+
+    def test_copy_deepcopy_and_pickle_round_trip(self):
+        for f in self.forms():
+            for g in (copy.copy(f), copy.deepcopy(f),
+                      *(pickle.loads(pickle.dumps(f, protocol)) for protocol in range(
+                          pickle.HIGHEST_PROTOCOL + 1))):
+                assert type(g) is SeifertForm and g == f and hash(g) == hash(f)
+                assert g.base is f.base
+                with pytest.raises(AttributeError):
+                    g.b = 0
+
+    def test_invalid_input_messages(self):
+        for kwargs, message in (
+                ({"pairs": ((5, 3),)}, "slope 5/3 is not reduced in (0,1); use normalize()"),
+                ({"pairs": ((2, 4),)}, "slope 2/4 is not reduced in (0,1); use normalize()"),
+                ({"pairs": ((0, 1),)}, "slope 0/1 is not reduced in (0,1); use normalize()"),
+                ({"pairs": ((2, 3), (1, 2))}, "slopes must be sorted; use normalize()"),
+                ({"degenerate": -1}, "negative degenerate fiber count"),
+                ({"base": Base.RP2, "b": 1}, "projective-base forms carry no slope data"),
+                ({"base": Base.RP2, "pairs": ((1, 2),)}, "projective-base forms carry no slope data"),
+                ({"base": Base.RP2, "degenerate": -1},
+                 "projective-base forms carry no slope data")):
+            with pytest.raises(ValueError) as err:
+                SeifertForm(**kwargs)
+            assert str(err.value) == message, kwargs
 
 
 class TestEulerNumber:

@@ -563,6 +563,33 @@ class TestReport:
         assert report.limit_verdict is report.limit_verdict
         assert calls == ["limit_space", "decide"]
 
+    def test_runs_are_built_without_a_python_constructor(self):
+        # a Run is a NamedTuple that classify_family fills directly: no
+        # generated __init__ (2.96 us a run as a frozen dataclass) or __new__
+        # runs for it; a window's clipped tails are its _replace
+        import sys
+        seen = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name in ("__init__", "__new__"):
+                seen.append(frame.f_locals.get("self", frame.f_locals.get("_cls")))
+
+        members = [m for spec in catalog() for m in spec.members]
+        before = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            reports = [classify_family(m) for m in members]
+        finally:
+            sys.setprofile(before)
+        assert not [x for x in seen if x is Run or isinstance(x, Run)]
+        runs = [r for report in reports for r in report.rows if type(r) is Run]
+        assert len(runs) >= 36 and all(len(r) == 7 and r.pieces for r in runs)
+        report = classify_family(TREFOIL)
+        tn, tp = report.tail_neg, report.tail_pos
+        rows = list(report.pieces(tn.to_n - 5, tp.from_n + 5))
+        assert rows[0] == tn._replace(to_n=tn.to_n - 6) and rows[0].pieces == tn.pieces
+        assert rows[-1] == tp._replace(from_n=tp.from_n + 6)
+
     def test_report_json_writes_the_limit(self):
         for spec in catalog():
             for member in spec.members:
