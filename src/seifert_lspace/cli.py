@@ -25,7 +25,9 @@ from .seifert import classify
 from .twist import SeiferterData, classify_family
 
 
-MAX_WINDOW = 10 ** 6  # indices a window may hold; each one is evaluated
+# indices a window may hold; each one is written, but only a piece's first
+# member is evaluated, and the others are written from the piece's columns
+MAX_WINDOW = 10 ** 6
 
 
 def _window(text: str):

@@ -5,18 +5,18 @@ Text forms are ``SFS[S2; b; r1, r2, ...]`` (slopes may be raw: any rational,
 reads a form from one regex match of the whole grammar and hands the slopes
 to the normal-form core in ``seifert`` as reduced (num, den) integer pairs;
 only a text it cannot read is walked token by token, to find the message and
-position of its ``ParseError``.  All JSON numbers are exact integer
-pairs {"num": ..., "den": ...}.  A report's ``"points"`` are its singles'
+position of its ``ParseError``.  All JSON numbers are exact integer pairs
+{"num": ..., "den": ...}.  A report's ``"points"`` are its singles'
 ``PointVerdict``s and the ``twist.Piece``s between them.  ``dumps`` is the
 one JSON writer (``dump`` writes its texts to a file as it goes), and
-``report_lines`` the one text writer.  Both write a piece a chunk of
-members at a time from ``Piece.columns``, a single as a piece of one
-member: a piece's layout is filled with what its members share and split
-once, and a chunk joins its literal parts with the texts of the columns
-that move.  A JSON layout comes from ``_point_layout``, cached per shape,
-the one place that gives a point's JSON its keys.  With ``approx`` set,
-``dumps`` adds --float's decimal approximation to each pair a float holds;
-the approximation never feeds back into anything."""
+``report_lines`` the one text writer.  Both write a piece a chunk of members
+at a time from ``Piece.columns``, a single as a piece of one member: a
+piece's layout is filled with what its members share and split once, and a
+chunk joins its literal parts with the texts of the columns that move, each
+converted once by ``_chunks``.  A JSON layout comes from ``_point_layout``,
+cached per shape, the one place that gives a point's JSON its keys.  With
+``approx`` set, ``dumps`` adds --float's decimal approximation to each pair
+a float holds; it never feeds back into anything."""
 
 from __future__ import annotations
 
@@ -190,32 +190,32 @@ _CHUNK = 256  # members joined into one text
 
 
 class _Texts(list):
-    """The texts of a document, in order.  With ``write`` set, ``spill``
-    writes the texts so far as one and drops them once they hold a chunk's
-    worth of members; the piece writer spills after each chunk."""
-    __slots__ = ("write", "members")
+    """The texts of a document, in order.  With ``writelines`` set,
+    ``spill`` writes them and drops them once they hold a chunk's worth of
+    members; the piece writer spills after each chunk."""
+    __slots__ = ("writelines", "members")
 
-    def __init__(self, write=None):
+    def __init__(self, writelines=None):
         super().__init__()
-        self.write, self.members = write, 0
+        self.writelines, self.members = writelines, 0
 
     def spill(self, members: int) -> None:
         self.members += members
-        if self.write is not None and self.members >= _CHUNK:
-            self.write("".join(self))
+        if self.writelines is not None and self.members >= _CHUNK:
+            self.writelines(self)
             self.clear()
             self.members = 0
 
 
 def dump(o, fp, approx: bool = False) -> None:
     """Write ``dumps(o, approx)`` and a newline to the text file fp, as
-    ``print`` would: the texts go out whenever they hold a chunk's worth of
-    a window's members, and the rest at the end, so beside the texts of the
+    ``print`` would: each text goes out as it is, once the texts hold a
+    chunk's worth of a window's members or at the end, so beside the
     document's small parts at most two chunks of members are held."""
-    out = _Texts(fp.write)
+    out = _Texts(fp.writelines)
     _write(o, approx, "\n", out)
     out.append("\n")
-    fp.write("".join(out))
+    fp.writelines(out)
 
 
 def _write(o, approx: bool, pad: str, out: list) -> None:
@@ -356,27 +356,39 @@ def _texts(values: list) -> list:
         return list(map(int_text, values))
 
 
-def _chunks(piece: Piece, columns: tuple):
-    """What moves along a piece, up to ``_CHUNK`` members at a time, for
-    both writers: dicts from "n" and the names of the ``columns`` that are
-    not None, "m", "b", "p", "d", "s" and the witness's "k" and "a"."""
-    cols = {c: iter(col) for c, col in
-            zip("nmbpdws", (range(piece.lo, piece.hi + 1), *columns)) if col is not None}
-    for _ in range(0, piece.hi - piece.lo + 1, _CHUNK):
-        values = {c: list(islice(col, _CHUNK)) for c, col in cols.items()}
-        if "w" in values:
-            ws = values.pop("w")
-            values["k"], values["a"] = [w.k for w in ws], [w.a for w in ws]
-        yield values
+def _chunks(piece: Piece, columns: tuple, approx: bool = False):
+    """The texts of what moves along a piece, for both writers: each chunk
+    of up to ``_CHUNK`` members as its size and a dict of the texts of "n"
+    and of the ``columns`` not None, "m", "b", "p", "d", "s" and the
+    witness's "k" and "a", and with ``approx`` the moving pair's "x".  Each
+    column of a chunk is converted once; a range equal to one already
+    converted, as den is to n along a torus knot's family, takes its texts."""
+    nums, dens = columns[2:4]
+    xs = map(truediv, repeat(piece.first.form.pairs[piece.slot][0]) if nums is None else nums,
+             dens) if approx and dens is not None else None
+    cols = {c: col for c, col in zip("nmbpdwsx", (range(piece.lo, piece.hi + 1), *columns, xs))
+            if col is not None}
+    for i in range(0, piece.hi - piece.lo + 1, _CHUNK):
+        texts, done = {}, {}
+        for c, col in cols.items():
+            if type(col) is range:  # a range hashes and compares in O(1)
+                col = col[i:i + _CHUNK]
+                texts[c] = done[col] = done.get(col) or _texts(col)
+            elif c == "w":
+                ws = list(islice(col, _CHUNK))
+                texts["k"], texts["a"] = _texts([w.k for w in ws]), _texts([w.a for w in ws])
+            else:
+                texts[c] = _texts(list(islice(col, _CHUNK)))
+        yield len(texts["n"]), texts
 
 
 def _write_piece(piece: Piece, pad: str, approx: bool, out: list) -> None:
     """Append the JSON texts of a piece's members to ``out``, as members of
     a list at this indent, the first after the head the list leaves to it.
-    A chunk of members from ``_chunks`` is one join of copies of the literal
-    parts of ``_piece_layout`` with the texts of the columns put between
-    them; nothing scans the literal text per member.  ``out.spill`` counts
-    each chunk's members."""
+    A chunk is one join of copies of ``_piece_layout``'s literal parts with
+    the texts ``_chunks`` converted put between them, twice for a column
+    written twice (the pair in "slopes" and in "text"); nothing scans the
+    literal text per member.  ``out.spill`` counts each chunk's members."""
     columns = piece.columns()
     parts = _piece_layout(piece, columns, pad, approx)
     # the first member follows the list's head, not a separator
@@ -385,16 +397,13 @@ def _write_piece(piece: Piece, pad: str, approx: bool, out: list) -> None:
         out.append(head)
         out.spill(1)
         return
-    for values in _chunks(piece, columns):
-        if "x" in names:
-            ps = values.get("p") or repeat(piece.first.form.pairs[piece.slot][0])
-            values["x"] = list(map(truediv, ps, values["d"]))
-        texts = parts * len(values["n"])
+    for size, texts in _chunks(piece, columns, approx):
+        chunk = parts * size
         for i, c in enumerate(names):
-            texts[2 * i + 1::step] = _texts(values[c])
-        texts[0], head = head, parts[0]
-        out.append("".join(texts))
-        out.spill(len(values["n"]))
+            chunk[2 * i + 1::step] = texts[c]
+        chunk[0], head = head, parts[0]
+        out.append("".join(chunk))
+        out.spill(size)
 
 
 def _line_layout(piece: Piece, columns: tuple, mark: str) -> tuple:
@@ -422,14 +431,13 @@ def _line_layout(piece: Piece, columns: tuple, mark: str) -> tuple:
 
 def _piece_lines(piece: Piece, mark: str):
     """A piece's members' text lines, up to ``_CHUNK`` lines a text: one
-    f-string per member of ``_line_layout``'s parts and the texts of the
-    columns from ``_chunks``, which pads n to 5, m_n to 8 and the form's
-    text to 40 from that member's own texts; no search bound is computed."""
+    f-string per member of ``_line_layout``'s parts and ``_chunks``' texts,
+    padding n to 5, m_n to 8 and the form's text to 40 from the member's own
+    texts; no search bound is computed."""
     columns = piece.columns()
     (f0, x, f1, y, f2), (r0, k, r1, a, r2), slope = _line_layout(piece, columns, mark)
     width = 40 - len(f0) - len(f1) - len(f2)
-    for values in _chunks(piece, (*columns[:5], None)):
-        texts = {c: _texts(col) for c, col in values.items()}
+    for _, texts in _chunks(piece, (*columns[:5], None)):
         texts[""] = repeat("")
         cols = zip(texts["n"], texts.get("m") or repeat(slope),
                    texts[x], texts[y], texts[k], texts[a])
@@ -457,16 +465,8 @@ def form_json(f: SeifertForm):
 
 
 def classification_json(c: Classification):
-    out = {"tag": c.tag.value}
-    if c.h1 is None:
-        out["h1"] = None
-        out["h1_infinite"] = False
-    elif c.h1 is INF:
-        out["h1"] = None
-        out["h1_infinite"] = True
-    else:
-        out["h1"] = c.h1
-        out["h1_infinite"] = False
+    h1 = None if c.h1 is INF else c.h1
+    out = {"tag": c.tag.value, "h1": h1, "h1_infinite": c.h1 is INF}
     if c.summands is not None:
         out["summands"] = list(c.summands)
     return out

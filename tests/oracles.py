@@ -26,8 +26,8 @@ data's index j: the reference for the integer walk on a member's frame,
 through n = j - offset or, mirrored, n = -j - offset, and, through
 ``fiber_slope``, for ``surgered_space``.  The
 ``fraction_*`` oracles read a form's slopes through its ``Fraction`` view,
-``SeifertForm.slopes``.  ``euler_number`` is b plus the sum of those
-``Fraction``s.  ``point_json`` and ``add_approx`` are the package's
+``SeifertForm.slopes``, once a call.  ``euler_number`` is b plus the sum of
+those ``Fraction``s.  ``point_json`` and ``add_approx`` are the package's
 former point encoder and --float pass: a point as a tree of dicts, and a walk
 over a finished payload that adds "approx" to its pairs.  ``dumps`` of their
 payload is the reference for the layouts ``formats.dumps`` writes points into
@@ -370,11 +370,15 @@ def fraction_h1_order(f: SeifertForm):
     if f.base is not Base.S2 or f.degenerate:
         raise DegenerateEuler("h1_order needs a nondegenerate form over S2; "
                               "classify() covers the degenerate cases")
+    return _fraction_h1_order(f.b, f.slopes)
+
+
+def _fraction_h1_order(b: int, slopes) -> int:
     prod = 1
-    for r in f.slopes:
+    for r in slopes:
         prod *= r.denominator
-    n = prod * f.b
-    for r in f.slopes:
+    n = prod * b
+    for r in slopes:
         n += r.numerator * (prod // r.denominator)
     return INF if n == 0 else abs(n)
 
@@ -386,20 +390,24 @@ def fraction_classify(f: SeifertForm) -> Classification:
     degenerate fiber alongside finite ones.  Two or more degenerate fibers
     with nothing else is the product case S2 x S1.
     """
+    return _fraction_classify(f, f.slopes)
+
+
+def _fraction_classify(f: SeifertForm, slopes) -> Classification:
     if f.base is Base.RP2:
         return Classification(Tag.RP2_BASE)
-    k = len(f.slopes)
+    k = len(slopes)
     if f.degenerate == 0:
         if k > 3:
             raise UnsupportedFiberCount(f"{k} exceptional fibers")
-        h = fraction_h1_order(f)
+        h = _fraction_h1_order(f.b, slopes)
         if k == 3:
             return Classification(Tag.SMALL_SFS, h)
         if h is INF:
             return Classification(Tag.S2XS1, h)
         return Classification(Tag.S3 if h == 1 else Tag.LENS, h)
     if f.degenerate == 1 and k <= 2:
-        orders = tuple(r.denominator for r in f.slopes)
+        orders = tuple(r.denominator for r in slopes)
         h = math.prod(orders)
         if k == 2:
             return Classification(Tag.CONNECTED_SUM_LENS, h, orders)
@@ -412,11 +420,11 @@ def fraction_classify(f: SeifertForm) -> Classification:
 
 def fraction_decide(f: SeifertForm) -> LSpaceVerdict:
     """Is the (normalized) Seifert form an L-space?"""
-    c = fraction_classify(f)
-    return _fraction_decide_classified(f, c)
+    slopes = f.slopes  # each read of the view builds its Fractions anew
+    return _fraction_decide_classified(f, _fraction_classify(f, slopes), slopes)
 
 
-def _fraction_decide_classified(f: SeifertForm, c: Classification) -> LSpaceVerdict:
+def _fraction_decide_classified(f: SeifertForm, c: Classification, slopes) -> LSpaceVerdict:
     if c.tag is Tag.RP2_BASE:
         return LSpaceVerdict(Reason.RP2_BASE)
     if c.tag is Tag.CONNECTED_SUM_LENS:
@@ -434,9 +442,9 @@ def _fraction_decide_classified(f: SeifertForm, c: Classification) -> LSpaceVerd
     if dual:
         # complemented slopes in sorted order, without building new fractions
         pairs = [(r.denominator - r.numerator, r.denominator)
-                 for r in reversed(f.slopes)]
+                 for r in reversed(slopes)]
     else:
-        pairs = [(r.numerator, r.denominator) for r in f.slopes]
+        pairs = [(r.numerator, r.denominator) for r in slopes]
     (p1, q1), (p2, q2), (p3, q3) = pairs
     w = _witness_from_pairs(p1, q1, p2, q2, p3, q3)
     bound = search_bound(p1, q1)
