@@ -361,25 +361,49 @@ def _chunks(piece: Piece, columns: tuple, approx: bool = False):
     of up to ``_CHUNK`` members as its size and a dict of the texts of "n"
     and of the ``columns`` not None, "m", "b", "p", "d", "s" and the
     witness's "k" and "a", and with ``approx`` the moving pair's "x".  Each
-    column of a chunk is converted once; a range equal to one already
-    converted, as den is to n along a torus knot's family, takes its texts."""
+    column of a chunk is converted once, and a range column only where it
+    leaves the run of those before it on its lattice (``_range_texts``), so
+    den = n along a torus knot's family and den = n + 1 along the
+    alpha = alpha3 = 1 families take n's texts."""
     nums, dens = columns[2:4]
     xs = map(truediv, repeat(piece.first.form.pairs[piece.slot][0]) if nums is None else nums,
              dens) if approx and dens is not None else None
     cols = {c: col for c, col in zip("nmbpdwsx", (range(piece.lo, piece.hi + 1), *columns, xs))
             if col is not None}
     for i in range(0, piece.hi - piece.lo + 1, _CHUNK):
-        texts, done = {}, {}
+        texts, runs = {}, {}
         for c, col in cols.items():
-            if type(col) is range:  # a range hashes and compares in O(1)
-                col = col[i:i + _CHUNK]
-                texts[c] = done[col] = done.get(col) or _texts(col)
+            if type(col) is range:
+                texts[c] = _range_texts(col[i:i + _CHUNK], runs)
             elif c == "w":
                 ws = list(islice(col, _CHUNK))
                 texts["k"], texts["a"] = _texts([w.k for w in ws]), _texts([w.a for w in ws])
             else:
                 texts[c] = _texts(list(islice(col, _CHUNK)))
         yield len(texts["n"]), texts
+
+
+def _range_texts(part: range, runs: dict) -> list:
+    """The texts of the range ``part``, converting only its values outside
+    the run ``runs`` holds for its lattice.  Ranges of one step whose starts
+    are a multiple of it apart lie on one lattice, and its run is the first
+    range converted on it, grown by each later one that overlaps it, with
+    its texts; a range apart from the run is converted on its own."""
+    step = part.step
+    key = step, part.start % step
+    hull, texts = runs.get(key) or (part, None)
+    j = (part.start - hull.start) // step  # part's first index in hull
+    if texts is None or j >= len(hull) or j + len(part) <= 0:
+        texts = _texts(part)
+        runs.setdefault(key, (part, texts))
+        return texts
+    if j == 0 and len(part) == len(hull):
+        return texts
+    below, above = _texts(part[:max(-j, 0)]), _texts(part[len(hull) - j:])
+    texts = below + texts + above
+    runs[key] = range(hull.start - len(below) * step, hull.stop + len(above) * step, step), texts
+    j += len(below)
+    return texts[j:j + len(part)]
 
 
 def _write_piece(piece: Piece, pad: str, approx: bool, out: list) -> None:

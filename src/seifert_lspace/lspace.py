@@ -233,8 +233,12 @@ def _not_lspace_sup(u: tuple, v: tuple) -> tuple:
     second kind is the smaller of 1 - x and 1/2; together they give 1 - x.
     The third is resolved by the simplest fraction in (u, min(1-v, 1/2)),
     whose denominator is the least k; its a/k = 1/2 case is among the first
-    two.  So the computation is two Stern-Brocot walks, exact and
-    logarithmic in the denominators; u, v and the result are pairs (num, den).
+    two.  So the computation is two exact Stern-Brocot walks, each of a
+    number of steps linear in the bit length of the denominators.  The Farey
+    walk works on the full operands at every step; the descent of
+    ``simplest_pair`` does so only once a batch of ``_BATCH_BITS``-bit
+    quotients, so a step pays its share of that.  u, v and the result are
+    pairs (num, den).
     """
     (un, ud), (vn, vd) = u, v
     if un * vd > vn * ud:

@@ -36,6 +36,10 @@ def is_finite(x) -> bool:
     return not isinstance(x, _Infinity)
 
 
+_BATCH_BITS = 128  # wider operands take their partial quotients in batches
+_WIDE = 1 << _BATCH_BITS
+
+
 def simplest_pair(p: int, q: int, r: int, s: int) -> tuple[int, int]:
     """(a, k) with a/k the fraction of minimal denominator in (p/q, r/s).
 
@@ -44,9 +48,12 @@ def simplest_pair(p: int, q: int, r: int, s: int) -> tuple[int, int]:
     Each step writes the answer as f + 1/y with f = floor(p/q) and y the
     simplest fraction in (1/(r/s - f), 1/(p/q - f)); the steps are composed
     as the matrix (h, h0; k, k0) acting on y, so the descent is a loop and
-    its depth is not bounded by recursion.
+    its depth is not bounded by recursion.  While q and s are wider than
+    ``_BATCH_BITS``, ``_batches`` takes the steps.
     """
     h, h0, k, k0 = 1, 0, 0, 1
+    if q >= _WIDE and s >= _WIDE:
+        p, q, r, s, h, h0, k, k0 = _batches(p, q, r, s)
     while True:
         f = p // q
         # is f + 1 inside (p/q, r/s)?  an integer p/q sends the next step's
@@ -55,6 +62,45 @@ def simplest_pair(p: int, q: int, r: int, s: int) -> tuple[int, int]:
             return h * (f + 1) + h0, k * (f + 1) + k0
         h, h0, k, k0 = f * h + h0, h, f * k + k0, k
         p, q, r, s = s, r - f * s, q, p - f * q
+
+
+def _batches(p: int, q: int, r: int, s: int) -> tuple:
+    """``simplest_pair``'s steps while q and s are wider than ``_BATCH_BITS``:
+    (p, q, r, s, h, h0, k, k0) after them.  As in Lehmer's gcd (Knuth, TAOCP
+    2, 4.5.2), the operands cut by sh bits give the wider interval
+    ((p>>sh)/((q>>sh)+1), ((r>>sh)+1)/(s>>sh)), stepped until it would end.
+    Its steps are the exact interval's: with F the floor of its lower end
+    and its upper end at most F + 1, the exact ends lie in [F, F + 1] too,
+    so floor(p/q) = F and F + 1 is not inside, and y -> 1/(y - F), monotone
+    on (F, F + 1], keeps the exact interval inside the wider one.  The
+    batch's quotient matrix then moves the operands, swapping the ends at
+    determinant -1, and (h, h0; k, k0).  A quotient too wide for the cut
+    operands is taken alone.  Apart from ``simplest_pair`` so that narrow
+    operands pay for none of this.
+    """
+    h, h0, k, k0 = 1, 0, 0, 1
+    while q >= _WIDE and s >= _WIDE:
+        sh = min(q.bit_length(), s.bit_length()) - _BATCH_BITS
+        P, Q, R, S = p >> sh, (q >> sh) + 1, (r >> sh) + 1, s >> sh
+        u, u0, v, v0 = 1, 0, 0, 1
+        while True:
+            F, rem = divmod(P, Q)
+            T = R - F * S
+            if T > S:  # F + 1 < R/S, or S = 0 and R/S is infinite
+                break
+            u, u0, v, v0 = F * u + u0, u, F * v + v0, v
+            P, Q, R, S = S, T, Q, rem
+        if not v:  # a quotient too large for the cut operands: one exact step
+            f = p // q
+            if (f + 1) * s < r:
+                break
+            u, u0, v, v0 = f, 1, 1, 0
+        if u * v0 > u0 * v:
+            p, q, r, s = v0 * p - u0 * q, u * q - v * p, v0 * r - u0 * s, u * s - v * r
+        else:
+            p, q, r, s = u0 * s - v0 * r, v * r - u * s, u0 * q - v0 * p, v * p - u * q
+        h, h0, k, k0 = h * u + h0 * v, h * u0 + h0 * v0, k * u + k0 * v, k * u0 + k0 * v0
+    return p, q, r, s, h, h0, k, k0
 
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:

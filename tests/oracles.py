@@ -7,6 +7,8 @@ neither shares code with the package.  ``loop_witness`` and
 ``loop_not_lspace_sup`` are the package's former witness search and
 third-slot supremum, which walk every k below 1/s1 (linear in that
 denominator); they are the references for the Stern-Brocot versions.
+``cf_simplest_between`` is the textbook continued-fraction descent
+on ``Fraction``s, the reference for ``simplest_pair`` and its batches.
 ``loop_torus_pq_candidates`` is the former base-form search over every
 (b1, b2), the reference for its closed form.  The
 ``fraction_*`` functions are the package's former text parser,
@@ -146,6 +148,26 @@ def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
         if a * hi.denominator < hi.numerator * k:
             return Fraction(a, k)
         k += 1
+
+
+def cf_simplest_between(lo: Fraction, hi: Fraction | None) -> Fraction:
+    """Fraction of least denominator in (lo, hi), 0 <= lo < hi, hi None for
+    infinity: the textbook continued-fraction descent on ``Fraction``s.  The
+    least integer above lo is the answer if it lies below hi; otherwise lo
+    and hi share the integer part f, and the answer is f + 1/x for x the
+    simplest fraction in (1/(hi - f), 1/(lo - f)).  The quotients f are
+    stacked on the way down and folded back into the answer."""
+    quotients = []
+    while True:
+        f = math.floor(lo)
+        if hi is None or f + 1 < hi:
+            break
+        quotients.append(f)
+        lo, hi = 1 / (hi - f), None if lo == f else 1 / (lo - f)
+    x = Fraction(f + 1)
+    for f in reversed(quotients):
+        x = f + 1 / x
+    return x
 
 
 def loop_not_lspace_sup(u: Fraction, v: Fraction) -> Fraction:

@@ -481,6 +481,36 @@ class TestStretchWriter:
                     (r.slot, s.slot), set())
         return kinds
 
+    def test_chunks_convert_each_value_once(self, monkeypatch):
+        # range columns of steps up to 3 either way beside n, overlapping,
+        # apart and equal, over one to three chunks: each chunk gives each
+        # column the texts of its own values, and converts no value of a
+        # step twice, unless a third part of that step overlaps two apart
+        from seifert_lspace.twist import Piece
+        rng, texts, converted = random.Random(7), formats._texts, []
+        monkeypatch.setattr(formats, "_texts", lambda r: converted.append(r) or texts(r))
+        for _ in range(1500):
+            lo, size = rng.randint(-30, 30), rng.choice((1, 2, 5, 9, 256, 257, 600))
+            columns = [None] * 6
+            for j in rng.sample(range(4), rng.randint(0, 4)):
+                step, start = rng.choice((1, 2, 3, -1, -2, -3)), lo + rng.randint(-12, 12)
+                columns[j] = range(start, start + step * size, step) if size > 1 else None
+            cols = dict(zip("nmbpd", (range(lo, lo + size), *columns)))
+            converted.clear()
+            i = 0
+            for n, got in formats._chunks(Piece(None, lo, lo + size - 1, None, None), columns):
+                want = {c: texts(col[i:i + n]) for c, col in cols.items() if col is not None}
+                assert got == want, (lo, size, columns)
+                values = [(r.step, v) for r in converted for v in r]
+                parts = [col[i:i + n] for col in cols.values() if col is not None]
+                chained = any(x.step == y.step and min(x) > max(y)
+                              and sum(z.step == x.step for z in parts) > 2
+                              for x in parts for y in parts)
+                assert chained or len(values) == len(set(values)), (lo, size, columns)
+                converted.clear()
+                i += n
+            assert i == size
+
     def test_matches_the_point_path(self):
         from seifert_lspace.twist import Piece, Run, classify_family
         rng = random.Random(1)
@@ -521,6 +551,11 @@ class TestStretchWriter:
                     # two moving columns are one range, as den is n: the
                     # writers convert it to text once a chunk for both
                     kinds.add("shared texts")
+                if any(x != y and x.step == y.step and set(x) & set(y)
+                       for x in ranges for y in ranges):
+                    # two moving columns overlap, as den = n + 1 and n: the
+                    # writers convert their union and slice it
+                    kinds.add("overlapping texts")
             for i in range(len(rows) - 1):
                 cut = self._cut(member, rows[i:i + 2], members[i:i + 2])
                 cuts |= cut
@@ -545,7 +580,7 @@ class TestStretchWriter:
                 "witness", "no witness", "huge", "small", "LensSpace", "S3", "RP2Base",
                 "LensNotS2xS1", "witness moves at slot 1", "witness moves at slot 2",
                 "bound moves", "gap exception", "huge fixed slope", "chunks",
-                "shared texts"} <= kinds
+                "shared texts", "overlapping texts"} <= kinds
         assert {"r1", "r2", "integer", "threshold", "euler", "pole", "S3"} <= cuts
 
 
@@ -1006,7 +1041,10 @@ class TestCliOtherVerbs:
         # the chunk, as den is to n along a torus knot's family, not again:
         # every catalog family over -1000..1000 converts at most this many
         # values, where converting each column wherever it is written took
-        # 180,903 in JSON and 124,913 in text
+        # 180,903 in JSON and 124,913 in text; and with the range columns of
+        # one step converted as their union where they overlap, as den and
+        # n do along the alpha = alpha3 = 1 families (den = n + 1), at most
+        # the tighter count
         from seifert_lspace import formats
         texts, chunks = formats._texts, formats._chunks
         converted = [[]]  # the values of each conversion, a list a chunk
@@ -1024,12 +1062,13 @@ class TestCliOtherVerbs:
 
         monkeypatch.setattr(formats, "_texts", counting_texts)
         monkeypatch.setattr(formats, "_chunks", counting_chunks)
-        for mode, bound in ((["--json"], 116_985), ([], 113_933)):
+        for mode, bound, tight in ((["--json"], 116_985, 101_077), ([], 113_933, 98_025)):
             converted[:] = [[]]
             for s in catalog():
                 assert main(["family", "run", s.name, "--window=-1000..1000"] + mode) in (0, 1)
                 capsys.readouterr()
-            assert sum(len(v) for chunk in converted for v in chunk) <= bound, mode
+            total = sum(len(v) for chunk in converted for v in chunk)
+            assert total <= bound and total <= tight, (mode, total)
             for chunk in converted:
                 assert len({tuple(v) for v in chunk}) == len(chunk), (mode, chunk)
 

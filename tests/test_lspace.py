@@ -437,13 +437,14 @@ class TestLargeDenominators:
         assert t.kind is IntervalKind.UP_CLOSED
         assert (t.boundary, t.attained) == (Fraction(2 * k - 1, 3 * k), True)
 
-    def test_narrow_gap_2048_bits(self):
+    @pytest.mark.parametrize("bits", [2048, 30000])
+    def test_narrow_gap(self, bits):
         # convergents of [0; 2, a2, a3, ...] are Stern-Brocot neighbours in
         # (1/3, 1/2); the boundary is 1/(den lo + den hi), their mediant's
-        rng = random.Random(2048)
+        rng = random.Random(bits)
         h1, k1, h0, k0 = 0, 1, 1, 0
         a, terms = 2, 1
-        while k1.bit_length() < 2048 or terms < 3:
+        while k1.bit_length() < bits or terms < 3:
             h1, k1, h0, k0 = a * h1 + h0, a * k1 + k0, h1, k1
             a = rng.randint(1, 5)
             terms += 1
@@ -452,3 +453,10 @@ class TestLargeDenominators:
         t = third_slot_threshold(-1, lo, 1 - hi)
         assert t.kind is IntervalKind.UP_CLOSED
         assert (t.boundary, t.attained) == (Fraction(1, lo.denominator + hi.denominator), True)
+        # the same descent decides S2(-1; 1/N, lo, 1 - hi): its witness is
+        # the mediant, whose denominator is below N
+        n = lo.denominator + hi.denominator + 1
+        v = decide(SeifertForm(b=-1, pairs=((1, n), (lo.numerator, lo.denominator),
+                                            (hi.denominator - hi.numerator, hi.denominator))))
+        assert v.reason is Reason.WITNESS and v.search_bound == n - 1
+        assert v.witness == (lo.denominator + hi.denominator, lo.numerator + hi.numerator)

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seifert_lspace.rationals import (INF, farey_neighbours, format_rational,
+from seifert_lspace.rationals import (_BATCH_BITS, INF, farey_neighbours, format_rational,
                                       int_text, is_finite, parse_rational,
-                                      simplest_between)
+                                      simplest_between, simplest_pair)
+
+from oracles import cf_simplest_between
 
 fractions_1e6 = st.fractions(min_value=Fraction(-10 ** 6), max_value=Fraction(10 ** 6),
                              max_denominator=10 ** 6)
@@ -88,19 +90,80 @@ def test_simplest_between_is_minimal(a, b):
     assert _no_smaller_denominator(lo, hi, q.denominator)
 
 
-def test_simplest_between_deep_stern_brocot_neighbours():
+def _neighbours(rng, bits, quotients=()):
+    """Convergents h1/k1, h0/k0 of [0; *quotients, a, a, ...], the a drawn
+    from 1..5 until k1 has ``bits`` bits: Stern-Brocot neighbours."""
+    h1, k1, h0, k0 = 0, 1, 1, 0
+    quotients = iter(quotients)
+    while k1.bit_length() < bits:
+        a = next(quotients, None) or rng.randint(1, 5)
+        h1, k1, h0, k0 = a * h1 + h0, a * k1 + k0, h1, k1
+    return h1, k1, h0, k0
+
+
+@pytest.mark.parametrize("bits", [4096, 30000])
+def test_simplest_between_deep_stern_brocot_neighbours(bits):
     # convergents h1/k1, h0/k0 of a long continued fraction are Stern-Brocot
     # neighbours; the simplest fraction between them is their mediant.  At
     # 4096 bits the descent takes thousands of steps.
-    rng = random.Random(4096)
-    h1, k1, h0, k0 = 0, 1, 1, 0
-    a = 2
-    while k1.bit_length() < 4096:
-        h1, k1, h0, k0 = a * h1 + h0, a * k1 + k0, h1, k1
-        a = rng.randint(1, 5)
+    h1, k1, h0, k0 = _neighbours(random.Random(bits), bits, [2])
     lo, hi = sorted((Fraction(h1, k1), Fraction(h0, k0)))
     assert hi.numerator * lo.denominator - lo.numerator * hi.denominator == 1
     assert simplest_between(lo, hi) == Fraction(h1 + h0, k1 + k0)
+
+
+def _wide(rng, bits):
+    """A random integer of exactly ``bits`` bits."""
+    return rng.getrandbits(bits - 1) | 1 << (bits - 1)
+
+
+def _descent_cases():
+    """Seeded (p, q, r, s) from 8 to 30,000 bits for ``simplest_pair``,
+    with the edges of its batches: ends that agree past the batch width, q
+    or s within a bit of it, an infinite upper end, a lower end of 0, one
+    that turns integral mid-descent, a cut p of 0 and a quotient wider than
+    the batch."""
+    rng, w = random.Random(30000), _BATCH_BITS
+    cases = []
+    for bits, deep in ((8, 40), (60, 40), (w - 1, 20), (w, 20), (w + 1, 20), (200, 20),
+                       (1000, 10), (4000, 3), (12000, 1), (30000, 1)):
+        for _ in range(deep):
+            # random ends, and ends that agree past the batch width
+            p, q, r, s = (rng.getrandbits(bits), _wide(rng, bits),
+                          rng.getrandbits(bits), _wide(rng, bits))
+            if p * s > r * q:
+                p, q, r, s = r, s, p, q
+            cases.append((p, q, r + (p * s == r * q), s))
+            gap = rng.choice((w - 1, w, w + 1, 2 * w))
+            cases.append((p, q, p * 2 ** gap + 1, q * 2 ** gap))
+            # Stern-Brocot neighbours, and a lower end whose continued
+            # fraction is a prefix of the upper end's
+            h1, k1, h0, k0 = _neighbours(rng, bits)
+            cases.append((h1, k1, h0, k0) if h1 * k0 < h0 * k1 else (h0, k0, h1, k1))
+            m = rng.randint(1, 9)
+            cases.append((m * h1 + h0, m * k1 + k0, h1, k1) if h1 * k0 > h0 * k1
+                         else (h1, k1, m * h1 + h0, m * k1 + k0))
+        q, s = _wide(rng, bits), _wide(rng, bits)
+        cases += [(rng.getrandbits(bits), q, 1, 0), (0, q, 1, s), (1, max(q, s) + 1, 1, min(q, s)),
+                  (rng.randrange(8), q, q, s)]
+    for bits, huge in ((w - 1, w), (w + 2, 2 * w), (2000, 3 * w), (2000, 200)):
+        h1, k1, h0, k0 = _neighbours(rng, huge + bits, [2, rng.randint(1, 9), 2 ** huge + 1])
+        cases.append((h1, k1, h0, k0) if h1 * k0 < h0 * k1 else (h0, k0, h1, k1))
+    # q and s on either side of the batch width, apart
+    for bq, bs in ((w, w + 1), (w + 1, w), (w + 1, w + 1), (w, w), (w + 1, 3000), (3000, w)):
+        for _ in range(10):
+            q, s = _wide(rng, bq), _wide(rng, bs)
+            p = rng.randrange(q)
+            r = p * s // q + rng.randint(1, 3)
+            cases.append((p, q, r, s))
+    return cases
+
+
+def test_simplest_pair_matches_the_continued_fraction_oracle():
+    # the batched descent against the textbook one on Fractions
+    for p, q, r, s in _descent_cases():
+        x = cf_simplest_between(Fraction(p, q), Fraction(r, s) if s else None)
+        assert simplest_pair(p, q, r, s) == (x.numerator, x.denominator), (p, q, r, s)
 
 
 def test_simplest_between_known_values():
