@@ -19,11 +19,11 @@ are always L-spaces.
 No enumeration is needed to find the smallest witness: a/k must lie in
 (s2, 1 - s3) for the sorted triple s1 <= s2 <= s3, so the fraction of least
 denominator there (one Stern-Brocot descent) gives the least k, and it is a
-witness exactly when s1 < 1/k.  ``third_slot_threshold`` turns the
-existential statements about the third slope into an exact rational
-boundary, from one more descent and one bounded-denominator Farey walk.  The
-boundary alone fixes the set, its own membership included, so no decision
-runs at the boundary.
+witness exactly when s1 < 1/k, so the descent stops at that cap.
+``third_slot_threshold`` turns the existential statements about the third
+slope into an exact rational boundary, from two more descents, one of them
+capped.  The boundary alone fixes the set, its own membership included, so
+no decision runs at the boundary.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .rationals import farey_neighbours, simplest_pair
+from .rationals import simplest_pair
 from .seifert import _RP2_TAG, _S2XS1, _SUM, SeifertForm, _new_tuple, classify
 
 
@@ -102,21 +102,22 @@ _RP2_BASE, _CONNECTED_SUM, _INFINITE_H1, _LENS, _B_LARGE = (
     LSpaceVerdict(Reason.B_LARGE))
 
 
-def _witness_from_pairs(p1, q1, p2, q2, p3, q3) -> FoliationWitness | None:
-    """Witness search on numerator/denominator pairs of a sorted triple.
+def _witness_from_pairs(p2, q2, p3, q3, n) -> FoliationWitness | None:
+    """Witness search on the pairs of s2 <= s3 of a sorted triple.
 
-    a/k must lie in (s2, 1 - s3) and be at most 1/2, with k < 1/s1.  The
-    simplest fraction in (s2, 1 - s3) has the least k there, and it is at
-    most 1/2: as s2 <= s3, the interval either contains 1/2 or ends at or
-    below it.  So it is the witness if k < 1/s1, and nothing is otherwise.
+    a/k must lie in (s2, 1 - s3) and be at most 1/2, with k <= n, the search
+    bound of s1.  The simplest fraction in (s2, 1 - s3) has the least k
+    there, and it is at most 1/2: as s2 <= s3, the interval either contains
+    1/2 or ends at or below it.  So it is the witness if k <= n, and nothing
+    is otherwise.
     """
     # s2 + s3 >= 1 leaves no room for a/k
     if p2 * q3 + p3 * q2 >= q2 * q3:
         return None
-    a, k = simplest_pair(p2, q2, q3 - p3, q3)
+    a, k, _, _ = simplest_pair(p2, q2, q3 - p3, q3, n)
     # a valid pair unchecked: the simplest fraction is reduced, a/k <= 1/2
     # as above, and a/k in (0, 1) makes k >= 2
-    return _new_tuple(FoliationWitness, (k, a)) if k * p1 < q1 else None
+    return _new_tuple(FoliationWitness, (k, a)) if k <= n else None
 
 
 def search_bound(p: int, q: int) -> int:
@@ -158,12 +159,13 @@ def _decide_small(b: int, p1: int, q1: int, p2: int, q2: int, p3: int, q3: int) 
     if dual:
         # complemented slopes in sorted order: 1 - r3 <= 1 - r2 <= 1 - r1
         p1, q1, p2, p3, q3 = q3 - p3, q3, q2 - p2, q1 - p1, q1
-    w = _witness_from_pairs(p1, q1, p2, q2, p3, q3)
+    n = (q1 - 1) // p1  # search_bound(p1, q1)
+    w = _witness_from_pairs(p2, q2, p3, q3, n)
     # at Euler number zero, not a rational homology sphere, hence not an
     # L-space; the witness (which exists exactly when a horizontal foliation
     # does) is still reported alongside
     reason = _INFINITE if euler_zero else _NO_WITNESS if w is None else _DUAL if dual else _WITNESS
-    return _new_tuple(LSpaceVerdict, (reason, w, dual and w is not None, search_bound(p1, q1)))
+    return _new_tuple(LSpaceVerdict, (reason, w, dual and w is not None, n))
 
 
 class IntervalKind(Enum):
@@ -233,21 +235,23 @@ def _not_lspace_sup(u: tuple, v: tuple) -> tuple:
     second kind is the smaller of 1 - x and 1/2; together they give 1 - x.
     The third is resolved by the simplest fraction in (u, min(1-v, 1/2)),
     whose denominator is the least k; its a/k = 1/2 case is among the first
-    two.  So the computation is two exact Stern-Brocot walks, each of a
-    number of steps linear in the bit length of the denominators.  The Farey
-    walk works on the full operands at every step; the descent of
-    ``simplest_pair`` does so only once a batch of ``_BATCH_BITS``-bit
-    quotients, so a step pays its share of that.  u, v and the result are
-    pairs (num, den).
+    two.  So the computation is two descents of ``simplest_pair``.  The one
+    for x goes towards (v, v + 1/(N v_d)), where no fraction of denominator
+    at most N lies, capped at N: it stops at the first node past N, whose
+    parents are v's neighbours within N, and x is the right one.  u, v and
+    the result are pairs (num, den).
     """
     (un, ud), (vn, vd) = u, v
     if un * vd > vn * ud:
         un, ud, vn, vd = vn, vd, un, ud
-    _, _, c, d = farey_neighbours(vn, vd, search_bound(un, ud))
+    n = search_bound(un, ud)
+    a, b, c, d = simplest_pair(vn, vd, vn * n + 1, vd * n, n)
+    if c * b < a * d:  # c/d is the left parent; x is the other
+        c, d = a - c, b - d
     num, den = d - c, d
     hn, hd = (1, 2) if 2 * vn <= vd else (vd - vn, vd)  # min(1 - v, 1/2)
     if un * hd < hn * ud:
-        k = simplest_pair(un, ud, hn, hd)[1]
+        k = simplest_pair(un, ud, hn, hd, ud + hd)[1]
         if num * k < den:
             num, den = 1, k
     return num, den

@@ -40,48 +40,64 @@ _BATCH_BITS = 128  # wider operands take their partial quotients in batches
 _WIDE = 1 << _BATCH_BITS
 
 
-def simplest_pair(p: int, q: int, r: int, s: int) -> tuple[int, int]:
-    """(a, k) with a/k the fraction of minimal denominator in (p/q, r/s).
+def simplest_pair(p: int, q: int, r: int, s: int, n: int) -> tuple[int, int, int, int]:
+    """(a, k, c, d): a/k is the fraction of minimal denominator in (p/q, r/s)
+    if k <= n, and otherwise the first node past n on the Stern-Brocot path
+    towards it, whose parents (det 1) are within n and bracket the interval.
+    c/d is one of a/k's two parents, and (a - c)/(k - d) the other.
 
-    Stern-Brocot / continued-fraction descent on integers: needs q > 0,
-    0 <= p/q < r/s, and s >= 0, where s = 0 stands for an infinite r/s.
-    Each step writes the answer as f + 1/y with f = floor(p/q) and y the
+    Stern-Brocot / continued-fraction descent on integers: needs n >= 1,
+    q > 0, 0 <= p/q < r/s, and s >= 0, where s = 0 stands for an infinite
+    r/s.  Each step writes the answer as f + 1/y with f = floor(p/q) and y the
     simplest fraction in (1/(r/s - f), 1/(p/q - f)); the steps are composed
     as the matrix (h, h0; k, k0) acting on y, so the descent is a loop and
-    its depth is not bounded by recursion.  While q and s are wider than
+    its depth is not bounded by recursion.  A step passes the nodes
+    (h j + h0)/(k j + k0), j = 1, ..., f + 1, of increasing denominator and
+    each with the parent h/k.  While q, s and n are wider than
     ``_BATCH_BITS``, ``_batches`` takes the steps.
     """
     h, h0, k, k0 = 1, 0, 0, 1
-    if q >= _WIDE and s >= _WIDE:
-        p, q, r, s, h, h0, k, k0 = _batches(p, q, r, s)
+    if n >= _WIDE and q >= _WIDE and s >= _WIDE:
+        p, q, r, s, h, h0, k, k0 = _batches(p, q, r, s, n)
     while True:
         f = p // q
         # is f + 1 inside (p/q, r/s)?  an integer p/q sends the next step's
         # r/s to infinity
         if (f + 1) * s < r:
-            return h * (f + 1) + h0, k * (f + 1) + k0
-        h, h0, k, k0 = f * h + h0, h, f * k + k0, k
+            break
+        kf = f * k + k0
+        if kf + k > n:  # node f + 1 is past n
+            break
+        h, h0, k, k0 = f * h + h0, h, kf, k
         p, q, r, s = s, r - f * s, q, p - f * q
+    f += 1
+    den = k * f + k0
+    if den > n:  # so k > 0: the first step's nodes f/1 are within n
+        f = (n - k0) // k + 1
+        den = k * f + k0
+    return h * f + h0, den, h, k
 
 
-def _batches(p: int, q: int, r: int, s: int) -> tuple:
+def _batches(p: int, q: int, r: int, s: int, n: int) -> tuple:
     """``simplest_pair``'s steps while q and s are wider than ``_BATCH_BITS``:
     (p, q, r, s, h, h0, k, k0) after them.  As in Lehmer's gcd (Knuth, TAOCP
-    2, 4.5.2), the operands cut by sh bits give the wider interval
-    ((p>>sh)/((q>>sh)+1), ((r>>sh)+1)/(s>>sh)), stepped until it would end.
+    2, 4.5.2), each end cut to ``_BATCH_BITS``-bit denominators, by sh bits
+    below and sk above, gives the wider interval ((p>>sh)/((q>>sh)+1),
+    ((r>>sk)+1)/(s>>sk)), stepped until it would end.
     Its steps are the exact interval's: with F the floor of its lower end
     and its upper end at most F + 1, the exact ends lie in [F, F + 1] too,
     so floor(p/q) = F and F + 1 is not inside, and y -> 1/(y - F), monotone
     on (F, F + 1], keeps the exact interval inside the wider one.  The
     batch's quotient matrix then moves the operands, swapping the ends at
     determinant -1, and (h, h0; k, k0).  A quotient too wide for the cut
-    operands is taken alone.  Apart from ``simplest_pair`` so that narrow
-    operands pay for none of this.
+    operands is taken alone, and a batch whose last node (of denominator
+    the new k + k0) is past n is left to the single steps.  Apart from
+    ``simplest_pair`` so that narrow operands pay for none of this.
     """
     h, h0, k, k0 = 1, 0, 0, 1
     while q >= _WIDE and s >= _WIDE:
-        sh = min(q.bit_length(), s.bit_length()) - _BATCH_BITS
-        P, Q, R, S = p >> sh, (q >> sh) + 1, (r >> sh) + 1, s >> sh
+        sh, sk = q.bit_length() - _BATCH_BITS, s.bit_length() - _BATCH_BITS
+        P, Q, R, S = p >> sh, (q >> sh) + 1, (r >> sk) + 1, s >> sk
         u, u0, v, v0 = 1, 0, 0, 1
         while True:
             F, rem = divmod(P, Q)
@@ -95,55 +111,30 @@ def _batches(p: int, q: int, r: int, s: int) -> tuple:
             if (f + 1) * s < r:
                 break
             u, u0, v, v0 = f, 1, 1, 0
+        K, K0 = k * u + k0 * v, k * u0 + k0 * v0
+        if K + K0 > n:
+            break
         if u * v0 > u0 * v:
             p, q, r, s = v0 * p - u0 * q, u * q - v * p, v0 * r - u0 * s, u * s - v * r
         else:
             p, q, r, s = u0 * s - v0 * r, v * r - u * s, u0 * q - v0 * p, v * p - u * q
-        h, h0, k, k0 = h * u + h0 * v, h * u0 + h0 * v0, k * u + k0 * v, k * u0 + k0 * v0
+        h, h0, k, k0 = h * u + h0 * v, h * u0 + h0 * v0, K, K0
     return p, q, r, s, h, h0, k, k0
 
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     """The unique fraction of minimal denominator in the open interval (lo, hi).
 
-    Requires lo < hi and lo >= 0; see ``simplest_pair``.
+    Requires lo < hi and lo >= 0; see ``simplest_pair``, whose cap is the
+    mediant's denominator, which bounds the answer's.
     """
     if lo >= hi:
         raise ValueError(f"empty interval ({lo}, {hi})")
     if lo < 0:
         raise ValueError("negative endpoints are not needed here")
-    return Fraction(*simplest_pair(lo.numerator, lo.denominator,
-                                   hi.numerator, hi.denominator))
-
-
-def farey_neighbours(p: int, q: int, n: int) -> tuple[int, int, int, int]:
-    """(a, b, c, d) with a/b < p/q < c/d the closest fractions on either side
-    whose denominators are at most n; p/q > 0 and n >= 1.
-
-    Stern-Brocot walk from 0/1 and 1/0 towards p/q: a/b and c/d stay
-    neighbours (bc - ad = 1) with their mediant the next node, and each step
-    makes a whole run of moves to one side at once (a partial quotient of
-    p/q), so the number of steps grows with the bit length.  If the walk
-    meets p/q itself, its neighbours lie on the two chains (a + j(a+c)) /
-    (b + j(b+d)) and (c + j(a+c)) / (d + j(b+d)) converging to it.
-    """
-    a, b, c, d = 0, 1, 1, 0
-    while True:
-        m, e = a + c, b + d
-        if e > n:
-            return a, b, c, d
-        if m * q == p * e:
-            i, j = (n - b) // e, (n - d) // e
-            return a + i * m, b + i * e, c + j * m, d + j * e
-        if m * q < p * e:
-            # a/b moves up while it stays below p/q and within the bound
-            t = (p * b - a * q - 1) // (c * q - p * d)
-            if d:
-                t = min(t, (n - b) // d)
-            a, b = a + t * c, b + t * d
-        else:
-            t = min((c * q - p * d - 1) // (p * b - a * q), (n - d) // b)
-            c, d = c + t * a, d + t * b
+    p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    a, k, _, _ = simplest_pair(p, q, r, s, q + s)
+    return Fraction(a, k)
 
 
 _RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")

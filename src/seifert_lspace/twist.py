@@ -394,12 +394,12 @@ class Piece(NamedTuple):
             ps = repeat(p) if nums is None else nums
             if form.b == -2:
                 slot, ps, fixed = 2 - slot, map(sub, dens, ps), [(q - a, q) for a, q in fixed[::-1]]
-            (a1, c1), (a2, c2) = fixed
             if slot == 0:
                 bounds = map(search_bound, ps, dens)
-            elif v.witness is not None:
-                ws = map(lambda p, d: _witness_from_pairs(a1, c1, p, d, a2, c2) if slot == 1
-                         else _witness_from_pairs(a1, c1, a2, c2, p, d), ps, dens)
+            elif v.witness is not None:  # the search bound is fixed[0]'s, v's
+                (a2, c2), n = fixed[1], v.search_bound
+                ws = map(lambda p, d: _witness_from_pairs(p, d, a2, c2, n) if slot == 1
+                         else _witness_from_pairs(a2, c2, p, d, n), ps, dens)
         return slopes, bs, nums, dens, ws, bounds
 
 

@@ -9,6 +9,10 @@ third-slot supremum, which walk every k below 1/s1 (linear in that
 denominator); they are the references for the Stern-Brocot versions.
 ``cf_simplest_between`` is the textbook continued-fraction descent
 on ``Fraction``s, the reference for ``simplest_pair`` and its batches.
+``farey_neighbours`` is the package's former walk for the closest fractions
+of bounded denominator on either side of a fraction, and
+``walk_simplest_pair`` the Stern-Brocot tree walked one node at a time; they
+are the references for ``simplest_pair``'s denominator cap.
 ``loop_torus_pq_candidates`` is the former base-form search over every
 (b1, b2), the reference for its closed form.  The
 ``fraction_*`` functions are the package's former text parser,
@@ -168,6 +172,52 @@ def cf_simplest_between(lo: Fraction, hi: Fraction | None) -> Fraction:
     for f in reversed(quotients):
         x = f + 1 / x
     return x
+
+
+def farey_neighbours(p: int, q: int, n: int) -> tuple[int, int, int, int]:
+    """(a, b, c, d) with a/b < p/q < c/d the closest fractions on either side
+    whose denominators are at most n; p/q > 0 and n >= 1.
+
+    Stern-Brocot walk from 0/1 and 1/0 towards p/q: a/b and c/d stay
+    neighbours (bc - ad = 1) with their mediant the next node, and each step
+    makes a whole run of moves to one side at once (a partial quotient of
+    p/q), so the number of steps grows with the bit length.  If the walk
+    meets p/q itself, its neighbours lie on the two chains (a + j(a+c)) /
+    (b + j(b+d)) and (c + j(a+c)) / (d + j(b+d)) converging to it.
+    """
+    a, b, c, d = 0, 1, 1, 0
+    while True:
+        m, e = a + c, b + d
+        if e > n:
+            return a, b, c, d
+        if m * q == p * e:
+            i, j = (n - b) // e, (n - d) // e
+            return a + i * m, b + i * e, c + j * m, d + j * e
+        if m * q < p * e:
+            # a/b moves up while it stays below p/q and within the bound
+            t = (p * b - a * q - 1) // (c * q - p * d)
+            if d:
+                t = min(t, (n - b) // d)
+            a, b = a + t * c, b + t * d
+        else:
+            t = min((c * q - p * d - 1) // (p * b - a * q), (n - d) // b)
+            c, d = c + t * a, d + t * b
+
+
+def walk_simplest_pair(p: int, q: int, r: int, s: int, n: int):
+    """(node, left parent, right parent), each a (num, den) pair, where node
+    is the first node of the Stern-Brocot path towards (p/q, r/s) that lies
+    inside it or has a denominator above n: the tree walked one node at a
+    time from the parents 0/1 and 1/0, so only for short paths."""
+    a, b, c, d = 0, 1, 1, 0
+    while True:
+        m, e = a + c, b + d
+        if (p * e < m * q and m * s < r * e) or e > n:
+            return (m, e), (a, b), (c, d)
+        if m * q <= p * e:
+            a, b = m, e
+        else:
+            c, d = m, e
 
 
 def loop_not_lspace_sup(u: Fraction, v: Fraction) -> Fraction:
@@ -468,8 +518,8 @@ def _fraction_decide_classified(f: SeifertForm, c: Classification, slopes) -> LS
     else:
         pairs = [(r.numerator, r.denominator) for r in slopes]
     (p1, q1), (p2, q2), (p3, q3) = pairs
-    w = _witness_from_pairs(p1, q1, p2, q2, p3, q3)
     bound = search_bound(p1, q1)
+    w = _witness_from_pairs(p2, q2, p3, q3, bound)
     if c.h1 is INF:
         # not a rational homology sphere, hence not an L-space; the witness
         # (which exists exactly when a horizontal foliation does) is still

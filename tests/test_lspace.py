@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,8 @@ def _pair(r):
 
 def witness_search(t):
     """Smallest witness of a sorted triple in (0,1), or None."""
-    return _witness_from_pairs(*_pairs(t))
+    p1, q1, *rest = _pairs(t)
+    return _witness_from_pairs(*rest, search_bound(p1, q1))
 
 
 class TestWitnessSearch:
@@ -460,3 +462,27 @@ class TestLargeDenominators:
                                             (hi.denominator - hi.numerator, hi.denominator))))
         assert v.reason is Reason.WITNESS and v.search_bound == n - 1
         assert v.witness == (lo.denominator + hi.denominator, lo.numerator + hi.numerator)
+
+    @pytest.mark.parametrize("bits", [2048, 8192])
+    def test_wide_search_bound(self, bits):
+        # u = 1/(N + 1) puts the search bound N = 2^(bits + 8) past v's
+        # denominator, so the least fraction c/d above v with d <= N is the
+        # neighbour c v_d - v_n d = 1 with the largest such d, and the
+        # boundary is 1 - c/d: a descent to v and one run of N / v_d nodes
+        # past it, capped at N
+        rng = random.Random(bits)
+        vd = rng.getrandbits(bits) | 1 << (bits - 1)
+        v = Fraction(rng.randrange(vd // 3 + 1, vd // 2), vd)
+        vn, vd = v.numerator, v.denominator
+        n = 2 ** (bits + 8)
+        d = n - (n + pow(vn, -1, vd)) % vd
+        c = (1 + vn * d) // vd
+        u = Fraction(1, n + 1)
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            t = third_slot_threshold(-1, u, v)
+            best = min(best, time.perf_counter() - t0)
+        assert t.kind is IntervalKind.UP_CLOSED
+        assert (t.boundary, t.attained) == (Fraction(d - c, d), True)
+        assert best <= 0.25, f"{best:.3f} s"

@@ -4,16 +4,17 @@ import random
 import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seifert_lspace.rationals import (_BATCH_BITS, INF, farey_neighbours, format_rational,
-                                      int_text, is_finite, parse_rational,
-                                      simplest_between, simplest_pair)
+from seifert_lspace import rationals
+from seifert_lspace.rationals import (_BATCH_BITS, INF, _batches, format_rational, int_text,
+                                      is_finite, parse_rational, simplest_between, simplest_pair)
 
-from oracles import cf_simplest_between
+from oracles import cf_simplest_between, farey_neighbours, walk_simplest_pair
 
 fractions_1e6 = st.fractions(min_value=Fraction(-10 ** 6), max_value=Fraction(10 ** 6),
                              max_denominator=10 ** 6)
@@ -159,11 +160,17 @@ def _descent_cases():
     return cases
 
 
+@cache
+def _descent_answers():
+    """Each of ``_descent_cases`` with its answer from the textbook descent."""
+    return [(p, q, r, s, cf_simplest_between(Fraction(p, q), Fraction(r, s) if s else None))
+            for p, q, r, s in _descent_cases()]
+
+
 def test_simplest_pair_matches_the_continued_fraction_oracle():
     # the batched descent against the textbook one on Fractions
-    for p, q, r, s in _descent_cases():
-        x = cf_simplest_between(Fraction(p, q), Fraction(r, s) if s else None)
-        assert simplest_pair(p, q, r, s) == (x.numerator, x.denominator), (p, q, r, s)
+    for p, q, r, s, x in _descent_answers():
+        assert simplest_pair(p, q, r, s, q + s)[:2] == (x.numerator, x.denominator), (p, q, r, s)
 
 
 def test_simplest_between_known_values():
@@ -173,6 +180,86 @@ def test_simplest_between_known_values():
     assert simplest_between(Fraction(1, 3), Fraction(2, 3)) == Fraction(1, 2)
     with pytest.raises(ValueError):
         simplest_between(Fraction(1, 2), Fraction(1, 2))
+
+
+def _parents(a, b):
+    """The Stern-Brocot parents (num, den) of a/b: the right one is e/g with
+    e b - a g = 1 and 0 <= g < b, so 1/0 for an integer, the left one their
+    difference."""
+    g = -pow(a, -1, b) % b
+    e = (1 + a * g) // b
+    return (a - e, b - g), (e, g)
+
+
+def _check_capped(p, q, r, s, n, x):
+    """simplest_pair capped at n against x, the simplest fraction in (p/q,
+    r/s): x itself if its denominator is at most n, and otherwise a node
+    past n whose parents, within n, bracket the interval (so it is on the
+    path, and the first node there past n); and the parent it returns is
+    one of the node's two."""
+    a, b, c, d = simplest_pair(p, q, r, s, n)
+    left, right = _parents(a, b)
+    assert (c, d) in (left, right) and (a - c, b - d) in (left, right), (p, q, r, s, n)
+    if x.denominator <= n:
+        assert (a, b) == (x.numerator, x.denominator), (p, q, r, s, n)
+        return
+    (c, d), (e, g) = left, right
+    assert b > n >= max(d, g), (p, q, r, s, n)
+    assert c * q <= p * d and r * g <= e * s, (p, q, r, s, n)
+
+
+def _capped_neighbours(p, q, n):
+    """(a, b, c, d) with a/b < p/q < c/d the closest fractions on either side
+    with denominators at most n: the right parent of the first node past n
+    towards (x, x + 1/(qn)), and the left parent of the one towards
+    (x - 1/(qn), x); no fraction within n lies in either interval."""
+    (a, b), _ = _parents(*simplest_pair(p * n - 1, q * n, p, q, n)[:2])
+    _, (c, d) = _parents(*simplest_pair(p, q, p * n + 1, q * n, n)[:2])
+    return a, b, c, d
+
+
+def test_capped_descent_matches_the_node_walk():
+    # short paths, walked one node at a time, every cap up to past the answer
+    rng = random.Random(257)
+    for _ in range(400):
+        q, s = rng.randint(1, 60), rng.randint(0, 60)
+        p = rng.randrange(3 * q)
+        r = p * s // q + rng.randint(1, 3) if s else 1
+        x = cf_simplest_between(Fraction(p, q), Fraction(r, s) if s else None)
+        for n in range(1, x.denominator + 2):
+            node, left, right = walk_simplest_pair(p, q, r, s, n)
+            a, b, c, d = simplest_pair(p, q, r, s, n)
+            assert (a, b) == node and {(c, d), (a - c, b - d)} == {left, right}, (p, q, r, s, n)
+            assert _parents(a, b) == (left, right)
+
+
+def test_capped_descent_contract(monkeypatch):
+    # caps below, at and above the answer's denominator, from 8 to 30,000
+    # bits.  On wide operands, a cap under 2^128 stops the descent within
+    # about 128 bits of quotients, so it is stepped singly, not batched; and
+    # a cap of 2^128 or more inside the batches' range stops them before
+    # the batch that would pass it
+    def no_batches(*args):
+        raise AssertionError("batched under a narrow cap")
+
+    rng = random.Random(128)
+    batched = 0
+    for p, q, r, s, x in _descent_answers():
+        den = x.denominator
+        for n in {1, den - 1, den, den + 1, rng.randint(1, den), den >> rng.randint(1, 64)} - {0}:
+            _check_capped(p, q, r, s, n, x)
+        if min(q, s) < 2 ** _BATCH_BITS:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(rationals, "_batches", no_batches)
+            _check_capped(p, q, r, s, rng.randrange(1, 2 ** _BATCH_BITS), x)
+        past = sum(_batches(p, q, r, s, q + s)[6:])  # k + k0 after every batch
+        if past > 2 ** (_BATCH_BITS + 1):
+            n = rng.randrange(2 ** _BATCH_BITS, past)
+            assert sum(_batches(p, q, r, s, n)[6:]) <= n
+            _check_capped(p, q, r, s, n, x)
+            batched += 1
+    assert batched > 20
 
 
 def test_farey_neighbours_match_brute_force():
@@ -187,7 +274,8 @@ def test_farey_neighbours_match_brute_force():
         grid = grids[n]
         below = grid[bisect_left(grid, x) - 1]
         above = grid[bisect_right(grid, x)]
-        a, b, c, d = farey_neighbours(x.numerator, x.denominator, n)
+        a, b, c, d = _capped_neighbours(x.numerator, x.denominator, n)
+        assert (a, b, c, d) == farey_neighbours(x.numerator, x.denominator, n)
         assert Fraction(a, b) == below, (x, n)
         assert (c, d) == ((1, 0) if above == top else (above.numerator, above.denominator))
 
@@ -196,5 +284,5 @@ def test_farey_neighbours_at_1e18():
     # the neighbours of 1/3 with denominators <= n are K'/(3K'+1) and
     # K/(3K-1) for the largest K', K that fit; n = 1 mod 3
     n = 10 ** 18
-    a, b, c, d = farey_neighbours(1, 3, n)
+    a, b, c, d = _capped_neighbours(1, 3, n)
     assert (b, d) == (n, n - 2) and (3 * a + 1, 3 * c - 1) == (b, d)
