@@ -11,13 +11,11 @@ from .twist import (FamilyMember, FamilyReport, Piece, PointVerdict, Run,
                     SeiferterData, classify_family, evaluate_point,
                     h1_consistency, limit_space, surgered_space, surgery_slope)
 from .families import (ALL_N, FamilySpec, Guarantee, GuaranteeKind,
-                       PreconditionFailed, TorusKnotDegenerate,
-                       TwistedTorusKind, berge_sporadic, berge_type_vii_viii,
-                       build_family, catalog, check_guarantee, check_reports,
+                       PreconditionFailed, TorusKnotDegenerate, build_family,
+                       catalog, check_guarantee, check_reports,
                        distinctness_bound, eudave_munoz_rp2_family,
                        family_kinds, find_family, linking_guarantee,
                        satellite_guarantee, torus_pq_candidates,
-                       tunnel2_family, twisted_torus_family,
                        unknot_seiferter_data, unknot_seiferter_family)
 
 __version__ = "0.1.0"

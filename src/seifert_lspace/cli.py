@@ -131,7 +131,10 @@ def cmd_family(args):
                 key, sep, value = item.partition("=")
                 if not sep:
                     raise ValueError(f"bad parameter {item!r}; use name=value")
-                params[key.strip()] = int(value)
+                key = key.strip()
+                if key in params:
+                    raise ValueError(f"parameter {key!r} given twice")
+                params[key] = int(value)
             spec = fam.build_family(args.name, **params)
             if isinstance(spec, fam.TorusKnotDegenerate):
                 return (inputs, lambda: {"degenerate": True,

@@ -111,7 +111,7 @@ def _case_unknot_grid_sample():
 def _case_tunnel2():
     checks = []
     for which, poly in (("A", lambda n: 196 * n + 71), ("B", lambda n: 100 * n + 71)):
-        d = fam.tunnel2_family(which).members[0].data
+        d = fam.build_family(f"tunnel2-{which}").members[0].data
         report = classify_family(d)
         bad = [n for n in range(-100, 101) if not report.lspace_at(n)
                or h1_order(surgered_space(d, n)) != abs(poly(n))]
@@ -135,11 +135,11 @@ def _case_sporadic_slopes():
 
 def _case_berge_vii_viii():
     checks = []
-    s = fam.berge_type_vii_viii(2, 3, "VII")
+    s = fam.build_family("berge-vii", a=2, b=3)
     checks.append(_eq("(2,3) VII guarantee", repr(s.guarantee), "L-space for n <= 2"))
-    s = fam.berge_type_vii_viii(-2, 5, "VIII")
+    s = fam.build_family("berge-viii", a=-2, b=5)
     checks.append(_eq("(-2,5) VIII guarantee", repr(s.guarantee), "L-space for all n"))
-    out = fam.berge_type_vii_viii(1, 2, "VII")
+    out = fam.build_family("berge-vii", a=1, b=2)
     checks.append(_eq("(1,2) degenerates to a torus knot",
                       isinstance(out, fam.TorusKnotDegenerate), True))
     return checks

@@ -8,6 +8,11 @@ enumerates the (at most one) base form S2(B; b1/p, b2/q) compatible with it.
 The guarantee attached to a family is a claim about every integer n, not a
 rederived proof; the twist engine checks it over all of Z from the runs and
 singles of each member.
+
+The kind table ``_KINDS`` is the one way to build a family: it maps each
+kind name (``p+q``, ``spor-c``, ``berge-viii``, ...) to a function of that
+kind's named integer parameters.  ``build_family``, ``find_family``,
+``family_kinds`` and ``catalog`` (a list of kind and parameter rows) read it.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ class Guarantee:
 
 
 ALL_N = Guarantee(GuaranteeKind.ALL_N)
+_N_GE_MINUS_1 = Guarantee(GuaranteeKind.N_GE, -1)
 
 
 @dataclass(frozen=True)
@@ -70,7 +76,7 @@ def linking_guarantee(p: int, q: int, l: int) -> Guarantee:
         raise PreconditionFailed("p and q must both be at least 2")
     if l * l >= 2 * p * q:
         return ALL_N
-    return Guarantee(GuaranteeKind.N_GE, -1)
+    return _N_GE_MINUS_1
 
 
 def torus_pq_candidates(p: int, q: int, l: int):
@@ -93,73 +99,42 @@ def torus_pq_candidates(p: int, q: int, l: int):
     return [((ll - q * b1 - p * b2) // (p * q), Fraction(b1, p), Fraction(b2, q))]
 
 
-def _degenerate_member(B: int, r1: Fraction, r2: Fraction, m: int, l: int,
-                       mirrored=False, offset=0, label="") -> FamilyMember:
-    """Member whose seiferter is a degenerate fiber: slope 1/n, pole at n=0."""
-    data = SeiferterData(b=B, r1=min(r1, r2), r2=max(r1, r2),
-                         alpha=1, beta=0, alpha3=0, beta3=1,
-                         m=m, l=l)
-    return FamilyMember(data=data, mirrored=mirrored, offset=offset, label=label)
-
-
-def _torus_members(p: int, q: int, l: int, m: int, mirrored=False, offset=0):
-    cands = torus_pq_candidates(p, q, l)
+def _torus_family(name: str, params, guarantee: Guarantee, P: int, Q: int, l: int,
+                  mirrored=False, offset=0, description=None) -> FamilySpec:
+    """A family with one member per base form of ``torus_pq_candidates(P,
+    Q, l)``, for the (P*Q)-surgery; each member's seiferter is a degenerate
+    fiber: slope 1/n, pole at n=0.  The description defaults to the twisted
+    torus knots of the name."""
+    cands = torus_pq_candidates(P, Q, l)
     if not cands:
-        raise PreconditionFailed(f"no Seifert base form for (p, q, l) = ({p}, {q}, {l})")
-    return tuple(_degenerate_member(B, r1, r2, m, l, mirrored, offset,
-                                    label=f"S2({B}; {r1}, {r2})")
-                 for B, r1, r2 in cands)
+        raise PreconditionFailed(f"no Seifert base form for (p, q, l) = ({P}, {Q}, {l})")
+    members = tuple(
+        FamilyMember(data=SeiferterData(b=B, r1=min(r1, r2), r2=max(r1, r2),
+                                        alpha=1, beta=0, alpha3=0, beta3=1,
+                                        m=P * Q, l=l),
+                     mirrored=mirrored, offset=offset, label=f"S2({B}; {r1}, {r2})")
+        for B, r1, r2 in cands)
+    return FamilySpec(name=name,
+                      description=description or f"twisted torus knots {name}",
+                      params=params,
+                      guarantee=guarantee,
+                      members=members)
 
 
-class TwistedTorusKind(Enum):
-    P_PLUS_Q = "p+q"
-    P_MINUS_Q = "p-q"
-    K4P1 = "K(3p+1,2p+1;4p+1)"
-    K4P3 = "K(3p+2,2p+1;4p+3)"
-    K2P2 = "K(2p+3,2p+1;2p+2)"
+def _twisted_torus(p: int, q: int, l: int, guarantee: Guarantee) -> FamilySpec:
+    """Twisted torus knots K(p, q; l, n), p, q >= 2 coprime: l = p+q (all n)
+    or l = |p-q| (n >= -1)."""
+    if p < 2 or q < 2 or gcd(p, q) != 1:
+        raise PreconditionFailed("need coprime p, q >= 2")
+    return _torus_family(f"K({p},{q};{l},n)", (("p", p), ("q", q)), guarantee, p, q, l)
 
 
-def twisted_torus_family(kind: TwistedTorusKind, **params) -> FamilySpec:
-    """Twisted torus knot families with an L-space guarantee.
-
-    * p+q   : K(p, q; p+q, n), p, q >= 2 coprime -- all n
-    * p-q   : K(p, q; p-q, n), p > q >= 2 coprime -- n >= -1
-    * the three one-parameter families K(3p+1, 2p+1; 4p+1, n) (all n),
-      K(3p+2, 2p+1; 4p+3, n) (all n), K(2p+3, 2p+1; 2p+2, n) (n >= -1).
-    """
-    kind = TwistedTorusKind(kind)
-    if kind in (TwistedTorusKind.P_PLUS_Q, TwistedTorusKind.P_MINUS_Q):
-        p, q = params["p"], params["q"]
-        if p < 2 or q < 2 or gcd(p, q) != 1:
-            raise PreconditionFailed("need coprime p, q >= 2")
-        if kind is TwistedTorusKind.P_PLUS_Q:
-            l, guarantee = p + q, ALL_N
-        else:
-            if p == q:
-                raise PreconditionFailed("p = q is not a knot")
-            l, guarantee = abs(p - q), Guarantee(GuaranteeKind.N_GE, -1)
-        name = f"K({p},{q};{l},n)"
-        return FamilySpec(name=name,
-                          description=f"twisted torus knots {name}",
-                          params=(("p", p), ("q", q)),
-                          guarantee=guarantee,
-                          members=_torus_members(p, q, l, p * q))
-    p = params["p"]
+def _one_parameter(p: int, P: int, Q: int, l: int, guarantee: Guarantee) -> FamilySpec:
+    """The one-parameter twisted torus knots K(3p+1, 2p+1; 4p+1, n) (all n),
+    K(3p+2, 2p+1; 4p+3, n) (all n) and K(2p+3, 2p+1; 2p+2, n) (n >= -1)."""
     if p < 1:
         raise PreconditionFailed("need p > 0")
-    table = {
-        TwistedTorusKind.K4P1: (3 * p + 1, 2 * p + 1, 4 * p + 1, ALL_N),
-        TwistedTorusKind.K4P3: (3 * p + 2, 2 * p + 1, 4 * p + 3, ALL_N),
-        TwistedTorusKind.K2P2: (2 * p + 3, 2 * p + 1, 2 * p + 2,
-                                Guarantee(GuaranteeKind.N_GE, -1)),
-    }
-    P, Q, l, guarantee = table[kind]
-    name = f"K({P},{Q};{l},n)"
-    return FamilySpec(name=name,
-                      description=f"twisted torus knots {name}",
-                      params=(("p", p),),
-                      guarantee=guarantee,
-                      members=_torus_members(P, Q, l, P * Q))
+    return _torus_family(f"K({P},{Q};{l},n)", (("p", p),), guarantee, P, Q, l)
 
 
 def unknot_seiferter_data(m: int, p: int) -> SeiferterData:
@@ -200,24 +175,13 @@ def unknot_seiferter_family(m: int, p: int) -> FamilySpec:
                       members=(FamilyMember(data=data),))
 
 
-def tunnel2_family(which: str) -> FamilySpec:
+def _tunnel2(which: str, data: SeiferterData) -> FamilySpec:
     """The two tunnel-number-two families.
 
     A: surgeries (196n+71) with forms S2((11n+4)/(14n+5), -2/7, 1/2);
     B: surgeries (100n+71) with forms S2(-(3n+2)/(10n+7), 4/5, 1/2).
     Both are L-spaces for every n.
     """
-    which = which.upper()
-    if which == "A":
-        data = SeiferterData(b=-1, r1=Fraction(1, 2), r2=Fraction(5, 7),
-                             alpha=14, beta=11, alpha3=5, beta3=4,
-                             m=71, l=14)
-    elif which == "B":
-        data = SeiferterData(b=0, r1=Fraction(1, 2), r2=Fraction(4, 5),
-                             alpha=10, beta=-3, alpha3=7, beta3=-2,
-                             m=71, l=10)
-    else:
-        raise PreconditionFailed("which must be 'A' or 'B'")
     return FamilySpec(name=f"tunnel2-{which}",
                       description="tunnel-number-two knots built from a trefoil "
                                   "by alternate twisting along two seiferters",
@@ -226,7 +190,8 @@ def tunnel2_family(which: str) -> FamilySpec:
                       members=(FamilyMember(data=data),))
 
 
-def berge_sporadic(kind: str, p: int) -> FamilySpec:
+def _sporadic(kind: str, p: int, least: int, P: int, Q: int, l: int,
+              mirrored=False) -> FamilySpec:
     """Twist families through the sporadic Berge knots (types IX--XII).
 
     kind 'a' (p > 1): cable base (6p+1, p), linking 4p+1, Berge knot at n=1,
@@ -237,34 +202,13 @@ def berge_sporadic(kind: str, p: int) -> FamilySpec:
     -(22p^2+31p+11) and -(22p^2+35p+14).  All four carry the all-n guarantee
     since l^2 >= 2pq in each case.
     """
-    kind = kind.lower()
-    if kind == "a":
-        if p <= 1:
-            raise PreconditionFailed("kind 'a' needs p > 1")
-        P, Q, l, mirrored = 6 * p + 1, p, 4 * p + 1, False
-    elif kind == "b":
-        if p < 1:
-            raise PreconditionFailed("kind 'b' needs p > 0")
-        P, Q, l, mirrored = 3 * p + 1, 2 * p + 1, 4 * p + 1, False
-    elif kind == "c":
-        if p < 1:
-            raise PreconditionFailed("kind 'c' needs p > 0")
-        P, Q, l, mirrored = 3 * p + 2, 2 * p + 1, 4 * p + 3, True
-    elif kind == "d":
-        if p < 1:
-            raise PreconditionFailed("kind 'd' needs p > 0")
-        P, Q, l, mirrored = 6 * p + 5, p + 1, 4 * p + 3, True
-    else:
-        raise PreconditionFailed("kind must be one of a, b, c, d")
-    guarantee = linking_guarantee(P, Q, l)
-    berge_n = -1 if mirrored else 1
-    return FamilySpec(name=f"berge-spor-{kind}[p={p}]",
-                      description=f"sporadic Berge family: base ({int_text(P)}, "
-                                  f"{int_text(Q)}), linking {int_text(l)}, "
-                                  f"Berge knot at n={berge_n}",
-                      params=(("p", p),),
-                      guarantee=guarantee,
-                      members=_torus_members(P, Q, l, P * Q, mirrored=mirrored))
+    if p < least:
+        raise PreconditionFailed(f"kind '{kind}' needs p > {least - 1}")
+    return _torus_family(f"berge-spor-{kind}[p={p}]", (("p", p),),
+                         linking_guarantee(P, Q, l), P, Q, l, mirrored=mirrored,
+                         description=f"sporadic Berge family: base ({int_text(P)}, "
+                                     f"{int_text(Q)}), linking {int_text(l)}, "
+                                     f"Berge knot at n={-1 if mirrored else 1}")
 
 
 @dataclass(frozen=True)
@@ -274,7 +218,7 @@ class TorusKnotDegenerate:
     b: int
 
 
-def berge_type_vii_viii(a: int, b: int, kind: str):
+def _berge_vii_viii(kind: str, eps: int, a: int, b: int):
     """Twist families through Berge knots of types VII and VIII.
 
     The type VII (resp. VIII) knot on parameters (a, b), gcd(a, b) = 1, is
@@ -287,26 +231,16 @@ def berge_type_vii_viii(a: int, b: int, kind: str):
     """
     if gcd(a, b) != 1:
         raise PreconditionFailed("a and b must be coprime")
-    kind = kind.upper()
-    if kind not in ("VII", "VIII"):
-        raise PreconditionFailed("kind must be VII or VIII")
     if abs(a) <= 1 or abs(b) <= 1 or abs(a + b) <= 1:
         return TorusKnotDegenerate(a, b)
-    eps = -1 if kind == "VII" else 1
     P, Q = abs(a + b), abs(a)
     if a * (a + b) < 0:
-        l = P + Q
-        guarantee = ALL_N
-        members = _torus_members(P, Q, l, P * Q, offset=eps)
+        l, guarantee, mirrored = P + Q, ALL_N, False
     else:
-        l = abs(P - Q)
-        guarantee = Guarantee(GuaranteeKind.N_LE, 1 - eps)
-        members = _torus_members(P, Q, l, P * Q, mirrored=True, offset=eps)
-    return FamilySpec(name=f"berge-{kind}[a={a},b={b}]",
-                      description=f"type {kind} Berge family on (a, b) = ({a}, {b})",
-                      params=(("a", a), ("b", b)),
-                      guarantee=guarantee,
-                      members=members)
+        l, guarantee, mirrored = abs(P - Q), Guarantee(GuaranteeKind.N_LE, 1 - eps), True
+    return _torus_family(f"berge-{kind}[a={a},b={b}]", (("a", a), ("b", b)), guarantee,
+                         P, Q, l, mirrored=mirrored, offset=eps,
+                         description=f"type {kind} Berge family on (a, b) = ({a}, {b})")
 
 
 def satellite_guarantee(w: int, m: int, g: int) -> bool:
@@ -350,54 +284,33 @@ def eudave_munoz_rp2_family(l: int) -> FamilySpec:
                       members=(FamilyMember(rp2=True),))
 
 
-@cache
-def catalog() -> tuple[FamilySpec, ...]:
-    """Every named family shipped with the package, built on the first call
-    and shared after it: every field of a spec is frozen or a tuple."""
-    return (
-        twisted_torus_family(TwistedTorusKind.P_PLUS_Q, p=3, q=2),
-        twisted_torus_family(TwistedTorusKind.P_PLUS_Q, p=5, q=2),
-        twisted_torus_family(TwistedTorusKind.P_MINUS_Q, p=5, q=2),
-        twisted_torus_family(TwistedTorusKind.K4P1, p=1),
-        twisted_torus_family(TwistedTorusKind.K4P3, p=1),
-        twisted_torus_family(TwistedTorusKind.K2P2, p=1),
-        unknot_seiferter_family(0, 3),
-        unknot_seiferter_family(-1, 3),
-        unknot_seiferter_family(-3, 5),
-        tunnel2_family("A"),
-        tunnel2_family("B"),
-        berge_sporadic("a", 2),
-        berge_sporadic("b", 1),
-        berge_sporadic("c", 1),
-        berge_sporadic("d", 1),
-        berge_type_vii_viii(2, 3, "VII"),
-        berge_type_vii_viii(-2, 5, "VIII"),
-        eudave_munoz_rp2_family(1),
-        eudave_munoz_rp2_family(2),
-    )
-
-
-_BUILDERS = {
-    "p+q": lambda p, q: twisted_torus_family(TwistedTorusKind.P_PLUS_Q, p=p, q=q),
-    "p-q": lambda p, q: twisted_torus_family(TwistedTorusKind.P_MINUS_Q, p=p, q=q),
-    "k4p1": lambda p: twisted_torus_family(TwistedTorusKind.K4P1, p=p),
-    "k4p3": lambda p: twisted_torus_family(TwistedTorusKind.K4P3, p=p),
-    "k2p2": lambda p: twisted_torus_family(TwistedTorusKind.K2P2, p=p),
-    "unknot": lambda m, p: unknot_seiferter_family(m, p),
-    "tunnel2-a": lambda: tunnel2_family("A"),
-    "tunnel2-b": lambda: tunnel2_family("B"),
-    "spor-a": lambda p: berge_sporadic("a", p),
-    "spor-b": lambda p: berge_sporadic("b", p),
-    "spor-c": lambda p: berge_sporadic("c", p),
-    "spor-d": lambda p: berge_sporadic("d", p),
-    "berge-vii": lambda a, b: berge_type_vii_viii(a, b, "VII"),
-    "berge-viii": lambda a, b: berge_type_vii_viii(a, b, "VIII"),
-    "em-rp2": lambda l: eudave_munoz_rp2_family(l),
+# the one place a family kind is chosen: each kind's function of its named
+# integer parameters
+_KINDS = {
+    "p+q": lambda p, q: _twisted_torus(p, q, p + q, ALL_N),
+    "p-q": lambda p, q: _twisted_torus(p, q, abs(p - q), _N_GE_MINUS_1),
+    "k4p1": lambda p: _one_parameter(p, 3 * p + 1, 2 * p + 1, 4 * p + 1, ALL_N),
+    "k4p3": lambda p: _one_parameter(p, 3 * p + 2, 2 * p + 1, 4 * p + 3, ALL_N),
+    "k2p2": lambda p: _one_parameter(p, 2 * p + 3, 2 * p + 1, 2 * p + 2, _N_GE_MINUS_1),
+    "unknot": unknot_seiferter_family,
+    "tunnel2-a": lambda: _tunnel2("A", SeiferterData(b=-1, r1=Fraction(1, 2), r2=Fraction(5, 7),
+                                                     alpha=14, beta=11, alpha3=5, beta3=4,
+                                                     m=71, l=14)),
+    "tunnel2-b": lambda: _tunnel2("B", SeiferterData(b=0, r1=Fraction(1, 2), r2=Fraction(4, 5),
+                                                     alpha=10, beta=-3, alpha3=7, beta3=-2,
+                                                     m=71, l=10)),
+    "spor-a": lambda p: _sporadic("a", p, 2, 6 * p + 1, p, 4 * p + 1),
+    "spor-b": lambda p: _sporadic("b", p, 1, 3 * p + 1, 2 * p + 1, 4 * p + 1),
+    "spor-c": lambda p: _sporadic("c", p, 1, 3 * p + 2, 2 * p + 1, 4 * p + 3, mirrored=True),
+    "spor-d": lambda p: _sporadic("d", p, 1, 6 * p + 5, p + 1, 4 * p + 3, mirrored=True),
+    "berge-vii": lambda a, b: _berge_vii_viii("VII", -1, a, b),
+    "berge-viii": lambda a, b: _berge_vii_viii("VIII", 1, a, b),
+    "em-rp2": eudave_munoz_rp2_family,
 }
 
 
 def family_kinds() -> tuple[str, ...]:
-    return tuple(sorted(_BUILDERS))
+    return tuple(sorted(_KINDS))
 
 
 def _parameters(builder) -> tuple[str, ...]:
@@ -405,19 +318,48 @@ def _parameters(builder) -> tuple[str, ...]:
 
 
 def build_family(kind: str, **params) -> FamilySpec:
-    """Construct a family from a kind name and named integer parameters.
+    """Construct a family from a kind name of the kind table, in any case,
+    and exactly that kind's named integer parameters.
 
-    The result of ``berge_type_vii_viii`` may be TorusKnotDegenerate, which
-    is returned as-is.
+    A ``berge-vii`` or ``berge-viii`` kind at degenerate parameters returns
+    a TorusKnotDegenerate instead of a spec.
     """
     try:
-        builder = _BUILDERS[kind.lower()]
+        builder = _KINDS[kind.lower()]
     except KeyError:
         raise KeyError(f"unknown family kind {kind!r}; one of {', '.join(family_kinds())}")
     names = _parameters(builder)
     if set(params) != set(names):
         raise PreconditionFailed(f"family kind {kind!r} takes parameters {', '.join(names) or 'none'}")
     return builder(**params)
+
+
+@cache
+def catalog() -> tuple[FamilySpec, ...]:
+    """Every named family shipped with the package, built from its kind and
+    parameters on the first call and shared after it: every field of a spec
+    is frozen or a tuple."""
+    return tuple(build_family(kind, **params) for kind, params in (
+        ("p+q", dict(p=3, q=2)),
+        ("p+q", dict(p=5, q=2)),
+        ("p-q", dict(p=5, q=2)),
+        ("k4p1", dict(p=1)),
+        ("k4p3", dict(p=1)),
+        ("k2p2", dict(p=1)),
+        ("unknot", dict(m=0, p=3)),
+        ("unknot", dict(m=-1, p=3)),
+        ("unknot", dict(m=-3, p=5)),
+        ("tunnel2-a", {}),
+        ("tunnel2-b", {}),
+        ("spor-a", dict(p=2)),
+        ("spor-b", dict(p=1)),
+        ("spor-c", dict(p=1)),
+        ("spor-d", dict(p=1)),
+        ("berge-vii", dict(a=2, b=3)),
+        ("berge-viii", dict(a=-2, b=5)),
+        ("em-rp2", dict(l=1)),
+        ("em-rp2", dict(l=2)),
+    ))
 
 
 def find_family(name: str) -> FamilySpec:
@@ -431,7 +373,7 @@ def find_family(name: str) -> FamilySpec:
     matches = [s for s in specs if name in s.name]
     if len(matches) == 1:
         return matches[0]
-    builder = _BUILDERS.get(name.lower())
+    builder = _KINDS.get(name.lower())
     if builder is not None and not _parameters(builder):
         return builder()
     raise KeyError(name)

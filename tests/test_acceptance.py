@@ -8,10 +8,10 @@ import random
 import time
 from fractions import Fraction
 
-from seifert_lspace import (INF, FoliationWitness, PointVerdict, Run, classify,
-                            classify_family, catalog, decide, limit_space, linking_guarantee,
-                            normalize, surgered_space, third_slot_threshold,
-                            torus_pq_candidates, tunnel2_family,
+from seifert_lspace import (INF, FoliationWitness, PointVerdict, Run, build_family,
+                            classify, classify_family, catalog, decide, limit_space,
+                            linking_guarantee, normalize, surgered_space,
+                            third_slot_threshold, torus_pq_candidates,
                             unknot_seiferter_data, ALL_N)
 
 from oracles import (fraction_member_point, naive_witness, random_triple, random_unit_fraction,
@@ -130,7 +130,7 @@ def test_06_tunnel_two_families():
     t0 = time.perf_counter()
     bad = []
     for which, coeff in (("A", 196), ("B", 100)):
-        d = tunnel2_family(which).members[0].data
+        d = build_family(f"tunnel2-{which}").members[0].data
         for n in range(-100, 101):
             form = surgered_space(d, n)
             if not decide(form).is_lspace or classify(form).h1 != abs(coeff * n + 71):
@@ -199,7 +199,7 @@ def test_10_tail_soundness_and_performance():
     slowest = max(_best_time(lambda f=f: decide(f)) for f in worst)
     ok = ok and slowest < 1e-3
 
-    d1 = tunnel2_family("A").members[0].data
+    d1 = build_family("tunnel2-a").members[0].data
     d2 = unknot_seiferter_data(3, 3)
     t0 = time.perf_counter()
     count = 0

@@ -6,16 +6,14 @@ from math import gcd
 import pytest
 
 from seifert_lspace import (ALL_N, Guarantee, GuaranteeKind, PointVerdict, Run,
-                            PreconditionFailed, Tag, TorusKnotDegenerate, TwistedTorusKind,
-                            berge_sporadic, berge_type_vii_viii, catalog,
-                            check_guarantee, classify, classify_family,
+                            PreconditionFailed, Tag, TorusKnotDegenerate, build_family,
+                            catalog, check_guarantee, classify, classify_family,
                             decide, distinctness_bound, eudave_munoz_rp2_family,
                             find_family, h1_order, linking_guarantee, normalize,
                             satellite_guarantee, surgered_space,
-                            torus_pq_candidates, tunnel2_family,
-                            twisted_torus_family, unknot_seiferter_data,
+                            torus_pq_candidates, unknot_seiferter_data,
                             unknot_seiferter_family)
-from seifert_lspace.families import _merged
+from seifert_lspace.families import _KINDS, _merged, _parameters, family_kinds
 
 from oracles import fraction_member_point, loop_torus_pq_candidates, shown
 
@@ -82,26 +80,26 @@ class TestTorusPqCandidates:
 
 class TestTwistedTorusFamilies:
     def test_p_plus_q(self):
-        spec = twisted_torus_family(TwistedTorusKind.P_PLUS_Q, p=5, q=2)
+        spec = build_family("p+q", p=5, q=2)
         assert spec.guarantee == ALL_N
         assert 49 > 2 * 5 * 2
 
     def test_block_4p1(self):
-        spec = twisted_torus_family(TwistedTorusKind.K4P1, p=1)
+        spec = build_family("k4p1", p=1)
         assert spec.guarantee == ALL_N
         assert spec.members[0].data.m == 12
         assert spec.members[0].data.l == 5
 
     def test_p_minus_q(self):
-        spec = twisted_torus_family(TwistedTorusKind.P_MINUS_Q, p=5, q=2)
+        spec = build_family("p-q", p=5, q=2)
         assert spec.guarantee == N_GE_M1
         assert spec.members[0].data.l == 3
 
     def test_parameter_validation(self):
         with pytest.raises(PreconditionFailed):
-            twisted_torus_family(TwistedTorusKind.P_PLUS_Q, p=4, q=2)
+            build_family("p+q", p=4, q=2)
         with pytest.raises(PreconditionFailed):
-            twisted_torus_family(TwistedTorusKind.K4P1, p=0)
+            build_family("k4p1", p=0)
 
     def test_k2p2_intermediate_slope_identity(self):
         # the K(2p+3, 2p+1; 2p+2) base surgery arises from a lens surgery at
@@ -143,17 +141,17 @@ class TestUnknotFamilies:
 
 class TestTunnel2:
     def test_forms_at_zero(self):
-        a = tunnel2_family("A").members[0].data
+        a = build_family("tunnel2-a").members[0].data
         f = surgered_space(a, 0)
         assert f == normalize(-1, (F(4, 5), F(5, 7), F(1, 2)))
         assert decide(f).is_lspace
-        b = tunnel2_family("B").members[0].data
+        b = build_family("tunnel2-b").members[0].data
         f = surgered_space(b, 0)
         assert f == normalize(-1, (F(5, 7), F(4, 5), F(1, 2)))
         assert decide(f).is_lspace
 
     def test_negative_member_still_lspace(self):
-        a = tunnel2_family("A").members[0].data
+        a = build_family("tunnel2-a").members[0].data
         assert surgered_space(a, -1) is not None
         assert decide(surgered_space(a, -1)).is_lspace
         assert a.m + (-1) * a.l ** 2 == -125
@@ -161,20 +159,20 @@ class TestTunnel2:
 
 class TestBergeSporadic:
     def test_kind_a(self):
-        spec = berge_sporadic("a", 2)
+        spec = build_family("spor-a", p=2)
         d = spec.members[0].data
         assert d.l == 9 and d.m == 26
         assert spec.guarantee == ALL_N
         assert d.m + d.l ** 2 == 107 == 22 * 4 + 9 * 2 + 1
 
     def test_kind_b(self):
-        spec = berge_sporadic("b", 1)
+        spec = build_family("spor-b", p=1)
         d = spec.members[0].data
         assert (d.m, d.l) == (12, 5)
         assert d.m + d.l ** 2 == 37 == 22 + 13 + 2
 
     def test_kind_d(self):
-        spec = berge_sporadic("d", 1)
+        spec = build_family("spor-d", p=1)
         d = spec.members[0].data
         assert (d.m, d.l) == (22, 7)
         assert 49 >= 2 * 11 * 2
@@ -191,29 +189,30 @@ class TestBergeSporadic:
 
     def test_parameter_validation(self):
         with pytest.raises(PreconditionFailed):
-            berge_sporadic("a", 1)
-        with pytest.raises(PreconditionFailed):
-            berge_sporadic("e", 2)
+            build_family("spor-a", p=1)
+        # a fifth sporadic kind is an unknown family kind
+        with pytest.raises(KeyError):
+            build_family("spor-e", p=2)
 
 
 class TestBergeViiViii:
     def test_positive_product_bounds_n(self):
-        spec = berge_type_vii_viii(2, 3, "VII")
+        spec = build_family("berge-vii", a=2, b=3)
         assert spec.guarantee == Guarantee(GuaranteeKind.N_LE, 2)
-        spec = berge_type_vii_viii(2, 3, "VIII")
+        spec = build_family("berge-viii", a=2, b=3)
         assert spec.guarantee == Guarantee(GuaranteeKind.N_LE, 0)
 
     def test_negative_product_all_n(self):
-        spec = berge_type_vii_viii(-2, 5, "VIII")
+        spec = build_family("berge-viii", a=-2, b=5)
         assert spec.guarantee == ALL_N
 
     def test_degenerate_parameters(self):
-        assert isinstance(berge_type_vii_viii(1, 2, "VII"), TorusKnotDegenerate)
-        assert isinstance(berge_type_vii_viii(-2, 3, "VII"), TorusKnotDegenerate)
+        assert isinstance(build_family("berge-vii", a=1, b=2), TorusKnotDegenerate)
+        assert isinstance(build_family("berge-vii", a=-2, b=3), TorusKnotDegenerate)
 
     def test_coprimality_required(self):
         with pytest.raises(PreconditionFailed):
-            berge_type_vii_viii(2, 4, "VII")
+            build_family("berge-vii", a=2, b=4)
 
 
 class TestSatelliteAndDistinctness:
@@ -412,7 +411,6 @@ class TestRegressionContract:
 
 class TestBuildFamily:
     def test_kinds_cover_catalog_shapes(self):
-        from seifert_lspace import build_family, family_kinds
         assert {"p+q", "p-q", "unknot", "spor-a", "berge-vii", "em-rp2"} <= set(family_kinds())
         spec = build_family("p+q", p=7, q=3)
         assert spec.members[0].data.l == 10 and spec.members[0].data.m == 21
@@ -423,13 +421,11 @@ class TestBuildFamily:
             build_family("nope", p=1)
 
     def test_missing_parameter_names_the_kinds_parameters(self):
-        from seifert_lspace import build_family
         with pytest.raises(PreconditionFailed) as err:
             build_family("p+q", p=7)
         assert str(err.value) == "family kind 'p+q' takes parameters p, q"
 
     def test_unknown_parameter_names_the_kinds_parameters(self):
-        from seifert_lspace import build_family
         with pytest.raises(PreconditionFailed) as err:
             build_family("unknot", m=-2, p=5, q=1)
         assert str(err.value) == "family kind 'unknot' takes parameters m, p"
@@ -437,8 +433,28 @@ class TestBuildFamily:
             build_family("tunnel2-a", p=1)
         assert str(err.value) == "family kind 'tunnel2-a' takes parameters none"
 
+    def test_catalog_has_one_source(self):
+        # every catalog spec is rebuilt, equal, by a kind from its own
+        # params, and the parameters of every kind are the keys of its specs
+        def rebuilds(kind, spec):
+            try:
+                return build_family(kind, **dict(spec.params)) == spec
+            except PreconditionFailed:
+                return False
+
+        specs_of = {kind: [] for kind in family_kinds()}
+        for spec in catalog():
+            kinds = [kind for kind in family_kinds() if rebuilds(kind, spec)]
+            assert kinds, spec.name
+            for kind in kinds:
+                specs_of[kind].append(spec)
+        for kind, specs in specs_of.items():
+            assert specs, kind
+            for spec in specs:
+                assert _parameters(_KINDS[kind]) == tuple(name for name, _ in spec.params), \
+                    (kind, spec.name)
+
     def test_built_families_check_out(self):
-        from seifert_lspace import build_family
         for kind, params in (("p+q", {"p": 7, "q": 3}), ("spor-b", {"p": 2}),
                              ("unknot", {"m": -2, "p": 5}), ("em-rp2", {"l": -3})):
             spec = build_family(kind, **params)

@@ -1102,6 +1102,13 @@ class TestCliOtherVerbs:
         assert main(["family", "run", "berge-vii", "--params", "a=1,b=2"]) == 0
         assert "torus knot" in capsys.readouterr().out
 
+    def test_family_run_rejects_a_repeated_parameter(self, capsys):
+        # the second value must not silently replace the first
+        for params in ("p=3,p=5,q=2", "p=3,q=2,p=3", "p=3, p =5,q=2"):
+            assert main(["family", "run", "p+q", "--params", params]) == 2
+            got = capsys.readouterr()
+            assert (got.out, got.err) == ("", "error: parameter 'p' given twice\n"), params
+
     def test_family_run_with_30_digit_params(self, capsys):
         # the base form is solved for, not searched for among p*q pairs
         p = 10 ** 29

@@ -7,10 +7,10 @@ from math import gcd
 import pytest
 
 from seifert_lspace import (INF, FamilyMember, PointVerdict, Run, SeiferterData, Tag,
-                            berge_sporadic, catalog, check_guarantee, classify,
+                            build_family, catalog, check_guarantee, classify,
                             classify_family, decide, find_family, h1_consistency,
                             limit_space, normalize, surgered_space, surgery_slope, twist,
-                            tunnel2_family, unknot_seiferter_data)
+                            unknot_seiferter_data)
 from seifert_lspace.formats import form_json, rational_json, report_json, verdict_json
 from seifert_lspace.twist import _runs, _span, evaluate_point
 
@@ -112,13 +112,13 @@ class TestFiberSlope:
         assert fiber_slope(d, 7) == -7 + 4
 
     def test_twisted_pair_stays_unimodular(self):
-        for d in (TREFOIL, CASE1, tunnel2_family("A").members[0].data):
+        for d in (TREFOIL, CASE1, build_family("tunnel2-a").members[0].data):
             for n in range(-25, 26):
                 assert ((n * d.alpha + d.alpha3) * d.beta
                         - (n * d.beta + d.beta3) * d.alpha) == -1
 
     def test_monotone_convergence(self):
-        d = tunnel2_family("A").members[0].data
+        d = build_family("tunnel2-a").members[0].data
         rc = F(d.beta, d.alpha)
         pole = F(-d.alpha3, d.alpha)
         prev = None
@@ -149,7 +149,7 @@ class TestSurgeredSpace:
         assert classify(f).tag is Tag.CONNECTED_SUM_LENS
 
     def test_zero_twist_nondegenerate(self):
-        d = tunnel2_family("B").members[0].data
+        d = build_family("tunnel2-b").members[0].data
         assert surgered_space(d, 0) == normalize(0, (F(4, 5), F(1, 2), F(-2, 7)))
 
 
@@ -204,7 +204,7 @@ class TestFold:
 
     def test_4001_digit_sporadic_data(self):
         for kind in "abcd":
-            for member in berge_sporadic(kind, 10 ** 4000).members:
+            for member in build_family(f"spor-{kind}", p=10 ** 4000).members:
                 _assert_fold(member, {n + i for n in _singles(member) for i in (-2, -1, 0, 1, 2)}
                              | {-10 ** 18, 0, 7, 10 ** 18})
 
@@ -215,7 +215,7 @@ class TestSurgerySlope:
         d = SeiferterData(b=0, r1=F(1, 2), r2=F(1, 3), alpha=1, beta=0,
                           alpha3=0, beta3=1, m=7, l=5)
         assert surgery_slope(d, 1) == 32
-        a = tunnel2_family("A").members[0].data
+        a = build_family("tunnel2-a").members[0].data
         assert [surgery_slope(a, n) for n in (-1, 0, 2)] == [-125, 71, 463]
 
 
@@ -236,7 +236,7 @@ class TestLimitSpace:
 class TestH1Consistency:
     def test_examples(self):
         assert classify(surgered_space(TREFOIL, 1)).h1 == 31
-        a = tunnel2_family("A").members[0].data
+        a = build_family("tunnel2-a").members[0].data
         assert classify(surgered_space(a, 2)).h1 == 463
         d = unknot_seiferter_data(0, 3)
         assert classify(surgered_space(d, 1)).h1 == 9
@@ -313,8 +313,8 @@ class TestClassifyFamily:
         # families whose limit is a nondegenerate small Seifert space
         samples = [unknot_seiferter_data(3, 3), unknot_seiferter_data(-3, 5),
                    unknot_seiferter_data(-1, 3),
-                   tunnel2_family("A").members[0].data,
-                   tunnel2_family("B").members[0].data]
+                   build_family("tunnel2-a").members[0].data,
+                   build_family("tunnel2-b").members[0].data]
         for d in samples:
             lim = limit_space(d)
             if len(lim.slopes) != 3:
@@ -424,8 +424,7 @@ class TestClassifyFamily:
                 assert decide(surgered_space(d, n)).is_lspace is lspace
 
     def test_mirrored_member_tails(self):
-        from seifert_lspace import berge_sporadic
-        spec = berge_sporadic("c", 1)
+        spec = build_family("spor-c", p=1)
         member = spec.members[0]
         assert member.mirrored
         report = classify_family(member)
