@@ -29,6 +29,12 @@ from .twist import SeiferterData, classify_family
 # member is evaluated, and the others are written from the piece's columns
 MAX_WINDOW = 10 ** 6
 
+# twist-scan's seiferter options, in order, as (name, type, default); an
+# option without a default is required, and --r1 and --r2 stay texts
+_SEIFERTER_OPTIONS = (("b", int, None), ("r1", None, None), ("r2", None, None),
+                      ("alpha", int, None), ("beta", int, None), ("alpha3", int, None),
+                      ("beta3", int, None), ("m", int, 0), ("l", int, 0))
+
 
 def _window(text: str):
     """(lo, hi) from "lo..hi"; an ``ArgumentTypeError``, whose text argparse
@@ -101,8 +107,7 @@ def cmd_threshold(args):
 
 
 def cmd_twist_scan(args):
-    inputs = {k: getattr(args, k)
-              for k in ("b", "r1", "r2", "alpha", "beta", "alpha3", "beta3", "m", "l")}
+    inputs = {name: getattr(args, name) for name, _, _ in _SEIFERTER_OPTIONS}
     data = SeiferterData(**(inputs | {"r1": parse_rational(args.r1),
                                       "r2": parse_rational(args.r2)}))
     report = classify_family(data)
@@ -134,7 +139,13 @@ def cmd_family(args):
                 key = key.strip()
                 if key in params:
                     raise ValueError(f"parameter {key!r} given twice")
-                params[key] = int(value)
+                try:
+                    params[key] = int(value)
+                except ValueError as e:
+                    if str(e).startswith("Exceeds the limit"):  # too many digits to read
+                        raise
+                    raise ValueError(f"parameter {key!r} must be an integer, "
+                                     f"not {value!r}") from None
             spec = fam.build_family(args.name, **params)
             if isinstance(spec, fam.TorusKnotDegenerate):
                 return (inputs, lambda: {"degenerate": True,
@@ -188,54 +199,39 @@ def build_parser() -> argparse.ArgumentParser:
                     "and twist-family classification along seiferters.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, fn, **defaults):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--float", action="store_true",
                        help="with --json, attach decimal approximations (display "
                             "only); text output is unchanged")
+        p.set_defaults(fn=fn, **defaults)
 
-    p = sub.add_parser("decide", help="decide one Seifert form")
-    p.add_argument("form", help="e.g. \"SFS[S2; -2; 2/3, 2/3, 2/3]\", or - for stdin")
-    common(p)
-    p.set_defaults(fn=cmd_decide)
-
-    p = sub.add_parser("h1", help="first homology order of a form")
-    p.add_argument("form", help="a form, or - for stdin")
-    common(p)
-    p.set_defaults(fn=cmd_h1)
-
-    p = sub.add_parser("normalize", help="normal form of a raw description")
-    p.add_argument("form", help="a form, or - for stdin")
-    common(p)
-    p.set_defaults(fn=cmd_normalize)
+    for name, fn, verb_help, form_help in (
+            ("decide", cmd_decide, "decide one Seifert form",
+             "e.g. \"SFS[S2; -2; 2/3, 2/3, 2/3]\", or - for stdin"),
+            ("h1", cmd_h1, "first homology order of a form", "a form, or - for stdin"),
+            ("normalize", cmd_normalize, "normal form of a raw description",
+             "a form, or - for stdin")):
+        p = sub.add_parser(name, help=verb_help)
+        p.add_argument("form", help=form_help)
+        common(p, fn)
 
     p = sub.add_parser("threshold", help="exact L-space region in the third slope slot")
     p.add_argument("b", type=int)
     p.add_argument("r1")
     p.add_argument("r2")
-    common(p)
-    p.set_defaults(fn=cmd_threshold)
+    common(p, cmd_threshold)
 
     p = sub.add_parser("twist-scan", help="classify a twist family from raw seiferter data")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--r1", required=True)
-    p.add_argument("--r2", required=True)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--alpha3", type=int, required=True)
-    p.add_argument("--beta3", type=int, required=True)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--l", type=int, default=0)
+    for name, type_, default in _SEIFERTER_OPTIONS:
+        p.add_argument(f"--{name}", type=type_, default=default, required=default is None)
     p.add_argument("--window", type=_window, default=(-50, 50), metavar="a..b",
                    help="twist window, e.g. --window=-50..50")
-    common(p)
-    p.set_defaults(fn=cmd_twist_scan)
+    common(p, cmd_twist_scan)
 
     p = sub.add_parser("family", help="catalog families")
     psub = p.add_subparsers(dest="action", required=True)
-    pl = psub.add_parser("list")
-    common(pl)
-    pl.set_defaults(fn=cmd_family, action="list")
+    common(psub.add_parser("list"), cmd_family, action="list")
     pr = psub.add_parser("run")
     pr.add_argument("name", help="catalog name, a family kind that takes no parameters "
                                  "such as tunnel2-a, or a family kind when --params is given")
@@ -244,13 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
                          "kind such as p+q, unknot, spor-a, berge-vii, em-rp2")
     pr.add_argument("--window", type=_window, default=(-50, 50), metavar="a..b",
                     help="twist window, e.g. --window=-50..50")
-    common(pr)
-    pr.set_defaults(fn=cmd_family, action="run")
+    common(pr, cmd_family, action="run")
 
     p = sub.add_parser("reproduce", help="replay the embedded example corpus")
     p.add_argument("--only", default=None, help="run a single case by name")
-    common(p)
-    p.set_defaults(fn=cmd_reproduce)
+    common(p, cmd_reproduce)
 
     return ap
 

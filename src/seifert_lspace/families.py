@@ -365,7 +365,8 @@ def catalog() -> tuple[FamilySpec, ...]:
 def find_family(name: str) -> FamilySpec:
     """The catalog family of this name, or of which it is the one
     substring, or the family of a kind that takes no parameters, named in
-    any case."""
+    any case.  A ``ValueError`` names the catalog families of a name that
+    is a substring of several; a ``KeyError`` means no family."""
     specs = catalog()
     for s in specs:
         if s.name == name:
@@ -376,6 +377,8 @@ def find_family(name: str) -> FamilySpec:
     builder = _KINDS.get(name.lower())
     if builder is not None and not _parameters(builder):
         return builder()
+    if matches:
+        raise ValueError(f"ambiguous family {name!r}: {', '.join(s.name for s in matches)}")
     raise KeyError(name)
 
 

@@ -401,9 +401,13 @@ class TestRegressionContract:
         # a kind that takes no parameters, in any case
         for name in ("tunnel2-a", "TUNNEL2-A", "Tunnel2-b"):
             assert find_family(name) == find_family("tunnel2-" + name[-1].upper())
-        with pytest.raises(KeyError):
+        # a substring of several catalog names is ambiguous, and the error
+        # names them all
+        with pytest.raises(ValueError, match=r"^ambiguous family 'tunnel2': tunnel2-A, "
+                                             r"tunnel2-B$"):
             find_family("tunnel2")
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=r"'unknot': unknot\[m=0,p=3\], "
+                                             r"unknot\[m=-1,p=3\], unknot\[m=-3,p=5\]$"):
             find_family("unknot")
         with pytest.raises(KeyError):
             find_family("no-such-family")

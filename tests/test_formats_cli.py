@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from seifert_lspace import INF, Base, SeifertForm, formats, normalize
 from seifert_lspace.cli import MAX_WINDOW, _window, build_parser, main
-from seifert_lspace.corpus import CASES, Case, Check, run_corpus
+from seifert_lspace.corpus import CASES, Case, run_corpus
 from seifert_lspace.families import catalog, family_kinds
 from seifert_lspace.formats import ParseError, dumps, form_json, parse_form, rational_json
 from seifert_lspace.lspace import decide
@@ -1109,6 +1109,33 @@ class TestCliOtherVerbs:
             got = capsys.readouterr()
             assert (got.out, got.err) == ("", "error: parameter 'p' given twice\n"), params
 
+    def test_family_run_names_a_parameter_that_is_not_an_integer(self, capsys):
+        for params, value in (("p=x,q=2", "'x'"), ("p=1.5,q=2", "'1.5'"), ("p=,q=2", "''")):
+            for mode in ((), ("--json",)):
+                assert main(["family", "run", "p+q", "--params", params, *mode]) == 2
+                got = capsys.readouterr()
+                assert (got.out, got.err) == (
+                    "", f"error: parameter 'p' must be an integer, not {value}\n"), params
+        # what int() reads stays a value: underscores, spaces, other scripts' digits
+        for params in ("p=1_0,q=3", "p= 3,q=2", "p=٣,q=2"):
+            assert main(["family", "run", "p+q", "--params", params, "--window=0..1"]) == 0
+            assert capsys.readouterr().err == "", params
+
+    def test_family_run_names_the_families_an_ambiguous_name_matches(self, capsys):
+        assert main(["family", "run", "berge"]) == 2
+        got = capsys.readouterr()
+        assert (got.out, got.err) == ("", "error: ambiguous family 'berge': berge-spor-a[p=2], "
+                                          "berge-spor-b[p=1], berge-spor-c[p=1], "
+                                          "berge-spor-d[p=1], berge-VII[a=2,b=3], "
+                                          "berge-VIII[a=-2,b=5]\n")
+        assert main(["family", "run", "tunnel2", "--json"]) == 2
+        assert capsys.readouterr().err == \
+            "error: ambiguous family 'tunnel2': tunnel2-A, tunnel2-B\n"
+        # one match, and a kind that takes no parameters, still run
+        for name in ("spor-d", "tunnel2-b"):
+            assert main(["family", "run", name, "--window=0..1"]) == 0, name
+            capsys.readouterr()
+
     def test_family_run_with_30_digit_params(self, capsys):
         # the base form is solved for, not searched for among p*q pairs
         p = 10 ** 29
@@ -1270,24 +1297,35 @@ class TestReproduce:
         wrong value of either at one n fails both families at that n."""
         from seifert_lspace import corpus
         from seifert_lspace.twist import FamilyReport
-        assert [c.got for c in corpus._case_tunnel2()] == [[], []]
+        assert [got for _, got, _ in corpus._case_tunnel2()] == [[], []]
         space, lspace_at = corpus.surgered_space, FamilyReport.lspace_at
         # the form of member 38 has |H1| = |m_38|, not |m_37|
         monkeypatch.setattr(corpus, "surgered_space",
                             lambda d, n: space(d, n + (n == 37)))
-        assert [c.got for c in corpus._case_tunnel2()] == [[37], [37]]
+        assert [got for _, got, _ in corpus._case_tunnel2()] == [[37], [37]]
         monkeypatch.undo()
         monkeypatch.setattr(FamilyReport, "lspace_at",
                             lambda report, n: lspace_at(report, n) != (n == -12))
-        assert [c.got for c in corpus._case_tunnel2()] == [[-12], [-12]]
+        assert [got for _, got, _ in corpus._case_tunnel2()] == [[-12], [-12]]
 
     def test_perturbed_expectation_fails_naming_case(self, capsys):
         bad = Case("broken-case", "a deliberately wrong expectation",
-                   lambda: [Check("always wrong", False, got=1, want=2)])
+                   lambda: [("always wrong", 1, 2)])
         lines = []
         passed, failed, names = run_corpus(cases=CASES[:2] + (bad,), emit=lines.append)
         assert failed == 1 and names == ["broken-case"]
         assert any("FAIL broken-case" in ln for ln in lines)
+        assert "     always wrong: got 1, want 2" in lines
+
+    def test_every_case_yields_passing_triples(self):
+        assert len({case.name for case in CASES}) == len(CASES)
+        for case in CASES:
+            checks = list(case.run())
+            assert checks, case.name
+            for check in checks:
+                assert type(check) is tuple and len(check) == 3, (case.name, check)
+                label, got, want = check
+                assert isinstance(label, str) and got == want, (case.name, check)
 
 
 def _pinned_argvs():
@@ -1376,7 +1414,7 @@ def _verb_argvs():
 
 # sha256 of _verb_argvs' exit codes, stdout with elapsed_ms blanked, and
 # stderr; a change that alters CLI output on purpose updates it
-VERB_OUTPUT_SHA256 = "e320b6a57ef7d18e2da2dc139ec656b9420d05213862afb454eca2d279bb1303"
+VERB_OUTPUT_SHA256 = "bd767e606222ba969a4aa133aade346c1259a88221297dd168ce62f613e1b92d"
 
 
 class TestPinnedVerbOutput:
@@ -1388,6 +1426,105 @@ class TestPinnedVerbOutput:
             out = re.sub(r'"elapsed_ms": [^,\n]*', '"elapsed_ms": 0', got.out)
             h.update(f"{' '.join(argv)}\n{rc}\n{out}\n{got.err}".encode())
         assert h.hexdigest() == VERB_OUTPUT_SHA256
+
+
+def _parser_rows(parser, path=()):
+    """Each parser's defaults, a verb by name, and (option strings, dest,
+    type, default, required, help, metavar) of each of its arguments, for
+    the parser and every subparser under it, keyed by the verbs' path."""
+    rows = [(path, {k: getattr(v, "__name__", v) for k, v in parser._defaults.items()})]
+    for a in parser._actions:
+        rows.append((path, tuple(a.option_strings), a.dest, getattr(a.type, "__name__", a.type),
+                     a.default, a.required, a.help, a.metavar))
+        if isinstance(a, argparse._SubParsersAction):
+            for name, sub in a.choices.items():
+                rows += _parser_rows(sub, path + (name,))
+    return rows
+
+
+_HELP = (("-h", "--help"), "help", None, "==SUPPRESS==", False,
+         "show this help message and exit", None)
+_JSON = (("--json",), "json", None, False, False, "machine-readable output", None)
+_FLOAT = (("--float",), "float", None, False, False,
+          "with --json, attach decimal approximations (display only); text output is unchanged",
+          None)
+_WINDOW = (("--window",), "window", "_window", (-50, 50), False,
+           "twist window, e.g. --window=-50..50", "a..b")
+_FORM_HELP = "a form, or - for stdin"
+
+# every argument of every parser, as the parser declared them before its
+# verbs were wired by one call each; the option names, types and defaults
+# are the CLI's interface, so this list changes only on purpose
+PARSER_ROWS = [
+    ((), {}),
+    ((), *_HELP),
+    ((), (), "command", None, None, True, None, None),
+    (("decide",), {"fn": "cmd_decide"}),
+    (("decide",), *_HELP),
+    (("decide",), (), "form", None, None, True,
+     'e.g. "SFS[S2; -2; 2/3, 2/3, 2/3]", or - for stdin', None),
+    (("decide",), *_JSON),
+    (("decide",), *_FLOAT),
+    (("h1",), {"fn": "cmd_h1"}),
+    (("h1",), *_HELP),
+    (("h1",), (), "form", None, None, True, _FORM_HELP, None),
+    (("h1",), *_JSON),
+    (("h1",), *_FLOAT),
+    (("normalize",), {"fn": "cmd_normalize"}),
+    (("normalize",), *_HELP),
+    (("normalize",), (), "form", None, None, True, _FORM_HELP, None),
+    (("normalize",), *_JSON),
+    (("normalize",), *_FLOAT),
+    (("threshold",), {"fn": "cmd_threshold"}),
+    (("threshold",), *_HELP),
+    (("threshold",), (), "b", "int", None, True, None, None),
+    (("threshold",), (), "r1", None, None, True, None, None),
+    (("threshold",), (), "r2", None, None, True, None, None),
+    (("threshold",), *_JSON),
+    (("threshold",), *_FLOAT),
+    (("twist-scan",), {"fn": "cmd_twist_scan"}),
+    (("twist-scan",), *_HELP),
+    (("twist-scan",), ("--b",), "b", "int", None, True, None, None),
+    (("twist-scan",), ("--r1",), "r1", None, None, True, None, None),
+    (("twist-scan",), ("--r2",), "r2", None, None, True, None, None),
+    (("twist-scan",), ("--alpha",), "alpha", "int", None, True, None, None),
+    (("twist-scan",), ("--beta",), "beta", "int", None, True, None, None),
+    (("twist-scan",), ("--alpha3",), "alpha3", "int", None, True, None, None),
+    (("twist-scan",), ("--beta3",), "beta3", "int", None, True, None, None),
+    (("twist-scan",), ("--m",), "m", "int", 0, False, None, None),
+    (("twist-scan",), ("--l",), "l", "int", 0, False, None, None),
+    (("twist-scan",), *_WINDOW),
+    (("twist-scan",), *_JSON),
+    (("twist-scan",), *_FLOAT),
+    (("family",), {}),
+    (("family",), *_HELP),
+    (("family",), (), "action", None, None, True, None, None),
+    (("family", "list"), {"fn": "cmd_family", "action": "list"}),
+    (("family", "list"), *_HELP),
+    (("family", "list"), *_JSON),
+    (("family", "list"), *_FLOAT),
+    (("family", "run"), {"fn": "cmd_family", "action": "run"}),
+    (("family", "run"), *_HELP),
+    (("family", "run"), (), "name", None, None, True,
+     "catalog name, a family kind that takes no parameters such as tunnel2-a, "
+     "or a family kind when --params is given", None),
+    (("family", "run"), ("--params",), "params", None, None, False,
+     "named integer parameters; the name is then a family kind such as p+q, unknot, "
+     "spor-a, berge-vii, em-rp2", "p=2,q=3"),
+    (("family", "run"), *_WINDOW),
+    (("family", "run"), *_JSON),
+    (("family", "run"), *_FLOAT),
+    (("reproduce",), {"fn": "cmd_reproduce"}),
+    (("reproduce",), *_HELP),
+    (("reproduce",), ("--only",), "only", None, None, False, "run a single case by name", None),
+    (("reproduce",), *_JSON),
+    (("reproduce",), *_FLOAT),
+]
+
+
+class TestParser:
+    def test_every_argument_is_pinned(self):
+        assert _parser_rows(build_parser()) == PARSER_ROWS
 
 
 class TestFormFromStdin:
