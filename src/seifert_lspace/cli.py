@@ -6,23 +6,21 @@ is the one output path, which times the verb and prints its text lines or
 its JSON envelope, building only the one it prints.  All numeric output is
 exact; --float adds decimal approximations to the JSON for human reading
 only.  Exit codes: decide uses 0 for an L-space, 1 for not an L-space, 2
-for parse or range errors; reproduce exits 1 if any case fails.
+for parse or range errors; reproduce exits 1 if any case fails.  The
+parser builder imports ``argparse``, and each verb, when it runs, the
+modules past ``lspace`` that it uses (``import seifert_lspace.formats as
+formats``: the import statement a repeated ``main`` call pays least for).
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 import time
 
-from . import families as fam
-from .formats import (ParseError, classification_json, dump, form_json, parse_form,
-                      report_json, report_lines, threshold_json, verdict_json)
 from .lspace import decide, third_slot_threshold
 from .rationals import INF, int_text, pair_text, parse_rational
 from .seifert import classify
-from .twist import SeiferterData, classify_family
 
 
 # indices a window may hold; each one is written, but only a piece's first
@@ -39,12 +37,15 @@ _SEIFERTER_OPTIONS = (("b", int, None), ("r1", None, None), ("r2", None, None),
 def _window(text: str):
     """(lo, hi) from "lo..hi"; an ``ArgumentTypeError``, whose text argparse
     prints, names what is wrong with any other text."""
+    import argparse
     lo, sep, hi = text.partition("..")
     if not sep:
         raise argparse.ArgumentTypeError("window must look like a..b")
     try:
         lo, hi = int(lo), int(hi)
-    except ValueError:
+    except ValueError as e:
+        if str(e).startswith("Exceeds the limit"):  # more digits than int() reads
+            raise argparse.ArgumentTypeError("window end too long") from None
         raise argparse.ArgumentTypeError("window ends must be integers") from None
     if lo > hi:
         raise argparse.ArgumentTypeError("empty window")
@@ -54,7 +55,8 @@ def _window(text: str):
 
 
 def cmd_decide(args):
-    form = parse_form(args.form)
+    import seifert_lspace.formats as formats
+    form = formats.parse_form(args.form)
     c = classify(form)
     v = decide(form)
 
@@ -71,13 +73,15 @@ def cmd_decide(args):
         return out
 
     return ({"form": args.form},
-            lambda: {"form": form_json(form), "classification": classification_json(c),
-                     "verdict": verdict_json(v)},
+            lambda: {"form": formats.form_json(form),
+                     "classification": formats.classification_json(c),
+                     "verdict": formats.verdict_json(v)},
             lines, 0 if v.is_lspace else 1)
 
 
 def cmd_h1(args):
-    form = parse_form(args.form)
+    import seifert_lspace.formats as formats
+    form = formats.parse_form(args.form)
     c = classify(form)
     if c.h1 is None:
         text = "n/a (projective base)"
@@ -86,37 +90,45 @@ def cmd_h1(args):
     else:
         text = int_text(c.h1)
     return ({"form": args.form},
-            lambda: {"form": form_json(form), "classification": classification_json(c)},
+            lambda: {"form": formats.form_json(form),
+                     "classification": formats.classification_json(c)},
             lambda: [f"input: {form!r}", f"|H1| = {text}"], 0)
 
 
 def cmd_normalize(args):
-    form = parse_form(args.form)
-    return {"form": args.form}, lambda: {"form": form_json(form)}, lambda: [repr(form)], 0
+    import seifert_lspace.formats as formats
+    form = formats.parse_form(args.form)
+    return ({"form": args.form}, lambda: {"form": formats.form_json(form)},
+            lambda: [repr(form)], 0)
 
 
 def cmd_threshold(args):
+    import seifert_lspace.formats as formats
     t = third_slot_threshold(args.b, parse_rational(args.r1), parse_rational(args.r2))
     if t.cut is None:
         desc = "every r in (0,1) gives an L-space"
     else:
         side = (">" if t.b == -1 else "<") + ("=" if t.attained else "")
         desc = f"L-space exactly for r {side} {pair_text(*t.cut)}"
-    return ({"b": args.b, "r1": args.r1, "r2": args.r2}, lambda: {"threshold": threshold_json(t)},
+    return ({"b": args.b, "r1": args.r1, "r2": args.r2},
+            lambda: {"threshold": formats.threshold_json(t)},
             lambda: [f"S2({args.b}; {args.r1}, {args.r2}, r) for r in (0,1): {desc}"], 0)
 
 
 def cmd_twist_scan(args):
+    import seifert_lspace.formats as formats
+    import seifert_lspace.twist as twist
     inputs = {name: getattr(args, name) for name, _, _ in _SEIFERTER_OPTIONS}
-    data = SeiferterData(**(inputs | {"r1": parse_rational(args.r1),
-                                      "r2": parse_rational(args.r2)}))
-    report = classify_family(data)
+    data = twist.SeiferterData(**(inputs | {"r1": parse_rational(args.r1),
+                                            "r2": parse_rational(args.r2)}))
+    report = twist.classify_family(data)
     inputs["window"] = list(args.window)
-    return (inputs, lambda: {"report": report_json(report, args.window)},
-            lambda: report_lines(report, args.window), 0)
+    return (inputs, lambda: {"report": formats.report_json(report, args.window)},
+            lambda: formats.report_lines(report, args.window), 0)
 
 
 def cmd_family(args):
+    import seifert_lspace.families as fam
     if args.action == "list":
         specs = fam.catalog()
 
@@ -156,14 +168,16 @@ def cmd_family(args):
             spec = fam.find_family(args.name)
     except KeyError:
         raise ValueError(f"unknown family {args.name!r}; try 'family list'") from None
+    import seifert_lspace.formats as formats
+    import seifert_lspace.twist as twist
     # the reports that check the guarantee are the ones shown
-    reports = [classify_family(m) for m in spec.members]
+    reports = [twist.classify_family(m) for m in spec.members]
     ok, problems = fam.check_reports(spec, reports)
 
     def outputs():
         return {"name": spec.name, "guarantee": repr(spec.guarantee),
                 "guarantee_confirmed": ok, "problems": problems,
-                "reports": [report_json(r, args.window) for r in reports]}
+                "reports": [formats.report_json(r, args.window) for r in reports]}
 
     def lines():
         yield f"family {spec.name}: {spec.description}"
@@ -171,17 +185,16 @@ def cmd_family(args):
         for member, report in zip(spec.members, reports):
             if member.label:
                 yield f"member {member.label}:"
-            yield from report_lines(report, args.window)
+            yield from formats.report_lines(report, args.window)
 
     return inputs, outputs, lines, 0 if ok else 1
 
 
 def cmd_reproduce(args):
-    # imported here so that the other verbs start without the corpus
-    from .corpus import run_corpus
+    import seifert_lspace.corpus as corpus
     log = []
     try:
-        passed, failed, names = run_corpus(args.only, emit=log.append)
+        passed, failed, names = corpus.run_corpus(args.only, emit=log.append)
     except KeyError:
         raise ValueError(f"no corpus case matching {args.only!r}") from None
     return ({"only": args.only},
@@ -193,6 +206,7 @@ def cmd_reproduce(args):
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it:
     parsing leaves it unchanged, so every ``main`` call can reuse it."""
+    import argparse
     ap = argparse.ArgumentParser(
         prog="seifert-lspace",
         description="Exact L-space decisions for small Seifert fibered spaces "
@@ -275,14 +289,17 @@ def main(argv=None) -> int:
             args.form = sys.stdin.read()
         inputs, outputs, lines, code = args.fn(args)
         if args.json:
-            dump({"command": args.command, "inputs": inputs, "outputs": outputs(),
-                  "elapsed_ms": lambda: round((time.perf_counter() - t0) * 1000, 3)},
-                 sys.stdout, approx=args.float)
+            import seifert_lspace.formats as formats
+            formats.dump({"command": args.command, "inputs": inputs, "outputs": outputs(),
+                          "elapsed_ms": lambda: round((time.perf_counter() - t0) * 1000, 3)},
+                         sys.stdout, approx=args.float)
         else:
             for line in lines():
                 print(line)
     except (ValueError, ZeroDivisionError) as e:
-        print(f"error: {e.annotate() if isinstance(e, ParseError) else e}", file=sys.stderr)
+        import seifert_lspace.formats as formats
+        print(f"error: {e.annotate() if isinstance(e, formats.ParseError) else e}",
+              file=sys.stderr)
         return 2
     return code
 

@@ -17,11 +17,11 @@ kind's named integer parameters.  ``build_family``, ``find_family``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
 from math import gcd
+from typing import NamedTuple
 
 from .rationals import int_text
 from .seifert import normalize
@@ -35,8 +35,7 @@ class GuaranteeKind(Enum):
     ALL_N_EXCEPT = "AllNExcept"
 
 
-@dataclass(frozen=True)
-class Guarantee:
+class Guarantee(NamedTuple):
     kind: GuaranteeKind
     bound: int | None = None
     exceptions: tuple[int, ...] = ()
@@ -55,8 +54,7 @@ ALL_N = Guarantee(GuaranteeKind.ALL_N)
 _N_GE_MINUS_1 = Guarantee(GuaranteeKind.N_GE, -1)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     name: str
     description: str
     params: tuple[tuple[str, int], ...]
@@ -211,8 +209,7 @@ def _sporadic(kind: str, p: int, least: int, P: int, Q: int, l: int,
                                      f"Berge knot at n={-1 if mirrored else 1}")
 
 
-@dataclass(frozen=True)
-class TorusKnotDegenerate:
+class TorusKnotDegenerate(NamedTuple):
     """Parameter combinations where the twisted knot is just a torus knot."""
     a: int
     b: int

@@ -7,7 +7,9 @@ to the normal-form core in ``seifert`` as reduced (num, den) integer pairs;
 only a text it cannot read is walked token by token, to find the message and
 position of its ``ParseError``.  All JSON numbers are exact integer pairs
 {"num": ..., "den": ...}.  A report's ``"points"`` are its singles'
-``PointVerdict``s and the ``twist.Piece``s between them.  ``dumps`` is the
+``PointVerdict``s and the ``twist.Piece``s between them, each of which
+gives its piece by ``as_piece``: the writers tell them from a report's runs
+by that method, so this module does not import ``twist``.  ``dumps`` is the
 one JSON writer (``dump`` writes its texts to a file as it goes), and
 ``report_lines`` the one text writer.  Both write a piece a chunk of members
 at a time from ``Piece.columns``, a single as a piece of one member: a
@@ -32,7 +34,6 @@ from .rationals import INF, format_rational, int_text, is_finite, pair_text
 from .seifert import (_RP2, Base, Classification, SeifertForm, _new_tuple, _normal_form,
                       _trusted_form)
 from .lspace import _INFINITE, FoliationWitness, LSpaceVerdict, Reason, ThirdSlotThreshold
-from .twist import FamilyReport, Piece, PointVerdict, Run
 
 
 class ParseError(ValueError):
@@ -166,8 +167,9 @@ def dumps(o, approx: bool = False, _pad: str = "\n") -> str:
     """The bytes of ``json.dumps(o, indent=2)`` for dicts with str keys,
     lists, str, int, bool, None and float, where a container's members may
     also be ``PointVerdict``s, each written as its JSON object, a list's
-    members ``Piece``s, each written as its members' objects, and any value
-    a callable, written as the value it returns when the writer reaches it.
+    members ``Piece``s, each written as its members' objects (any member
+    whose type has ``as_piece`` is written as that piece), and any value a
+    callable, written as the value it returns when the writer reaches it.
     With ``approx``, each dict that is a {"num", "den"} pair with den != 0
     and a value a float holds gains a last member "approx", the float
     nearest num/den.
@@ -249,12 +251,11 @@ def _write(o, approx: bool, pad: str, out: list) -> None:
                 v = "true" if v else "false"
             elif v is None:
                 v = "null"
-            elif tv is Piece or tv is PointVerdict:
-                _write_piece(v if tv is Piece else _new_tuple(Piece, (None, v.n, v.n, v, None)),
-                             inner, approx, out)
+            elif tv is dict or tv is list or (as_piece := getattr(v, "as_piece", None)) is None:
+                _write(v, approx, inner, out)
                 continue
             else:
-                _write(v, approx, inner, out)
+                _write_piece(as_piece(), inner, approx, out)
                 continue
             out.append(v)
         for v in extra:
@@ -559,10 +560,10 @@ def report_json(r: FamilyReport, window):
     ``Piece``s between them, which ``dumps`` writes a chunk of members at a
     time."""
     rows = list(r.pieces(*window))
-    runs = [row for row in rows if type(row) is Run]
+    runs = [row for row in rows if not hasattr(row, "as_piece")]
     return {
         "window": list(window),
-        "points": [p for p in rows if type(p) is not Run],
+        "points": [p for p in rows if hasattr(p, "as_piece")],
         "segments": [segment_json(s) for s in runs[1:-1]],
         "tail_pos": tail_json(runs[-1], r.limit_slope),
         "tail_neg": tail_json(runs[0], r.limit_slope),
@@ -580,11 +581,9 @@ def report_lines(r: FamilyReport, window):
     lo, hi = window
     tails = []
     for row in r.pieces(lo, hi):
-        if type(row) is Piece:
-            yield from _piece_lines(row, "")
-        elif type(row) is not Run:
-            yield from _piece_lines(Piece(None, row.n, row.n, row, None),
-                                    "" if lo <= row.n <= hi else " (gap exception)")
+        if hasattr(row, "as_piece"):
+            piece = row.as_piece()
+            yield from _piece_lines(piece, "" if lo <= piece.lo <= hi else " (gap exception)")
         elif row.from_n is None or row.to_n is None:
             tails.append(row)
         else:

@@ -59,7 +59,38 @@ class DegenerateEuler(ValueError):
     """|H_1| requested for a degenerate or projective-base form."""
 
 
-class SeifertForm:
+class _Frozen:
+    """A record whose fields, named by ``_fields`` in the constructor's
+    order, are set once by its constructor and can be neither assigned nor
+    deleted after it; equality, hash, pickling and repr go by the fields'
+    values, ``_key()``, as a frozen dataclass's do."""
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        # the default would restore the fields through __setattr__
+        return self.__class__, self._key()
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={value!r}" for name, value in zip(self._fields, self._key())])
+        return f"{self.__class__.__name__}({fields})"
+
+
+class SeifertForm(_Frozen):
     """S2(b; pairs, inf * degenerate), or the bare projective-base marker."""
     __slots__ = __match_args__ = ("base", "b", "pairs", "degenerate")
 
@@ -78,24 +109,8 @@ class SeifertForm:
             raise ValueError("negative degenerate fiber count")
         return _trusted_form(b, pairs, degenerate, base)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
     def _key(self) -> tuple:
         return self.base, self.b, self.pairs, self.degenerate
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __reduce__(self):
-        # the default would restore the slots through __setattr__
-        return self.__class__, self._key()
 
     @property
     def slopes(self) -> tuple[Fraction, ...]:

@@ -49,7 +49,6 @@ sum, and every other member is S2(b + beta; r1, r2, 1/n).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -57,49 +56,41 @@ from operator import sub
 from typing import NamedTuple
 
 from .rationals import INF
-from .seifert import (_SMALL, Base, SeifertForm, Tag, _new_tuple, _trusted_form, classify,
-                      mirror)
+from .seifert import (_SMALL, Base, SeifertForm, Tag, _Frozen, _new_tuple, _trusted_form,
+                      classify, mirror)
 from .lspace import (LSpaceVerdict, ThirdSlotThreshold, _decide_classified, _decide_small,
                      _witness_from_pairs, decide, search_bound, third_slot_threshold)
 
 
-@dataclass(frozen=True)
-class SeiferterData:
+class SeiferterData(_Frozen):
     """A seiferter presented by its change-of-basis matrix and base invariants.
 
     ``b, r1, r2`` describe the fixed part of the fibration (both slopes in
     (0,1)); ``alpha, beta, alpha3, beta3`` the meridian/longitude data of the
     seiferter; ``m`` the surgery slope before twisting and ``l`` the linking
-    number with the knot.
+    number with the knot.  ``fixed`` is r1 and r2 as reduced pairs, sorted,
+    set once by the constructor; it takes no part in equality or the repr.
     """
-    b: int
-    r1: Fraction
-    r2: Fraction
-    alpha: int
-    beta: int
-    alpha3: int
-    beta3: int
-    m: int = 0
-    l: int = 0
-    # r1 and r2 as reduced pairs, sorted; set once, by __post_init__, as a
-    # field and not a cached property, whose write makes CPython keep the
-    # instance's attributes in a dict, which every later field read pays for
-    fixed: tuple = field(init=False, repr=False, compare=False)
+    _fields = __match_args__ = ("b", "r1", "r2", "alpha", "beta", "alpha3", "beta3", "m", "l")
+    __slots__ = (*_fields, "fixed")
 
-    def __post_init__(self):
-        if not (isinstance(self.r1, Fraction) and isinstance(self.r2, Fraction)):
+    def __init__(self, b: int, r1: Fraction, r2: Fraction, alpha: int, beta: int, alpha3: int,
+                 beta3: int, m: int = 0, l: int = 0):
+        if not (isinstance(r1, Fraction) and isinstance(r2, Fraction)):
             raise ValueError("fixed slopes must be Fractions")
-        if not (0 < self.r1 < 1 and 0 < self.r2 < 1):
+        if not (0 < r1 < 1 and 0 < r2 < 1):
             raise ValueError("fixed slopes must lie in (0,1)")
-        if self.alpha * self.beta3 - self.beta * self.alpha3 != 1:
+        if alpha * beta3 - beta * alpha3 != 1:
             raise ValueError("seiferter matrix must have determinant one")
-        if not (self.alpha3 > 0 or (self.alpha3, self.beta3) == (0, 1)):
+        if not (alpha3 > 0 or (alpha3, beta3) == (0, 1)):
             raise ValueError("alpha3 must be positive, or (alpha3, beta3) = (0, 1) "
                              "for a degenerate fiber")
-        if self.l < 0:
+        if l < 0:
             raise ValueError("linking number is recorded as a nonnegative integer")
-        pairs = (self.r1.numerator, self.r1.denominator), (self.r2.numerator, self.r2.denominator)
-        object.__setattr__(self, "fixed", pairs if self.r1 <= self.r2 else pairs[::-1])
+        pairs = (r1.numerator, r1.denominator), (r2.numerator, r2.denominator)
+        for name, value in zip(self.__slots__, (b, r1, r2, alpha, beta, alpha3, beta3, m, l,
+                                                pairs if r1 <= r2 else pairs[::-1])):
+            object.__setattr__(self, name, value)
 
     @property
     def limit_slope(self):
@@ -148,25 +139,23 @@ def h1_consistency(d: SeiferterData, n: int) -> bool:
     return (0 if h is INF else h) == abs(surgery_slope(d, n))
 
 
-@dataclass(frozen=True)
-class FamilyMember:
+class FamilyMember(_Frozen):
     """One evaluation rule for a twist family.
 
     ``offset`` shifts the twist index (the family's n corresponds to data
     index n + offset); ``mirrored`` evaluates the mirror image (the family's
     n-th member is the mirror of the data's (-n-offset)-th member, with the
     surgery slope negated).  ``rp2`` marks the constant projective-base
-    families, which carry no per-member slope arithmetic.
+    families, which carry no per-member slope arithmetic.  The fields are
+    kept in the instance's dict, beside ``frame`` once it is read.
     """
-    data: SeiferterData | None = None
-    mirrored: bool = False
-    offset: int = 0
-    rp2: bool = False
-    label: str = ""
+    _fields = __match_args__ = ("data", "mirrored", "offset", "rp2", "label")
 
-    def __post_init__(self):
-        if not self.rp2 and self.data is None:
+    def __init__(self, data: SeiferterData | None = None, mirrored: bool = False,
+                 offset: int = 0, rp2: bool = False, label: str = ""):
+        if not rp2 and data is None:
             raise ValueError("a member needs seiferter data unless it is rp2")
+        self.__dict__.update(data=data, mirrored=mirrored, offset=offset, rp2=rp2, label=label)
 
     @cached_property
     def frame(self):
@@ -339,6 +328,11 @@ class PointVerdict(NamedTuple):
     tag: Tag
     verdict: LSpaceVerdict
 
+    def as_piece(self) -> Piece:
+        """The piece of this one member, as the writers in ``formats`` take
+        a single."""
+        return _new_tuple(Piece, (None, self.n, self.n, self, None))
+
 
 def _line(start: int, step: int, size: int):
     """The size values start, start + step, ...; None when step is 0, for a
@@ -402,14 +396,18 @@ class Piece(NamedTuple):
                          else _witness_from_pairs(a2, c2, p, d, n), ps, dens)
         return slopes, bs, nums, dens, ws, bounds
 
+    def as_piece(self) -> Piece:
+        """The piece itself: ``formats`` writes whatever has ``as_piece``
+        as that piece's members, without importing this module."""
+        return self
+
 
 def _span(row) -> tuple:
     """(first, last) index of a run or a single, None at an infinite end."""
     return (row.from_n, row.to_n) if isinstance(row, Run) else (row.n, row.n)
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(_Frozen):
     """An exact verdict for every integer n.
 
     ``rows`` partition Z in increasing order: the runs of the walk and, as
@@ -420,8 +418,10 @@ class FamilyReport:
     read: ``limit_slope`` is beta/alpha, before any mirroring, and None for a
     projective-base family; ``limit`` is the |n| -> infinity limit space.
     """
-    member: FamilyMember
-    rows: tuple[Run | PointVerdict, ...]
+    _fields = __match_args__ = ("member", "rows")
+
+    def __init__(self, member: FamilyMember, rows: tuple[Run | PointVerdict, ...]):
+        self.__dict__.update(member=member, rows=rows)
 
     @cached_property
     def limit_slope(self):  # Fraction, INF or None

@@ -307,9 +307,8 @@ class TestRegressionContract:
         # where a window shows its first members; split into single members
         # 335..340 and a tail from 341, its failures read as ranges, not one
         # index at a time
-        from dataclasses import replace
-
-        from seifert_lspace import FamilyMember, FamilySpec, SeiferterData, check_reports
+        from seifert_lspace import (FamilyMember, FamilyReport, FamilySpec, SeiferterData,
+                                    check_reports)
         from seifert_lspace.twist import evaluate_point
         data = SeiferterData(b=-1, r1=F(1, 3), r2=F(1997, 3000),
                              alpha=1, beta=0, alpha3=1, beta3=1)
@@ -327,7 +326,7 @@ class TestRegressionContract:
             else:
                 assert tp.from_n == lo and not tp.is_lspace
                 rows = (tn, *rows, *singles, tp._replace(from_n=hi + 1))
-            return report, replace(report, rows=rows)
+            return report, FamilyReport(report.member, rows)
 
         member = FamilyMember(data=data)
         spec = FamilySpec("eps", "", (), Guarantee(GuaranteeKind.N_GE, 0), (member,))
@@ -411,6 +410,39 @@ class TestRegressionContract:
             find_family("unknot")
         with pytest.raises(KeyError):
             find_family("no-such-family")
+
+
+class TestRecords:
+    """Guarantee, FamilySpec and TorusKnotDegenerate are NamedTuples: the
+    reprs the CLI prints, immutable fields, and equality by value, which as
+    tuples includes plain tuples of the same fields."""
+
+    def test_guarantee_reprs(self, capsys):
+        from seifert_lspace.cli import main
+        assert [repr(g) for g in (ALL_N, N_GE_M1, Guarantee(GuaranteeKind.N_LE, 2),
+                                  Guarantee(GuaranteeKind.ALL_N_EXCEPT, exceptions=(0,)))] == [
+            "L-space for all n", "L-space for n >= -1", "L-space for n <= 2",
+            "L-space for all n except [0]"]
+        assert main(["family", "list"]) == 0
+        out = capsys.readouterr().out
+        assert [line[25:53].rstrip() for line in out.splitlines()] == \
+            [repr(s.guarantee) for s in catalog()]
+        assert main(["family", "run", "unknot[m=0,p=3]", "--window=0..0"]) == 0
+        assert "claimed: L-space for all n except [0]  -> confirmed" in capsys.readouterr().out
+
+    def test_fields_and_equality(self):
+        spec = build_family("berge-vii", a=2, b=3)
+        degenerate = build_family("berge-vii", a=1, b=2)
+        assert degenerate == TorusKnotDegenerate(1, 2) == (1, 2)
+        assert repr(degenerate) == "TorusKnotDegenerate(a=1, b=2)"
+        assert (spec.name, spec.params, spec.guarantee) == \
+            ("berge-VII[a=2,b=3]", (("a", 2), ("b", 3)), Guarantee(GuaranteeKind.N_LE, 2))
+        assert repr(spec).startswith("FamilySpec(name='berge-VII[a=2,b=3]', description=")
+        assert spec == build_family("berge-vii", a=2, b=3) and hash(spec) == hash(tuple(spec))
+        assert ALL_N == (GuaranteeKind.ALL_N, None, ())
+        for obj, name in ((spec, "members"), (degenerate, "a"), (ALL_N, "kind")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
 
 
 class TestBuildFamily:

@@ -807,7 +807,10 @@ class TestCliOtherVerbs:
     @pytest.mark.parametrize("window, reason", [
         ("5..1", "empty window"),
         ("5", "window must look like a..b"),
-        ("a..b", "window ends must be integers")])
+        ("a..b", "window ends must be integers"),
+        # an end past int()'s 4300-digit limit is an integer too long to read
+        pytest.param("0.." + "1" * 4400, "window end too long", id="4400-digit-hi"),
+        pytest.param("-" + "1" * 4301 + "..0", "window end too long", id="4301-digit-lo")])
     def test_bad_window_names_its_reason(self, window, reason, capsys):
         with pytest.raises(SystemExit) as err:
             main(["family", "run", "tunnel2-A", f"--window={window}"])
@@ -865,17 +868,18 @@ class TestCliOtherVerbs:
             assert set(range(-5, 6)) <= set(calls)
 
     def test_json_builds_no_text_lines(self, capsys, monkeypatch):
-        from seifert_lspace import cli, find_family
+        from seifert_lspace import find_family
         spec = find_family("tunnel2-B")
         reports = []
+        report_lines = formats.report_lines
 
         def counting(report, window):
             reports.append(report)
-            return formats.report_lines(report, window)
+            return report_lines(report, window)
 
-        # cli writes a report's text lines through formats.report_lines
-        assert cli.report_lines is formats.report_lines
-        monkeypatch.setattr(cli, "report_lines", counting)
+        # cli writes a report's text lines through formats.report_lines,
+        # which the verb imports when it runs
+        monkeypatch.setattr(formats, "report_lines", counting)
         argv = ["family", "run", "tunnel2-B", "--window=-5..5"]
         assert main(argv + ["--json"]) == 0
         capsys.readouterr()
@@ -886,7 +890,7 @@ class TestCliOtherVerbs:
         member_lines = [line for line in out
                         if not line.startswith(("family ", "claimed: ", "member "))]
         assert member_lines == [line for r in reports
-                                for text in formats.report_lines(r, (-5, 5))
+                                for text in report_lines(r, (-5, 5))
                                 for line in text.split("\n")]
 
     def test_text_builds_no_json(self, capsys, monkeypatch):

@@ -96,6 +96,96 @@ class TestSeiferterData:
                                   alpha3=5, beta3=4, m=71, l=14)
 
 
+class TestRecords:
+    """SeiferterData, FamilyMember and FamilyReport are small classes over
+    ``seifert._Frozen``: the validation messages, repr, equality, hash and
+    immutability they had as frozen dataclasses, and the cached fields
+    worked out at most once, on first read."""
+
+    ARGS = dict(b=-1, r1=F(1, 2), r2=F(5, 7), alpha=14, beta=11, alpha3=5, beta3=4, m=71, l=14)
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(r1=0.5), "fixed slopes must be Fractions"),
+        (dict(r2=F(7, 5)), "fixed slopes must lie in (0,1)"),
+        (dict(beta3=5), "seiferter matrix must have determinant one"),
+        (dict(alpha=1, beta=0, alpha3=-1, beta3=1), "alpha3 must be positive, or "
+         "(alpha3, beta3) = (0, 1) for a degenerate fiber"),
+        (dict(l=-14), "linking number is recorded as a nonnegative integer")])
+    def test_data_messages(self, change, message):
+        with pytest.raises(ValueError) as err:
+            SeiferterData(**(self.ARGS | change))
+        assert str(err.value) == message
+
+    def test_member_message(self):
+        for args in ({}, dict(mirrored=True, offset=2, label="x")):
+            with pytest.raises(ValueError) as err:
+                FamilyMember(**args)
+            assert str(err.value) == "a member needs seiferter data unless it is rp2"
+
+    def test_reprs(self):
+        d = SeiferterData(**self.ARGS)
+        data_repr = ("SeiferterData(b=-1, r1=Fraction(1, 2), r2=Fraction(5, 7), alpha=14, "
+                     "beta=11, alpha3=5, beta3=4, m=71, l=14)")
+        assert repr(d) == data_repr
+        m = FamilyMember(d, offset=-1, label="a")
+        member_repr = (f"FamilyMember(data={data_repr}, mirrored=False, offset=-1, rp2=False, "
+                       "label='a')")
+        assert repr(m) == member_repr
+        assert repr(FamilyMember(rp2=True)) == \
+            "FamilyMember(data=None, mirrored=False, offset=0, rp2=True, label='')"
+        r = classify_family(m)
+        assert repr(r) == f"FamilyReport(member={member_repr}, rows={r.rows!r})"
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        d = SeiferterData(**self.ARGS)
+        m = FamilyMember(d)
+        r = classify_family(m)
+        r.limit
+        for obj, names in ((d, [*self.ARGS, "fixed"]), (m, ["data", "offset", "frame"]),
+                           (r, ["member", "rows", "limit", "limit_verdict"])):
+            before = repr(obj)
+            for name in names + ["other"]:
+                with pytest.raises(AttributeError, match=f"^cannot assign to field {name!r}$"):
+                    setattr(obj, name, 1)
+                with pytest.raises(AttributeError, match=f"^cannot delete field {name!r}$"):
+                    delattr(obj, name)
+            assert repr(obj) == before
+        assert not hasattr(d, "__dict__")
+
+    def test_equality_hash_and_copies(self):
+        import copy
+        import pickle
+        d = SeiferterData(**self.ARGS)
+        m = FamilyMember(d, mirrored=True)
+        r = classify_family(m)
+        assert d == SeiferterData(**self.ARGS) != SeiferterData(**(self.ARGS | dict(m=72)))
+        assert hash(d) == hash(tuple(self.ARGS.values()))
+        assert d.fixed == ((1, 2), (5, 7))
+        assert m == FamilyMember(d, mirrored=True) != FamilyMember(d)
+        assert hash(m) == hash((d, True, 0, False, ""))
+        assert r == classify_family(FamilyMember(d, mirrored=True)) != classify_family(d)
+        # a record equals no tuple of its fields, as a dataclass equals none
+        assert d != tuple(self.ARGS.values()) and m != (d, True, 0, False, "")
+        for obj in (d, m, r):
+            for got in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+                assert type(got) is type(obj) and got == obj
+
+    def test_cached_fields_are_worked_out_once_on_first_read(self, monkeypatch):
+        calls = []
+        mirror, limit = twist.mirror, twist.limit_space
+        monkeypatch.setattr(twist, "mirror", lambda f: calls.append("mirror") or mirror(f))
+        monkeypatch.setattr(twist, "limit_space", lambda d: calls.append("limit") or limit(d))
+        m = FamilyMember(SeiferterData(**self.ARGS), mirrored=True)
+        assert "frame" not in vars(m) and calls == []
+        frame = m.frame
+        assert m.frame is frame and calls == ["mirror"]
+        r = classify_family(m)
+        assert calls == ["mirror"] and not {"limit_slope", "limit", "limit_verdict"} & set(vars(r))
+        limit_form = r.limit
+        assert r.limit is limit_form and r.limit_verdict is r.limit_verdict
+        assert calls == ["mirror", "limit", "mirror"]
+
+
 class TestFiberSlope:
     def test_zero_twist(self):
         d = CASE1
