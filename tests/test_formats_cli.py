@@ -13,6 +13,7 @@ import sys
 import time
 import tracemalloc
 from contextlib import contextmanager, redirect_stdout
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from seifert_lspace.rationals import int_text
 from seifert_lspace.seifert import classify
 from seifert_lspace.twist import FamilyMember, PointVerdict, SeiferterData, evaluate_point
 
+import sweep
 from oracles import add_approx, fraction_parse_form, point_json, points, scan_lines
 
 
@@ -596,6 +598,22 @@ json_trees = st.recursive(
     lambda children: (st.lists(children, max_size=4)
                       | st.dictionaries(json_texts, children, max_size=4)),
     max_leaves=12)
+# {"num", "den"} pairs, either key first, with den = 0, negative nums and
+# values past the float range, and dicts with num, den and a third key, in
+# trees of JSON values; every int has under 4,300 digits
+pair_ints = st.integers(-10 ** 30, 10 ** 30) | st.sampled_from(
+    [0, 10 ** 400, -10 ** 400, 10 ** 4000, -10 ** 4000 - 1])
+json_pairs = st.builds(lambda num, den, den_first: ({"den": den, "num": num} if den_first
+                                                    else {"num": num, "den": den}),
+                       pair_ints, pair_ints, st.booleans())
+approx_trees = st.recursive(
+    json_pairs | st.none() | st.booleans() | st.floats() | st.integers() | json_texts,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(json_texts, children, max_size=4)
+                      | st.builds(lambda pair, key, value: {**pair, key: value}, json_pairs,
+                                  json_texts.filter(lambda k: k not in ("num", "den")),
+                                  children)),
+    max_leaves=12)
 
 
 class TestDumps:
@@ -603,6 +621,15 @@ class TestDumps:
     @given(json_trees)
     def test_matches_stdlib_indent_2(self, tree):
         assert dumps(tree) == json.dumps(tree, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(approx_trees)
+    def test_float_mode_matches_the_approx_oracle(self, tree):
+        # each pair with den != 0 and a value a float holds gains "approx"
+        # as its last member, and the tree itself is left as it is
+        before = repr(tree)
+        assert dumps(tree, approx=True) == json.dumps(add_approx(deepcopy(tree)), indent=2)
+        assert repr(tree) == before
 
     def test_dump_writes_what_dumps_returns(self):
         # more texts than one batch, and a document of one scalar
@@ -1430,6 +1457,80 @@ class TestPinnedVerbOutput:
             out = re.sub(r'"elapsed_ms": [^,\n]*', '"elapsed_ms": 0', got.out)
             h.update(f"{' '.join(argv)}\n{rc}\n{out}\n{got.err}".encode())
         assert h.hexdigest() == VERB_OUTPUT_SHA256
+
+
+# sha256 of each group of tests/sweep.py: its invocations' argv, exit code,
+# stdout with elapsed_ms blanked and stderr.  A change that alters CLI
+# output on purpose updates the groups that moved and names them in
+# CHANGES.md; "usage" holds argparse's and the interpreter's wording, so it
+# is pinned on sweep.USAGE_PYTHON only
+SWEEP_SHA256 = {
+    "decide": "8153db13732f6fbaac8a37c55edf58760e2dafe744e49c6d07c530fc4f22aac8",
+    "h1": "f6e40a49dab2ec4d207bf007329b1f1e37300c45c06fa89e1677bc18cdec795c",
+    "normalize": "100399dd14c521565a7dca4471e37dd7aa315c7f6539c7dc255189b2059abe81",
+    "threshold": "7b4b6859a72760cb7888d30fa23949ca77eb94fcc49de0107ea33e110a07f76a",
+    "twist-scan": "f0dd239e9684d61257dfd73494523c0c28a4ae3c527de225e246e4ec32fb9487",
+    "family list": "8b473955e2337357f4401554f45ae77ae887b3c0ce7f2819371fe65797512ff9",
+    "reproduce": "2e9294376f673de9f235bacd67155b694e19ea17cd9fdc5b7b5b5a626908f3f5",
+    "family run K(3,2;5,n)": "5deee8a6087d20a5f9dc64ca6b137ce276804a568ce784fc30cf31cd74608ee3",
+    "family run K(5,2;7,n)": "25521b88e0328f92f988800bb23718f363924466a5d98e29e4ffc256ca9c2f5a",
+    "family run K(5,2;3,n)": "044f092a5ab8cc4c970b6e58787dc2568f3a8827fefd68d0e778feff8dde42d5",
+    "family run K(4,3;5,n)": "8017d687978c98cf8655a972fd53983e6f9e5d650d9f5fc617d212cbee81d443",
+    "family run K(5,3;7,n)": "c019a862545900cff922f10afea9f8a15bb39a444b966018f0c11550ae6dea17",
+    "family run K(5,3;4,n)": "bb56deb266a46d5b3ce91903d0842ffde9fc741e7e832a197dd3054bec1c5184",
+    "family run unknot[m=0,p=3]":
+        "d497d46fb0e1c3edac82cc8a022a416c1ff24a9e0c112e695334f82bf6a1caf2",
+    "family run unknot[m=-1,p=3]":
+        "a3ad0b9faaf43bb0a2c876de5f0a9012db1193490e7ecc6ef076f0f234a017f0",
+    "family run unknot[m=-3,p=5]":
+        "06b5c0486f3fa1e3be62c748e2d975ac539f3a9e73ef36855268b2ab4ae5a3dd",
+    "family run tunnel2-A": "f82d5e4145c2db08c0323957ea8722323cf4ea639b1f9cb7078dacd230406934",
+    "family run tunnel2-B": "a0cbb71db766548842cae98a8f93ab33b150ecc41af445cb58cc42616754706f",
+    "family run berge-spor-a[p=2]":
+        "e691acebef78c416b36f3e81be8075be84b302d13125d6f97fe81740a368da47",
+    "family run berge-spor-b[p=1]":
+        "27f46b165963a4126f89060c4f848191018704e0db4dee2d67c2a797878ba872",
+    "family run berge-spor-c[p=1]":
+        "fc8f34bcd989aec1b391f1af2a8823546b45eda471183b05f5c947f35f874a0c",
+    "family run berge-spor-d[p=1]":
+        "957f44be5fae71230525bc373965a6b6e1da7c8f78539168ec8cbf9a72861fdd",
+    "family run berge-VII[a=2,b=3]":
+        "408b145b3f518d5aa9ffd21a6339574db947f8bdd8bcd83070d6aff72545c614",
+    "family run berge-VIII[a=-2,b=5]":
+        "a478121f2724278ce51a4044dda370377d84be01967e598ef712873fb7853446",
+    "family run em-rp2[l=1]": "614c8b4e751c7165ebb20f7997b25e1368bd4c21b03dc78263f197a3ceeb2bfe",
+    "family run em-rp2[l=2]": "9e7c5e0a3bbea60439b0ce626754178a32183c306a262c96326f06947fe9e60e",
+    "family run tunnel2-a": "d05f4c3a7856c61488c789fac40333cb94ad1943b7c51a77239aa4cbbf5262aa",
+    "family run tunnel2-b": "4e6a3a4f8aea850f5c82320212c3a54c2d0f41c88a6d00d4840c2ee6aa1e9e72",
+    "family run p+q": "b35f41cd8432717f6038d69f047409e2af6873c59b221430628074c0f7c77205",
+    "family run p-q": "d9f782af7a33a06a03f55c80535fffb5b8322926994535021bb5b3ebf31fd13a",
+    "family run k4p1": "611e08d4b9b9cc1bac67b45c3a813c1446143f1659f72ce2ef992ea200fa0a43",
+    "family run k4p3": "4ce482be8ebd544e6e8891230a0299d31805fa0b37a1755bc9c2a5ba8426388f",
+    "family run k2p2": "9c6ac4823ffa1e137d0a1df57092fb5a0815bde13e3f599a51706ae23231d790",
+    "family run unknot": "6009de438c40f08d2b367b0649fad295bc14d3b4570ea9fff5dde7fdc2369aff",
+    "family run spor-a": "f0b87f710189bd1acc0604c94f66ef7d9107483b79cfd43a9224397b045f2a46",
+    "family run spor-b": "07ef4750d197b9c651431983d4750ce699a8a48d1a1de989303d1780bddaf7a0",
+    "family run spor-c": "53da740be8b6789e22b6188c677d9a6578e68cfa1cba0bcf83e02a9890a454e1",
+    "family run spor-d": "5e0cbc7c6667bc9906438aef472f9d8fc0b681bf30fb3044424d103de277e798",
+    "family run berge-vii": "c9cf4a5dc676ff2e1563cb81a8d20bbbce53c6e89b651e87cab7b8b9e013fb26",
+    "family run berge-viii": "8e45339bfab6149fb0128fff55a5c602aec388985ff55318e1237e278c863002",
+    "family run em-rp2": "4d5596db90657577b6bdc9e6480a705cd8da56be40eda81c4be7cf0a1876a0ef",
+    "family run errors": "c90710c48c88259bb03031fa921c7fd2fe87cf0743b2ac34291ca379df55638c",
+    "usage": "dff6dcb41834362bfcf4e77830651a5c96afa7cc1c7864c701b04665abd00d5f",
+}
+
+
+class TestPinnedSweep:
+    def test_every_group_is_pinned(self):
+        groups = sweep.groups()
+        assert list(groups) == list(SWEEP_SHA256)
+        assert sum(map(len, groups.values())) >= 1219
+
+    @pytest.mark.parametrize("group", list(SWEEP_SHA256))
+    def test_group_bytes_are_unchanged(self, group):
+        if group == "usage" and sys.version_info[:2] != sweep.USAGE_PYTHON:
+            pytest.skip("argparse's and the interpreter's wording differ across versions")
+        assert sweep.digest(map(sweep.record, sweep.groups()[group])) == SWEEP_SHA256[group]
 
 
 def _parser_rows(parser, path=()):
