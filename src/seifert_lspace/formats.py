@@ -175,13 +175,13 @@ def dumps(o, approx: bool = False, _pad: str = "\n") -> str:
     nearest num/den.
 
     The stdlib takes a generator-based pure-Python path whenever ``indent``
-    is set.  This one keeps the C string escaper, writes the scalar members
-    of a container in its own loop, each piece a chunk of members at a time
-    into its layout split into literal parts, and a point as a piece of one
-    member, and recurses only into the other containers and floats.  Every
-    text goes into one list, the texts between members cached per dict
-    shape, and one join writes the document: no subtree's text is copied on
-    its way up.
+    is set.  This one keeps the C string escaper, writes each piece a chunk
+    of members at a time into its layout split into literal parts, and a
+    point as a piece of one member, and writes every other value by one
+    dispatch on its type, a {"num", "den"} pair with its approx as a dict
+    of three members.  Every text goes into one list, the texts between
+    members cached per dict shape, and one join writes the document: no
+    subtree's text is copied on its way up.
     """
     out = _Texts()
     _write(o, approx, _pad, out)
@@ -221,45 +221,32 @@ def dump(o, fp, approx: bool = False) -> None:
 
 
 def _write(o, approx: bool, pad: str, out: list) -> None:
-    """Append the texts of o at this indent to ``out``, for ``dumps``."""
+    """Append the texts of o at this indent to ``out``, for ``dumps``: the
+    one place that chooses how a value is written."""
     t = type(o)
     if t is dict or t is list:
         if not o:
             out.append("{}" if t is dict else "[]")
             return
-        inner, extra = pad + "  ", ()
+        inner = pad + "  "
         if t is dict:
-            keys = tuple(o)
             if approx and o.keys() == _PAIR and o["den"]:
                 try:
-                    extra = (float.__repr__(o["num"] / o["den"]),)
-                    keys += ("approx",)
+                    o = {**o, "approx": o["num"] / o["den"]}
                 except OverflowError:  # |num/den| is beyond the largest float
                     pass
             # the texts before each member, and the closing brace
-            heads = _object_heads(keys, pad)
+            heads = _object_heads(tuple(o), pad)
         else:
             heads = ("[" + inner, *["," + inner] * (len(o) - 1), pad + "]")
         for head, v in zip(heads, o.values() if t is dict else o):
             out.append(head)
-            tv = type(v)
-            if tv is str:
-                v = encode_basestring_ascii(v)
-            elif tv is int:
-                v = int_text(v)
-            elif tv is bool:
-                v = "true" if v else "false"
-            elif v is None:
-                v = "null"
-            elif tv is dict or tv is list or (as_piece := getattr(v, "as_piece", None)) is None:
+            # a piece writes its members after this head, each a member of
+            # this list; every other member is one value
+            if (as_piece := getattr(v, "as_piece", None)) is None:
                 _write(v, approx, inner, out)
-                continue
             else:
                 _write_piece(as_piece(), inner, approx, out)
-                continue
-            out.append(v)
-        for v in extra:
-            out += (heads[-2], v)
         out.append(heads[-1])
     elif t is str:
         out.append(encode_basestring_ascii(o))
