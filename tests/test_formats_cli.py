@@ -654,8 +654,9 @@ class TestDumps:
         assert dumps({"a": big, "b": [-big, 1]}) == \
             '{\n  "a": ' + text + ',\n  "b": [\n    -' + text + ',\n    1\n  ]\n}'
         assert dumps([big]) == "[\n  " + text + "\n]"
-        # the smallest limit Python allows still writes every int of the
-        # fast path; the longer ones take int_text
+        # at the smallest limit Python allows, ints just under it and past
+        # it are all written in full: int_text converts those past it by
+        # halves
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
