@@ -363,7 +363,8 @@ def find_family(name: str) -> FamilySpec:
     """The catalog family of this name, or of which it is the one
     substring, or the family of a kind that takes no parameters, named in
     any case.  A ``ValueError`` names the catalog families of a name that
-    is a substring of several; a ``KeyError`` means no family."""
+    is a substring of several, or else the parameters of a kind that takes
+    some; a ``KeyError`` means no family."""
     specs = catalog()
     for s in specs:
         if s.name == name:
@@ -376,6 +377,9 @@ def find_family(name: str) -> FamilySpec:
         return builder()
     if matches:
         raise ValueError(f"ambiguous family {name!r}: {', '.join(s.name for s in matches)}")
+    if builder is not None:
+        raise PreconditionFailed(f"family kind {name!r} takes parameters "
+                                 f"{', '.join(_parameters(builder))}; use --params")
     raise KeyError(name)
 
 

@@ -15,15 +15,18 @@ one JSON writer (``dump`` writes its texts to a file as it goes), and
 at a time from ``Piece.columns``, a single as a piece of one member: a
 piece's layout is filled with what its members share and split once, and a
 chunk joins its literal parts with the texts of the columns that move, each
-converted once by ``_chunks``.  A JSON layout comes from ``_point_layout``,
-cached per shape, the one place that gives a point's JSON its keys.  With
-``approx`` set, ``dumps`` adds --float's decimal approximation to each pair
-a float holds; it never feeds back into anything."""
+converted once by ``_chunks``; a range column within [-4096, 4096) is cut
+from one table of those texts, built when the first window is written and
+shared by every window after it.  A JSON layout comes from
+``_point_layout``, cached per shape, the one place that gives a point's
+JSON its keys.  With ``approx`` set, ``dumps`` adds --float's decimal
+approximation to each pair a float holds; it never feeds back into
+anything."""
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd
@@ -189,6 +192,7 @@ def dumps(o, approx: bool = False, _pad: str = "\n") -> str:
 
 
 _CHUNK = 256  # members joined into one text
+_SMALL = 4096  # a range column within [-_SMALL, _SMALL) is cut from one table
 
 
 class _Texts(list):
@@ -349,10 +353,13 @@ def _chunks(piece: Piece, columns: tuple, approx: bool = False):
     of up to ``_CHUNK`` members as its size and a dict of the texts of "n"
     and of the ``columns`` not None, "m", "b", "p", "d", "s" and the
     witness's "k" and "a", and with ``approx`` the moving pair's "x".  Each
-    column of a chunk is converted once, and a range column only where it
-    leaves the run of those before it on its lattice (``_range_texts``), so
-    den = n along a torus knot's family and den = n + 1 along the
-    alpha = alpha3 = 1 families take n's texts."""
+    column of a chunk is converted once.  A range column within
+    [-_SMALL, _SMALL) is a slice of ``_small_texts()``, the one table of
+    those texts, and any other only where it leaves the run of those before
+    it on its lattice (``_range_texts``), so den = n along a torus knot's
+    family and den = n + 1 along the alpha = alpha3 = 1 families take n's
+    texts."""
+    table = _small_texts()
     nums, dens = columns[2:4]
     xs = map(truediv, repeat(piece.first.form.pairs[piece.slot][0]) if nums is None else nums,
              dens) if approx and dens is not None else None
@@ -362,7 +369,7 @@ def _chunks(piece: Piece, columns: tuple, approx: bool = False):
         texts, runs = {}, {}
         for c, col in cols.items():
             if type(col) is range:
-                texts[c] = _range_texts(col[i:i + _CHUNK], runs)
+                texts[c] = _range_texts(col[i:i + _CHUNK], runs, table)
             elif c == "w":
                 ws = list(islice(col, _CHUNK))
                 texts["k"], texts["a"] = _texts([w.k for w in ws]), _texts([w.a for w in ws])
@@ -371,13 +378,26 @@ def _chunks(piece: Piece, columns: tuple, approx: bool = False):
         yield len(texts["n"]), texts
 
 
-def _range_texts(part: range, runs: dict) -> list:
-    """The texts of the range ``part``, converting only its values outside
-    the run ``runs`` holds for its lattice.  Ranges of one step whose starts
-    are a multiple of it apart lie on one lattice, and its run is the first
-    range converted on it, grown by each later one that overlaps it, with
-    its texts; a range apart from the run is converted on its own."""
+@cache
+def _small_texts() -> list:
+    """The texts of the ints in [-_SMALL, _SMALL), in order: built when the
+    first window is written, never at import, and shared by every window."""
+    return [f"{x}" for x in range(-_SMALL, _SMALL)]
+
+
+def _range_texts(part: range, runs: dict, table: list) -> list:
+    """The texts of the range ``part``: a slice of ``table``, the texts of
+    ``_small_texts()``, if both its ends lie in [-_SMALL, _SMALL), and
+    otherwise converting only its values outside the run ``runs`` holds for
+    its lattice.  Ranges of one step whose starts are a multiple of it apart
+    lie on one lattice, and its run is the first range converted on it,
+    grown by each later one that overlaps it, with its texts; a range apart
+    from the run is converted on its own."""
     step = part.step
+    if part and -_SMALL <= part.start < _SMALL and -_SMALL <= part[-1] < _SMALL:
+        # a descending slice that ends at the table's first text has no stop
+        stop = part.stop + _SMALL
+        return table[part.start + _SMALL:stop if stop >= 0 else None:step]
     key = step, part.start % step
     hull, texts = runs.get(key) or (part, None)
     j = (part.start - hull.start) // step  # part's first index in hull

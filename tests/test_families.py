@@ -1,5 +1,6 @@
 """Catalog families and their arithmetic guarantee checkers."""
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -410,6 +411,12 @@ class TestRegressionContract:
             find_family("unknot")
         with pytest.raises(KeyError):
             find_family("no-such-family")
+        # a kind that takes parameters, named without them, names them
+        for name, params in (("p+q", "p, q"), ("K4P1", "p"), ("berge-vii", "a, b")):
+            with pytest.raises(PreconditionFailed, match=rf"^family kind '{re.escape(name)}' "
+                                                         rf"takes parameters {params}; use "
+                                                         r"--params$"):
+                find_family(name)
 
 
 class TestRecords:

@@ -17,7 +17,7 @@ from copy import deepcopy
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seifert_lspace import INF, Base, SeifertForm, formats, normalize
@@ -36,6 +36,36 @@ from oracles import add_approx, fraction_parse_form, point_json, points, scan_li
 
 def F(n, d=1):
     return Fraction(n, d)
+
+
+# the epsilon = 10^-3 scan over 2 * 10^4 indices
+_SCAN = ["twist-scan", "--b", "-1", "--r1", "1/3", "--r2", "1997/3000", "--alpha", "1",
+         "--beta", "0", "--alpha3", "1", "--beta3", "1", "--window=-20000..0"]
+
+
+def _traced_peak(argv) -> int:
+    """The peak of the memory tracemalloc traces while ``main(argv)``
+    prints to os.devnull; main must exit 0."""
+    with open(os.devnull, "w") as devnull, redirect_stdout(devnull):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def _str_all(values) -> list:
+    """[str(x) for x in values], with sys.get_int_max_str_digits() lifted
+    while it runs where the interpreter has that limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return [str(x) for x in values]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestGrammar:
@@ -485,14 +515,17 @@ class TestStretchWriter:
 
     def test_chunks_convert_each_value_once(self, monkeypatch):
         # range columns of steps up to 3 either way beside n, overlapping,
-        # apart and equal, over one to three chunks: each chunk gives each
-        # column the texts of its own values, and converts no value of a
-        # step twice, unless a third part of that step overlaps two apart
+        # apart and equal, over one to three chunks, near 0 (where they are
+        # cut from the table of small ints' texts), across the table's top
+        # and far past it: each chunk gives each column the texts of its own
+        # values, and converts no value of a step twice, unless a third part
+        # of that step overlaps two apart
         from seifert_lspace.twist import Piece
         rng, texts, converted = random.Random(7), formats._texts, []
         monkeypatch.setattr(formats, "_texts", lambda r: converted.append(r) or texts(r))
         for _ in range(1500):
-            lo, size = rng.randint(-30, 30), rng.choice((1, 2, 5, 9, 256, 257, 600))
+            lo = rng.choice((0, formats._SMALL, 10 ** 6)) + rng.randint(-30, 30)
+            size = rng.choice((1, 2, 5, 9, 256, 257, 600))
             columns = [None] * 6
             for j in rng.sample(range(4), rng.randint(0, 4)):
                 step, start = rng.choice((1, 2, 3, -1, -2, -3)), lo + rng.randint(-12, 12)
@@ -512,6 +545,30 @@ class TestStretchWriter:
                 converted.clear()
                 i += n
             assert i == size
+
+    _STEPS = (1, 2, 3, 1000, -1, -2, -3, -1000)
+
+    @settings(max_examples=300, deadline=None)
+    # descending ranges that end at the table's first text, -4096, with the
+    # stop one step past it at -4097 (which as a slice stop would wrap) and
+    # below; and ranges that end at its last, 4095, and one past it
+    @example([(-4096, 2, 3, -1)])
+    @example([(-4096, 6, 3, -3), (-4096, 4, 3, -2)])
+    @example([(4095, -2, 3, 1), (4095, -1, 3, 1), (4095, 0, 2, -1)])
+    @given(st.lists(st.one_of(
+        st.tuples(st.sampled_from((0, -4096, 4095, 10 ** 6, -10 ** 6)), st.integers(-40, 40),
+                  st.integers(0, 60), st.sampled_from(_STEPS)),
+        # a text past the digit limit is a slow conversion, so these are short
+        st.tuples(st.just(10 ** 4400), st.integers(-5, 5), st.integers(0, 4),
+                  st.sampled_from(_STEPS))), min_size=1, max_size=5))
+    def test_range_texts_match_str(self, parts):
+        # ranges of either step near 0, across either end of the table of
+        # small ints' texts, far past it and past the digit limit, empty
+        # and of one member, through one runs dict as _chunks passes them
+        table, runs = formats._small_texts(), {}
+        for centre, offset, size, step in parts:
+            part = range(centre + offset, centre + offset + size * step, step)
+            assert formats._range_texts(part, runs, table) == _str_all(part), part
 
     def test_matches_the_point_path(self):
         from seifert_lspace.twist import Piece, Run, classify_family
@@ -966,32 +1023,29 @@ class TestCliOtherVerbs:
     def test_text_scan_streams_its_lines(self):
         # the window's members are evaluated and printed one at a time, so
         # the peak does not grow with the window
-        argv = ["twist-scan", "--b", "-1", "--r1", "1/3", "--r2", "1997/3000",
-                "--alpha", "1", "--beta", "0", "--alpha3", "1", "--beta3", "1",
-                "--window=-20000..0"]
-        with open(os.devnull, "w") as devnull, redirect_stdout(devnull):
-            tracemalloc.start()
-            try:
-                assert main(argv) == 0
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        peak = _traced_peak(_SCAN)
+        assert peak < 2 * 2 ** 20, peak
+
+    def test_text_scan_builds_its_text_table_within_the_bound(self):
+        # the table of small ints' texts, built inside the traced scan, is a
+        # fixed cost that the same bound holds
+        formats._small_texts.cache_clear()
+        peak = _traced_peak(_SCAN)
+        assert formats._small_texts.cache_info().currsize == 1
         assert peak < 2 * 2 ** 20, peak
 
     def test_json_scan_streams_its_pieces(self):
         # each chunk of a piece's members is written as soon as it is
         # joined, so the peak of a --json scan does not grow with the window
-        argv = ["twist-scan", "--b", "-1", "--r1", "1/3", "--r2", "1997/3000",
-                "--alpha", "1", "--beta", "0", "--alpha3", "1", "--beta3", "1",
-                "--window=-20000..0", "--json"]
         for extra in ([], ["--float"]):
-            with open(os.devnull, "w") as devnull, redirect_stdout(devnull):
-                tracemalloc.start()
-                try:
-                    assert main(argv + extra) == 0
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+            peak = _traced_peak(_SCAN + ["--json"] + extra)
+            assert peak < 3 * 2 ** 20, (extra, peak)
+
+    def test_json_scan_builds_its_text_table_within_the_bound(self):
+        for extra in ([], ["--float"]):
+            formats._small_texts.cache_clear()
+            peak = _traced_peak(_SCAN + ["--json"] + extra)
+            assert formats._small_texts.cache_info().currsize == 1
             assert peak < 3 * 2 ** 20, (extra, peak)
 
     def test_elapsed_ms_covers_the_window(self, capsys, monkeypatch):
@@ -1076,7 +1130,8 @@ class TestCliOtherVerbs:
         # 180,903 in JSON and 124,913 in text; and with the range columns of
         # one step converted as their union where they overlap, as den and
         # n do along the alpha = alpha3 = 1 families (den = n + 1), at most
-        # the tighter count
+        # the tighter count; and with every range within [-4096, 4096) cut
+        # from the table of small ints' texts, at most the tightest
         from seifert_lspace import formats
         texts, chunks = formats._texts, formats._chunks
         converted = [[]]  # the values of each conversion, a list a chunk
@@ -1094,13 +1149,14 @@ class TestCliOtherVerbs:
 
         monkeypatch.setattr(formats, "_texts", counting_texts)
         monkeypatch.setattr(formats, "_chunks", counting_chunks)
-        for mode, bound, tight in ((["--json"], 116_985, 101_077), ([], 113_933, 98_025)):
+        for mode, bound, tight, tabled in ((["--json"], 116_985, 101_077, 40_678),
+                                           ([], 113_933, 98_025, 37_565)):
             converted[:] = [[]]
             for s in catalog():
                 assert main(["family", "run", s.name, "--window=-1000..1000"] + mode) in (0, 1)
                 capsys.readouterr()
             total = sum(len(v) for chunk in converted for v in chunk)
-            assert total <= bound and total <= tight, (mode, total)
+            assert total <= bound and total <= tight and total <= tabled, (mode, total)
             for chunk in converted:
                 assert len({tuple(v) for v in chunk}) == len(chunk), (mode, chunk)
 
@@ -1516,7 +1572,7 @@ SWEEP_SHA256 = {
     "family run berge-vii": "c9cf4a5dc676ff2e1563cb81a8d20bbbce53c6e89b651e87cab7b8b9e013fb26",
     "family run berge-viii": "8e45339bfab6149fb0128fff55a5c602aec388985ff55318e1237e278c863002",
     "family run em-rp2": "4d5596db90657577b6bdc9e6480a705cd8da56be40eda81c4be7cf0a1876a0ef",
-    "family run errors": "c90710c48c88259bb03031fa921c7fd2fe87cf0743b2ac34291ca379df55638c",
+    "family run errors": "fb9e4f796ed54d150d44b9caaa390f739583d584ab5ca84edc26646dd736ae13",
     "usage": "dff6dcb41834362bfcf4e77830651a5c96afa7cc1c7864c701b04665abd00d5f",
 }
 

@@ -35,15 +35,21 @@ EXPORTS = [
 HEAVY = ("dataclasses", "inspect")
 
 
+def _printed(code: str):
+    """The value of the last line ``code`` prints in a fresh interpreter
+    that imports the package from src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get(
+        "PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return ast.literal_eval(out.splitlines()[-1])
+
+
 def _loaded(code: str, names) -> list:
     """The modules of ``names`` in ``sys.modules`` after ``code`` runs in a
     fresh interpreter that imports the package from src/."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get(
-        "PYTHONPATH")])))
-    check = f"import sys\n{code}\nprint([m for m in {list(names)!r} if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    return ast.literal_eval(out.splitlines()[-1])
+    return _printed(f"import sys\n{code}\nprint([m for m in {list(names)!r} "
+                    f"if m in sys.modules])")
 
 
 class TestLazyInit:
@@ -105,6 +111,24 @@ class TestModuleSets:
                 "families.catalog()")
         assert _loaded(code, ["seifert_lspace.formats", "seifert_lspace.corpus", "argparse",
                               "json", *HEAVY]) == []
+
+    def test_the_verbs_of_one_form_build_no_text_table(self):
+        # formats' table of small ints' texts is built by the first window
+        # written: decide, h1, normalize and threshold, as text and as
+        # JSON, leave it unbuilt, and a family run after them builds it
+        form = "SFS[S2; -1; 1/2, 1/3, 1/5]"
+        argvs = [[verb, *mode, *args]
+                 for verb, args in (("decide", [form]), ("h1", [form]), ("normalize", [form]),
+                                    ("threshold", ["--", "-1", "1/3", "1/5"]))
+                 for mode in ([], ["--json"], ["--json", "--float"])]
+        code = ("from seifert_lspace.cli import main\n"
+                "from seifert_lspace import formats\n"
+                f"for argv in {argvs!r}:\n"
+                "    assert main(argv) in (0, 1), argv\n"
+                "built = formats._small_texts.cache_info().currsize\n"
+                "main(['family', 'run', 'tunnel2-A', '--window=0..3'])\n"
+                "print([built, formats._small_texts.cache_info().currsize])")
+        assert _printed(code) == [0, 1]
 
     def test_the_gates_see_what_a_family_run_loads(self):
         # the same check run on a verb that needs them finds them
